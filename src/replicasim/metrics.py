@@ -61,31 +61,6 @@ class BlockTiming:
     duration_s: float
 
 
-def classify(
-    target: str,
-    identified: Optional[str] = None,
-    manipulated: Optional[str] = None,
-    repeat_requested: bool = False,
-    t_ms: int = 0,
-    block: Optional[str] = None,
-) -> list[ErrorRecord]:
-    """Classify one guided action against its target valve.
-
-    A wrong manipulation of the same wrongly identified valve counts once, as
-    Critical; the categories stay disjoint for totals.
-    """
-    records = []
-    if repeat_requested:
-        records.append(ErrorRecord(t_ms, ErrorType.REPETITION, target, block))
-    wrong_manipulation = manipulated is not None and manipulated != target
-    if identified is not None and identified != target:
-        if not (wrong_manipulation and manipulated == identified):
-            records.append(ErrorRecord(t_ms, ErrorType.SIMPLE, identified, block))
-    if wrong_manipulation:
-        records.append(ErrorRecord(t_ms, ErrorType.CRITICAL, manipulated, block))
-    return records
-
-
 def errors_from_log(log: SessionLog) -> list[ErrorRecord]:
     records = []
     for event in log.events:

@@ -9,7 +9,7 @@ configuration-sensitive signal rather than real thermodynamics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from replicasim.scene import SceneModel, ValveState
@@ -72,57 +72,40 @@ def load_routing_table(path: str) -> RoutingTable:
         return routing_table_from_dict(json.load(fh))
 
 
-def route(valve_states: dict[str, ValveState], table: RoutingTable) -> tuple[Exchanger, FlowMode]:
-    """First routing row whose predicate matches; (Mixed, Undefined) when none does."""
+def _matching_row(valve_states: dict[str, ValveState], table: RoutingTable) -> RoutingRow | None:
     missing = table.valves_referenced() - set(valve_states)
     if missing:
         raise PlantConfigError(f"routing table references unknown valves {sorted(missing)}")
     for row in table.rows:
         if all(valve_states[valve] is state for valve, state in row.requires):
-            return row.exchanger, row.flow
-    return Exchanger.MIXED, FlowMode.UNDEFINED
+            return row
+    return None
+
+
+def route(valve_states: dict[str, ValveState], table: RoutingTable) -> tuple[Exchanger, FlowMode]:
+    """First routing row whose predicate matches; (Mixed, Undefined) when none does."""
+    row = _matching_row(valve_states, table)
+    return (row.exchanger, row.flow) if row else (Exchanger.MIXED, FlowMode.UNDEFINED)
 
 
 def effectiveness(valve_states: dict[str, ValveState], table: RoutingTable) -> float:
-    exchanger, flow = route(valve_states, table)
-    if exchanger is Exchanger.MIXED:
+    """Effectiveness of the routed row; 0.0 when the routing is Mixed."""
+    row = _matching_row(valve_states, table)
+    if row is None or row.exchanger is Exchanger.MIXED:
         return 0.0
-    for row in table.rows:
-        if row.exchanger is exchanger and row.flow is flow:
-            if not 0.0 <= row.effectiveness < 1.0:
-                raise PlantConfigError(
-                    f"effectiveness {row.effectiveness!r} for ({exchanger.value}, {flow.value}) outside [0, 1)"
-                )
-            return row.effectiveness
-    raise PlantConfigError(f"no effectiveness entry for ({exchanger.value}, {flow.value})")
+    if not 0.0 <= row.effectiveness < 1.0:
+        raise PlantConfigError(
+            f"effectiveness {row.effectiveness!r} for ({row.exchanger.value}, {row.flow.value}) outside [0, 1)"
+        )
+    return row.effectiveness
 
 
 @dataclass
 class PlantState:
-    """Physical-twin state: valve positions plus inlet temperatures from config."""
+    """Physical-twin state: valve positions plus the routing table with its inlet temperatures."""
 
     valve_states: dict[str, ValveState]
     table: RoutingTable
-
-    @property
-    def hot_inlet_temp(self) -> float:
-        return self.table.hot_inlet_c
-
-    @property
-    def cold_inlet_temp(self) -> float:
-        return self.table.cold_inlet_c
-
-    @property
-    def active_exchanger(self) -> Exchanger:
-        return route(self.valve_states, self.table)[0]
-
-    @property
-    def flow_mode(self) -> FlowMode:
-        return route(self.valve_states, self.table)[1]
-
-    @property
-    def hot_outlet_temp(self) -> float:
-        return outlet_temperature(self)
 
     def set_valve(self, valve: str, state: ValveState) -> None:
         if valve not in self.valve_states:
@@ -138,4 +121,5 @@ def plant_from_model(model: SceneModel, table: RoutingTable) -> PlantState:
 def outlet_temperature(plant: PlantState) -> float:
     """Hot-side outlet temperature under the active routing's effectiveness."""
     eps = effectiveness(plant.valve_states, plant.table)
-    return plant.hot_inlet_temp - eps * (plant.hot_inlet_temp - plant.cold_inlet_temp)
+    hot, cold = plant.table.hot_inlet_c, plant.table.cold_inlet_c
+    return hot - eps * (hot - cold)

@@ -174,6 +174,9 @@ def submit_sync(state: RoomState, req: SyncRequest) -> tuple[RoomState, Envelope
     """Merge a sync request against the authoritative model and broadcast the commit."""
     if req.owner not in state.members:
         raise RoomError(f"sync from non-member {req.owner!r}")
+    joined = state.members[req.owner]
+    if req.owner_role is not joined:
+        raise RoomError(f"sync from {req.owner!r} claims {req.owner_role.value}, joined as {joined.value}")
     outcome = synchronize(req, state.shared)
     state = replace(state, shared=outcome.merged)
     state, env = state._stamp(state.host_id, SyncCommit(outcome.accepted, outcome.merged.version))

@@ -16,22 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from replicasim.scene import (
-    AddAnnotation,
+    DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
+    UNKNOWN_TARGET as REJECT_UNKNOWN_TARGET,
     Edit,
     EditError,
     RemoveAnnotation,
     Role,
     SceneModel,
+    _apply_batch,
     apply_edit,
     edit_field_key,
+    edit_to_dict,
 )
 
 DEFAULT_REPLICA_SCALE = 0.2
 
 REJECT_EXPERT_PRECEDENCE = "expert-precedence"
 REJECT_ANNOTATION_RETENTION = "annotation-retention"
-REJECT_DUPLICATE_ANNOTATION = "duplicate-annotation"
-REJECT_UNKNOWN_TARGET = "unknown-target"
 
 
 class ReplicaError(Exception):
@@ -111,74 +112,43 @@ def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
     """Merge a replica's pending edits into the shared model.
 
     Pure function: identical (request, shared) inputs produce a bit-identical
-    outcome. The version bumps once per accepted batch, not per edit.
+    outcome. The version bumps once per accepted batch, not per edit. An edit
+    that does not fit the model is rejected with the reason its check names;
+    the role rules below decide the rest.
     """
     if request.base_version > shared.version:
         raise ProtocolError(
             f"base_version {request.base_version} is ahead of shared version {shared.version}"
         )
-    accepted: list[Edit] = []
-    rejected: list[tuple[Edit, str]] = []
-    # Working views of the merge in progress, so edits inside one batch see
-    # each other (e.g. an add followed by a duplicate add of the same id).
-    annotations = dict(shared.annotations)
-    known_nodes = shared.nodes
-
     for edit in request.edits:
-        if isinstance(edit, AddAnnotation):
-            ann = edit.annotation
-            if ann.anchor not in known_nodes:
-                rejected.append((edit, REJECT_UNKNOWN_TARGET))
-            elif ann.id in annotations:
-                rejected.append((edit, REJECT_DUPLICATE_ANNOTATION))
-            else:
-                annotations[ann.id] = ann
-                accepted.append(edit)
-        elif isinstance(edit, RemoveAnnotation):
-            if edit.annotation_id not in annotations:
-                rejected.append((edit, REJECT_UNKNOWN_TARGET))
-            elif request.owner_role is not Role.EXPERT:
-                rejected.append((edit, REJECT_ANNOTATION_RETENTION))
-            else:
-                del annotations[edit.annotation_id]
-                accepted.append(edit)
-        else:
-            key = edit_field_key(edit)
-            if edit.node not in known_nodes:
-                rejected.append((edit, REJECT_UNKNOWN_TARGET))
-                continue
-            author = shared.field_authors.get(key)
-            if (
-                request.owner_role is not Role.EXPERT
-                and author is not None
-                and author[0] is Role.EXPERT
-            ):
-                rejected.append((edit, REJECT_EXPERT_PRECEDENCE))
-            else:
-                # Expert edits always win; same-role conflicts fall to the
-                # incoming request, which holds the later host sequence.
-                accepted.append(edit)
+        if edit.author_role is not request.owner_role:
+            raise ProtocolError(
+                f"edit authored as {edit.author_role.value} in a request from the {request.owner_role.value}"
+            )
 
-    new_version = shared.version + 1 if accepted else shared.version
-    merged = apply_commit(shared, tuple(accepted), new_version)
-    return MergeOutcome(merged=merged, accepted=tuple(accepted), rejected=tuple(rejected))
+    def role_rule(edit: Edit, field_authors: dict) -> str | None:
+        if request.owner_role is Role.EXPERT:
+            return None  # Expert edits always win.
+        if isinstance(edit, RemoveAnnotation):
+            return REJECT_ANNOTATION_RETENTION
+        author = field_authors.get(edit_field_key(edit))
+        if author is not None and author[0] is Role.EXPERT:
+            return REJECT_EXPERT_PRECEDENCE
+        # Same-role conflicts fall to the incoming request, which holds the
+        # later host sequence.
+        return None
+
+    merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, role_rule)
+    return MergeOutcome(merged=merged if accepted else shared, accepted=accepted, rejected=rejected)
 
 
 def apply_commit(shared: SceneModel, accepted: tuple[Edit, ...], new_version: int) -> SceneModel:
     """Replay a committed batch onto a model copy.
 
-    Host and clients both build their post-commit state through this one
-    function, which is what makes replayed models bit-equal to the host's.
+    Host and clients both build their post-commit state through the same
+    batch applier, which is what makes replayed models bit-equal to the host's.
     """
-    model = shared
-    for edit in accepted:
-        model = apply_edit(model, edit)
-    field_authors = dict(shared.field_authors)
-    for edit in accepted:
-        key = edit_field_key(edit)
-        if key is not None:
-            field_authors[key] = (edit.author_role, new_version)
-    return replace(model, version=new_version, field_authors=field_authors)
+    return _apply_batch(shared, accepted, new_version)[0]
 
 
 def rebase_replica(replica: Replica, shared: SceneModel) -> RebaseResult:
@@ -222,31 +192,7 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
 # --- Canonical JSON forms (wire and JSONL logs; see docs/protocol.md) ------------
 
 
-def sync_request_to_dict(request: SyncRequest) -> dict:
-    from replicasim.scene import edit_to_dict
-
-    return {
-        "owner": request.owner,
-        "owner_role": request.owner_role.value,
-        "base_version": request.base_version,
-        "edits": [edit_to_dict(e) for e in request.edits],
-    }
-
-
-def sync_request_from_dict(doc: dict) -> SyncRequest:
-    from replicasim.scene import edit_from_dict
-
-    return SyncRequest(
-        owner=doc["owner"],
-        owner_role=Role(doc["owner_role"]),
-        base_version=int(doc["base_version"]),
-        edits=tuple(edit_from_dict(e) for e in doc["edits"]),
-    )
-
-
 def merge_outcome_to_dict(outcome: MergeOutcome) -> dict:
-    from replicasim.scene import edit_to_dict
-
     return {
         "new_version": outcome.merged.version,
         "accepted": [edit_to_dict(e) for e in outcome.accepted],

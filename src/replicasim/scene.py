@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 QUAT_NORM_TOL = 1e-9
 
@@ -23,8 +23,17 @@ class DescriptorError(SceneError):
     """Raised when a model descriptor document is malformed."""
 
 
+# Why an edit does not fit a model; sync rejections report these reasons.
+UNKNOWN_TARGET = "unknown-target"
+DUPLICATE_ANNOTATION = "duplicate-annotation"
+
+
 class EditError(SceneError):
-    """Raised when an edit cannot be applied to a model."""
+    """Raised when an edit cannot be applied to a model; ``reason`` names why."""
+
+    def __init__(self, message: str, reason: str = UNKNOWN_TARGET) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class IncompatibleModelsError(SceneError):
@@ -330,53 +339,91 @@ def anchor_model(model: SceneModel, marker: Pose) -> SceneModel:
 
 
 def apply_edit(model: SceneModel, edit: Edit) -> SceneModel:
-    """Apply one edit, returning a new model with version incremented by 1."""
-    nodes = model.nodes
-    annotations = model.annotations
-    new_version = model.version + 1
+    """Apply one edit as a one-edit commit: a new model at version + 1."""
+    return _apply_batch(model, (edit,), model.version + 1)[0]
 
+
+def _apply_batch(
+    model: SceneModel,
+    edits: Iterable[Edit],
+    version: int,
+    rule: Optional[Callable[[Edit, dict], Optional[str]]] = None,
+) -> tuple[SceneModel, tuple[Edit, ...], tuple[tuple[Edit, str], ...]]:
+    """Apply ``edits`` in order as one commit, stamping field provenance with ``version``.
+
+    This is the only code that checks an edit against a model and the only
+    code that writes nodes, annotations and field provenance. Each edit is
+    checked against the model as the earlier edits of the batch left it, and
+    each dict is copied at most once per batch, on its first write.
+
+    Without ``rule`` a failed check raises :class:`EditError`. With ``rule``,
+    a failed check rejects the edit with the error's ``reason``, and
+    ``rule(edit, field_authors)`` may reject an edit that passes by returning
+    a reason; rejected edits are skipped and the rest of the batch applies.
+    Returns the new model (always at ``version``), the applied edits and the
+    rejected ``(edit, reason)`` pairs.
+    """
+    nodes, annotations, authors = model.nodes, model.annotations, model.field_authors
+    accepted: list[Edit] = []
+    rejected: list[tuple[Edit, str]] = []
+    for edit in edits:
+        try:
+            node = _edited_node(edit, nodes, annotations)
+        except EditError as error:
+            if rule is None:
+                raise
+            reason = error.reason
+        else:
+            reason = rule(edit, authors) if rule else None
+        if reason is not None:
+            rejected.append((edit, reason))
+            continue
+        accepted.append(edit)
+        if node is not None:
+            if nodes is model.nodes:
+                nodes = dict(nodes)
+            if authors is model.field_authors:
+                authors = dict(authors)
+            nodes[node.id] = node
+            authors[edit_field_key(edit)] = (edit.author_role, version)
+            continue
+        if annotations is model.annotations:
+            annotations = dict(annotations)
+        if isinstance(edit, AddAnnotation):
+            annotations[edit.annotation.id] = edit.annotation
+        else:
+            del annotations[edit.annotation_id]
+    committed = replace(model, nodes=nodes, annotations=annotations, version=version, field_authors=authors)
+    return committed, tuple(accepted), tuple(rejected)
+
+
+def _edited_node(edit: Edit, nodes: dict[str, SceneNode], annotations: dict[str, Annotation]) -> Optional[SceneNode]:
+    """Check ``edit`` against a model; the node it produces, or None for annotation edits."""
     if isinstance(edit, FIELD_EDITS):
-        node = model.node(edit.node)
+        node = nodes.get(edit.node)
+        if node is None:
+            raise EditError(f"unknown node {edit.node!r}")
         if isinstance(edit, SetPose):
-            node = replace(node, local_pose=edit.pose)
-        elif isinstance(edit, SetValveState):
+            return replace(node, local_pose=edit.pose)
+        if isinstance(edit, SetValveState):
             if node.kind is not NodeKind.VALVE:
                 raise EditError(f"cannot set valve_state on non-valve {edit.node!r}")
-            node = replace(node, valve_state=edit.state)
-        elif isinstance(edit, SetHighlight):
-            node = replace(node, visual=replace(node.visual, highlight_color=edit.color))
-        else:
-            node = replace(node, visual=replace(node.visual, indication_animation=edit.playing))
-        nodes = dict(nodes)
-        nodes[edit.node] = node
-    elif isinstance(edit, AddAnnotation):
+            return replace(node, valve_state=edit.state)
+        if isinstance(edit, SetHighlight):
+            return replace(node, visual=replace(node.visual, highlight_color=edit.color))
+        return replace(node, visual=replace(node.visual, indication_animation=edit.playing))
+    if isinstance(edit, AddAnnotation):
         ann = edit.annotation
-        if ann.anchor not in model.nodes:
+        if ann.anchor not in nodes:
             raise EditError(f"annotation {ann.id!r} anchors unknown node {ann.anchor!r}")
         if ann.id in annotations:
-            raise EditError(f"annotation id {ann.id!r} already present")
-        annotations = dict(annotations)
-        annotations[ann.id] = ann
-    elif isinstance(edit, RemoveAnnotation):
+            raise EditError(f"annotation id {ann.id!r} already present", DUPLICATE_ANNOTATION)
+        return None
+    if isinstance(edit, RemoveAnnotation):
         if edit.annotation_id not in annotations:
             raise EditError(f"unknown annotation {edit.annotation_id!r}")
-        annotations = dict(annotations)
-        del annotations[edit.annotation_id]
-    else:
-        raise EditError(f"unsupported edit {edit!r}")
-
-    field_authors = model.field_authors
-    key = edit_field_key(edit)
-    if key is not None:
-        field_authors = dict(field_authors)
-        field_authors[key] = (edit.author_role, new_version)
-    return replace(
-        model,
-        nodes=nodes,
-        annotations=annotations,
-        version=new_version,
-        field_authors=field_authors,
-    )
+        return None
+    raise EditError(f"unsupported edit {edit!r}")
 
 
 def apply_edits(model: SceneModel, edits: Iterable[Edit]) -> SceneModel:
@@ -451,16 +498,7 @@ def to_canonical_dict(model: SceneModel) -> dict:
         "world_anchor": model.world_anchor.to_dict(),
         "marker_offset": model.marker_offset.to_dict(),
         "nodes": [_node_to_dict(model.nodes[i]) for i in sorted(model.nodes)],
-        "annotations": [
-            {
-                "id": ann.id,
-                "author_role": ann.author_role.value,
-                "anchor": ann.anchor,
-                "text": ann.text,
-                "offset": list(ann.offset),
-            }
-            for ann in (model.annotations[i] for i in sorted(model.annotations))
-        ],
+        "annotations": [annotation_to_dict(model.annotations[i]) for i in sorted(model.annotations)],
         "field_authors": {
             f"{fld}:{node}": [role.value, version]
             for (fld, node), (role, version) in sorted(model.field_authors.items())

@@ -7,7 +7,6 @@ from replicasim.metrics import (
     ErrorCounts,
     ErrorType,
     block_times,
-    classify,
     count_errors,
     errors_from_log,
     percent_improvement,
@@ -32,33 +31,41 @@ def make_log(events, condition=Condition.HMD, seed=0):
     return SessionLog(condition=condition, seed=seed, events=events)
 
 
+def action_log(*events):
+    """One-block log around the (kind, data) events of a guided action."""
+    body = [LogEvent(10 * (i + 1), kind, data, "b1", "OneHanded") for i, (kind, data) in enumerate(events)]
+    return make_log([LogEvent(0, "CallStart"), *body, LogEvent(10 * (len(body) + 1), "CallEnd")])
+
+
 class TestClassify:
     def test_wrong_identification_is_simple(self):
-        records = classify(target="2V4", identified="1V3")
+        records = errors_from_log(action_log(("Identify", {"valve": "1V3", "correct": False})))
         assert [r.type for r in records] == [ErrorType.SIMPLE]
         assert records[0].valve == "1V3"
 
     def test_wrong_manipulation_is_critical(self):
-        records = classify(target="2V4", manipulated="1V3")
+        records = errors_from_log(action_log(("Manipulate", {"valve": "1V3", "correct": False})))
         assert [r.type for r in records] == [ErrorType.CRITICAL]
 
     def test_all_correct_is_clean(self):
-        assert classify(target="2V4", identified="2V4", manipulated="2V4") == []
+        log = action_log(("Identify", {"valve": "2V4", "correct": True}),
+                         ("Manipulate", {"valve": "2V4", "correct": True}))
+        assert errors_from_log(log) == []
 
     def test_repeat_request(self):
-        records = classify(target="2V4", repeat_requested=True)
+        records = errors_from_log(action_log(("RepeatRequest", {"valve": "2V4"})))
         assert [r.type for r in records] == [ErrorType.REPETITION]
 
-    def test_critical_subsumes_simple_for_same_action(self):
-        records = classify(target="2V4", identified="1V3", manipulated="1V3")
-        assert [r.type for r in records] == [ErrorType.CRITICAL]
-
     def test_distinct_wrong_actions_both_counted(self):
-        records = classify(target="2V4", identified="1V3", manipulated="1V5")
-        assert sorted(r.type.value for r in records) == ["Critical", "Simple"]
+        log = action_log(("Identify", {"valve": "1V3", "correct": False}),
+                         ("Manipulate", {"valve": "1V5", "correct": False}))
+        assert sorted(r.type.value for r in errors_from_log(log)) == ["Critical", "Simple"]
 
     def test_at_most_one_record_per_category(self):
-        records = classify(target="2V4", identified="1V1", manipulated="1V2", repeat_requested=True)
+        log = action_log(("RepeatRequest", {"valve": "2V4"}),
+                         ("Identify", {"valve": "1V1", "correct": False}),
+                         ("Manipulate", {"valve": "1V2", "correct": False}))
+        records = errors_from_log(log)
         assert len(records) == len({r.type for r in records})
 
 

@@ -13,6 +13,7 @@ from replicasim.protocol import (
     MediaSignal,
     NoPeerError,
     RoleOccupiedError,
+    RoomError,
     RoomState,
     SyncCommit,
     decode_envelope,
@@ -26,7 +27,7 @@ from replicasim.protocol import (
     submit_sync,
 )
 from replicasim.replica import SyncRequest, apply_commit
-from replicasim.scene import Pose, Role, SetIndication, ValveState, canonical_json, load_model
+from replicasim.scene import Pose, Role, SetIndication, SetValveState, ValveState, canonical_json, load_model
 from replicasim.scenario import default_model
 
 from test_scene import small_descriptor
@@ -72,6 +73,20 @@ class TestSubmitSync:
         assert isinstance(env.payload, SyncCommit)
         assert env.payload.new_version == old_version
         assert env.payload.accepted == ()
+
+    def test_claimed_role_must_match_joined_role(self):
+        # The Operator claims the Expert role to overwrite an Expert-owned valve.
+        state = RoomState(room="r", shared=default_model())
+        state, _ = join_room(state, "op", Role.OPERATOR)
+        state, _ = join_room(state, "ex", Role.EXPERT)
+        expert = SyncRequest("ex", Role.EXPERT, 0, (SetValveState("1V1", ValveState.CLOSED, Role.EXPERT, 1),))
+        state, _, _ = submit_sync(state, expert)
+        forged = SyncRequest(
+            "op", Role.EXPERT, state.shared.version, (SetValveState("1V1", ValveState.OPEN, Role.EXPERT, 1),)
+        )
+        with pytest.raises(RoomError, match="joined as Operator"):
+            submit_sync(state, forged)
+        assert state.shared.nodes["1V1"].valve_state is ValveState.CLOSED
 
     def test_indication_flow_reaches_operator_model(self):
         # Guide indicates the valve; the commit replayed on the operator side shows it.

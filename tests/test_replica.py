@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from replicasim.replica import (
     REJECT_ANNOTATION_RETENTION,
     REJECT_DUPLICATE_ANNOTATION,
     REJECT_EXPERT_PRECEDENCE,
+    REJECT_UNKNOWN_TARGET,
     ProtocolError,
     ReplicaError,
     SyncRequest,
@@ -21,9 +23,12 @@ from replicasim.scene import (
     AddAnnotation,
     Annotation,
     EditError,
+    Pose,
     RemoveAnnotation,
     Role,
     SetHighlight,
+    SetIndication,
+    SetPose,
     SetValveState,
     ValveState,
     apply_edit,
@@ -31,8 +36,29 @@ from replicasim.scene import (
     field_equal,
     load_model,
 )
+from replicasim.scenario import default_model
 
 from test_scene import random_edit, small_descriptor
+
+
+# Edits every mixed batch of five or more carries, in this order: one field
+# set twice, an annotation added and removed again, and between them a valve
+# write to a non-valve node, which the host must reject without aborting.
+SPECIALS = ("highlight", "add", "non-valve", "remove", "highlight")
+
+
+def mixed_batch(rng, model, role, ann_id):
+    size = rng.randrange(1, 33)
+    valve = rng.choice([n.id for n in model.valves()])
+    make = {
+        "highlight": lambda: SetHighlight(valve, (rng.random(), 0.5, 0.5), role),
+        "add": lambda: AddAnnotation(Annotation(ann_id, role, valve, "temp"), role),
+        "non-valve": lambda: SetValveState("EX1", ValveState.OPEN, role),
+        "remove": lambda: RemoveAnnotation(ann_id, role),
+    }
+    slots = set(rng.sample(range(size), len(SPECIALS))) if size >= len(SPECIALS) else set()
+    specials = iter(SPECIALS)
+    return [make[next(specials)]() if i in slots else random_edit(rng, model, role) for i in range(size)]
 
 
 @pytest.fixture
@@ -183,6 +209,28 @@ class TestSynchronize:
         assert len(outcome.accepted) == 1 and len(outcome.rejected) == 1
         assert outcome.merged.nodes["V2"].valve_state is ValveState.OPEN
 
+    def test_non_valve_target_rejected_without_aborting_batch(self):
+        model = default_model()
+        req = SyncRequest(
+            "ex",
+            Role.EXPERT,
+            0,
+            (
+                SetHighlight("1V1", (1.0, 0.0, 0.0), Role.EXPERT, 1),
+                SetValveState("hot-header", ValveState.OPEN, Role.EXPERT, 2),  # a pipe, not a valve
+            ),
+        )
+        outcome = synchronize(req, model)
+        assert outcome.accepted == req.edits[:1]
+        assert outcome.rejected == ((req.edits[1], REJECT_UNKNOWN_TARGET),)
+        assert outcome.merged.nodes["1V1"].visual.highlight_color == (1.0, 0.0, 0.0)
+
+    def test_edit_authored_under_other_role_is_protocol_error(self, shared):
+        # The edit keeps the dataclass default author_role, Expert, inside an Operator request.
+        req = SyncRequest("op", Role.OPERATOR, 0, (SetValveState("V1", ValveState.CLOSED),))
+        with pytest.raises(ProtocolError):
+            synchronize(req, shared)
+
     def test_future_base_version_is_protocol_error(self, shared):
         with pytest.raises(ProtocolError):
             synchronize(SyncRequest("op", Role.OPERATOR, shared.version + 1, ()), shared)
@@ -263,15 +311,15 @@ class TestCanonicalJson:
     def test_sync_request_round_trip(self, shared):
         import json
 
-        from replicasim.replica import sync_request_from_dict, sync_request_to_dict
+        from replicasim.protocol import SyncReq, payload_from_dict, payload_to_dict
 
         req = SyncRequest(
             "op", Role.OPERATOR, 3,
             (SetValveState("V1", ValveState.OPEN, Role.OPERATOR, 1),
              AddAnnotation(Annotation("a1", Role.OPERATOR, "V2", "hi"), Role.OPERATOR, 2)),
         )
-        doc = json.loads(json.dumps(sync_request_to_dict(req), sort_keys=True))
-        assert sync_request_from_dict(doc) == req
+        doc = json.loads(json.dumps(payload_to_dict(SyncReq(req)), sort_keys=True))
+        assert payload_from_dict(doc) == SyncReq(req)
 
     def test_merge_outcome_serialization(self, shared):
         from replicasim.replica import merge_outcome_to_dict
@@ -298,6 +346,36 @@ class TestCommitReplay:
             host = outcome.merged
             client = apply_commit(client, outcome.accepted, outcome.merged.version)
             assert canonical_json(client) == canonical_json(host)
+
+    def test_client_replay_of_mixed_batches_is_bit_equal_to_host(self, shared):
+        rng = random.Random(71)
+        host = client = shared
+        seq = 0
+        for batch in range(40):
+            role = rng.choice([Role.EXPERT, Role.OPERATOR])
+            edits = mixed_batch(rng, host, role, f"t{batch}")
+            edits = [replace(e, author_seq=seq + i) for i, e in enumerate(edits)]
+            seq += len(edits)
+            outcome = synchronize(SyncRequest("x", role, host.version, tuple(edits)), host)
+            if len(edits) >= len(SPECIALS):
+                non_valve = next(e for e in edits if isinstance(e, SetValveState) and e.node == "EX1")
+                assert (non_valve, REJECT_UNKNOWN_TARGET) in outcome.rejected
+            client = apply_commit(client, outcome.accepted, outcome.merged.version)
+            assert canonical_json(client) == canonical_json(outcome.merged)
+            host = outcome.merged
+
+    def test_apply_edit_is_the_one_edit_commit(self, shared):
+        model = apply_edit(shared, AddAnnotation(Annotation("a1", Role.EXPERT, "V1", "x"), Role.EXPERT, 0))
+        edits = (
+            SetPose("V1", Pose((0.5, 0.0, 0.0)), Role.EXPERT, 1),
+            SetValveState("V2", ValveState.OPEN, Role.EXPERT, 2),
+            SetHighlight("V3", (0.0, 1.0, 0.0), Role.EXPERT, 3),
+            SetIndication("V1", True, Role.EXPERT, 4),
+            AddAnnotation(Annotation("a2", Role.EXPERT, "V2", "y"), Role.EXPERT, 5),
+            RemoveAnnotation("a1", Role.EXPERT, 6),
+        )
+        for edit in edits:
+            assert apply_edit(model, edit) == apply_commit(model, (edit,), model.version + 1)
 
     def test_acknowledge_clears_accepted_keeps_rejected(self, shared):
         ex_req = SyncRequest("ex", Role.EXPERT, 0, (SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 1),))
