@@ -12,7 +12,7 @@ from pathlib import Path
 
 from replicasim.metrics import count_errors, errors_from_log, block_times, session_row, weighted_total
 from replicasim.netsim import derive_seed
-from replicasim.plant import load_routing_table
+from replicasim.plant import routing_table_from_dict
 from replicasim.report import (
     ALL_MEASURES,
     ReportError,
@@ -27,20 +27,19 @@ from replicasim.report import (
 from replicasim.scenario import (
     Condition,
     LogError,
-    OperatorProfile,
     PlanError,
     build_default_plan,
     default_model,
     default_profiles,
     default_routing_table,
-    load_plan,
+    plan_from_dict,
+    profiles_from_dict,
     run_session,
     session_log_from_jsonl,
     session_log_to_jsonl,
-    validate_session_log,
     valve_registry,
 )
-from replicasim.scene import DescriptorError, load_model_file
+from replicasim.scene import DescriptorError, load_model
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,15 +80,17 @@ def _default_seed() -> int:
     return 0
 
 
-def _load_profiles(path: str | None) -> dict[Condition, OperatorProfile]:
-    if path is None:
-        return default_profiles()
+def _load(path: str, parse):
+    """``parse`` applied to the text of an input file; any failure to read or
+    parse it is a config error that names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return {Condition(name): OperatorProfile.from_dict(profile) for name, profile in doc.items()}
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load profiles from {path!r}: {exc}") from None
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"cannot load {path!r}: {exc}") from None
+
+
+def _load_json(path: str, build):
+    return _load(path, lambda text: build(json.loads(text)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -98,10 +99,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         only = Condition(args.condition)
         counts = {only: counts[only]}
     seed = args.seed if args.seed is not None else _default_seed()
-    model = load_model_file(args.model) if args.model else default_model()
-    routing = load_routing_table(args.routing) if args.routing else default_routing_table()
-    plan = load_plan(args.plan) if args.plan else build_default_plan(valve_registry(model))
-    profiles = _load_profiles(args.profile)
+    model = _load_json(args.model, load_model) if args.model else default_model()
+    routing = _load_json(args.routing, routing_table_from_dict) if args.routing else default_routing_table()
+    plan = _load_json(args.plan, plan_from_dict) if args.plan else build_default_plan(valve_registry(model))
+    profiles = _load_json(args.profile, profiles_from_dict) if args.profile else default_profiles()
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -141,9 +142,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     for path in args.logs:
-        text = Path(path).read_text(encoding="utf-8")
-        log = session_log_from_jsonl(text)
-        validate_session_log(log)
+        log = _load(path, session_log_from_jsonl)
         timing = block_times(log)
         counts = count_errors(errors_from_log(log))
         print(f"{path}: condition={log.condition.value} seed={log.seed}")
@@ -157,10 +156,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_check(args: argparse.Namespace) -> int:
-    constants = None
-    if args.constants:
-        with open(args.constants, encoding="utf-8") as fh:
-            constants = json.load(fh)
+    constants = _load(args.constants, json.loads) if args.constants else None
     results = run_reference_checks(constants)
     failed = 0
     for res in results:
@@ -207,10 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ReportError, PlanError, LogError, DescriptorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (CliError, ReportError, PlanError, LogError, DescriptorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

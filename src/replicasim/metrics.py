@@ -7,14 +7,13 @@ from typing import Optional
 
 from replicasim.scenario import (
     BREAKPOINT,
-    CALL_END,
-    CALL_START,
     IDENTIFY,
     MANIPULATE,
     NO_MANIPULATION,
     REPEAT_REQUEST,
     LogError,
     SessionLog,
+    validate_session_log,
 )
 
 
@@ -102,13 +101,10 @@ def block_times(log: SessionLog) -> TimingSummary:
 
     The first block's duration is measured from CallStart. The sum of block
     durations never exceeds the total, since the wrap-up tail follows the last
-    breakpoint.
+    breakpoint. A log that fails :func:`validate_session_log` raises LogError.
     """
+    validate_session_log(log)
     events = log.events
-    if not events or events[0].kind != CALL_START:
-        raise LogError("log must start with CallStart")
-    if events[-1].kind != CALL_END:
-        raise LogError("log must end with CallEnd")
     start_ms = events[0].t_ms
     end_ms = events[-1].t_ms
 

@@ -8,7 +8,6 @@ configuration-sensitive signal rather than real thermodynamics.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,11 +64,6 @@ def routing_table_from_dict(doc: dict) -> RoutingTable:
         hot_inlet_c=float(doc.get("hot_inlet_temp_c", 60.0)),
         cold_inlet_c=float(doc.get("cold_inlet_temp_c", 20.0)),
     )
-
-
-def load_routing_table(path: str) -> RoutingTable:
-    with open(path, encoding="utf-8") as fh:
-        return routing_table_from_dict(json.load(fh))
 
 
 def _matching_row(valve_states: dict[str, ValveState], table: RoutingTable) -> RoutingRow | None:

@@ -59,11 +59,6 @@ class Join:
 
 
 @dataclass(frozen=True)
-class Leave:
-    pass
-
-
-@dataclass(frozen=True)
 class Avatar:
     state: AvatarState
 
@@ -99,7 +94,7 @@ class MediaSignal:
     blob: bytes
 
 
-Payload = Union[Join, Leave, Avatar, SyncReq, SyncCommit, Instruction, CallStart, CallEnd, MediaSignal]
+Payload = Union[Join, Avatar, SyncReq, SyncCommit, Instruction, CallStart, CallEnd, MediaSignal]
 
 
 @dataclass(frozen=True)
@@ -149,16 +144,6 @@ def join_room(state: RoomState, client: str, role: Role) -> tuple[RoomState, Env
     members[client] = role
     state = replace(state, members=members)
     return state._stamp(client, Join(role))
-
-
-def leave_room(state: RoomState, client: str) -> tuple[RoomState, Envelope]:
-    if client not in state.members:
-        raise RoomError(f"client {client!r} is not a member")
-    members = dict(state.members)
-    del members[client]
-    avatars = {c: a for c, a in state.avatar_map.items() if c != client}
-    state = replace(state, members=members, avatar_map=avatars)
-    return state._stamp(client, Leave())
 
 
 def update_avatar(state: RoomState, avatar: AvatarState) -> tuple[RoomState, Envelope]:
@@ -233,8 +218,6 @@ def _look_rotation(direction: tuple[float, ...]) -> tuple[float, float, float, f
 def payload_to_dict(payload: Payload) -> dict:
     if isinstance(payload, Join):
         return {"kind": "join", "role": payload.role.value}
-    if isinstance(payload, Leave):
-        return {"kind": "leave"}
     if isinstance(payload, Avatar):
         a = payload.state
         return {
@@ -274,8 +257,6 @@ def payload_from_dict(doc: dict) -> Payload:
     kind = doc.get("kind")
     if kind == "join":
         return Join(Role(doc["role"]))
-    if kind == "leave":
-        return Leave()
     if kind == "avatar":
         return Avatar(
             AvatarState(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from replicasim.metrics import CSV_COLUMNS, ErrorCounts, percent_improvement, weighted_total
-from replicasim.stats import Comparison, GroupSummary, Sample, compare_groups, mean_sd
+from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
 
 TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
 ERROR_MEASURES = ("simple", "critical", "repetition", "weighted_total")
@@ -128,13 +128,6 @@ def _improvements(report: AnalysisReport) -> dict:
     if tablet.critical > 0:
         out["errors_critical"] = percent_improvement(tablet.critical, hmd.critical)
     return out
-
-
-def comparison_for(report: AnalysisReport, measure: str) -> Optional[Comparison]:
-    for comparison in report.comparisons:
-        if comparison.measure == measure:
-            return comparison
-    return None
 
 
 # --- Rendering -----------------------------------------------------------------------
@@ -305,8 +298,6 @@ class CheckResult:
 
 def run_reference_checks(constants: Optional[dict] = None) -> list[CheckResult]:
     """Recompute every published reference value from embedded inputs."""
-    from replicasim.stats import anova_oneway_summary  # local import keeps module load light
-
     consts = constants or REFERENCE_CONSTANTS
     results = []
 

@@ -27,6 +27,7 @@ from replicasim.protocol import (
     RoomState,
     SyncCommit,
     SyncReq,
+    join_room,
     place_expert_avatar,
     submit_sync,
     update_avatar,
@@ -156,73 +157,6 @@ def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> None
                     )
 
 
-_DEFAULT_PART1_1H = (("2V1", "Open"), ("2V2", "Open"), ("1V1", "Closed"), ("1V2", "Closed"))
-_DEFAULT_PART1_2H = (("2V4", "Open"), ("2V5", "Open"))
-_DEFAULT_PART2_1H = (("1V1", "Open"), ("1V2", "Open"), ("2V1", "Closed"), ("2V2", "Closed"))
-_DEFAULT_PART2_2H = (("2V4", "Closed"), ("2V5", "Closed"))
-
-
-def build_default_plan(registry: dict[str, Handedness], shuffle_seed: Optional[int] = None) -> InspectionPlan:
-    """The stock two-part plan: reroute to the plate exchanger in counter-flow,
-    then restore the initial state.
-
-    With a shuffle seed, the restoration part's 1-handed operations run in a
-    permuted order (same operation multiset), which avoids a repetition bias
-    with the first part.
-    """
-    if not registry:
-        raise PlanError("valve registry is empty")
-
-    def ops(pairs) -> tuple[ValveOp, ...]:
-        return tuple(ValveOp(v, ValveState(s)) for v, s in pairs)
-
-    part2_1h = list(ops(_DEFAULT_PART2_1H))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(part2_1h)
-    plan = InspectionPlan(
-        parts=(
-            PlanPart(
-                name="inspect_system",
-                blocks=(
-                    NoManipulationBlock("p1-brief", "Describe the exchanger skid and the current gauge readings."),
-                    ManipulationBlock("p1-one-handed", Handedness.ONE_HANDED, ops(_DEFAULT_PART1_1H)),
-                    ManipulationBlock("p1-two-handed", Handedness.TWO_HANDED, ops(_DEFAULT_PART1_2H)),
-                ),
-            ),
-            PlanPart(
-                name="initial_state",
-                blocks=(
-                    NoManipulationBlock("p2-brief", "Confirm the pressure gauges read nominal before we close out."),
-                    ManipulationBlock("p2-one-handed", Handedness.ONE_HANDED, tuple(part2_1h)),
-                    ManipulationBlock("p2-two-handed", Handedness.TWO_HANDED, ops(_DEFAULT_PART2_2H)),
-                ),
-            ),
-        )
-    )
-    validate_plan(plan, registry)
-    return plan
-
-
-def plan_to_dict(plan: InspectionPlan) -> dict:
-    parts = []
-    for part in plan.parts:
-        blocks = []
-        for block in part.blocks:
-            if isinstance(block, ManipulationBlock):
-                blocks.append(
-                    {
-                        "type": "manipulation",
-                        "id": block.id,
-                        "kind": block.kind.value,
-                        "operations": [{"valve": op.valve, "target": op.target.value} for op in block.operations],
-                    }
-                )
-            else:
-                blocks.append({"type": "no_manipulation", "id": block.id, "prompt": block.prompt})
-        parts.append({"name": part.name, "blocks": blocks})
-    return {"parts": parts}
-
-
 def plan_from_dict(doc: dict) -> InspectionPlan:
     parts = []
     for part in doc["parts"]:
@@ -242,11 +176,6 @@ def plan_from_dict(doc: dict) -> InspectionPlan:
                 raise PlanError(f"unknown block type {b.get('type')!r}")
         parts.append(PlanPart(name=part["name"], blocks=tuple(blocks)))
     return InspectionPlan(parts=tuple(parts))
-
-
-def load_plan(path: str) -> InspectionPlan:
-    with open(path, encoding="utf-8") as fh:
-        return plan_from_dict(json.load(fh))
 
 
 # --- Profiles and policies -------------------------------------------------------
@@ -329,9 +258,24 @@ def default_routing_table() -> RoutingTable:
     return routing_table_from_dict(_load_data("default_routing.json"))
 
 
-def default_profiles() -> dict[Condition, OperatorProfile]:
-    doc = _load_data("default_profiles.json")
+def build_default_plan(registry: dict[str, Handedness]) -> InspectionPlan:
+    """The stock two-part plan: reroute to the plate exchanger in counter-flow,
+    then restore the initial state.
+
+    The shipped ``data/default_plan.json`` is the plan's only source; it is
+    validated against ``registry``.
+    """
+    plan = plan_from_dict(_load_data("default_plan.json"))
+    validate_plan(plan, registry)
+    return plan
+
+
+def profiles_from_dict(doc: dict) -> dict[Condition, OperatorProfile]:
     return {Condition(name): OperatorProfile.from_dict(profile) for name, profile in doc.items()}
+
+
+def default_profiles() -> dict[Condition, OperatorProfile]:
+    return profiles_from_dict(_load_data("default_profiles.json"))
 
 
 def valve_registry(model: SceneModel) -> dict[str, Handedness]:
@@ -695,7 +639,8 @@ def run_session(
     initial_states = dict(plant.valve_states)
 
     room = RoomState(room=f"session-{seed}", shared=model)
-    room = replace(room, members={OPERATOR_ID: Role.OPERATOR, EXPERT_ID: Role.EXPERT})
+    room, _ = join_room(room, OPERATOR_ID, Role.OPERATOR)
+    room, _ = join_room(room, EXPERT_ID, Role.EXPERT)
     recorder = _Recorder()
     session = _Session(
         condition=condition,

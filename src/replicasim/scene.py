@@ -56,9 +56,6 @@ class ValveState(Enum):
     OPEN = "Open"
     CLOSED = "Closed"
 
-    def toggled(self) -> "ValveState":
-        return ValveState.CLOSED if self is ValveState.OPEN else ValveState.OPEN
-
 
 class Handedness(Enum):
     ONE_HANDED = "OneHanded"
@@ -110,10 +107,6 @@ class Pose:
         norm = math.sqrt(sum(c * c for c in quat))
         quat = tuple(c / norm for c in quat)
         return Pose((sx + px, sy + py, sz + pz), quat)  # type: ignore[arg-type]
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose()
 
     def to_dict(self) -> dict:
         return {"pos": list(self.position), "quat": list(self.orientation)}
@@ -324,11 +317,6 @@ def _check_parent_cycles(nodes: dict[str, SceneNode]) -> None:
             cur = nodes[cur].parent
 
 
-def load_model_file(path: str) -> SceneModel:
-    with open(path, encoding="utf-8") as fh:
-        return load_model(json.load(fh))
-
-
 def anchor_model(model: SceneModel, marker: Pose) -> SceneModel:
     """Re-anchor the model at a detected marker pose.
 
@@ -424,12 +412,6 @@ def _edited_node(edit: Edit, nodes: dict[str, SceneNode], annotations: dict[str,
             raise EditError(f"unknown annotation {edit.annotation_id!r}")
         return None
     raise EditError(f"unsupported edit {edit!r}")
-
-
-def apply_edits(model: SceneModel, edits: Iterable[Edit]) -> SceneModel:
-    for edit in edits:
-        model = apply_edit(model, edit)
-    return model
 
 
 def diff(a: SceneModel, b: SceneModel, author_role: Role = Role.EXPERT, start_seq: int = 0) -> list[Edit]:

@@ -5,6 +5,7 @@ lines alongside the pytest verdicts.
 """
 import hashlib
 import itertools
+import json
 import random
 import time
 from pathlib import Path
@@ -517,6 +518,11 @@ def test_criterion_8_scenario_integrity():
 # --- Criterion 9: end-to-end determinism ---------------------------------------------------
 
 
+# sha256 of json.dumps({file name: sha256 of its bytes}, sort_keys=True) over the
+# output of `simulate --sessions 3:3 --seed 424242`.
+SIMULATE_424242_DIGEST = "1709559b403fd5717f98a83d6a59740f182d48d4d22bd534279d48c46dffb995"
+
+
 def test_criterion_9_simulate_determinism(tmp_path):
     digests = []
     for run in ("r1", "r2"):
@@ -530,4 +536,7 @@ def test_criterion_9_simulate_determinism(tmp_path):
         digests.append(bundle)
     assert digests[0] == digests[1]
     assert len(digests[0]) == 7  # 6 session logs + metrics.csv
-    report(9, "cmd_simulate with a fixed seed produced byte-identical logs and CSV across two runs")
+    bundle_digest = hashlib.sha256(json.dumps(digests[0], sort_keys=True).encode("utf-8")).hexdigest()
+    assert bundle_digest == SIMULATE_424242_DIGEST
+    report(9, "cmd_simulate with a fixed seed produced byte-identical logs and CSV across two runs,"
+              " matching the pinned digest")

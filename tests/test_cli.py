@@ -87,6 +87,38 @@ class TestSimulate:
         assert code == EXIT_CONFIG
 
 
+LOG_HEADER = '{"record":"session","condition":"hmd","seed":1}\n'
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--plan", "{not json"),
+        ("--plan", '{"parts": [{"name": "inspect_system"}]}'),
+        ("--plan", "[]"),
+        ("--model", "{not json"),
+        ("--routing", "{not json"),
+        ("--routing", '{"rows": [{"exchanger": "Nope", "flow": "CounterFlow", "requires": {}, "effectiveness": 0.5}]}'),
+        ("--profile", "{not json"),
+        ("replay", LOG_HEADER + "{not json\n"),
+        ("replay", LOG_HEADER + '{"record":"event","kind":"CallStart"}\n'),
+    ],
+    ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "routing-json", "routing-enum",
+         "profile-json", "replay-json", "replay-missing-key"],
+)
+def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
+    bad = tmp_path / "malformed_input.json"
+    bad.write_text(text, encoding="utf-8")
+    if option == "replay":
+        code = run_cli("replay", str(bad))
+    else:
+        code = run_cli("simulate", "--sessions", "1", option, str(bad), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert bad.name in err
+
+
 class TestAnalyze:
     def make_corpus(self, tmp_path, quick_profiles, sessions="4:4", seed="11"):
         out = tmp_path / "corpus"

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 
@@ -23,6 +22,7 @@ from replicasim.scenario import (
     IDENTIFY,
     INSTRUCTION,
     MANIPULATE,
+    NO_MANIPULATION,
     REPLICA_INDICATION,
     TEMPERATURE_REPORT,
     Condition,
@@ -31,12 +31,11 @@ from replicasim.scenario import (
     ManipulationBlock,
     OperatorProfile,
     PlanError,
+    block_kind_name,
     build_default_plan,
     default_model,
     default_profiles,
     default_routing_table,
-    plan_from_dict,
-    plan_to_dict,
     run_session,
     session_log_from_jsonl,
     session_log_to_jsonl,
@@ -157,20 +156,6 @@ class TestPlan:
             assert sizes[Handedness.ONE_HANDED] == 4
             assert sizes[Handedness.TWO_HANDED] == 2
 
-    def test_shuffle_preserves_multiset(self):
-        registry = valve_registry(default_model())
-        base = build_default_plan(registry)
-        shuffled = build_default_plan(registry, shuffle_seed=7)
-
-        def one_handed_ops(plan, part):
-            block = next(b for b in plan.parts[part].blocks
-                         if isinstance(b, ManipulationBlock) and b.kind is Handedness.ONE_HANDED)
-            return block.operations
-
-        key = lambda op: (op.valve, op.target.value)
-        assert sorted(one_handed_ops(base, 1), key=key) == sorted(one_handed_ops(shuffled, 1), key=key)
-        assert one_handed_ops(base, 0) == one_handed_ops(shuffled, 0)
-
     def test_empty_registry_rejected(self):
         with pytest.raises(PlanError):
             build_default_plan({})
@@ -187,17 +172,27 @@ class TestPlan:
         with pytest.raises(PlanError, match="2V4"):
             build_default_plan(registry)
 
-    def test_json_round_trip(self):
-        plan = build_default_plan(valve_registry(default_model()), shuffle_seed=3)
-        doc = json.loads(json.dumps(plan_to_dict(plan)))
-        assert plan_from_dict(doc) == plan
-
-    def test_shipped_plan_file_matches_builder(self):
-        from importlib import resources
-
-        with resources.files("replicasim.data").joinpath("default_plan.json").open() as fh:
-            shipped = plan_from_dict(json.load(fh))
-        assert shipped == build_default_plan(valve_registry(default_model()))
+    def test_stock_plan_contents_pinned(self):
+        plan = build_default_plan(valve_registry(default_model()))
+        contents = {
+            part.name: [
+                (b.id, block_kind_name(b), [(op.valve, op.target.value) for op in getattr(b, "operations", ())])
+                for b in part.blocks
+            ]
+            for part in plan.parts
+        }
+        assert contents == {
+            "inspect_system": [
+                ("p1-brief", NO_MANIPULATION, []),
+                ("p1-one-handed", "OneHanded", [("2V1", "Open"), ("2V2", "Open"), ("1V1", "Closed"), ("1V2", "Closed")]),
+                ("p1-two-handed", "TwoHanded", [("2V4", "Open"), ("2V5", "Open")]),
+            ],
+            "initial_state": [
+                ("p2-brief", NO_MANIPULATION, []),
+                ("p2-one-handed", "OneHanded", [("1V1", "Open"), ("1V2", "Open"), ("2V1", "Closed"), ("2V2", "Closed")]),
+                ("p2-two-handed", "TwoHanded", [("2V4", "Closed"), ("2V5", "Closed")]),
+            ],
+        }
 
 
 class TestRunSession:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -22,7 +23,6 @@ from replicasim.scene import (
     ValveState,
     anchor_model,
     apply_edit,
-    apply_edits,
     canonical_json,
     diff,
     edit_from_dict,
@@ -190,7 +190,7 @@ class TestApplyEdit:
             edit = random_edit(rng, cursor, seq=i)
             edits.append(edit)
             cursor = apply_edit(cursor, edit)
-        assert canonical_json(apply_edits(model, edits)) == canonical_json(cursor)
+        assert canonical_json(functools.reduce(apply_edit, edits, model)) == canonical_json(cursor)
         assert cursor.version == model.version + len(edits)
 
     def test_apply_is_deterministic_bit_equal(self):
@@ -237,7 +237,7 @@ class TestDiff:
                 a = apply_edit(a, random_edit(rng, a, seq=i))
             for i in range(rng.randrange(8)):
                 b = apply_edit(b, random_edit(rng, b, seq=100 + i))
-            patched = apply_edits(a, diff(a, b))
+            patched = functools.reduce(apply_edit, diff(a, b), a)
             assert field_equal(patched, b)
 
 
