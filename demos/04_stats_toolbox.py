@@ -28,7 +28,7 @@ for sample in (gaussian, skewed):
     res = shapiro_wilk(sample)
     print(f"SW {sample.label:<9} W={res.statistic:.3f} p={res.p_value:.3f}")
 
-# Exact Mann-Whitney on tiny samples: p comes from full enumeration.
+# Exact Mann-Whitney on tiny samples: p counts every labeling of the pooled ranks.
 res = mann_whitney(Sample((1.0, 2.0)), Sample((3.0, 4.0)))
 print(f"\nMWW U={res.statistic} exact={res.exact} p={res.p_value:.4f} "
       f"(rank sum W={res.extra['rank_sum_w']})")

@@ -85,7 +85,9 @@ def _load(path: str, parse):
     parse it is a config error that names the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except KeyError as exc:
+        raise CliError(f"cannot load {path!r}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot load {path!r}: {exc}") from None
 
 
@@ -103,6 +105,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     routing = _load_json(args.routing, routing_table_from_dict) if args.routing else default_routing_table()
     plan = _load_json(args.plan, plan_from_dict) if args.plan else build_default_plan(valve_registry(model))
     profiles = _load_json(args.profile, profiles_from_dict) if args.profile else default_profiles()
+    unknown = sorted(routing.valves_referenced() - valve_registry(model).keys())
+    if unknown:
+        source = repr(args.routing) if args.routing else "the default routing table"
+        raise CliError(f"{source} names valves the model lacks: {', '.join(unknown)}")
+    missing = sorted(c.value for c in counts if c not in profiles)
+    if missing:
+        raise CliError(f"{args.profile!r} has no profile for condition {', '.join(missing)}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -156,8 +165,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_check(args: argparse.Namespace) -> int:
-    constants = _load(args.constants, json.loads) if args.constants else None
-    results = run_reference_checks(constants)
+    if args.constants:
+        results = _load(args.constants, lambda text: run_reference_checks(json.loads(text)))
+    else:
+        results = run_reference_checks()
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -298,7 +298,7 @@ class CheckResult:
 
 def run_reference_checks(constants: Optional[dict] = None) -> list[CheckResult]:
     """Recompute every published reference value from embedded inputs."""
-    consts = constants or REFERENCE_CONSTANTS
+    consts = REFERENCE_CONSTANTS if constants is None else constants
     results = []
 
     cfg = consts["anova_total_time"]

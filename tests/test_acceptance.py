@@ -540,3 +540,30 @@ def test_criterion_9_simulate_determinism(tmp_path):
     assert bundle_digest == SIMULATE_424242_DIGEST
     report(9, "cmd_simulate with a fixed seed produced byte-identical logs and CSV across two runs,"
               " matching the pinned digest")
+
+
+# sha256 of report.md and report.csv from `analyze` on the output of
+# `simulate --sessions T:H --seed 424242`. Both corpora pool 16 sessions, so
+# every Mann-Whitney comparison in them takes the exact p-value.
+ANALYZE_424242_DIGESTS = {
+    "8:8": {
+        "report.md": "1d018fa1334a631379b62894a961c407c9dd06f1e2f093af561b26587ae0fea4",
+        "report.csv": "37ed410af2ea2649aa9de9f56d8fccd397445f0e9553aaea67de26d6a5c7a0cc",
+    },
+    "5:11": {
+        "report.md": "c73c48707243fd5b17d3c9cc419f2695ee8b4102aaabdae33da8097096fc83fc",
+        "report.csv": "0d243143fb5b168dcb1b566a8c6c5cefd4d50f4e39a0258535973ae2aa6a2608",
+    },
+}
+
+
+@pytest.mark.parametrize("sessions", sorted(ANALYZE_424242_DIGESTS))
+def test_criterion_9_analyze_determinism(tmp_path, sessions):
+    out = tmp_path / "corpus"
+    assert cli_main(["simulate", "--sessions", sessions, "--seed", "424242", "--out", str(out)]) == EXIT_OK
+    assert cli_main(["analyze", str(out / "metrics.csv"), "--out", str(out)]) == EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("report.md", "report.csv")}
+    assert "| MWW |" in (out / "report.md").read_text(encoding="utf-8")
+    assert digests == ANALYZE_424242_DIGESTS[sessions]
+    report(9, f"cmd_analyze on a {sessions} corpus with a fixed seed wrote report.md and report.csv"
+              " matching the pinned digests")

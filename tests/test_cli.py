@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,40 @@ def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     assert bad.name in err
 
 
+def test_routing_with_valve_missing_from_model_is_config_error(tmp_path, capsys):
+    table = json.loads(resources.files("replicasim").joinpath("data/default_routing.json").read_text(encoding="utf-8"))
+    table["rows"][0]["requires"]["ZZ9"] = "Open"
+    path = tmp_path / "routing_zz9.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    code = run_cli("simulate", "--sessions", "1", "--routing", str(path), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert path.name in err and "ZZ9" in err
+
+
+class TestProfileMissingCondition:
+    @pytest.fixture
+    def tablet_only(self, tmp_path, quick_profiles):
+        profiles = json.loads(Path(quick_profiles).read_text(encoding="utf-8"))
+        path = tmp_path / "tablet_only.json"
+        path.write_text(json.dumps({"tablet": profiles["tablet"]}), encoding="utf-8")
+        return path
+
+    def test_simulated_condition_without_profile_is_config_error(self, tmp_path, tablet_only, capsys):
+        code = run_cli("simulate", "--sessions", "1", "--profile", str(tablet_only), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert tablet_only.name in err and "hmd" in err
+
+    def test_only_profiled_condition_simulates(self, tmp_path, tablet_only):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--sessions", "1", "--condition", "tablet", "--profile", str(tablet_only),
+                       "--out", str(out)) == EXIT_OK
+        assert [r["condition"] for r in read_metrics_csv(str(out / "metrics.csv"))] == ["tablet"]
+
+
 class TestAnalyze:
     def make_corpus(self, tmp_path, quick_profiles, sessions="4:4", seed="11"):
         out = tmp_path / "corpus"
@@ -210,6 +245,17 @@ class TestPaperCheck:
         path.write_text(json.dumps(tampered), encoding="utf-8")
         assert run_cli("paper-check", "--constants", str(path)) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("drop", [None, "anova_total_time", "improvement_tolerance_pct"])
+    def test_constants_missing_a_key_is_config_error(self, tmp_path, capsys, drop):
+        constants = {} if drop is None else {k: v for k, v in REFERENCE_CONSTANTS.items() if k != drop}
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps(constants), encoding="utf-8")
+        assert run_cli("paper-check", "--constants", str(path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert "Traceback" not in captured.err
+        assert path.name in captured.err and (drop or "anova_total_time") in captured.err
 
     def test_reference_checks_cover_all_items(self):
         results = run_reference_checks()

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from replicasim.stats import (
+    DEFAULT_EXACT_THRESHOLD,
     DegenerateSampleError,
     GroupSummary,
     Sample,
@@ -122,6 +123,21 @@ def enumeration_p(a, b):
     return hits / total
 
 
+def doubled_rank_enumeration_p(a, b):
+    """Two-sided exact p by enumerating every labeling over integer doubled midranks.
+
+    A value's doubled midrank is 2 * (values below it) + (values equal to it) + 1,
+    and |2U - n1*n2| = |doubled rank sum - n1*(n + 1)|, so nothing is rounded.
+    """
+    pooled = list(a) + list(b)
+    n1, n = len(a), len(pooled)
+    doubled = [2 * sum(y < x for y in pooled) + sum(y == x for y in pooled) + 1 for x in pooled]
+    centre = n1 * (n + 1)
+    observed = abs(sum(doubled[:n1]) - centre)
+    hits = sum(1 for pick in itertools.combinations(doubled, n1) if abs(sum(pick) - centre) >= observed)
+    return hits / math.comb(n, n1)
+
+
 class TestMannWhitney:
     def test_separated_pair(self):
         res = mann_whitney(Sample((1.0, 2.0)), Sample((3.0, 4.0)))
@@ -158,6 +174,45 @@ class TestMannWhitney:
                     assert res.exact
                     assert abs(res.p_value - enumeration_p(a, b)) < 1e-12
                     assert abs(res.statistic - pairwise_u(a, b)) < 1e-9
+
+    def test_exact_p_equals_doubled_rank_enumeration_for_every_size(self):
+        # Every size pair up to the exact threshold, on heavily tied integer data;
+        # both sides count labelings exactly, so the p-values must be equal.
+        rng = random.Random(16)
+        for n in range(2, DEFAULT_EXACT_THRESHOLD + 1):
+            for n1 in range(1, n):
+                for levels in (2, 3, 5):
+                    a = tuple(float(rng.randrange(levels)) for _ in range(n1))
+                    b = tuple(float(rng.randrange(levels)) for _ in range(n - n1))
+                    res = mann_whitney(Sample(a), Sample(b))
+                    assert res.exact
+                    assert res.p_value == doubled_rank_enumeration_p(a, b), (a, b)
+
+    @pytest.mark.parametrize("n1, n2", [(8, 8), (5, 11)])
+    def test_exact_p_matches_scipy_exact_without_ties(self, n1, n2):
+        rng = random.Random(n1 * 100 + n2)
+        for shift in (0.0, 0.3, 1.0):
+            a = tuple(rng.random() + shift for _ in range(n1))
+            b = tuple(rng.random() for _ in range(n2))
+            res = mann_whitney(Sample(a), Sample(b))
+            ref = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
+            assert res.exact
+            assert res.statistic == ref.statistic
+            assert abs(res.p_value - ref.pvalue) < 1e-12
+
+    def test_all_values_tied_gives_p_one(self):
+        for n1, n2 in ((1, 1), (3, 5), (8, 8)):
+            res = mann_whitney(Sample((2.0,) * n1), Sample((2.0,) * n2))
+            assert res.exact
+            assert res.p_value == 1.0
+
+    def test_zero_threshold_takes_normal_approximation(self):
+        a, b = (1.0, 2.0, 3.0, 5.0), (4.0, 6.0, 7.0, 8.0)
+        assert mann_whitney(Sample(a), Sample(b)).exact
+        res = mann_whitney(Sample(a), Sample(b), exact_threshold=0)
+        assert not res.exact
+        ref = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", use_continuity=True, method="asymptotic")
+        assert abs(res.p_value - ref.pvalue) < 1e-12
 
     def test_approximate_path_reasonable(self):
         rng = np.random.default_rng(5)
