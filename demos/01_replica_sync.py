@@ -23,8 +23,8 @@ shared = default_model()
 print(f"shared model: {len(shared.nodes)} nodes at version {shared.version}")
 
 # Each client snapshots the shared model into a reduced private copy.
-expert = create_replica(shared, "expert", Role.EXPERT, scale=0.2)
-operator = create_replica(shared, "operator", Role.OPERATOR, scale=0.2)
+expert = create_replica(shared, "expert", Role.EXPERT)
+operator = create_replica(shared, "operator", Role.OPERATOR)
 
 # Private edits: the expert highlights 2V4, the operator annotates a pump.
 expert = edit_replica(expert, SetHighlight("2V4", (1.0, 0.9, 0.0), Role.EXPERT, 1))

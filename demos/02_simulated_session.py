@@ -8,6 +8,7 @@ maintainer sees the indication, and the maintainer identifies and operates the
 valve. Everything below is a pure function of the seed.
 """
 from replicasim.metrics import block_times, count_errors, errors_from_log, weighted_total
+from replicasim.protocol import SyncCommit, SyncReq
 from replicasim.scenario import (
     Condition,
     build_default_plan,
@@ -40,5 +41,5 @@ print(f"\nerrors: simple={counts.simple} critical={counts.critical} "
       f"repetition={counts.repetition} weighted={weighted_total(counts)}")
 print("plant restored to initial state:", log.initial_valve_states == log.final_valve_states)
 
-wire = [t for t in log.transcript if t["kind"] in ("SyncReq", "SyncCommit")]
+wire = [t for t in log.transcript if isinstance(t.envelope.payload, (SyncReq, SyncCommit))]
 print(f"sync traffic on the simulated link: {len(wire)} envelopes")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,8 +44,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
-SEED_ENV_VAR = "REPLICA_SYNC_SEED"
-
 
 class CliError(Exception):
     pass
@@ -70,16 +67,6 @@ def _parse_sessions(value: str) -> dict[Condition, int]:
     return counts
 
 
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
-
-
 def _load(path: str, parse):
     """``parse`` applied to the text of an input file; any failure to read or
     parse it is a config error that names the file."""
@@ -100,7 +87,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.condition != "both":
         only = Condition(args.condition)
         counts = {only: counts[only]}
-    seed = args.seed if args.seed is not None else _default_seed()
     model = _load_json(args.model, load_model) if args.model else default_model()
     routing = _load_json(args.routing, routing_table_from_dict) if args.routing else default_routing_table()
     plan = _load_json(args.plan, plan_from_dict) if args.plan else build_default_plan(valve_registry(model))
@@ -119,7 +105,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for condition in sorted(counts, key=lambda c: c.value, reverse=True):  # tablet first
         profile = profiles[condition]
         for i in range(counts[condition]):
-            session_seed = derive_seed(seed, f"session:{condition.value}:{i}")
+            session_seed = derive_seed(args.seed, f"session:{condition.value}:{i}")
             log = run_session(plan, condition, profile, seed=session_seed, model=model, routing=routing)
             session_id = f"{condition.value}-{i:03d}"
             (outdir / f"session_{session_id}.jsonl").write_text(session_log_to_jsonl(log), encoding="utf-8")
@@ -165,10 +151,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_check(args: argparse.Namespace) -> int:
-    if args.constants:
-        results = _load(args.constants, lambda text: run_reference_checks(json.loads(text)))
-    else:
-        results = run_reference_checks()
+    results = run_reference_checks()
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -185,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run seeded sessions and write logs + metrics CSV")
     sim.add_argument("--condition", choices=["tablet", "hmd", "both"], default="both")
     sim.add_argument("--sessions", default="19:20", help="N per condition, or TABLET:HMD (default 19:20)")
-    sim.add_argument("--seed", type=int, default=None, help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
+    sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sim.add_argument("--plan", help="inspection plan JSON (default: built-in two-part plan)")
     sim.add_argument("--profile", help="operator profiles JSON (default: calibrated profiles)")
     sim.add_argument("--routing", help="routing/effectiveness table JSON")
@@ -204,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_replay)
 
     chk = sub.add_parser("paper-check", help="recompute embedded reference values; exit 0 iff all pass")
-    chk.add_argument("--constants", help="override constants JSON (testing hook)")
     chk.set_defaults(func=cmd_paper_check)
     return parser
 

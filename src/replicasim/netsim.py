@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from replicasim.protocol import Envelope, envelope_to_dict
 
-DEFAULT_EVENT_CAP = 500_000
+EVENT_CAP = 500_000
 
 
 class LivelockError(Exception):
@@ -127,13 +127,13 @@ class World:
         heapq.heappush(self._heap, event)
         return event
 
-    def run_until_quiescent(self, max_events: int = DEFAULT_EVENT_CAP) -> list[TraceEntry]:
+    def run_until_quiescent(self) -> list[TraceEntry]:
         """Deliver pending events in order until none remain; returns the full trace."""
         processed = 0
         while self._heap:
             processed += 1
-            if processed > max_events:
-                raise LivelockError(f"exceeded event safety cap of {max_events}")
+            if processed > EVENT_CAP:
+                raise LivelockError(f"exceeded event safety cap of {EVENT_CAP}")
             event = heapq.heappop(self._heap)
             self.now = max(self.now, event.deliver_at)
             src, dst = event.link

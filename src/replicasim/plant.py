@@ -37,6 +37,12 @@ class RoutingRow:
     requires: tuple[tuple[str, ValveState], ...]
     effectiveness: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.effectiveness < 1.0:
+            raise ValueError(
+                f"effectiveness {self.effectiveness!r} for ({self.exchanger.value}, {self.flow.value}) outside [0, 1)"
+            )
+
 
 @dataclass(frozen=True)
 class RoutingTable:
@@ -87,10 +93,6 @@ def effectiveness(valve_states: dict[str, ValveState], table: RoutingTable) -> f
     row = _matching_row(valve_states, table)
     if row is None or row.exchanger is Exchanger.MIXED:
         return 0.0
-    if not 0.0 <= row.effectiveness < 1.0:
-        raise PlantConfigError(
-            f"effectiveness {row.effectiveness!r} for ({row.exchanger.value}, {row.flow.value}) outside [0, 1)"
-        )
     return row.effectiveness
 
 

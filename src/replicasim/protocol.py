@@ -21,7 +21,7 @@ from replicasim.replica import MergeOutcome, SyncRequest, synchronize
 from replicasim.scene import Edit, Pose, Role, SceneModel, edit_from_dict, edit_to_dict
 
 GAZE_NORM_TOL = 1e-9
-DEFAULT_EXPERT_ELEVATION_M = 1.5
+EXPERT_ELEVATION_M = 1.5
 HOST_ID = "host"
 
 
@@ -116,7 +116,6 @@ class RoomState:
     avatar_map: dict[str, AvatarState] = field(default_factory=dict)
     next_host_seq: int = 1
     sender_counters: dict[str, int] = field(default_factory=dict)
-    host_id: str = HOST_ID
 
     def _stamp(self, sender: str, payload: Payload) -> "tuple[RoomState, Envelope]":
         counters = dict(self.sender_counters)
@@ -164,7 +163,7 @@ def submit_sync(state: RoomState, req: SyncRequest) -> tuple[RoomState, Envelope
         raise RoomError(f"sync from {req.owner!r} claims {req.owner_role.value}, joined as {joined.value}")
     outcome = synchronize(req, state.shared)
     state = replace(state, shared=outcome.merged)
-    state, env = state._stamp(state.host_id, SyncCommit(outcome.accepted, outcome.merged.version))
+    state, env = state._stamp(HOST_ID, SyncCommit(outcome.accepted, outcome.merged.version))
     return state, env, outcome
 
 
@@ -179,22 +178,15 @@ def relay_media(state: RoomState, from_client: str, blob: bytes) -> tuple[RoomSt
     return state, env, peer
 
 
-def place_expert_avatar(
-    operator_avatar: AvatarState,
-    elevation: float = DEFAULT_EXPERT_ELEVATION_M,
-    anchor_position: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    horizontal_offset: tuple[float, float] = (0.0, 0.0),
-) -> Pose:
+def place_expert_avatar(operator_avatar: AvatarState) -> Pose:
     """God-point-of-view placement: the expert hovers above the operator.
 
-    Returns a pose ``elevation`` meters above the operator's head (X/Z offset
-    configurable), oriented to look at the model anchor.
+    Returns a pose ``EXPERT_ELEVATION_M`` meters straight above the operator's
+    head, oriented to look at the model anchor at the origin.
     """
-    if elevation <= 0:
-        raise ValueError(f"elevation must be positive, got {elevation!r}")
     ox, oy, oz = operator_avatar.head_pose.position
-    position = (ox + horizontal_offset[0], oy + elevation, oz + horizontal_offset[1])
-    direction = tuple(a - p for a, p in zip(anchor_position, position))
+    position = (ox, oy + EXPERT_ELEVATION_M, oz)
+    direction = tuple(0.0 - c for c in position)  # toward the anchor; 0.0 - 0.0 keeps zeros positive
     return Pose(position, _look_rotation(direction))
 
 

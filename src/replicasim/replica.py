@@ -29,8 +29,6 @@ from replicasim.scene import (
     edit_to_dict,
 )
 
-DEFAULT_REPLICA_SCALE = 0.2
-
 REJECT_EXPERT_PRECEDENCE = "expert-precedence"
 REJECT_ANNOTATION_RETENTION = "annotation-retention"
 
@@ -45,11 +43,10 @@ class ProtocolError(ReplicaError):
 
 @dataclass(frozen=True)
 class Replica:
-    """A client-owned scaled copy of the shared model with a private edit log."""
+    """A client-owned copy of the shared model with a private edit log."""
 
     owner: str
     owner_role: Role
-    scale_factor: float
     base_version: int
     working: SceneModel
     pending: tuple[Edit, ...] = ()
@@ -76,21 +73,13 @@ class RebaseResult:
     dropped: tuple[Edit, ...]
 
 
-def create_replica(shared: SceneModel, owner: str, role: Role, scale: float = DEFAULT_REPLICA_SCALE) -> Replica:
+def create_replica(shared: SceneModel, owner: str, role: Role) -> Replica:
     """Take a private snapshot of the shared model at its current version.
 
-    ``scale`` is display metadata (the reduced-copy factor); it never touches
-    geometry, so relative node poses are identical to the shared model's.
+    Node poses are the shared model's; the reduced size at which a client
+    displays its replica is not part of the model.
     """
-    if scale <= 0:
-        raise ReplicaError(f"invalid replica scale {scale!r}; must be > 0")
-    return Replica(
-        owner=owner,
-        owner_role=role,
-        scale_factor=scale,
-        base_version=shared.version,
-        working=shared,
-    )
+    return Replica(owner=owner, owner_role=role, base_version=shared.version, working=shared)
 
 
 def edit_replica(replica: Replica, edit: Edit) -> Replica:

@@ -11,7 +11,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from replicasim.metrics import CSV_COLUMNS, ErrorCounts, percent_improvement, weighted_total
 from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
@@ -19,6 +18,8 @@ from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summ
 TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
 ERROR_MEASURES = ("simple", "critical", "repetition", "weighted_total")
 ALL_MEASURES = TIME_MEASURES + ERROR_MEASURES
+
+HISTOGRAM_BINS = 8
 
 BASELINE_CONDITION = "tablet"
 TREATMENT_CONDITION = "hmd"
@@ -44,7 +45,7 @@ def read_metrics_csv(path: str) -> list[dict]:
                 }
                 for key in TIME_MEASURES:
                     row[key] = float(raw[key])
-                for key in ("simple", "critical", "repetition", "weighted_total"):
+                for key in ERROR_MEASURES:
                     row[key] = int(raw[key])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ReportError(f"malformed CSV row at line {i}: {exc}") from None
@@ -216,32 +217,32 @@ def render_results_csv(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
-def render_svg_histogram(values_by_condition: dict[str, list[float]], measure: str, bins: int = 8) -> str:
+def render_svg_histogram(values_by_condition: dict[str, list[float]], measure: str) -> str:
     """Small self-contained grouped histogram; deterministic output."""
     all_values = [v for vals in values_by_condition.values() for v in vals]
     lo, hi = min(all_values), max(all_values)
     if hi <= lo:
         hi = lo + 1.0
     width, height, margin = 640, 320, 40
-    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
+    edges = [lo + (hi - lo) * i / HISTOGRAM_BINS for i in range(HISTOGRAM_BINS + 1)]
     conditions = sorted(values_by_condition, reverse=True)
     counts = {
         cond: [
-            sum(1 for v in vals if edges[i] <= v < edges[i + 1] or (i == bins - 1 and v == hi))
-            for i in range(bins)
+            sum(1 for v in vals if edges[i] <= v < edges[i + 1] or (i == HISTOGRAM_BINS - 1 and v == hi))
+            for i in range(HISTOGRAM_BINS)
         ]
         for cond, vals in values_by_condition.items()
     }
     peak = max(max(c) for c in counts.values()) or 1
     colors = {"tablet": "#c0504d", "hmd": "#4f81bd"}
-    bar_w = (width - 2 * margin) / bins / (len(conditions) + 0.5)
+    bar_w = (width - 2 * margin) / HISTOGRAM_BINS / (len(conditions) + 0.5)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{width // 2}" y="16" text-anchor="middle" font-size="14">{measure}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="#333"/>',
     ]
-    for i in range(bins):
-        x0 = margin + (width - 2 * margin) * i / bins
+    for i in range(HISTOGRAM_BINS):
+        x0 = margin + (width - 2 * margin) * i / HISTOGRAM_BINS
         for j, cond in enumerate(conditions):
             c = counts[cond][i]
             bar_h = (height - 2 * margin) * c / peak
@@ -296,12 +297,11 @@ class CheckResult:
     detail: str
 
 
-def run_reference_checks(constants: Optional[dict] = None) -> list[CheckResult]:
+def run_reference_checks() -> list[CheckResult]:
     """Recompute every published reference value from embedded inputs."""
-    consts = REFERENCE_CONSTANTS if constants is None else constants
     results = []
 
-    cfg = consts["anova_total_time"]
+    cfg = REFERENCE_CONSTANTS["anova_total_time"]
     groups = [GroupSummary(n=g[0], mean=g[1], sd=g[2]) for g in cfg["groups"]]
     res = anova_oneway_summary(groups)
     lo, hi = cfg["f_range"]
@@ -318,7 +318,7 @@ def run_reference_checks(constants: Optional[dict] = None) -> list[CheckResult]:
         )
     )
 
-    for item in consts["weighted_totals"]:
+    for item in REFERENCE_CONSTANTS["weighted_totals"]:
         s, c, r = item["counts"]
         got = weighted_total(ErrorCounts(s, c, r))
         results.append(
@@ -329,8 +329,8 @@ def run_reference_checks(constants: Optional[dict] = None) -> list[CheckResult]:
             )
         )
 
-    tol = consts["improvement_tolerance_pct"]
-    for item in consts["improvements"]:
+    tol = REFERENCE_CONSTANTS["improvement_tolerance_pct"]
+    for item in REFERENCE_CONSTANTS["improvements"]:
         got_pct = percent_improvement(item["baseline"], item["treatment"]) * 100.0
         ok = math.isclose(got_pct, item["expected_pct"], abs_tol=tol)
         results.append(

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from replicasim import plant as plant_mod
-from replicasim.netsim import LinkConfig, World, derive_seed
+from replicasim.netsim import LinkConfig, TraceEntry, World, derive_seed
 from replicasim.plant import PlantState, RoutingTable, plant_from_model, routing_table_from_dict
 from replicasim.protocol import (
     Avatar,
@@ -52,6 +52,12 @@ from replicasim.scene import (
 
 MIN_LATENCY_DRAW_MS = 500
 DEFAULT_SESSION_LINK = LinkConfig(base_latency_ms=25, jitter_ms=10)
+
+# The guide's fixed speech pauses (ms): before the first instruction, after
+# the temperature report, and before the wrap-up.
+INTRO_PAUSE_MS = 30_000
+EXPLANATION_PAUSE_MS = 60_000
+SUMMARY_PAUSE_MS = 30_000
 
 # Log event kinds
 CALL_START = "CallStart"
@@ -178,7 +184,7 @@ def plan_from_dict(doc: dict) -> InspectionPlan:
     return InspectionPlan(parts=tuple(parts))
 
 
-# --- Profiles and policies -------------------------------------------------------
+# --- Profiles ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -229,17 +235,6 @@ class OperatorProfile:
 
 def zero_error_profile(base: OperatorProfile) -> OperatorProfile:
     return replace(base, p_simple=0.0, p_critical=0.0, p_repeat=0.0)
-
-
-@dataclass(frozen=True)
-class ExpertPolicy:
-    """Deterministic guide behavior: fixed speech pauses, single-actor style."""
-
-    intro_pause_ms: int = 30_000
-    explanation_pause_ms: int = 60_000
-    summary_pause_ms: int = 30_000
-    avatar_elevation_m: float = 1.5
-    replica_scale: float = 0.2
 
 
 # --- Defaults shipped as package data --------------------------------------------
@@ -311,7 +306,7 @@ class SessionLog:
     # Auxiliary context for tests and replay tooling; not part of the JSONL schema.
     initial_valve_states: dict[str, ValveState] = field(default_factory=dict)
     final_valve_states: dict[str, ValveState] = field(default_factory=dict)
-    transcript: list[dict] = field(default_factory=list)
+    transcript: list[TraceEntry] = field(default_factory=list)
 
 
 def session_log_to_jsonl(log: SessionLog) -> str:
@@ -454,7 +449,7 @@ class _ExpertAgent:
         elif step[0] == "temperature":
             self._send(net, Instruction("report-temperature"), pause)
         else:
-            self._send(net, Instruction("wrap-up"), pause + self.s.policy.summary_pause_ms)
+            self._send(net, Instruction("wrap-up"), pause + SUMMARY_PAUSE_MS)
 
     def _complete_block_step(self, net: World, now: int) -> None:
         self.s.recorder.log(now, BREAKPOINT)
@@ -466,11 +461,11 @@ class _ExpertAgent:
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         payload = env.payload
         if isinstance(payload, CallStart):
-            self.pending_pause_ms = self.s.policy.intro_pause_ms
+            self.pending_pause_ms = INTRO_PAUSE_MS
             self._advance(net, now)
         elif isinstance(payload, Avatar):
             room, _ = update_avatar(self.s.room, payload.state)
-            pose = place_expert_avatar(payload.state, self.s.policy.avatar_elevation_m)
+            pose = place_expert_avatar(payload.state)
             mine = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=pose)
             room, env_out = update_avatar(room, mine)
             self.s.room = room
@@ -492,7 +487,7 @@ class _ExpertAgent:
                 self._complete_block_step(net, now)
             elif text.startswith("temperature"):
                 self.step_index += 1
-                self.pending_pause_ms = self.s.policy.explanation_pause_ms
+                self.pending_pause_ms = EXPLANATION_PAUSE_MS
                 self._advance(net, now)
 
 
@@ -589,32 +584,12 @@ class _OperatorAgent:
                 self._send(net, CallEnd())
 
 
-def _transcript_entry(entry) -> dict:
-    payload = entry.envelope.payload
-    doc = {
-        "t_ms": entry.t_ms,
-        "from": entry.src,
-        "to": entry.dst,
-        "kind": type(payload).__name__,
-    }
-    if isinstance(payload, SyncCommit):
-        doc["indicated_valves"] = [
-            e.node for e in payload.accepted if isinstance(e, SetIndication) and e.playing
-        ]
-        doc["new_version"] = payload.new_version
-    elif isinstance(payload, Avatar):
-        doc["client"] = payload.state.client
-        doc["head_y"] = payload.state.head_pose.position[1]
-    return doc
-
-
 @dataclass
 class _Session:
     condition: Condition
     seed: int
     plan: InspectionPlan
     profile: OperatorProfile
-    policy: ExpertPolicy
     plant: PlantState
     room: RoomState
     recorder: _Recorder
@@ -624,14 +599,12 @@ def run_session(
     plan: InspectionPlan,
     condition: Condition,
     operator_profile: OperatorProfile,
-    expert_policy: Optional[ExpertPolicy] = None,
     seed: int = 0,
     model: Optional[SceneModel] = None,
     routing: Optional[RoutingTable] = None,
     link_config: Optional[LinkConfig] = None,
 ) -> SessionLog:
     """Simulate one full inspection call and return its event log."""
-    policy = expert_policy or ExpertPolicy()
     model = model if model is not None else default_model()
     routing = routing if routing is not None else default_routing_table()
     validate_plan(plan, valve_registry(model))
@@ -647,7 +620,6 @@ def run_session(
         seed=seed,
         plan=plan,
         profile=operator_profile,
-        policy=policy,
         plant=plant,
         room=room,
         recorder=recorder,
@@ -658,7 +630,7 @@ def run_session(
     world.add_link(OPERATOR_ID, EXPERT_ID, link)
     world.add_link(EXPERT_ID, OPERATOR_ID, link)
     expert = _ExpertAgent(session)
-    expert.replica = create_replica(room.shared, EXPERT_ID, Role.EXPERT, policy.replica_scale)
+    expert.replica = create_replica(room.shared, EXPERT_ID, Role.EXPERT)
     operator = _OperatorAgent(session)
     world.add_endpoint(EXPERT_ID, expert)
     world.add_endpoint(OPERATOR_ID, operator)
@@ -675,7 +647,7 @@ def run_session(
         events=recorder.events(),
         initial_valve_states=initial_states,
         final_valve_states=dict(plant.valve_states),
-        transcript=[_transcript_entry(entry) for entry in trace],
+        transcript=trace,
     )
     validate_session_log(log)
     return log

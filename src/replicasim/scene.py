@@ -414,43 +414,35 @@ def _edited_node(edit: Edit, nodes: dict[str, SceneNode], annotations: dict[str,
     raise EditError(f"unsupported edit {edit!r}")
 
 
-def diff(a: SceneModel, b: SceneModel, author_role: Role = Role.EXPERT, start_seq: int = 0) -> list[Edit]:
-    """Edits that take ``a`` to ``b`` (same node universe; version ignored)."""
+def diff(a: SceneModel, b: SceneModel) -> list[Edit]:
+    """Expert edits that take ``a`` to ``b``, each numbered by its index (same
+    node universe; version ignored)."""
     if set(a.nodes) != set(b.nodes):
         raise IncompatibleModelsError("models do not share the same node id universe")
     edits: list[Edit] = []
-    seq = start_seq
-
-    def stamp(make):
-        nonlocal seq
-        edits.append(make(author_role, seq))
-        seq += 1
-
     for node_id in sorted(a.nodes):
         na, nb = a.nodes[node_id], b.nodes[node_id]
         if na.local_pose != nb.local_pose:
-            stamp(lambda r, s, nb=nb: SetPose(nb.id, nb.local_pose, r, s))
+            edits.append(SetPose(nb.id, nb.local_pose, Role.EXPERT, len(edits)))
         if na.valve_state != nb.valve_state:
-            stamp(lambda r, s, nb=nb: SetValveState(nb.id, nb.valve_state, r, s))
+            edits.append(SetValveState(nb.id, nb.valve_state, Role.EXPERT, len(edits)))
         if na.visual.highlight_color != nb.visual.highlight_color:
-            stamp(lambda r, s, nb=nb: SetHighlight(nb.id, nb.visual.highlight_color, r, s))
+            edits.append(SetHighlight(nb.id, nb.visual.highlight_color, Role.EXPERT, len(edits)))
         if na.visual.indication_animation != nb.visual.indication_animation:
-            stamp(lambda r, s, nb=nb: SetIndication(nb.id, nb.visual.indication_animation, r, s))
+            edits.append(SetIndication(nb.id, nb.visual.indication_animation, Role.EXPERT, len(edits)))
     for ann_id in sorted(a.annotations):
         if a.annotations[ann_id] != b.annotations.get(ann_id):
-            stamp(lambda r, s, ann_id=ann_id: RemoveAnnotation(ann_id, r, s))
+            edits.append(RemoveAnnotation(ann_id, Role.EXPERT, len(edits)))
     for ann_id in sorted(b.annotations):
         ann = b.annotations[ann_id]
         if a.annotations.get(ann_id) != ann:
-            stamp(lambda r, s, ann=ann: AddAnnotation(ann, r, s))
+            edits.append(AddAnnotation(ann, Role.EXPERT, len(edits)))
     return edits
 
 
-def field_equal(a: SceneModel, b: SceneModel, include_anchor: bool = True) -> bool:
-    """Structural equality of nodes and annotations, ignoring version/provenance."""
-    if a.nodes != b.nodes or a.annotations != b.annotations:
-        return False
-    return not include_anchor or a.world_anchor == b.world_anchor
+def field_equal(a: SceneModel, b: SceneModel) -> bool:
+    """Structural equality of nodes, annotations and world anchor, ignoring version/provenance."""
+    return a.nodes == b.nodes and a.annotations == b.annotations and a.world_anchor == b.world_anchor
 
 
 # --- Canonical serialization --------------------------------------------------

@@ -293,7 +293,7 @@ class Comparison:
     result: TestResult
 
 
-def compare_groups(a: Sample, b: Sample, measure: str = "", alpha: float = NORMALITY_ALPHA) -> Comparison:
+def compare_groups(a: Sample, b: Sample, measure: str = "") -> Comparison:
     """Shapiro-Wilk both groups; ANOVA when both look normal, MWW otherwise.
 
     A degenerate (zero-variance) group counts as non-normal, which routes the
@@ -305,7 +305,7 @@ def compare_groups(a: Sample, b: Sample, measure: str = "", alpha: float = NORMA
         try:
             res = shapiro_wilk(sample)
             shapiro_results.append(res)
-            normal = normal and res.p_value > alpha
+            normal = normal and res.p_value > NORMALITY_ALPHA
         except (StatsError, DegenerateSampleError):
             shapiro_results.append(None)
             normal = False

@@ -64,6 +64,7 @@ from test_stats import (
     pairwise_u,
     uniform_sample_n20,
 )
+from test_scenario import indicated_valves
 from replicasim.stats import anova_oneway_raw
 
 
@@ -501,15 +502,14 @@ def test_criterion_8_scenario_integrity():
 
     log = run_session(plan, Condition.HMD, profiles[Condition.HMD], seed=99, model=model)
     indications = [e for e in log.events if e.kind == REPLICA_INDICATION]
-    commits = [t for t in log.transcript
-               if t["kind"] == "SyncCommit" and t["to"] == "operator" and t.get("indicated_valves")]
+    commits = [t for t in log.transcript if isinstance(t.envelope.payload, SyncCommit) and t.dst == "operator"]
     instructions = [e for e in log.events
                     if e.kind == INSTRUCTION and e.block_kind in ("OneHanded", "TwoHanded")]
     assert len(instructions) == 12
     for instr in instructions:
         valve = instr.data["text"].split(" ")[2]
         assert any(e.data["valve"] == valve and e.t_ms <= instr.t_ms for e in indications)
-        assert any(valve in t["indicated_valves"] and t["t_ms"] <= instr.t_ms for t in commits)
+        assert any(valve in indicated_valves(t) and t.t_ms <= instr.t_ms for t in commits)
 
     report(8, "zero-error sessions restore the plant; every HMD manipulation instruction is paired "
               "with an indication + commit; plan blocks carry exactly 4 and 2 operations")

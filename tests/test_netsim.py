@@ -1,5 +1,6 @@
 import pytest
 
+from replicasim import netsim
 from replicasim.netsim import LinkConfig, LivelockError, World, derive_seed, trace_to_jsonl
 from replicasim.protocol import (
     CallStart,
@@ -80,7 +81,8 @@ class TestRun:
 
         assert trace_to_jsonl(build()) == trace_to_jsonl(build())
 
-    def test_livelock_cap(self):
+    def test_livelock_cap(self, monkeypatch):
+        monkeypatch.setattr(netsim, "EVENT_CAP", 100)
         world = World()
         world.add_link("a", "a", LinkConfig(1, 0))
 
@@ -90,7 +92,7 @@ class TestRun:
         world.add_endpoint("a", echo)
         world.send("a", "a", env("a", 1))
         with pytest.raises(LivelockError):
-            world.run_until_quiescent(max_events=100)
+            world.run_until_quiescent()
 
     def test_clock_monotone_over_trace(self):
         world = World(master_seed=3)

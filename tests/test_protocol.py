@@ -123,28 +123,23 @@ class TestSubmitSync:
 
 
 class TestAvatar:
-    def operator_avatar(self, y=1.7):
-        return AvatarState("op", Role.OPERATOR, Pose((0.0, y, 0.0)))
+    def operator_avatar(self, y=1.7, x=0.0, z=0.0):
+        return AvatarState("op", Role.OPERATOR, Pose((x, y, z)))
 
     def test_elevation_arithmetic(self):
-        pose = place_expert_avatar(self.operator_avatar(), elevation=1.5)
+        pose = place_expert_avatar(self.operator_avatar())
         assert abs(pose.position[1] - 3.2) < 1e-12
 
     def test_always_above_operator(self):
         rng = random.Random(3)
         for _ in range(100):
             y = rng.uniform(0.5, 2.2)
-            elevation = rng.uniform(0.1, 3.0)
-            pose = place_expert_avatar(self.operator_avatar(y), elevation=elevation)
+            pose = place_expert_avatar(self.operator_avatar(y))
             assert pose.position[1] > y
 
-    def test_zero_elevation_rejected(self):
-        with pytest.raises(ValueError):
-            place_expert_avatar(self.operator_avatar(), elevation=0.0)
-
     def test_orientation_looks_at_anchor(self):
-        anchor = (1.0, 0.0, 2.0)
-        pose = place_expert_avatar(self.operator_avatar(), elevation=1.5, anchor_position=anchor)
+        anchor = (0.0, 0.0, 0.0)
+        pose = place_expert_avatar(self.operator_avatar(x=-1.0, z=-2.0))
         forward = pose.rotate((0.0, 0.0, 1.0))
         direction = tuple(a - p for a, p in zip(anchor, pose.position))
         norm = math.sqrt(sum(c * c for c in direction))

@@ -9,7 +9,6 @@ from replicasim.replica import (
     REJECT_EXPERT_PRECEDENCE,
     REJECT_UNKNOWN_TARGET,
     ProtocolError,
-    ReplicaError,
     SyncRequest,
     acknowledge_commit,
     apply_commit,
@@ -68,19 +67,15 @@ def shared():
 
 class TestCreateReplica:
     def test_scale_one_snapshot(self, shared):
-        replica = create_replica(shared, "op", Role.OPERATOR, 1.0)
+        replica = create_replica(shared, "op", Role.OPERATOR)
         assert field_equal(replica.working, shared)
         assert replica.base_version == shared.version
         assert replica.pending == ()
 
     def test_reduced_scale_is_metadata(self, shared):
-        replica = create_replica(shared, "op", Role.OPERATOR, 0.25)
-        assert replica.scale_factor == 0.25
-        assert replica.working.nodes == shared.nodes  # geometry untouched
-
-    def test_invalid_scale(self, shared):
-        with pytest.raises(ReplicaError, match="scale"):
-            create_replica(shared, "op", Role.OPERATOR, -1.0)
+        # The reduced display size is no part of the replica: poses stay the shared model's.
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        assert [n.local_pose for n in replica.working.nodes.values()] == [n.local_pose for n in shared.nodes.values()]
 
 
 class TestEditReplica:

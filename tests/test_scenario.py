@@ -6,16 +6,15 @@ from replicasim.netsim import LinkConfig
 from replicasim.plant import (
     Exchanger,
     FlowMode,
-    PlantConfigError,
     PlantState,
     RoutingRow,
     RoutingTable,
-    effectiveness,
     outlet_temperature,
     plant_from_model,
     route,
 )
-from replicasim.scene import Handedness, ValveState
+from replicasim.protocol import Avatar, SyncCommit, SyncReq
+from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
     CALL_START,
@@ -26,7 +25,6 @@ from replicasim.scenario import (
     REPLICA_INDICATION,
     TEMPERATURE_REPORT,
     Condition,
-    ExpertPolicy,
     LogError,
     ManipulationBlock,
     OperatorProfile,
@@ -56,12 +54,15 @@ QUIET_PROFILE = OperatorProfile(
     tablet_putdown_penalty_ms=1000,
 )
 
-FAST_POLICY = ExpertPolicy(intro_pause_ms=2000, explanation_pause_ms=3000, summary_pause_ms=1500)
-
 
 def run_quiet(condition, seed=1, profile=QUIET_PROFILE, **kwargs):
     plan = build_default_plan(valve_registry(default_model()))
-    return run_session(plan, condition, profile, expert_policy=FAST_POLICY, seed=seed, **kwargs)
+    return run_session(plan, condition, profile, seed=seed, **kwargs)
+
+
+def indicated_valves(entry):
+    """Valves a traced SyncCommit starts indicating."""
+    return [e.node for e in entry.envelope.payload.accepted if isinstance(e, SetIndication) and e.playing]
 
 
 class TestRouting:
@@ -139,13 +140,8 @@ class TestOutletTemperature:
             assert table.cold_inlet_c <= outlet_temperature(plant) <= table.hot_inlet_c
 
     def test_bad_effectiveness_rejected(self):
-        table = RoutingTable(
-            rows=(RoutingRow(Exchanger.PLATE, FlowMode.COUNTER, (("V", ValveState.OPEN),), 1.2),),
-            hot_inlet_c=60.0,
-            cold_inlet_c=20.0,
-        )
-        with pytest.raises(PlantConfigError, match="effectiveness"):
-            effectiveness({"V": ValveState.OPEN}, table)
+        with pytest.raises(ValueError, match="effectiveness"):
+            RoutingRow(Exchanger.PLATE, FlowMode.COUNTER, (("V", ValveState.OPEN),), 1.2)
 
 
 class TestPlan:
@@ -218,7 +214,7 @@ class TestRunSession:
         log = run_quiet(Condition.HMD, seed=9)
         indications = [e for e in log.events if e.kind == REPLICA_INDICATION]
         commits = [t for t in log.transcript
-                   if t["kind"] == "SyncCommit" and t["to"] == "operator" and t["indicated_valves"]]
+                   if isinstance(t.envelope.payload, SyncCommit) and t.dst == "operator" and indicated_valves(t)]
         instructions = [e for e in log.events
                         if e.kind == INSTRUCTION and e.block_kind in ("OneHanded", "TwoHanded")]
         assert len(instructions) == 12  # (4 + 2) operations x 2 parts
@@ -226,12 +222,11 @@ class TestRunSession:
             valve = instr.data["text"].split(" ")[2]
             paired = [e for e in indications if e.data["valve"] == valve and e.t_ms <= instr.t_ms]
             assert paired, f"no indication for {valve} before t={instr.t_ms}"
-            assert any(valve in t["indicated_valves"] and t["t_ms"] <= instr.t_ms for t in commits)
+            assert any(valve in indicated_valves(t) and t.t_ms <= instr.t_ms for t in commits)
 
     def test_tablet_has_no_sync_traffic(self):
         log = run_quiet(Condition.TABLET, seed=9)
-        kinds = {t["kind"] for t in log.transcript}
-        assert "SyncCommit" not in kinds and "SyncReq" not in kinds
+        assert not [t for t in log.transcript if isinstance(t.envelope.payload, (SyncReq, SyncCommit))]
         assert not [e for e in log.events if e.kind == REPLICA_INDICATION]
 
     def test_putdown_penalty_only_for_tablet_two_handed(self):
@@ -278,9 +273,9 @@ class TestRunSession:
 
     def test_god_view_avatar_elevation(self):
         log = run_quiet(Condition.HMD, seed=6)
-        avatars = [t for t in log.transcript if t["kind"] == "Avatar"]
-        operator_y = [t["head_y"] for t in avatars if t["client"] == "operator"]
-        expert_y = [t["head_y"] for t in avatars if t["client"] == "expert"]
+        avatars = [t.envelope.payload.state for t in log.transcript if isinstance(t.envelope.payload, Avatar)]
+        operator_y = [a.head_pose.position[1] for a in avatars if a.client == "operator"]
+        expert_y = [a.head_pose.position[1] for a in avatars if a.client == "expert"]
         assert operator_y and expert_y
         assert min(expert_y) > max(operator_y)
 

@@ -237,7 +237,9 @@ class TestDiff:
                 a = apply_edit(a, random_edit(rng, a, seq=i))
             for i in range(rng.randrange(8)):
                 b = apply_edit(b, random_edit(rng, b, seq=100 + i))
-            patched = functools.reduce(apply_edit, diff(a, b), a)
+            edits = diff(a, b)
+            assert [(e.author_role, e.author_seq) for e in edits] == [(Role.EXPERT, i) for i in range(len(edits))]
+            patched = functools.reduce(apply_edit, edits, a)
             assert field_equal(patched, b)
 
 
