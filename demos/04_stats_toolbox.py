@@ -6,7 +6,7 @@ The three tests used by the analysis pipeline, exercised directly: normality
 via Shapiro-Wilk (Royston's approximation), the exact small-sample
 Mann-Whitney test, and one-way ANOVA from raw data or published summaries.
 """
-import numpy as np
+import random
 
 from replicasim.stats import (
     GroupSummary,
@@ -15,15 +15,14 @@ from replicasim.stats import (
     anova_oneway_summary,
     compare_groups,
     mann_whitney,
-    mean_sd,
     shapiro_wilk,
 )
 
-rng = np.random.default_rng(42)
+rng = random.Random(42)
 
 # Normality: a Gaussian sample passes, a squared-exponential one does not.
-gaussian = Sample(tuple(rng.normal(10.0, 2.0, 20).tolist()), label="gaussian")
-skewed = Sample(tuple((rng.exponential(1.0, 20) ** 2).tolist()), label="skewed")
+gaussian = Sample(tuple(rng.gauss(10.0, 2.0) for _ in range(20)), label="gaussian")
+skewed = Sample(tuple(rng.expovariate(1.0) ** 2 for _ in range(20)), label="skewed")
 for sample in (gaussian, skewed):
     res = shapiro_wilk(sample)
     print(f"SW {sample.label:<9} W={res.statistic:.3f} p={res.p_value:.3f}")
@@ -34,8 +33,8 @@ print(f"\nMWW U={res.statistic} exact={res.exact} p={res.p_value:.4f} "
       f"(rank sum W={res.extra['rank_sum_w']})")
 
 # ANOVA from raw groups, and rebuilt from (n, mean, sd) summaries alone.
-a = Sample(tuple(rng.normal(763.0, 75.0, 19).tolist()))
-b = Sample(tuple(rng.normal(624.0, 68.0, 20).tolist()))
+a = Sample(tuple(rng.gauss(763.0, 75.0) for _ in range(19)))
+b = Sample(tuple(rng.gauss(624.0, 68.0) for _ in range(20)))
 raw = anova_oneway_raw([a, b])
 print(f"\nANOVA raw: F={raw.statistic:.2f} df={raw.df} p={raw.p_value:.2e}")
 

@@ -13,7 +13,7 @@ Rejected edits never abort a batch; the remaining edits still apply.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,

@@ -5,17 +5,17 @@ Shapiro-Wilk follows Royston's AS R94 polynomial approximations (valid for
 p-value counts all labelings by a rank-sum recurrence, otherwise it takes the
 tie-corrected normal approximation. ANOVA is provided both from raw samples
 and from (n, mean, sd) group summaries, which is how published results are
-reconstructed.
+reconstructed. The ANOVA F tail is a regularized incomplete beta function,
+evaluated by Lentz's continued fraction (Press et al., *Numerical Recipes*,
+3rd ed., 2007, section 6.4). Everything here is standard library.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence
-
-import numpy as np
-from scipy import special
 
 _NORMAL = NormalDist()
 
@@ -78,38 +78,39 @@ class TestResult:
 def mean_sd(sample: Sample) -> GroupSummary:
     if sample.n < 2:
         raise StatsError("mean_sd needs at least two values")
-    arr = np.asarray(sample.values, dtype=float)
-    return GroupSummary(n=sample.n, mean=float(arr.mean()), sd=float(arr.std(ddof=1)), label=sample.label)
+    mean = math.fsum(sample.values) / sample.n
+    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in sample.values) / (sample.n - 1))
+    return GroupSummary(n=sample.n, mean=mean, sd=sd, label=sample.label)
 
 
 # --- Shapiro-Wilk ------------------------------------------------------------------
 
 
-def _shapiro_wilk_weights(n: int) -> np.ndarray:
+def _polyval(coeffs: Sequence[float], x: float) -> float:
+    """Horner's rule, highest power first."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _shapiro_wilk_weights(n: int) -> list[float]:
     """Royston's approximate coefficients against expected normal order statistics."""
     if n == 3:
         s = 1.0 / math.sqrt(2.0)
-        return np.array([-s, 0.0, s])
-    m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
-    mm = float(m @ m)
-    c = m / math.sqrt(mm)
+        return [-s, 0.0, s]
+    m = [_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
+    mm = math.fsum(v * v for v in m)
     rsn = 1.0 / math.sqrt(n)
     poly_an = [-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0]
     poly_an1 = [-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0]
-    a = m.copy()
-    an = c[-1] + np.polyval(poly_an, rsn)
+    an = m[-1] / math.sqrt(mm) + _polyval(poly_an, rsn)
     if n > 5:
-        an1 = c[-2] + np.polyval(poly_an1, rsn)
+        an1 = m[-2] / math.sqrt(mm) + _polyval(poly_an1, rsn)
         phi = (mm - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (1.0 - 2.0 * an**2 - 2.0 * an1**2)
-        a[2:-2] = m[2:-2] / math.sqrt(phi)
-        a[-1], a[-2] = an, an1
-        a[0], a[1] = -an, -an1
-    else:
-        phi = (mm - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * an**2)
-        a[1:-1] = m[1:-1] / math.sqrt(phi)
-        a[-1] = an
-        a[0] = -an
-    return a
+        return [-an, -an1] + [v / math.sqrt(phi) for v in m[2:-2]] + [an1, an]
+    phi = (mm - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * an**2)
+    return [-an] + [v / math.sqrt(phi) for v in m[1:-1]] + [an]
 
 
 def _shapiro_wilk_pvalue(w: float, n: int) -> float:
@@ -138,12 +139,12 @@ def shapiro_wilk(sample: Sample) -> TestResult:
     n = sample.n
     if not 3 <= n <= 50:
         raise StatsError(f"shapiro_wilk supports 3 <= n <= 50, got n={n}")
-    x = np.sort(np.asarray(sample.values, dtype=float))
-    ss = float(((x - x.mean()) ** 2).sum())
+    x = sorted(sample.values)
+    mean = math.fsum(x) / n
+    ss = math.fsum((v - mean) ** 2 for v in x)
     if ss <= 0.0:
         raise DegenerateSampleError("sample has zero variance")
-    a = _shapiro_wilk_weights(n)
-    w = float((a @ x) ** 2 / ss)
+    w = math.fsum(a * v for a, v in zip(_shapiro_wilk_weights(n), x)) ** 2 / ss
     w = min(w, 1.0)
     return TestResult(
         statistic=w,
@@ -220,8 +221,7 @@ def mann_whitney(a: Sample, b: Sample, exact_threshold: int = DEFAULT_EXACT_THRE
         p = _exact_two_sided_p(ranks2, n1)
         return TestResult(statistic=u_a, statistic_name="U", p_value=p, exact=True, extra=extra)
 
-    _, counts = np.unique(np.asarray(pooled, dtype=float), return_counts=True)
-    tie_term = float((counts**3 - counts).sum())
+    tie_term = sum(c**3 - c for c in Counter(pooled).values())
     size = n1 + n2
     var = (n1 * n2 / 12.0) * ((size + 1) - tie_term / (size * (size - 1)))
     if var <= 0.0:
@@ -234,11 +234,54 @@ def mann_whitney(a: Sample, b: Sample, exact_threshold: int = DEFAULT_EXACT_THRE
 # --- One-way ANOVA -------------------------------------------------------------------
 
 
+_BETACF_EPS = 1e-15
+_BETACF_MAX_ITER = 10_000
+_BETACF_TINY = 1e-300
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for I_x(a, b), by the modified Lentz method (NR section 6.4)."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= _BETACF_TINY else _BETACF_TINY)
+    h = d
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        # Even step d_2m, then odd step d_2m+1, of the fraction's numerators.
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= _BETACF_TINY else _BETACF_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= _BETACF_TINY else _BETACF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _BETACF_EPS:
+            return h
+    raise StatsError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
+    if not 0.0 <= x <= 1.0:
+        raise StatsError(f"incomplete beta needs 0 <= x <= 1, got {x!r}")
+    if x in (0.0, 1.0):
+        return x
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    )
+    # The fraction converges fast below the mean of the beta distribution;
+    # above it, use I_x(a, b) = 1 - I_{1-x}(b, a).
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
 def _f_sf(f: float, df1: int, df2: int) -> float:
     if f <= 0.0:
         return 1.0
     x = df2 / (df2 + df1 * f)
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, x))
+    return _betainc(df2 / 2.0, df1 / 2.0, x)
 
 
 def anova_oneway_raw(groups: list[Sample]) -> TestResult:
@@ -247,11 +290,11 @@ def anova_oneway_raw(groups: list[Sample]) -> TestResult:
     for g in groups:
         if g.n < 2:
             raise StatsError(f"group {g.label!r} needs n >= 2")
-    data = [np.asarray(g.values, dtype=float) for g in groups]
-    total_n = sum(len(d) for d in data)
-    grand = sum(float(d.sum()) for d in data) / total_n
-    ss_between = sum(len(d) * (float(d.mean()) - grand) ** 2 for d in data)
-    ss_within = sum(float(((d - d.mean()) ** 2).sum()) for d in data)
+    total_n = sum(g.n for g in groups)
+    grand = math.fsum(v for g in groups for v in g.values) / total_n
+    means = [math.fsum(g.values) / g.n for g in groups]
+    ss_between = sum(g.n * (mean - grand) ** 2 for g, mean in zip(groups, means))
+    ss_within = sum(math.fsum((v - mean) ** 2 for v in g.values) for g, mean in zip(groups, means))
     return _anova_from_ss(ss_between, ss_within, len(groups), total_n)
 
 

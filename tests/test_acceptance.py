@@ -4,11 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 import hashlib
-import itertools
 import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +25,6 @@ from replicasim.replica import (
 from replicasim.scene import (
     AddAnnotation,
     Annotation,
-    EditError,
     Pose,
     RemoveAnnotation,
     Role,
@@ -54,10 +51,17 @@ from replicasim.scenario import (
     valve_registry,
 )
 from replicasim.metrics import ErrorCounts, percent_improvement, weighted_total
-from replicasim.stats import GroupSummary, Sample, anova_oneway_summary, compare_groups, mann_whitney, shapiro_wilk
+from replicasim.stats import (
+    GroupSummary,
+    Sample,
+    anova_oneway_raw,
+    anova_oneway_summary,
+    compare_groups,
+    mann_whitney,
+    shapiro_wilk,
+)
 
 from test_stats import (
-    MC_ORDER_STATS_N20,
     SW_ORACLE_W,
     enumeration_p,
     moment_matched,
@@ -65,7 +69,6 @@ from test_stats import (
     uniform_sample_n20,
 )
 from test_scenario import indicated_valves
-from replicasim.stats import anova_oneway_raw
 
 
 def report(criterion: int, text: str) -> None:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,8 +12,20 @@ from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import REFERENCE_CONSTANTS, read_metrics_csv, run_reference_checks
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
     return main(list(args))
+
+
+def top_level_modules_after(code: str) -> set[str]:
+    """Top-level package names in sys.modules once ``code`` has run in a fresh interpreter."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def dir_digest(path: Path) -> dict:
@@ -39,6 +53,22 @@ def quick_profiles(tmp_path):
     path = tmp_path / "profiles.json"
     path.write_text(json.dumps({"tablet": fast_tablet, "hmd": fast_hmd}), encoding="utf-8")
     return str(path)
+
+
+class TestStartupImports:
+    """The CLI runs on the standard library; numpy and scipy are test-only oracles."""
+
+    def test_import_cli_loads_no_numpy_or_scipy(self):
+        assert not top_level_modules_after("import replicasim.cli") & {"numpy", "scipy"}
+
+    def test_simulate_and_analyze_load_no_numpy_or_scipy(self, tmp_path):
+        out = str(tmp_path / "corpus")
+        code = (
+            "from replicasim.cli import main\n"
+            f"assert main(['simulate', '--sessions', '3:3', '--seed', '1', '--out', {out!r}]) == 0\n"
+            f"assert main(['analyze', '--histograms', {out + '/metrics.csv'!r}]) == 0"
+        )
+        assert not top_level_modules_after(code) & {"numpy", "scipy"}
 
 
 class TestSimulate:

@@ -10,7 +10,6 @@ from replicasim.plant import (
     RoutingRow,
     RoutingTable,
     outlet_temperature,
-    plant_from_model,
     route,
 )
 from replicasim.protocol import Avatar, SyncCommit, SyncReq
@@ -37,7 +36,6 @@ from replicasim.scenario import (
     run_session,
     session_log_from_jsonl,
     session_log_to_jsonl,
-    validate_plan,
     validate_session_log,
     valve_registry,
     zero_error_profile,

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as scipy_stats
 
+from replicasim import stats
 from replicasim.stats import (
     DEFAULT_EXACT_THRESHOLD,
     DegenerateSampleError,
@@ -18,6 +21,9 @@ from replicasim.stats import (
     mann_whitney,
     mean_sd,
     shapiro_wilk,
+    _betainc,
+    _f_sf,
+    _shapiro_wilk_weights,
 )
 
 # Monte-Carlo estimate of the expected standard-normal order statistics for
@@ -38,13 +44,18 @@ def uniform_sample_n20():
 
 
 def oracle_weights_from_order_stats(m):
-    """Weight construction written out independently, fed exact order stats."""
+    """Weight construction written out independently, fed exact order stats (n >= 4)."""
     m = np.asarray(m)
     n = len(m)
     mm = float(m @ m)
     c = m / math.sqrt(mm)
     u = 1.0 / math.sqrt(n)
     a_n = c[-1] + 0.221157 * u - 0.147981 * u**2 - 2.071190 * u**3 + 4.434685 * u**4 - 2.706056 * u**5
+    if n <= 5:
+        phi = (mm - 2 * m[-1] ** 2) / (1 - 2 * a_n**2)
+        a = m / math.sqrt(phi)
+        a[-1], a[0] = a_n, -a_n
+        return a
     a_n1 = c[-2] + 0.042981 * u - 0.293762 * u**2 - 1.752461 * u**3 + 5.682633 * u**4 - 3.582633 * u**5
     phi = (mm - 2 * m[-1] ** 2 - 2 * m[-2] ** 2) / (1 - 2 * a_n**2 - 2 * a_n1**2)
     a = m / math.sqrt(phi)
@@ -74,6 +85,12 @@ class TestShapiroWilk:
         assert abs(w_oracle - SW_ORACLE_W) < 1e-9  # pinned value still reproduces
         res = shapiro_wilk(Sample(sample))
         assert abs(res.statistic - SW_ORACLE_W) < 1e-3
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 20, 50])
+    def test_weights_match_numpy_construction(self, n):
+        m = [NormalDist().inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
+        expected = [-math.sqrt(0.5), 0.0, math.sqrt(0.5)] if n == 3 else oracle_weights_from_order_stats(m).tolist()
+        assert _shapiro_wilk_weights(n) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_bounds_and_errors(self):
         with pytest.raises(StatsError):
@@ -299,7 +316,42 @@ class TestAnova:
         assert abs(mine.p_value - ref.pvalue) < 1e-9
 
 
+class TestIncompleteBeta:
+    def test_f_tails_match_scipy_betainc(self):
+        rng = random.Random(606)
+        for i in range(2000):
+            df1, df2 = rng.randint(1, 5), rng.randint(2, 400)
+            f = 0.0 if i % 100 == 0 else 10.0 ** rng.uniform(-6.0, 4.0)
+            ref = float(special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f)))
+            # Below 1e-300 both sides are subnormal or zero, and rounding there is not relative.
+            assert _f_sf(f, df1, df2) == pytest.approx(ref, rel=1e-10, abs=1e-300), (f, df1, df2)
+
+    def test_endpoints(self):
+        for a, b in ((0.5, 0.5), (1.0, 2.5), (200.0, 2.5)):
+            assert _betainc(a, b, 0.0) == 0.0
+            assert _betainc(a, b, 1.0) == 1.0
+        assert _f_sf(0.0, 1, 37) == 1.0
+
+    def test_x_outside_unit_interval_raises(self):
+        for x in (-0.1, 1.5, math.nan):
+            with pytest.raises(StatsError):
+                _betainc(2.0, 3.0, x)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "_BETACF_MAX_ITER", 2)
+        with pytest.raises(StatsError, match="did not converge"):
+            _betainc(200.0, 2.5, 0.98)
+
+
 class TestMeanSd:
+    def test_matches_numpy(self):
+        rng = random.Random(78)
+        for n in (2, 3, 19, 20, 60, 500):
+            values = [rng.gauss(700.0, 80.0) for _ in range(n)]
+            res = mean_sd(Sample(tuple(values)))
+            assert res.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
+            assert res.sd == pytest.approx(float(np.std(values, ddof=1)), rel=1e-12)
+
     def test_two_values(self):
         res = mean_sd(Sample((2.0, 4.0)))
         assert res.mean == 3.0 and abs(res.sd - math.sqrt(2.0)) < 1e-12
