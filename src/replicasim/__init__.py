@@ -34,7 +34,6 @@ from replicasim.replica import (
     create_replica,
     edit_replica,
     make_sync_request,
-    rebase_replica,
     synchronize,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "field_equal",
     "load_model",
     "make_sync_request",
-    "rebase_replica",
     "synchronize",
 ]

@@ -19,7 +19,6 @@ from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
     UNKNOWN_TARGET as REJECT_UNKNOWN_TARGET,
     Edit,
-    EditError,
     RemoveAnnotation,
     Role,
     SceneModel,
@@ -65,12 +64,6 @@ class MergeOutcome:
     merged: SceneModel
     accepted: tuple[Edit, ...]
     rejected: tuple[tuple[Edit, str], ...]
-
-
-@dataclass(frozen=True)
-class RebaseResult:
-    replica: Replica
-    dropped: tuple[Edit, ...]
 
 
 def create_replica(shared: SceneModel, owner: str, role: Role) -> Replica:
@@ -140,42 +133,23 @@ def apply_commit(shared: SceneModel, accepted: tuple[Edit, ...], new_version: in
     return _apply_batch(shared, accepted, new_version)[0]
 
 
-def rebase_replica(replica: Replica, shared: SceneModel) -> RebaseResult:
-    """Rebuild a replica on top of a newer shared snapshot.
+def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], shared: SceneModel) -> Replica:
+    """Rebuild a replica on ``shared`` once a commit lands.
 
-    Pending edits are re-applied in order; any that no longer apply (target
-    removed remotely, annotation id now taken) are dropped and reported.
+    The replica's own accepted edits, identified by (author_role, author_seq),
+    leave ``pending``; edits the host rejected stay so the owner can see and
+    revise them. The pending edits are re-applied to ``shared`` in one batch
+    at ``shared.version``, whose rule passes every edit, so any that no longer
+    apply (target removed remotely, annotation id now taken) are dropped.
     """
     if shared.version < replica.base_version:
         raise ReplicaError(
             f"shared version {shared.version} is behind replica base {replica.base_version}"
         )
-    working = shared
-    kept: list[Edit] = []
-    dropped: list[Edit] = []
-    for edit in replica.pending:
-        try:
-            working = apply_edit(working, edit)
-        except EditError:
-            dropped.append(edit)
-        else:
-            kept.append(edit)
-    rebased = replace(
-        replica, working=working, pending=tuple(kept), base_version=shared.version
-    )
-    return RebaseResult(replica=rebased, dropped=tuple(dropped))
-
-
-def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], shared: SceneModel) -> Replica:
-    """Clear a replica's accepted edits after its own sync commit lands.
-
-    Accepted edits are identified by (author_role, author_seq); rejected ones
-    stay pending so the owner can see and revise them.
-    """
     accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted}
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
-    result = rebase_replica(replace(replica, pending=remaining), shared)
-    return result.replica
+    working, kept, _ = _apply_batch(shared, remaining, shared.version, lambda edit, authors: None)
+    return replace(replica, working=working, pending=kept, base_version=shared.version)
 
 
 # --- Canonical JSON forms (wire and JSONL logs; see docs/protocol.md) ------------

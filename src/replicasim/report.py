@@ -45,8 +45,12 @@ def read_metrics_csv(path: str) -> list[dict]:
                 }
                 for key in TIME_MEASURES:
                     row[key] = float(raw[key])
+                    if not math.isfinite(row[key]):
+                        raise ValueError(f"{key} must be finite, got {raw[key]!r}")
                 for key in ERROR_MEASURES:
                     row[key] = int(raw[key])
+                    if row[key] < 0:
+                        raise ValueError(f"{key} must be non-negative, got {raw[key]!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ReportError(f"malformed CSV row at line {i}: {exc}") from None
             rows.append(row)
@@ -102,7 +106,8 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
         error_totals=error_totals,
         participants=participants,
     )
-    if BASELINE_CONDITION in by_condition and TREATMENT_CONDITION in by_condition:
+    # Comparing needs a mean and SD per group, so at least two sessions in each.
+    if participants.get(BASELINE_CONDITION, 0) >= 2 and participants.get(TREATMENT_CONDITION, 0) >= 2:
         for measure in ALL_MEASURES:
             a = Sample(tuple(float(r[measure]) for r in by_condition[BASELINE_CONDITION]), label=BASELINE_CONDITION)
             b = Sample(tuple(float(r[measure]) for r in by_condition[TREATMENT_CONDITION]), label=TREATMENT_CONDITION)

@@ -227,6 +227,32 @@ class TestAnalyze:
         assert run_cli("analyze", str(csv_path)) == EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row",
+        ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0"],
+        ids=["non-finite-time", "negative-count"],
+    )
+    def test_out_of_range_value_names_line(self, tmp_path, capsys, row):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(
+            "session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total\n"
+            "s1,tablet,1,700,150,120,0,0,0,0\n" + row + "\n",
+            encoding="utf-8",
+        )
+        assert run_cli("analyze", str(csv_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 3" in err
+        assert "Traceback" not in err
+
+    def test_one_session_per_condition_has_no_tests_section(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert run_cli("simulate", "--sessions", "1:1", "--seed", "3", "--out", str(out)) == EXIT_OK
+        assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out)) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        report = (out / "report.md").read_text(encoding="utf-8")
+        assert "## Group summaries" in report and "## Errors by type" in report
+        assert "## Tests" not in report
+
     def test_histograms_written(self, tmp_path, quick_profiles):
         out = self.make_corpus(tmp_path, quick_profiles)
         assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out), "--histograms") == EXIT_OK

@@ -9,13 +9,13 @@ from replicasim.replica import (
     REJECT_EXPERT_PRECEDENCE,
     REJECT_UNKNOWN_TARGET,
     ProtocolError,
+    ReplicaError,
     SyncRequest,
     acknowledge_commit,
     apply_commit,
     create_replica,
     edit_replica,
     make_sync_request,
-    rebase_replica,
     synchronize,
 )
 from replicasim.scene import (
@@ -259,9 +259,9 @@ class TestRebase:
     def test_no_remote_changes_keeps_replica(self, shared):
         replica = create_replica(shared, "op", Role.OPERATOR)
         replica = edit_replica(replica, SetValveState("V1", ValveState.CLOSED, Role.OPERATOR, 1))
-        result = rebase_replica(replica, shared)
-        assert result.dropped == ()
-        assert field_equal(result.replica.working, replica.working)
+        rebased = acknowledge_commit(replica, (), shared)
+        assert rebased.pending == replica.pending
+        assert field_equal(rebased.working, replica.working)
 
     def test_remote_removal_drops_pending_remove(self, shared):
         ann = Annotation("a1", Role.OPERATOR, "V1", "x")
@@ -274,10 +274,20 @@ class TestRebase:
             SyncRequest("ex", Role.EXPERT, shared.version, (RemoveAnnotation("a1", Role.EXPERT, 1),)),
             shared,
         ).merged
-        result = rebase_replica(replica, remote)
-        assert [type(e).__name__ for e in result.dropped] == ["RemoveAnnotation"]
-        assert len(result.replica.pending) == 1
-        assert result.replica.base_version == remote.version
+        rebased = acknowledge_commit(replica, (), remote)
+        assert not any(isinstance(e, RemoveAnnotation) for e in rebased.pending)
+        assert len(rebased.pending) == 1
+        assert rebased.base_version == remote.version
+
+    def test_remote_taken_annotation_id_drops_pending_add(self, shared):
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        mine = AddAnnotation(Annotation("a1", Role.OPERATOR, "V1", "mine"), Role.OPERATOR, 1)
+        replica = edit_replica(replica, mine)
+        theirs = AddAnnotation(Annotation("a1", Role.EXPERT, "V2", "theirs"), Role.EXPERT, 1)
+        remote = synchronize(SyncRequest("ex", Role.EXPERT, shared.version, (theirs,)), shared).merged
+        rebased = acknowledge_commit(replica, (), remote)
+        assert rebased.pending == ()
+        assert rebased.working.annotations == remote.annotations
 
     def test_random_interleavings_match_sequential_oracle(self, shared):
         rng = random.Random(41)
@@ -293,13 +303,24 @@ class TestRebase:
                 req = SyncRequest("ex", Role.EXPERT, remote.version,
                                   (random_edit(rng, remote, Role.EXPERT, 100 + i),))
                 remote = synchronize(req, remote).merged
-            result = rebase_replica(replica, remote)
-            # Oracle: re-apply surviving pending edits sequentially onto the remote snapshot.
-            oracle = remote
+            rebased = acknowledge_commit(replica, (), remote)
+            # Oracle: re-apply pending edits one at a time onto the remote
+            # snapshot, keeping those that still apply.
+            oracle, survivors = remote, []
             for edit in replica.pending:
-                if edit not in result.dropped:
+                try:
                     oracle = apply_edit(oracle, edit)
-            assert field_equal(result.replica.working, oracle)
+                except EditError:
+                    continue
+                survivors.append(edit)
+            assert field_equal(rebased.working, oracle)
+            assert rebased.pending == tuple(survivors)
+
+    def test_snapshot_older_than_base_is_refused(self, shared):
+        newer = apply_edit(shared, SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 1))
+        replica = create_replica(newer, "op", Role.OPERATOR)
+        with pytest.raises(ReplicaError, match="behind replica base"):
+            acknowledge_commit(replica, (), shared)
 
 
 class TestCanonicalJson:
