@@ -14,7 +14,7 @@ import base64
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
@@ -127,7 +127,7 @@ class RoomState:
             payload=payload,
             host_seq=self.next_host_seq,
         )
-        state = replace(self, sender_counters=counters, next_host_seq=self.next_host_seq + 1)
+        state = RoomState(self.room, self.shared, self.members, self.avatar_map, self.next_host_seq + 1, counters)
         return state, env
 
 
@@ -141,7 +141,7 @@ def join_room(state: RoomState, client: str, role: Role) -> tuple[RoomState, Env
         raise RoomError(f"client {client!r} already joined")
     members = dict(state.members)
     members[client] = role
-    state = replace(state, members=members)
+    state = RoomState(state.room, state.shared, members, state.avatar_map, state.next_host_seq, state.sender_counters)
     return state._stamp(client, Join(role))
 
 
@@ -150,7 +150,7 @@ def update_avatar(state: RoomState, avatar: AvatarState) -> tuple[RoomState, Env
         raise RoomError(f"client {avatar.client!r} is not a member")
     avatars = dict(state.avatar_map)
     avatars[avatar.client] = avatar
-    state = replace(state, avatar_map=avatars)
+    state = RoomState(state.room, state.shared, state.members, avatars, state.next_host_seq, state.sender_counters)
     return state._stamp(avatar.client, Avatar(avatar))
 
 
@@ -162,7 +162,9 @@ def submit_sync(state: RoomState, req: SyncRequest) -> tuple[RoomState, Envelope
     if req.owner_role is not joined:
         raise RoomError(f"sync from {req.owner!r} claims {req.owner_role.value}, joined as {joined.value}")
     outcome = synchronize(req, state.shared)
-    state = replace(state, shared=outcome.merged)
+    state = RoomState(
+        state.room, outcome.merged, state.members, state.avatar_map, state.next_host_seq, state.sender_counters
+    )
     state, env = state._stamp(HOST_ID, SyncCommit(outcome.accepted, outcome.merged.version))
     return state, env, outcome
 

@@ -13,10 +13,11 @@ Rejected edits never abort a batch; the remaining edits still apply.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
+    INVALID_HIGHLIGHT as REJECT_INVALID_HIGHLIGHT,
     UNKNOWN_TARGET as REJECT_UNKNOWN_TARGET,
     Edit,
     RemoveAnnotation,
@@ -78,7 +79,7 @@ def create_replica(shared: SceneModel, owner: str, role: Role) -> Replica:
 def edit_replica(replica: Replica, edit: Edit) -> Replica:
     """Apply an edit privately. The shared model is untouched by construction."""
     working = apply_edit(replica.working, edit)
-    return replace(replica, working=working, pending=replica.pending + (edit,))
+    return Replica(replica.owner, replica.owner_role, replica.base_version, working, replica.pending + (edit,))
 
 
 def make_sync_request(replica: Replica) -> SyncRequest:
@@ -140,7 +141,8 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     leave ``pending``; edits the host rejected stay so the owner can see and
     revise them. The pending edits are re-applied to ``shared`` in one batch
     at ``shared.version``, whose rule passes every edit, so any that no longer
-    apply (target removed remotely, annotation id now taken) are dropped.
+    apply (target removed remotely, annotation id now taken) are dropped. With
+    nothing left pending, ``working`` is ``shared`` itself.
     """
     if shared.version < replica.base_version:
         raise ReplicaError(
@@ -148,8 +150,10 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
         )
     accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted}
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
-    working, kept, _ = _apply_batch(shared, remaining, shared.version, lambda edit, authors: None)
-    return replace(replica, working=working, pending=kept, base_version=shared.version)
+    working, pending = shared, ()
+    if remaining:
+        working, pending, _ = _apply_batch(shared, remaining, shared.version, lambda edit, authors: None)
+    return Replica(replica.owner, replica.owner_role, shared.version, working, pending)
 
 
 # --- Canonical JSON forms (wire and JSONL logs; see docs/protocol.md) ------------

@@ -51,6 +51,9 @@ def read_metrics_csv(path: str) -> list[dict]:
                     row[key] = int(raw[key])
                     if row[key] < 0:
                         raise ValueError(f"{key} must be non-negative, got {raw[key]!r}")
+                derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
+                if row["weighted_total"] != derived:
+                    raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ReportError(f"malformed CSV row at line {i}: {exc}") from None
             rows.append(row)

@@ -26,6 +26,7 @@ class DescriptorError(SceneError):
 # Why an edit does not fit a model; sync rejections report these reasons.
 UNKNOWN_TARGET = "unknown-target"
 DUPLICATE_ANNOTATION = "duplicate-annotation"
+INVALID_HIGHLIGHT = "invalid-highlight"
 
 
 class EditError(SceneError):
@@ -381,25 +382,34 @@ def _apply_batch(
             annotations[edit.annotation.id] = edit.annotation
         else:
             del annotations[edit.annotation_id]
-    committed = replace(model, nodes=nodes, annotations=annotations, version=version, field_authors=authors)
+    committed = SceneModel(nodes, annotations, version, model.world_anchor, model.marker_offset, authors)
     return committed, tuple(accepted), tuple(rejected)
 
 
 def _edited_node(edit: Edit, nodes: dict[str, SceneNode], annotations: dict[str, Annotation]) -> Optional[SceneNode]:
-    """Check ``edit`` against a model; the node it produces, or None for annotation edits."""
+    """Check ``edit`` against a model; the node it produces, or None for annotation edits.
+
+    The node is built with its constructor, so every ``__post_init__`` check runs.
+    """
     if isinstance(edit, FIELD_EDITS):
         node = nodes.get(edit.node)
         if node is None:
             raise EditError(f"unknown node {edit.node!r}")
+        pose, valve_state, visual = node.local_pose, node.valve_state, node.visual
         if isinstance(edit, SetPose):
-            return replace(node, local_pose=edit.pose)
-        if isinstance(edit, SetValveState):
+            pose = edit.pose
+        elif isinstance(edit, SetValveState):
             if node.kind is not NodeKind.VALVE:
                 raise EditError(f"cannot set valve_state on non-valve {edit.node!r}")
-            return replace(node, valve_state=edit.state)
-        if isinstance(edit, SetHighlight):
-            return replace(node, visual=replace(node.visual, highlight_color=edit.color))
-        return replace(node, visual=replace(node.visual, indication_animation=edit.playing))
+            valve_state = edit.state
+        elif isinstance(edit, SetHighlight):
+            try:
+                visual = VisualState(edit.color, visual.indication_animation)
+            except ValueError as exc:
+                raise EditError(f"node {edit.node!r}: {exc}", INVALID_HIGHLIGHT) from None
+        else:
+            visual = VisualState(visual.highlight_color, edit.playing)
+        return SceneNode(node.id, node.kind, node.parent, pose, valve_state, node.handedness, visual)
     if isinstance(edit, AddAnnotation):
         ann = edit.annotation
         if ann.anchor not in nodes:

@@ -229,8 +229,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "row",
-        ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0"],
-        ids=["non-finite-time", "negative-count"],
+        ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0", "s2,tablet,1,700,150,120,0,0,0,99"],
+        ids=["non-finite-time", "negative-count", "inconsistent-weighted-total"],
     )
     def test_out_of_range_value_names_line(self, tmp_path, capsys, row):
         csv_path = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ from replicasim.replica import (
     REJECT_ANNOTATION_RETENTION,
     REJECT_DUPLICATE_ANNOTATION,
     REJECT_EXPERT_PRECEDENCE,
+    REJECT_INVALID_HIGHLIGHT,
     REJECT_UNKNOWN_TARGET,
     ProtocolError,
     ReplicaError,
@@ -32,6 +33,8 @@ from replicasim.scene import (
     ValveState,
     apply_edit,
     canonical_json,
+    edit_from_dict,
+    edit_to_dict,
     field_equal,
     load_model,
 )
@@ -220,6 +223,20 @@ class TestSynchronize:
         assert outcome.rejected == ((req.edits[1], REJECT_UNKNOWN_TARGET),)
         assert outcome.merged.nodes["1V1"].visual.highlight_color == (1.0, 0.0, 0.0)
 
+    def test_out_of_range_highlight_rejected_without_aborting_batch(self, shared):
+        wire = edit_to_dict(SetHighlight("V1", (2.0, 0.0, 0.0), Role.EXPERT, 1))
+        req = SyncRequest(
+            "ex",
+            Role.EXPERT,
+            0,
+            (edit_from_dict(wire), SetValveState("V2", ValveState.OPEN, Role.EXPERT, 2)),
+        )
+        outcome = synchronize(req, shared)
+        assert outcome.accepted == req.edits[1:]
+        assert outcome.rejected == ((req.edits[0], REJECT_INVALID_HIGHLIGHT),)
+        assert outcome.merged.nodes["V1"].visual.highlight_color is None
+        assert outcome.merged.nodes["V2"].valve_state is ValveState.OPEN
+
     def test_edit_authored_under_other_role_is_protocol_error(self, shared):
         # The edit keeps the dataclass default author_role, Expert, inside an Operator request.
         req = SyncRequest("op", Role.OPERATOR, 0, (SetValveState("V1", ValveState.CLOSED),))
@@ -291,23 +308,47 @@ class TestRebase:
 
     def test_random_interleavings_match_sequential_oracle(self, shared):
         rng = random.Random(41)
+        dropped = emptied = 0
         for _ in range(50):
-            replica = create_replica(shared, "op", Role.OPERATOR)
+            base = shared
+            if rng.random() < 0.5:
+                seeded = Annotation("a0", Role.EXPERT, "V1", "shared")
+                base = apply_edit(shared, AddAnnotation(seeded, Role.EXPERT, 0))
+            replica = create_replica(base, "op", Role.OPERATOR)
             for i in range(rng.randrange(1, 6)):
                 try:
                     replica = edit_replica(replica, random_edit(rng, replica.working, Role.OPERATOR, i))
                 except EditError:
                     pass
-            remote = shared
+            # Annotation ids the replica edits; the remote side removes or takes them.
+            touched = sorted(
+                e.annotation.id if isinstance(e, AddAnnotation) else e.annotation_id
+                for e in replica.pending
+                if isinstance(e, (AddAnnotation, RemoveAnnotation))
+            )
+            own = SyncRequest("op", Role.OPERATOR, replica.base_version, replica.pending)
+            own_turn = rng.randrange(-1, 4)  # -1: the replica's own request is never merged
+            remote, accepted = base, ()
             for i in range(rng.randrange(0, 4)):
-                req = SyncRequest("ex", Role.EXPERT, remote.version,
-                                  (random_edit(rng, remote, Role.EXPERT, 100 + i),))
+                if i == own_turn:
+                    outcome = synchronize(own, remote)
+                    remote, accepted = outcome.merged, outcome.accepted
+                edit = random_edit(rng, remote, Role.EXPERT, 100 + i)
+                if touched and rng.random() < 0.6:
+                    ann_id = rng.choice(touched)
+                    if ann_id in remote.annotations:
+                        edit = RemoveAnnotation(ann_id, Role.EXPERT, 100 + i)
+                    else:
+                        edit = AddAnnotation(Annotation(ann_id, Role.EXPERT, "V2", "taken"), Role.EXPERT, 100 + i)
+                req = SyncRequest("ex", Role.EXPERT, remote.version, (edit,))
                 remote = synchronize(req, remote).merged
-            rebased = acknowledge_commit(replica, (), remote)
-            # Oracle: re-apply pending edits one at a time onto the remote
-            # snapshot, keeping those that still apply.
+            rebased = acknowledge_commit(replica, accepted, remote)
+            # Oracle: re-apply the edits the host did not accept one at a time
+            # onto the remote snapshot, keeping those that still apply.
+            keys = {(e.author_role, e.author_seq) for e in accepted}
+            remaining = [e for e in replica.pending if (e.author_role, e.author_seq) not in keys]
             oracle, survivors = remote, []
-            for edit in replica.pending:
+            for edit in remaining:
                 try:
                     oracle = apply_edit(oracle, edit)
                 except EditError:
@@ -315,6 +356,20 @@ class TestRebase:
                 survivors.append(edit)
             assert field_equal(rebased.working, oracle)
             assert rebased.pending == tuple(survivors)
+            assert rebased.base_version == remote.version
+            dropped += len(remaining) - len(survivors)
+            emptied += not remaining
+        assert dropped > 0  # some pending edit no longer applied and was dropped
+        assert emptied > 0  # some acknowledge left nothing pending
+
+    def test_nothing_left_pending_takes_shared(self, shared):
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        replica = edit_replica(replica, SetValveState("V1", ValveState.CLOSED, Role.OPERATOR, 1))
+        outcome = synchronize(make_sync_request(replica), shared)
+        rebased = acknowledge_commit(replica, outcome.accepted, outcome.merged)
+        assert rebased.pending == ()
+        assert rebased.base_version == outcome.merged.version
+        assert canonical_json(rebased.working) == canonical_json(outcome.merged)
 
     def test_snapshot_older_than_base_is_refused(self, shared):
         newer = apply_edit(shared, SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 1))

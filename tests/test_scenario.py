@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from replicasim.plant import (
     route,
 )
 from replicasim.protocol import Avatar, SyncCommit, SyncReq
+from replicasim import scene
 from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
@@ -221,6 +224,25 @@ class TestRunSession:
             paired = [e for e in indications if e.data["valve"] == valve and e.t_ms <= instr.t_ms]
             assert paired, f"no indication for {valve} before t={instr.t_ms}"
             assert any(valve in indicated_valves(t) and t.t_ms <= instr.t_ms for t in commits)
+
+    def test_hmd_session_builds_values_without_dataclasses_replace(self):
+        # A call count, not a timing: the session hot path builds scene, replica
+        # and room values with their constructors.
+        watched = {dataclasses.replace.__code__: "replace", scene._apply_batch.__code__: "batch"}
+        calls = {"replace": 0, "batch": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        plan = build_default_plan(valve_registry(default_model()))
+        sys.setprofile(count)
+        try:
+            run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0)
+        finally:
+            sys.setprofile(None)
+        assert calls["batch"] > 0  # the hook saw the replica path run
+        assert calls["replace"] == 0
 
     def test_tablet_has_no_sync_traffic(self):
         log = run_quiet(Condition.TABLET, seed=9)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from replicasim.scene import (
+    INVALID_HIGHLIGHT,
+    UNKNOWN_TARGET,
     AddAnnotation,
     Annotation,
     DescriptorError,
@@ -21,6 +24,8 @@ from replicasim.scene import (
     SetPose,
     SetValveState,
     ValveState,
+    VisualState,
+    _edited_node,
     anchor_model,
     apply_edit,
     canonical_json,
@@ -205,6 +210,62 @@ class TestApplyEdit:
             out = apply_edit(model, random_edit(rng, model, seq=i))
             assert out.version >= model.version
             model = out
+
+
+class TestEditedNode:
+    """``_edited_node`` builds each node with its constructor; ``dataclasses.replace`` is the oracle."""
+
+    def test_every_field_edit_on_every_default_node_matches_replace(self):
+        model = default_model()
+        pose = Pose((0.25, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0))
+        for node in model.nodes.values():
+            visual = node.visual
+            cases = [
+                (SetPose(node.id, pose), dataclasses.replace(node, local_pose=pose)),
+                (SetHighlight(node.id, (1.0, 0.5, 0.0)),
+                 dataclasses.replace(node, visual=dataclasses.replace(visual, highlight_color=(1.0, 0.5, 0.0)))),
+                (SetHighlight(node.id, None),
+                 dataclasses.replace(node, visual=dataclasses.replace(visual, highlight_color=None))),
+                (SetIndication(node.id, True),
+                 dataclasses.replace(node, visual=dataclasses.replace(visual, indication_animation=True))),
+                (SetIndication(node.id, False),
+                 dataclasses.replace(node, visual=dataclasses.replace(visual, indication_animation=False))),
+            ]
+            if node.kind is NodeKind.VALVE:
+                for state in ValveState:
+                    cases.append((SetValveState(node.id, state), dataclasses.replace(node, valve_state=state)))
+            for edit, oracle in cases:
+                assert _edited_node(edit, model.nodes, model.annotations) == oracle, edit
+            # A highlight on top of an indication keeps both flags.
+            playing = _edited_node(SetIndication(node.id, True), model.nodes, model.annotations)
+            both = _edited_node(SetHighlight(node.id, (0.0, 0.0, 1.0)), {node.id: playing}, {})
+            assert both == dataclasses.replace(playing, visual=VisualState((0.0, 0.0, 1.0), True))
+
+    def test_invalid_edits_raise_as_before(self):
+        model = default_model()
+        pipe = next(n for n in model.nodes.values() if n.kind is not NodeKind.VALVE)
+        valve = model.valves()[0]
+        with pytest.raises(EditError) as info:
+            _edited_node(SetValveState(pipe.id, ValveState.OPEN), model.nodes, model.annotations)
+        assert info.value.reason == UNKNOWN_TARGET
+        with pytest.raises(EditError) as info:
+            _edited_node(SetPose("no-such-node", Pose()), model.nodes, model.annotations)
+        assert info.value.reason == UNKNOWN_TARGET
+        # The node's own __post_init__ still runs: a valve needs a valve_state.
+        with pytest.raises(ValueError, match="requires valve_state") as oracle:
+            dataclasses.replace(valve, valve_state=None)
+        with pytest.raises(ValueError, match="requires valve_state") as built:
+            _edited_node(SetValveState(valve.id, None), model.nodes, model.annotations)
+        assert str(built.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("color", [(2.0, 0.0, 0.0), (-0.1, 0.5, 0.5), (0.5, 0.5)])
+    def test_out_of_range_highlight_is_edit_error(self, color):
+        model = default_model()
+        with pytest.raises(ValueError):
+            VisualState(highlight_color=color)  # the range check itself is kept
+        with pytest.raises(EditError, match="highlight_color") as info:
+            apply_edit(model, SetHighlight("1V1", color, Role.EXPERT, 1))
+        assert info.value.reason == INVALID_HIGHLIGHT
 
 
 class TestDiff:
