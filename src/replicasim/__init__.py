@@ -5,64 +5,60 @@ scene model of a valve/heat-exchanger plant, client-private replicas with
 role-aware merge semantics, a deterministic simulated transport, scripted
 inspection sessions, and the metrics/statistics pipeline used to compare
 collaboration conditions.
+
+Importing the package loads none of its submodules: each name in ``__all__``
+is looked up in the module that defines it on first use, so a CLI command
+loads only the layers it runs.
 """
 
-from replicasim.scene import (
-    Annotation,
-    Edit,
-    Handedness,
-    NodeKind,
-    Pose,
-    Role,
-    SceneModel,
-    SceneNode,
-    ValveState,
-    VisualState,
-    anchor_model,
-    apply_edit,
-    canonical_json,
-    diff,
-    field_equal,
-    load_model,
-)
-from replicasim.replica import (
-    MergeOutcome,
-    Replica,
-    SyncRequest,
-    acknowledge_commit,
-    apply_commit,
-    create_replica,
-    edit_replica,
-    make_sync_request,
-    synchronize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
+
+class ConfigError(Exception):
+    """Base class for bad input: a malformed file, option or document.
+
+    The CLI reports any ConfigError as a message and exits 2.
+    """
+
+
+_SCENE_NAMES = (
     "Annotation",
     "Edit",
     "Handedness",
-    "MergeOutcome",
     "NodeKind",
     "Pose",
-    "Replica",
     "Role",
     "SceneModel",
     "SceneNode",
-    "SyncRequest",
     "ValveState",
     "VisualState",
-    "acknowledge_commit",
     "anchor_model",
-    "apply_commit",
     "apply_edit",
     "canonical_json",
-    "create_replica",
     "diff",
-    "edit_replica",
     "field_equal",
     "load_model",
+)
+_REPLICA_NAMES = (
+    "MergeOutcome",
+    "Replica",
+    "SyncRequest",
+    "acknowledge_commit",
+    "apply_commit",
+    "create_replica",
+    "edit_replica",
     "make_sync_request",
     "synchronize",
-]
+)
+_HOME = {**dict.fromkeys(_SCENE_NAMES, "scene"), **dict.fromkeys(_REPLICA_NAMES, "replica")}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)

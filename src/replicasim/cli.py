@@ -1,6 +1,9 @@
 """Command-line entry point: simulate, analyze, replay, paper-check.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error.
+
+Each command imports the layers it runs when it runs, so ``analyze`` and
+``paper-check`` never load the simulator.
 """
 from __future__ import annotations
 
@@ -9,48 +12,21 @@ import json
 import sys
 from pathlib import Path
 
-from replicasim.metrics import count_errors, errors_from_log, block_times, session_row, weighted_total
-from replicasim.netsim import derive_seed
-from replicasim.plant import routing_table_from_dict
-from replicasim.report import (
-    ALL_MEASURES,
-    ReportError,
-    analyze_rows,
-    read_metrics_csv,
-    render_markdown,
-    render_results_csv,
-    render_svg_histogram,
-    run_reference_checks,
-    write_metrics_csv,
-)
-from replicasim.scenario import (
-    Condition,
-    LogError,
-    PlanError,
-    build_default_plan,
-    default_model,
-    default_profiles,
-    default_routing_table,
-    plan_from_dict,
-    profiles_from_dict,
-    run_session,
-    session_log_from_jsonl,
-    session_log_to_jsonl,
-    valve_registry,
-)
-from replicasim.scene import DescriptorError, load_model
+from replicasim import ConfigError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-class CliError(Exception):
+class CliError(ConfigError):
     pass
 
 
-def _parse_sessions(value: str) -> dict[Condition, int]:
+def _parse_sessions(value: str) -> dict:
     """``N`` applies to both conditions; ``T:H`` sets tablet and hmd counts."""
+    from replicasim.scenario import Condition
+
     parts = value.split(":")
     try:
         if len(parts) == 1:
@@ -74,7 +50,7 @@ def _load(path: str, parse):
         return parse(Path(path).read_text(encoding="utf-8"))
     except KeyError as exc:
         raise CliError(f"cannot load {path!r}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, ConfigError) as exc:
         raise CliError(f"cannot load {path!r}: {exc}") from None
 
 
@@ -83,6 +59,26 @@ def _load_json(path: str, build):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # The simulator loads before the statistics stack that report pulls in:
+    # compiled from source in the other order, the process peaks up to 1 MB higher.
+    from replicasim.scenario import (
+        Condition,
+        build_default_plan,
+        default_model,
+        default_profiles,
+        default_routing_table,
+        plan_from_dict,
+        profiles_from_dict,
+        run_session,
+        session_log_to_jsonl,
+        valve_registry,
+    )
+    from replicasim.scene import load_model
+    from replicasim.plant import routing_table_from_dict
+    from replicasim.netsim import derive_seed
+    from replicasim.metrics import session_row
+    from replicasim.report import write_metrics_csv
+
     counts = _parse_sessions(args.sessions)
     if args.condition != "both":
         only = Condition(args.condition)
@@ -116,6 +112,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from replicasim.report import (
+        ALL_MEASURES,
+        analyze_rows,
+        read_metrics_csv,
+        render_markdown,
+        render_results_csv,
+        render_svg_histogram,
+    )
+
     rows = read_metrics_csv(args.csv)
     report = analyze_rows(rows)
     outdir = Path(args.out) if args.out else Path(args.csv).parent
@@ -135,11 +140,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_log(text: str):
+    """A session log with its block timings and error counts; reading any of
+    them can fail on a malformed log."""
+    from replicasim.metrics import block_times, count_errors, errors_from_log
+    from replicasim.scenario import session_log_from_jsonl
+
+    log = session_log_from_jsonl(text)
+    return log, block_times(log), count_errors(errors_from_log(log))
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
+    from replicasim.metrics import weighted_total
+
     for path in args.logs:
-        log = _load(path, session_log_from_jsonl)
-        timing = block_times(log)
-        counts = count_errors(errors_from_log(log))
+        log, timing, counts = _load(path, _read_log)
         print(f"{path}: condition={log.condition.value} seed={log.seed}")
         print(f"  total {timing.total_s:.1f}s | 1-handed {timing.totals_by_kind['OneHanded']:.1f}s"
               f" | 2-handed {timing.totals_by_kind['TwoHanded']:.1f}s")
@@ -151,6 +166,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_check(args: argparse.Namespace) -> int:
+    from replicasim.report import run_reference_checks
+
     results = run_reference_checks()
     failed = 0
     for res in results:
@@ -196,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ReportError, PlanError, LogError, DescriptorError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -3,18 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from replicasim.scenario import (
-    BREAKPOINT,
-    IDENTIFY,
-    MANIPULATE,
-    NO_MANIPULATION,
-    REPEAT_REQUEST,
-    LogError,
-    SessionLog,
-    validate_session_log,
-)
+if TYPE_CHECKING:
+    from replicasim.scenario import SessionLog
 
 
 class ErrorType(Enum):
@@ -61,6 +53,8 @@ class BlockTiming:
 
 
 def errors_from_log(log: SessionLog) -> list[ErrorRecord]:
+    from replicasim.scenario import IDENTIFY, MANIPULATE, REPEAT_REQUEST
+
     records = []
     for event in log.events:
         if event.kind == IDENTIFY and not event.data.get("correct", True):
@@ -103,6 +97,8 @@ def block_times(log: SessionLog) -> TimingSummary:
     durations never exceeds the total, since the wrap-up tail follows the last
     breakpoint. A log that fails :func:`validate_session_log` raises LogError.
     """
+    from replicasim.scenario import BREAKPOINT, NO_MANIPULATION, LogError, validate_session_log
+
     validate_session_log(log)
     events = log.events
     start_ms = events[0].t_ms

@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from replicasim import ConfigError
 from replicasim.metrics import CSV_COLUMNS, ErrorCounts, percent_improvement, weighted_total
 from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
 
@@ -25,12 +26,13 @@ BASELINE_CONDITION = "tablet"
 TREATMENT_CONDITION = "hmd"
 
 
-class ReportError(Exception):
+class ReportError(ConfigError):
     pass
 
 
 def read_metrics_csv(path: str) -> list[dict]:
     rows = []
+    first_line = {}  # session_id -> line it first appears on
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
@@ -43,6 +45,9 @@ def read_metrics_csv(path: str) -> list[dict]:
                     "condition": raw["condition"],
                     "seed": int(raw["seed"]),
                 }
+                if row["session_id"] in first_line:
+                    raise ValueError(f"session_id {row['session_id']!r} repeats line {first_line[row['session_id']]}")
+                first_line[row["session_id"]] = i
                 for key in TIME_MEASURES:
                     row[key] = float(raw[key])
                     if not math.isfinite(row[key]):

@@ -14,6 +14,7 @@ from enum import Enum
 from importlib import resources
 from typing import Optional, Union
 
+from replicasim import ConfigError
 from replicasim import plant as plant_mod
 from replicasim.netsim import LinkConfig, TraceEntry, World, derive_seed
 from replicasim.plant import PlantState, RoutingTable, plant_from_model, routing_table_from_dict
@@ -73,11 +74,11 @@ CALL_END = "CallEnd"
 NO_MANIPULATION = "NoManipulation"
 
 
-class PlanError(Exception):
+class PlanError(ConfigError):
     pass
 
 
-class LogError(Exception):
+class LogError(ConfigError):
     pass
 
 

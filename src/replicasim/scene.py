@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Optional, Union
 
+from replicasim import ConfigError
+
 QUAT_NORM_TOL = 1e-9
 
 
@@ -19,7 +21,7 @@ class SceneError(Exception):
     """Base class for scene model failures."""
 
 
-class DescriptorError(SceneError):
+class DescriptorError(SceneError, ConfigError):
     """Raised when a model descriptor document is malformed."""
 
 
@@ -128,8 +130,10 @@ class VisualState:
 
     def __post_init__(self) -> None:
         if self.highlight_color is not None:
-            if len(self.highlight_color) != 3 or any(not 0.0 <= c <= 1.0 for c in self.highlight_color):
-                raise ValueError("highlight_color components must each be in [0, 1]")
+            if len(self.highlight_color) != 3 or any(
+                not isinstance(c, (int, float)) or not 0.0 <= c <= 1.0 for c in self.highlight_color
+            ):
+                raise ValueError("highlight_color components must each be a number in [0, 1]")
 
 
 @dataclass(frozen=True)

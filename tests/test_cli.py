@@ -15,17 +15,35 @@ from replicasim.report import REFERENCE_CONSTANTS, read_metrics_csv, run_referen
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+LOG_HEADER = '{"record":"session","condition":"hmd","seed":1}\n'
+
+
 def run_cli(*args):
     return main(list(args))
 
 
-def top_level_modules_after(code: str) -> set[str]:
-    """Top-level package names in sys.modules once ``code`` has run in a fresh interpreter."""
-    probe = code + "\nimport sys\nprint(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=120)
+SIMULATOR = {f"replicasim.{m}" for m in ("scene", "replica", "protocol", "netsim", "plant", "scenario")}
+
+
+def fresh_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def modules_after(code: str) -> set[str]:
+    """Module names in sys.modules once ``code`` has run in a fresh interpreter."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def top_level(modules: set[str]) -> set[str]:
+    return {m.split(".")[0] for m in modules}
+
+
+def cli_process(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "replicasim.cli", *args], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
 
 
 def dir_digest(path: Path) -> dict:
@@ -59,7 +77,7 @@ class TestStartupImports:
     """The CLI runs on the standard library; numpy and scipy are test-only oracles."""
 
     def test_import_cli_loads_no_numpy_or_scipy(self):
-        assert not top_level_modules_after("import replicasim.cli") & {"numpy", "scipy"}
+        assert not top_level(modules_after("import replicasim.cli")) & {"numpy", "scipy"}
 
     def test_simulate_and_analyze_load_no_numpy_or_scipy(self, tmp_path):
         out = str(tmp_path / "corpus")
@@ -68,7 +86,57 @@ class TestStartupImports:
             f"assert main(['simulate', '--sessions', '3:3', '--seed', '1', '--out', {out!r}]) == 0\n"
             f"assert main(['analyze', '--histograms', {out + '/metrics.csv'!r}]) == 0"
         )
-        assert not top_level_modules_after(code) & {"numpy", "scipy"}
+        assert not top_level(modules_after(code)) & {"numpy", "scipy"}
+
+
+class TestCommandImports:
+    """Each command loads only the layers it runs; counted in fresh interpreters, not timed."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        # Written by a separate process, so the probes below load only what their command needs.
+        out = tmp_path_factory.mktemp("corpus")
+        proc = cli_process("simulate", "--sessions", "3:3", "--seed", "1", "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return out
+
+    def test_import_package_loads_no_submodule(self):
+        assert not {m for m in modules_after("import replicasim") if m.startswith("replicasim.")}
+
+    def test_analyze_loads_no_simulator(self, corpus, tmp_path):
+        argv = ["analyze", "--histograms", str(corpus / "metrics.csv"), "--out", str(tmp_path)]
+        loaded = modules_after(f"from replicasim.cli import main\nassert main({argv!r}) == 0")
+        assert "replicasim.report" in loaded
+        assert not loaded & SIMULATOR
+
+    def test_paper_check_loads_no_simulator(self):
+        loaded = modules_after("from replicasim.cli import main\nassert main(['paper-check']) == 0")
+        assert "replicasim.report" in loaded
+        assert not loaded & SIMULATOR
+
+    def test_replay_loads_no_report_or_stats(self, corpus):
+        log = str(sorted(corpus.glob("session_*.jsonl"))[0])
+        loaded = modules_after(f"from replicasim.cli import main\nassert main(['replay', {log!r}]) == 0")
+        assert "replicasim.scenario" in loaded
+        assert not loaded & {"replicasim.report", "replicasim.stats"}
+
+    @pytest.mark.parametrize(
+        "option, text",
+        [("--model", '{"nodes": [{"id": "V1", "kind": "Bogus"}]}'), ("replay", LOG_HEADER)],
+        ids=["model-unknown-kind", "replay-header-only"],
+    )
+    def test_malformed_input_exits_2_in_fresh_process(self, tmp_path, option, text):
+        # In process every layer is already imported. A fresh process checks that main
+        # still recognises an error raised by a layer the command imports when it runs.
+        bad = tmp_path / "malformed_input.json"
+        bad.write_text(text, encoding="utf-8")
+        if option == "replay":
+            proc = cli_process("replay", str(bad))
+        else:
+            proc = cli_process("simulate", "--sessions", "1", option, str(bad), "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert bad.name in proc.stderr
 
 
 class TestSimulate:
@@ -108,9 +176,6 @@ class TestSimulate:
         assert code == EXIT_CONFIG
 
 
-LOG_HEADER = '{"record":"session","condition":"hmd","seed":1}\n'
-
-
 @pytest.mark.parametrize(
     "option, text",
     [
@@ -118,15 +183,21 @@ LOG_HEADER = '{"record":"session","condition":"hmd","seed":1}\n'
         ("--plan", '{"parts": [{"name": "inspect_system"}]}'),
         ("--plan", "[]"),
         ("--model", "{not json"),
+        ("--model", '{"nodes": [{"id": "V1", "kind": "Bogus"}]}'),
         ("--routing", "{not json"),
         ("--routing", '{"rows": [{"exchanger": "Nope", "flow": "CounterFlow", "requires": {}, "effectiveness": 0.5}]}'),
         ("--routing", '{"rows": [{"exchanger": "Plate", "flow": "Counter", "requires": {}, "effectiveness": 1.5}]}'),
         ("--profile", "{not json"),
         ("replay", LOG_HEADER + "{not json\n"),
         ("replay", LOG_HEADER + '{"record":"event","kind":"CallStart"}\n'),
+        ("replay", LOG_HEADER),
+        ("replay", LOG_HEADER + '{"record":"event","t_ms":0,"kind":"CallStart"}\n'
+                   '{"record":"event","t_ms":5,"kind":"Identify","data":{"correct":false}}\n'
+                   '{"record":"event","t_ms":9,"kind":"CallEnd"}\n'),
     ],
-    ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "routing-json", "routing-enum",
-         "routing-effectiveness", "profile-json", "replay-json", "replay-missing-key"],
+    ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "model-unknown-kind", "routing-json",
+         "routing-enum", "routing-effectiveness", "profile-json", "replay-json", "replay-missing-key",
+         "replay-header-only", "replay-error-without-valve"],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     bad = tmp_path / "malformed_input.json"
@@ -229,8 +300,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "row",
-        ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0", "s2,tablet,1,700,150,120,0,0,0,99"],
-        ids=["non-finite-time", "negative-count", "inconsistent-weighted-total"],
+        ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0", "s2,tablet,1,700,150,120,0,0,0,99",
+         "s1,tablet,1,700,150,120,0,0,0,0"],
+        ids=["non-finite-time", "negative-count", "inconsistent-weighted-total", "repeated-session-id"],
     )
     def test_out_of_range_value_names_line(self, tmp_path, capsys, row):
         csv_path = tmp_path / "bad.csv"

@@ -224,18 +224,20 @@ class TestSynchronize:
         assert outcome.merged.nodes["1V1"].visual.highlight_color == (1.0, 0.0, 0.0)
 
     def test_out_of_range_highlight_rejected_without_aborting_batch(self, shared):
-        wire = edit_to_dict(SetHighlight("V1", (2.0, 0.0, 0.0), Role.EXPERT, 1))
-        req = SyncRequest(
-            "ex",
-            Role.EXPERT,
-            0,
-            (edit_from_dict(wire), SetValveState("V2", ValveState.OPEN, Role.EXPERT, 2)),
-        )
-        outcome = synchronize(req, shared)
-        assert outcome.accepted == req.edits[1:]
-        assert outcome.rejected == ((req.edits[0], REJECT_INVALID_HIGHLIGHT),)
-        assert outcome.merged.nodes["V1"].visual.highlight_color is None
-        assert outcome.merged.nodes["V2"].valve_state is ValveState.OPEN
+        out_of_range = edit_to_dict(SetHighlight("V1", (2.0, 0.0, 0.0), Role.EXPERT, 1))
+        non_numeric = {"op": "set_highlight", "node": "V1", "color": ["a", 0, 0], "role": "Expert", "seq": 1}
+        for wire in (out_of_range, non_numeric):
+            req = SyncRequest(
+                "ex",
+                Role.EXPERT,
+                0,
+                (edit_from_dict(wire), SetValveState("V2", ValveState.OPEN, Role.EXPERT, 2)),
+            )
+            outcome = synchronize(req, shared)
+            assert outcome.accepted == req.edits[1:], wire
+            assert outcome.rejected == ((req.edits[0], REJECT_INVALID_HIGHLIGHT),)
+            assert outcome.merged.nodes["V1"].visual.highlight_color is None
+            assert outcome.merged.nodes["V2"].valve_state is ValveState.OPEN
 
     def test_edit_authored_under_other_role_is_protocol_error(self, shared):
         # The edit keeps the dataclass default author_role, Expert, inside an Operator request.

@@ -258,7 +258,7 @@ class TestEditedNode:
             _edited_node(SetValveState(valve.id, None), model.nodes, model.annotations)
         assert str(built.value) == str(oracle.value)
 
-    @pytest.mark.parametrize("color", [(2.0, 0.0, 0.0), (-0.1, 0.5, 0.5), (0.5, 0.5)])
+    @pytest.mark.parametrize("color", [(2.0, 0.0, 0.0), (-0.1, 0.5, 0.5), (0.5, 0.5), ("a", 0, 0)])
     def test_out_of_range_highlight_is_edit_error(self, color):
         model = default_model()
         with pytest.raises(ValueError):
