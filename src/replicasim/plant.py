@@ -8,6 +8,7 @@ configuration-sensitive signal rather than real thermodynamics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,6 +50,11 @@ class RoutingTable:
     rows: tuple[RoutingRow, ...]
     hot_inlet_c: float
     cold_inlet_c: float
+
+    def __post_init__(self) -> None:
+        for key, value in (("hot_inlet_temp_c", self.hot_inlet_c), ("cold_inlet_temp_c", self.cold_inlet_c)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} {value!r} is not finite")
 
     def valves_referenced(self) -> set[str]:
         return {valve for row in self.rows for valve, _ in row.requires}

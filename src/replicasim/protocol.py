@@ -46,7 +46,7 @@ class AvatarState:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(sum(c * c for c in self.gaze_direction))
-        if abs(norm - 1.0) > GAZE_NORM_TOL:
+        if not abs(norm - 1.0) <= GAZE_NORM_TOL:  # written so that a NaN norm fails
             raise ValueError(f"gaze_direction norm {norm!r} deviates from 1 beyond {GAZE_NORM_TOL}")
 
 

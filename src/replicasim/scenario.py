@@ -8,6 +8,7 @@ from a profile. Everything is a pure function of the session seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -213,8 +214,8 @@ class OperatorProfile:
             "describe_latency_ms",
         ):
             mean, sd = getattr(self, name)
-            if mean <= 0 or sd < 0:
-                raise ValueError(f"{name} needs a positive mean and non-negative sd")
+            if not (0 < mean < math.inf and 0 <= sd < math.inf):  # NaN fails every comparison
+                raise ValueError(f"{name} needs a finite positive mean and a finite non-negative sd")
 
     @staticmethod
     def from_dict(doc: dict) -> "OperatorProfile":

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from replicasim import ConfigError
 
@@ -77,8 +78,10 @@ class Pose:
             raise ValueError("position must be a 3-vector")
         if len(self.orientation) != 4:
             raise ValueError("orientation must be a quaternion (w, x, y, z)")
+        if not all(map(math.isfinite, self.position)):
+            raise ValueError(f"position {self.position!r} has a non-finite component")
         norm = math.sqrt(sum(c * c for c in self.orientation))
-        if abs(norm - 1.0) > QUAT_NORM_TOL:
+        if not abs(norm - 1.0) <= QUAT_NORM_TOL:  # written so that a NaN norm fails
             raise ValueError(f"quaternion norm {norm!r} deviates from 1 beyond {QUAT_NORM_TOL}")
 
     def rotate(self, v: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -167,6 +170,8 @@ class Annotation:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("annotation id must be non-empty")
+        if not all(map(math.isfinite, self.offset)):
+            raise ValueError(f"annotation {self.id!r} offset {self.offset!r} has a non-finite component")
 
 
 # --- Edit vocabulary ---------------------------------------------------------
@@ -240,14 +245,19 @@ class SceneModel:
     last committed write; the merge rules in :mod:`replicasim.replica` depend
     on it. ``marker_offset`` is the descriptor-declared marker-to-model
     transform consumed by :func:`anchor_model`.
+
+    ``nodes`` and ``field_authors`` are read-only mappings: a plain dict, or
+    on a large replica's working copy a ``ChainMap(delta, base)`` overlay of
+    the nodes its pending edits touched over the shared model's dict. Write
+    only through :func:`_apply_batch`, which copies before it writes.
     """
 
-    nodes: dict[str, SceneNode] = field(default_factory=dict)
+    nodes: Mapping[str, SceneNode] = field(default_factory=dict)
     annotations: dict[str, Annotation] = field(default_factory=dict)
     version: int = 0
     world_anchor: Pose = field(default_factory=Pose)
     marker_offset: Pose = field(default_factory=Pose)
-    field_authors: dict[tuple[str, str], tuple[Role, int]] = field(default_factory=dict)
+    field_authors: Mapping[tuple[str, str], tuple[Role, int]] = field(default_factory=dict)
 
     def node(self, node_id: str) -> SceneNode:
         try:
@@ -272,7 +282,10 @@ def load_model(descriptor: dict) -> SceneModel:
     """
     if not isinstance(descriptor, dict):
         raise DescriptorError("descriptor must be a JSON object")
-    marker_offset = Pose.from_dict(descriptor.get("marker_offset", {}))
+    try:
+        marker_offset = Pose.from_dict(descriptor.get("marker_offset", {}))
+    except ValueError as exc:
+        raise DescriptorError(f"marker_offset: {exc}") from None
     nodes: dict[str, SceneNode] = {}
     for i, doc in enumerate(descriptor.get("nodes", [])):
         node_id = doc.get("id", "")
@@ -347,7 +360,9 @@ def _apply_batch(
     This is the only code that checks an edit against a model and the only
     code that writes nodes, annotations and field provenance. Each edit is
     checked against the model as the earlier edits of the batch left it, and
-    each dict is copied at most once per batch, on its first write.
+    each dict is copied at most once per batch, on its first write. Of a
+    ``ChainMap(delta, base)`` overlay only the delta is copied; the result
+    shares the base, so overlays never nest.
 
     Without ``rule`` a failed check raises :class:`EditError`. With ``rule``,
     a failed check rejects the edit with the error's ``reason``, and
@@ -374,9 +389,9 @@ def _apply_batch(
         accepted.append(edit)
         if node is not None:
             if nodes is model.nodes:
-                nodes = dict(nodes)
+                nodes = dict(nodes) if type(nodes) is dict else _copy_delta(nodes)
             if authors is model.field_authors:
-                authors = dict(authors)
+                authors = dict(authors) if type(authors) is dict else _copy_delta(authors)
             nodes[node.id] = node
             authors[edit_field_key(edit)] = (edit.author_role, version)
             continue
@@ -390,13 +405,27 @@ def _apply_batch(
     return committed, tuple(accepted), tuple(rejected)
 
 
-def _edited_node(edit: Edit, nodes: dict[str, SceneNode], annotations: dict[str, Annotation]) -> Optional[SceneNode]:
+def _copy_delta(overlay: ChainMap) -> ChainMap:
+    """A writable copy of a ``ChainMap(delta, base)`` overlay: a copy of the delta over the same base."""
+    return ChainMap(dict(overlay.maps[0]), overlay.maps[1])
+
+
+def _edited_node(
+    edit: Edit, nodes: Mapping[str, SceneNode], annotations: dict[str, Annotation]
+) -> Optional[SceneNode]:
     """Check ``edit`` against a model; the node it produces, or None for annotation edits.
 
     The node is built with its constructor, so every ``__post_init__`` check runs.
+    An overlay is read as its delta, then its base: ``ChainMap.get`` and ``in``
+    run in Python. Edits replace nodes and never add one, so the base holds
+    every node id.
     """
     if isinstance(edit, FIELD_EDITS):
-        node = nodes.get(edit.node)
+        if type(nodes) is dict:
+            node = nodes.get(edit.node)
+        else:
+            delta, base = nodes.maps
+            node = delta.get(edit.node) or base.get(edit.node)
         if node is None:
             raise EditError(f"unknown node {edit.node!r}")
         pose, valve_state, visual = node.local_pose, node.valve_state, node.visual
@@ -416,7 +445,7 @@ def _edited_node(edit: Edit, nodes: dict[str, SceneNode], annotations: dict[str,
         return SceneNode(node.id, node.kind, node.parent, pose, valve_state, node.handedness, visual)
     if isinstance(edit, AddAnnotation):
         ann = edit.annotation
-        if ann.anchor not in nodes:
+        if ann.anchor not in (nodes if type(nodes) is dict else nodes.maps[1]):
             raise EditError(f"annotation {ann.id!r} anchors unknown node {ann.anchor!r}")
         if ann.id in annotations:
             raise EditError(f"annotation id {ann.id!r} already present", DUPLICATE_ANNOTATION)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,6 +188,7 @@ class TestSimulate:
         ("--routing", "{not json"),
         ("--routing", '{"rows": [{"exchanger": "Nope", "flow": "CounterFlow", "requires": {}, "effectiveness": 0.5}]}'),
         ("--routing", '{"rows": [{"exchanger": "Plate", "flow": "Counter", "requires": {}, "effectiveness": 1.5}]}'),
+        ("--routing", '{"rows": [], "hot_inlet_temp_c": NaN}'),
         ("--profile", "{not json"),
         ("replay", LOG_HEADER + "{not json\n"),
         ("replay", LOG_HEADER + '{"record":"event","kind":"CallStart"}\n'),
@@ -196,7 +198,7 @@ class TestSimulate:
                    '{"record":"event","t_ms":9,"kind":"CallEnd"}\n'),
     ],
     ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "model-unknown-kind", "routing-json",
-         "routing-enum", "routing-effectiveness", "profile-json", "replay-json", "replay-missing-key",
+         "routing-enum", "routing-effectiveness", "routing-nan-inlet", "profile-json", "replay-json", "replay-missing-key",
          "replay-header-only", "replay-error-without-valve"],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
@@ -210,6 +212,18 @@ def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     assert code == EXIT_CONFIG
     assert "Traceback" not in err
     assert bad.name in err
+
+
+def test_non_finite_profile_latency_is_config_error(tmp_path, quick_profiles, capsys):
+    profiles = json.loads(Path(quick_profiles).read_text(encoding="utf-8"))
+    profiles["hmd"]["identify_latency_ms"] = [math.nan, 200]
+    path = tmp_path / "profiles_nan.json"
+    path.write_text(json.dumps(profiles), encoding="utf-8")
+    code = run_cli("simulate", "--sessions", "1:1", "--profile", str(path), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert path.name in err and "identify_latency_ms" in err
 
 
 def test_routing_with_valve_missing_from_model_is_config_error(tmp_path, capsys):

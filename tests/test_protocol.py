@@ -147,8 +147,9 @@ class TestAvatar:
         assert all(abs(f - d) < 1e-9 for f, d in zip(forward, direction))
 
     def test_gaze_must_be_normalized(self):
-        with pytest.raises(ValueError):
-            AvatarState("op", Role.OPERATOR, Pose(), gaze_direction=(0.0, 0.0, 2.0))
+        for gaze in [(0.0, 0.0, 2.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0)]:
+            with pytest.raises(ValueError):
+                AvatarState("op", Role.OPERATOR, Pose(), gaze_direction=gaze)
 
 
 class TestRelay:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from replicasim import replica as replica_module
 from replicasim.replica import (
     REJECT_ANNOTATION_RETENTION,
     REJECT_DUPLICATE_ANNOTATION,
@@ -33,6 +34,7 @@ from replicasim.scene import (
     ValveState,
     apply_edit,
     canonical_json,
+    edit_field_key,
     edit_from_dict,
     edit_to_dict,
     field_equal,
@@ -99,6 +101,18 @@ class TestEditReplica:
             except EditError:
                 pass
         assert canonical_json(shared) == before
+
+    def test_earlier_working_copies_are_unchanged(self, shared):
+        rng = random.Random(19)
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        snapshots = []
+        for i in range(30):
+            snapshots.append((replica.working, canonical_json(replica.working)))
+            try:
+                replica = edit_replica(replica, random_edit(rng, replica.working, Role.OPERATOR, i))
+            except EditError:
+                pass
+        assert all(canonical_json(working) == before for working, before in snapshots)
 
     def test_invalid_target_does_not_mutate(self, shared):
         replica = create_replica(shared, "op", Role.OPERATOR)
@@ -460,3 +474,80 @@ class TestCommitReplay:
         replica = acknowledge_commit(replica, outcome.accepted, outcome.merged)
         assert [e.author_seq for e in replica.pending] == [1]  # rejected edit stays visible
         assert replica.base_version == outcome.merged.version
+
+
+class Overlaid:
+    """Runs the tests of the class it is mixed into with every working copy an
+    overlay of its base, as on a model of OVERLAY_MIN_NODES nodes or more."""
+
+    @pytest.fixture(autouse=True)
+    def every_working_copy_overlaid(self, monkeypatch):
+        monkeypatch.setattr(replica_module, "OVERLAY_MIN_NODES", 0)
+
+
+class TestCreateReplicaOverlaid(Overlaid, TestCreateReplica):
+    pass
+
+
+class TestEditReplicaOverlaid(Overlaid, TestEditReplica):
+    pass
+
+
+class TestSynchronizeOverlaid(Overlaid, TestSynchronize):
+    pass
+
+
+class TestRebaseOverlaid(Overlaid, TestRebase):
+    pass
+
+
+class TestCanonicalJsonOverlaid(Overlaid, TestCanonicalJson):
+    pass
+
+
+class TestCommitReplayOverlaid(Overlaid, TestCommitReplay):
+    pass
+
+
+def large_model():
+    """250 exchanger units of 19 valves each: 5,000 nodes."""
+    nodes = []
+    for u in range(250):
+        nodes.append({"id": f"u{u}", "kind": "ExchangerUnit"})
+        nodes += [{"id": f"u{u}-v{j}", "kind": "Valve", "parent": f"u{u}", "valve_state": "Open",
+                   "handedness": "OneHanded"} for j in range(19)]
+    return load_model({"nodes": nodes})
+
+
+def test_private_edits_on_a_large_model_copy_only_what_they_touch():
+    shared = large_model()
+    assert len(shared.nodes) >= replica_module.OVERLAY_MIN_NODES
+    before = canonical_json(shared)
+    valves = sorted(n.id for n in shared.valves())
+    rng = random.Random(5)
+    replica = create_replica(shared, "op", Role.OPERATOR)
+    for i in range(50):
+        valve = rng.choice(valves)
+        edit = rng.choice([
+            SetValveState(valve, ValveState.CLOSED, Role.OPERATOR, i),
+            SetHighlight(valve, (1.0, 0.5, 0.0), Role.OPERATOR, i),
+            SetPose(valve, Pose((0.1 * i, 0.0, 0.0)), Role.OPERATOR, i),
+            AddAnnotation(Annotation(f"a{i}", Role.OPERATOR, valve, "note"), Role.OPERATOR, i),
+        ])
+        replica = edit_replica(replica, edit)
+    working = replica.working
+    field_edits = [e for e in replica.pending if edit_field_key(e) is not None]
+    assert working.nodes.maps[1] is shared.nodes
+    assert working.field_authors.maps[1] is shared.field_authors
+    assert set(working.nodes.maps[0]) == {e.node for e in field_edits}
+    assert set(working.field_authors.maps[0]) == {edit_field_key(e) for e in field_edits}
+    assert canonical_json(shared) == before
+
+    # The host accepts the first half; the rest is re-applied onto the new shared model.
+    outcome = synchronize(SyncRequest("op", Role.OPERATOR, replica.base_version, replica.pending[:25]), shared)
+    remaining = replica.pending[25:]
+    rebased = acknowledge_commit(replica, outcome.accepted, outcome.merged)
+    assert rebased.pending == remaining
+    assert rebased.working == apply_commit(outcome.merged, remaining, outcome.merged.version)
+    assert rebased.working.nodes.maps[1] is outcome.merged.nodes
+    assert set(rebased.working.nodes.maps[0]) == {e.node for e in remaining if edit_field_key(e) is not None}

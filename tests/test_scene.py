@@ -111,11 +111,27 @@ class TestLoadModel:
         with pytest.raises(DescriptorError, match="cycle"):
             load_model(doc)
 
+    def test_non_finite_pose_component(self):
+        node = {"id": "V1", "kind": "Valve", "valve_state": "Open", "handedness": "OneHanded",
+                "pose": {"quat": ["NaN", 0, 0, 0]}}
+        with pytest.raises(DescriptorError, match="quaternion norm"):
+            load_model({"nodes": [node]})
+        with pytest.raises(DescriptorError, match="marker_offset"):
+            load_model({"marker_offset": {"pos": ["Infinity", 0, 0]}, "nodes": []})
+
 
 class TestPose:
     def test_quaternion_norm_enforced(self):
-        with pytest.raises(ValueError):
-            Pose(orientation=(1.0, 1.0, 0.0, 0.0))
+        nan, inf = math.nan, math.inf
+        for position, orientation in [
+            ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)),
+            ((0.0, 0.0, 0.0), (nan, 0.0, 0.0, 0.0)),
+            ((0.0, 0.0, 0.0), (inf, 0.0, 0.0, 0.0)),
+            ((inf, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+            ((0.0, nan, 0.0), (1.0, 0.0, 0.0, 0.0)),
+        ]:
+            with pytest.raises(ValueError):
+                Pose(position, orientation)
 
     def test_rotation(self):
         yaw90 = Pose(orientation=(math.cos(math.pi / 4), 0.0, math.sin(math.pi / 4), 0.0))
@@ -180,6 +196,11 @@ class TestApplyEdit:
         out = apply_edit(model, AddAnnotation(ann, Role.OPERATOR, 1))
         out = apply_edit(out, RemoveAnnotation("a1", Role.OPERATOR, 2))
         assert out.annotations == model.annotations
+
+    def test_annotation_offset_must_be_finite(self):
+        for offset in [(math.nan, 0.0, 0.0), (0.0, 0.0, -math.inf)]:
+            with pytest.raises(ValueError, match="non-finite"):
+                Annotation("a1", Role.OPERATOR, "V1", "x", offset)
 
     def test_unknown_node(self):
         model = load_model(small_descriptor())
