@@ -37,7 +37,6 @@ _SCENE_NAMES = (
     "anchor_model",
     "apply_edit",
     "canonical_json",
-    "diff",
     "field_equal",
     "load_model",
 )

@@ -50,7 +50,7 @@ def _load(path: str, parse):
         return parse(Path(path).read_text(encoding="utf-8"))
     except KeyError as exc:
         raise CliError(f"cannot load {path!r}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError, AttributeError, ConfigError) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
         raise CliError(f"cannot load {path!r}: {exc}") from None
 
 

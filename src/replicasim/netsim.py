@@ -12,7 +12,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from replicasim.protocol import Envelope, envelope_to_dict
@@ -53,14 +53,6 @@ class _Link:
     last_delivery_ms: int = 0
 
 
-@dataclass(order=True)
-class SimEvent:
-    deliver_at: int
-    sort_key: tuple = field(compare=True)
-    envelope: Envelope = field(compare=False, default=None)  # type: ignore[assignment]
-    link: tuple[str, str] = field(compare=False, default=("", ""))
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     t_ms: int
@@ -86,7 +78,9 @@ class World:
         self.now = 0
         self.endpoints: dict[str, object] = {}
         self.links: dict[tuple[str, str], _Link] = {}
-        self._heap: list[SimEvent] = []
+        # (deliver_at, host_seq or 0, sender_seq, counter, src, dst, envelope); the
+        # counter is unique, so entries never compare past it.
+        self._heap: list[tuple] = []
         self._counter = 0
         self.trace: list[TraceEntry] = []
         self.drops: list[TraceEntry] = []
@@ -100,8 +94,9 @@ class World:
         rng = random.Random(derive_seed(seed, f"link:{src}->{dst}"))
         self.links[(src, dst)] = _Link(config=config, rng=rng)
 
-    def send(self, src: str, dst: str, envelope: Envelope, extra_delay_ms: int = 0) -> Optional[SimEvent]:
-        """Queue an envelope for delivery; returns None if the loss mode drops it."""
+    def send(self, src: str, dst: str, envelope: Envelope, extra_delay_ms: int = 0) -> Optional[int]:
+        """Queue an envelope for delivery; returns its delivery time, or None if
+        the loss mode drops it."""
         link = self.links.get((src, dst))
         if link is None:
             self.add_link(src, dst)
@@ -118,14 +113,8 @@ class World:
         link.last_delivery_ms = deliver_at
         host_key = envelope.host_seq if envelope.host_seq is not None else 0
         self._counter += 1
-        event = SimEvent(
-            deliver_at=deliver_at,
-            sort_key=(deliver_at, host_key, envelope.sender_seq, self._counter),
-            envelope=envelope,
-            link=(src, dst),
-        )
-        heapq.heappush(self._heap, event)
-        return event
+        heapq.heappush(self._heap, (deliver_at, host_key, envelope.sender_seq, self._counter, src, dst, envelope))
+        return deliver_at
 
     def run_until_quiescent(self) -> list[TraceEntry]:
         """Deliver pending events in order until none remain; returns the full trace."""
@@ -134,16 +123,14 @@ class World:
             processed += 1
             if processed > EVENT_CAP:
                 raise LivelockError(f"exceeded event safety cap of {EVENT_CAP}")
-            event = heapq.heappop(self._heap)
-            self.now = max(self.now, event.deliver_at)
-            src, dst = event.link
-            entry = TraceEntry(event.deliver_at, src, dst, event.envelope)
-            self.trace.append(entry)
+            deliver_at, _, _, _, src, dst, envelope = heapq.heappop(self._heap)
+            self.now = max(self.now, deliver_at)
+            self.trace.append(TraceEntry(deliver_at, src, dst, envelope))
             handler = self.endpoints.get(dst)
             if handler is None:
                 continue
             handle: Callable = getattr(handler, "handle", handler)  # type: ignore[assignment]
-            handle(self, event.deliver_at, src, event.envelope)
+            handle(self, deliver_at, src, envelope)
         return self.trace
 
 

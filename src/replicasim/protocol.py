@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
-from replicasim.scene import Edit, Pose, Role, SceneModel, edit_from_dict, edit_to_dict
+from replicasim.scene import Edit, Pose, Role, SceneError, SceneModel, ValveState, edit_from_dict, edit_to_dict
 
 GAZE_NORM_TOL = 1e-9
 EXPERT_ELEVATION_M = 1.5
@@ -30,10 +30,6 @@ class RoomError(Exception):
 
 
 class RoleOccupiedError(RoomError):
-    pass
-
-
-class NoPeerError(RoomError):
     pass
 
 
@@ -76,7 +72,15 @@ class SyncCommit:
 
 @dataclass(frozen=True)
 class Instruction:
+    """Spoken guidance; ``text`` is what the operator hears and logs.
+
+    A valve operation also carries its ``valve`` and ``target``, which the
+    operator acts on.
+    """
+
     text: str
+    valve: Optional[str] = None
+    target: Optional[ValveState] = None
 
 
 @dataclass(frozen=True)
@@ -169,17 +173,6 @@ def submit_sync(state: RoomState, req: SyncRequest) -> tuple[RoomState, Envelope
     return state, env, outcome
 
 
-def relay_media(state: RoomState, from_client: str, blob: bytes) -> tuple[RoomState, Envelope, str]:
-    """Blind passthrough of an opaque media blob to the other member, bit-exact."""
-    if from_client not in state.members:
-        raise RoomError(f"relay from non-member {from_client!r}")
-    if len(state.members) < 2:
-        raise NoPeerError("no peer present to relay to")
-    peer = next(c for c in state.members if c != from_client)
-    state, env = state._stamp(from_client, MediaSignal(blob))
-    return state, env, peer
-
-
 def place_expert_avatar(operator_avatar: AvatarState) -> Pose:
     """God-point-of-view placement: the expert hovers above the operator.
 
@@ -237,7 +230,12 @@ def payload_to_dict(payload: Payload) -> dict:
             "new_version": payload.new_version,
         }
     if isinstance(payload, Instruction):
-        return {"kind": "instruction", "text": payload.text}
+        doc = {"kind": "instruction", "text": payload.text}
+        if payload.valve is not None:
+            doc["valve"] = payload.valve
+        if payload.target is not None:
+            doc["target"] = payload.target.value
+        return doc
     if isinstance(payload, CallStart):
         return {"kind": "call_start"}
     if isinstance(payload, CallEnd):
@@ -275,7 +273,8 @@ def payload_from_dict(doc: dict) -> Payload:
             new_version=int(doc["new_version"]),
         )
     if kind == "instruction":
-        return Instruction(doc["text"])
+        target = doc.get("target")
+        return Instruction(doc["text"], doc.get("valve"), None if target is None else ValveState(target))
     if kind == "call_start":
         return CallStart()
     if kind == "call_end":
@@ -311,13 +310,19 @@ def encode_envelope(env: Envelope) -> bytes:
 
 
 def decode_envelope(data: bytes) -> tuple[Envelope, bytes]:
-    """Decode one length-prefixed envelope; returns (envelope, remaining bytes)."""
+    """Decode one length-prefixed envelope; returns (envelope, remaining bytes).
+
+    A truncated frame or a malformed body raises ``RoomError``.
+    """
     if len(data) < 4:
         raise RoomError("truncated frame: missing length prefix")
     (length,) = struct.unpack(">I", data[:4])
     if len(data) < 4 + length:
         raise RoomError(f"truncated frame: expected {length} payload bytes")
-    env = envelope_from_dict(json.loads(data[4 : 4 + length].decode("utf-8")))
+    try:
+        env = envelope_from_dict(json.loads(data[4 : 4 + length].decode("utf-8")))
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError, SceneError) as exc:
+        raise RoomError(f"malformed frame body: {exc!r}") from exc
     return env, data[4 + length :]
 
 

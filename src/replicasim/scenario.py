@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Optional, Union
@@ -73,6 +73,10 @@ TEMPERATURE_REPORT = "TemperatureReport"
 CALL_END = "CallEnd"
 
 NO_MANIPULATION = "NoManipulation"
+
+# The guide's plan steps outside the blocks, spoken as these instruction texts.
+REPORT_TEMPERATURE = "report-temperature"
+WRAP_UP = "wrap-up"
 
 
 class PlanError(ConfigError):
@@ -170,6 +174,8 @@ def plan_from_dict(doc: dict) -> InspectionPlan:
     for part in doc["parts"]:
         blocks: list[Block] = []
         for b in part["blocks"]:
+            if not isinstance(b["id"], str):
+                raise PlanError(f"block id must be a string, got {b['id']!r}")
             if b["type"] == "manipulation":
                 blocks.append(
                     ManipulationBlock(
@@ -233,10 +239,6 @@ class OperatorProfile:
             describe_latency_ms=pair("describe_latency_ms"),
             tablet_putdown_penalty_ms=int(doc.get("tablet_putdown_penalty_ms", 0)),
         )
-
-
-def zero_error_profile(base: OperatorProfile) -> OperatorProfile:
-    return replace(base, p_simple=0.0, p_critical=0.0, p_repeat=0.0)
 
 
 # --- Defaults shipped as package data --------------------------------------------
@@ -396,12 +398,12 @@ class _ExpertAgent:
 
     def __init__(self, session: "_Session"):
         self.s = session
-        self.steps: list[tuple] = []
+        self.steps: list[Union[Block, str]] = []
         for i, part in enumerate(session.plan.parts):
-            self.steps.extend(("block", block) for block in part.blocks)
+            self.steps.extend(part.blocks)
             if i == 0:
-                self.steps.append(("temperature",))
-        self.steps.append(("wrapup",))
+                self.steps.append(REPORT_TEMPERATURE)
+        self.steps.append(WRAP_UP)
         self.step_index = 0
         self.op_index = 0
         self.pending_pause_ms = 0
@@ -438,20 +440,19 @@ class _ExpertAgent:
         step = self.steps[self.step_index]
         pause = self.pending_pause_ms
         self.pending_pause_ms = 0
-        if step[0] == "block":
-            block = step[1]
-            self.s.recorder.current_block = block
-            if isinstance(block, NoManipulationBlock):
-                self._send(net, Instruction(f"describe: {block.prompt}"), pause)
+        if step == REPORT_TEMPERATURE:
+            self._send(net, Instruction(REPORT_TEMPERATURE), pause)
+        elif step == WRAP_UP:
+            self._send(net, Instruction(WRAP_UP), pause + SUMMARY_PAUSE_MS)
+        else:
+            self.s.recorder.current_block = step
+            if isinstance(step, NoManipulationBlock):
+                self._send(net, Instruction(f"describe: {step.prompt}"), pause)
             else:
-                op = block.operations[self.op_index]
+                op = step.operations[self.op_index]
                 if self.s.condition is Condition.HMD:
                     self._sync_indication(net, op.valve, pause)
-                self._send(net, Instruction(f"set valve {op.valve} to {op.target.value}"), pause)
-        elif step[0] == "temperature":
-            self._send(net, Instruction("report-temperature"), pause)
-        else:
-            self._send(net, Instruction("wrap-up"), pause + SUMMARY_PAUSE_MS)
+                self._send(net, Instruction(f"set valve {op.valve} to {op.target.value}", op.valve, op.target), pause)
 
     def _complete_block_step(self, net: World, now: int) -> None:
         self.s.recorder.log(now, BREAKPOINT)
@@ -476,21 +477,17 @@ class _ExpertAgent:
             room, env_out, _ = submit_sync(self.s.room, payload.request)
             self.s.room = room
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
-        elif isinstance(payload, Instruction):
-            text = payload.text
-            if text == "done":
-                block = self.steps[self.step_index][1]
-                self.op_index += 1
-                if self.op_index < len(block.operations):
-                    self._advance(net, now)
-                else:
-                    self._complete_block_step(net, now)
-            elif text == "described":
-                self._complete_block_step(net, now)
-            elif text.startswith("temperature"):
+        elif isinstance(payload, Instruction):  # the operator has finished the current step
+            step = self.steps[self.step_index]
+            if step == REPORT_TEMPERATURE:
                 self.step_index += 1
                 self.pending_pause_ms = EXPLANATION_PAUSE_MS
                 self._advance(net, now)
+            elif isinstance(step, ManipulationBlock) and self.op_index + 1 < len(step.operations):
+                self.op_index += 1
+                self._advance(net, now)
+            else:
+                self._complete_block_step(net, now)
 
 
 class _OperatorAgent:
@@ -567,23 +564,20 @@ class _OperatorAgent:
                 if isinstance(edit, SetIndication) and edit.playing:
                     self.s.recorder.log(now, REPLICA_INDICATION, {"valve": edit.node})
         elif isinstance(payload, Instruction):
-            text = payload.text
-            if text.startswith("set valve "):
-                _, _, valve, _, state = text.split(" ")
-                self.s.recorder.log(now, INSTRUCTION, {"text": text})
-                self._handle_operation(net, now, valve, ValveState(state))
-            elif text.startswith("describe:"):
-                self.s.recorder.log(now, INSTRUCTION, {"text": text})
-                self._send(net, Instruction("described"), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
-            elif text == "report-temperature":
-                self.s.recorder.log(now, INSTRUCTION, {"text": text})
+            if payload.text == WRAP_UP:
+                self.s.recorder.log(now, CALL_END)
+                self._send(net, CallEnd())
+                return
+            self.s.recorder.log(now, INSTRUCTION, {"text": payload.text})
+            if payload.valve is not None:
+                self._handle_operation(net, now, payload.valve, payload.target)
+            elif payload.text == REPORT_TEMPERATURE:
                 delay = self._draw(self.s.profile.describe_latency_ms)
                 temp = plant_mod.outlet_temperature(self.s.plant)
                 self.s.recorder.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": round(temp, 2)})
                 self._send(net, Instruction(f"temperature {temp:.2f}"), extra_delay_ms=delay)
-            elif text == "wrap-up":
-                self.s.recorder.log(now, CALL_END)
-                self._send(net, CallEnd())
+            else:  # a description prompt
+                self._send(net, Instruction("described"), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
 
 
 @dataclass

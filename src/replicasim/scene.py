@@ -1,4 +1,4 @@
-"""Shared scene model: node graph, edit vocabulary, anchoring and diffing.
+"""Shared scene model: node graph, edit vocabulary and anchoring.
 
 The model is a versioned snapshot value. Every operation is a pure function
 returning a new model; nothing here mutates its inputs, which is what makes
@@ -38,10 +38,6 @@ class EditError(SceneError):
     def __init__(self, message: str, reason: str = UNKNOWN_TARGET) -> None:
         super().__init__(message)
         self.reason = reason
-
-
-class IncompatibleModelsError(SceneError):
-    """Raised when two models do not share the same node universe."""
 
 
 class Role(Enum):
@@ -289,6 +285,8 @@ def load_model(descriptor: dict) -> SceneModel:
     nodes: dict[str, SceneNode] = {}
     for i, doc in enumerate(descriptor.get("nodes", [])):
         node_id = doc.get("id", "")
+        if not isinstance(node_id, str):
+            raise DescriptorError(f"node {i}: id must be a string, got {node_id!r}")
         if node_id in nodes:
             raise DescriptorError(f"duplicate node id {node_id!r}")
         try:
@@ -455,32 +453,6 @@ def _edited_node(
             raise EditError(f"unknown annotation {edit.annotation_id!r}")
         return None
     raise EditError(f"unsupported edit {edit!r}")
-
-
-def diff(a: SceneModel, b: SceneModel) -> list[Edit]:
-    """Expert edits that take ``a`` to ``b``, each numbered by its index (same
-    node universe; version ignored)."""
-    if set(a.nodes) != set(b.nodes):
-        raise IncompatibleModelsError("models do not share the same node id universe")
-    edits: list[Edit] = []
-    for node_id in sorted(a.nodes):
-        na, nb = a.nodes[node_id], b.nodes[node_id]
-        if na.local_pose != nb.local_pose:
-            edits.append(SetPose(nb.id, nb.local_pose, Role.EXPERT, len(edits)))
-        if na.valve_state != nb.valve_state:
-            edits.append(SetValveState(nb.id, nb.valve_state, Role.EXPERT, len(edits)))
-        if na.visual.highlight_color != nb.visual.highlight_color:
-            edits.append(SetHighlight(nb.id, nb.visual.highlight_color, Role.EXPERT, len(edits)))
-        if na.visual.indication_animation != nb.visual.indication_animation:
-            edits.append(SetIndication(nb.id, nb.visual.indication_animation, Role.EXPERT, len(edits)))
-    for ann_id in sorted(a.annotations):
-        if a.annotations[ann_id] != b.annotations.get(ann_id):
-            edits.append(RemoveAnnotation(ann_id, Role.EXPERT, len(edits)))
-    for ann_id in sorted(b.annotations):
-        ann = b.annotations[ann_id]
-        if a.annotations.get(ann_id) != ann:
-            edits.append(AddAnnotation(ann, Role.EXPERT, len(edits)))
-    return edits
 
 
 def field_equal(a: SceneModel, b: SceneModel) -> bool:

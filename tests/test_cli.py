@@ -177,6 +177,13 @@ class TestSimulate:
         assert code == EXIT_CONFIG
 
 
+def shipped_with(name: str, mutate) -> str:
+    """The text of a shipped data file after ``mutate`` changed one leaf of it."""
+    doc = json.loads(resources.files("replicasim").joinpath(f"data/{name}").read_text(encoding="utf-8"))
+    mutate(doc)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "option, text",
     [
@@ -190,6 +197,11 @@ class TestSimulate:
         ("--routing", '{"rows": [{"exchanger": "Plate", "flow": "Counter", "requires": {}, "effectiveness": 1.5}]}'),
         ("--routing", '{"rows": [], "hot_inlet_temp_c": NaN}'),
         ("--profile", "{not json"),
+        ("--model", shipped_with("default_model.json",
+                                 lambda d: next(n for n in d["nodes"] if n["id"] == "1V6").update(id=7))),
+        ("--plan", shipped_with("default_plan.json", lambda d: d["parts"][0]["blocks"][0].update(id={}))),
+        ("--profile", shipped_with("default_profiles.json",
+                                   lambda d: d["tablet"].update(tablet_putdown_penalty_ms=math.inf))),
         ("replay", LOG_HEADER + "{not json\n"),
         ("replay", LOG_HEADER + '{"record":"event","kind":"CallStart"}\n'),
         ("replay", LOG_HEADER),
@@ -198,7 +210,8 @@ class TestSimulate:
                    '{"record":"event","t_ms":9,"kind":"CallEnd"}\n'),
     ],
     ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "model-unknown-kind", "routing-json",
-         "routing-enum", "routing-effectiveness", "routing-nan-inlet", "profile-json", "replay-json", "replay-missing-key",
+         "routing-enum", "routing-effectiveness", "routing-nan-inlet", "profile-json", "model-numeric-valve-id",
+         "plan-dict-block-id", "profile-infinite-putdown", "replay-json", "replay-missing-key",
          "replay-header-only", "replay-error-without-valve"],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, option, text):

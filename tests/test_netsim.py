@@ -24,15 +24,13 @@ class TestDelivery:
     def test_zero_latency_delivers_now(self):
         world = World()
         world.add_link("a", "b", LinkConfig(0, 0))
-        event = world.send("a", "b", env("a", 1))
-        assert event.deliver_at == world.now == 0
+        assert world.send("a", "b", env("a", 1)) == world.now == 0
 
     def test_base_latency_offsets_now(self):
         world = World()
         world.add_link("a", "b", LinkConfig(50, 0))
         world.now = 100
-        event = world.send("a", "b", env("a", 1))
-        assert event.deliver_at == 150
+        assert world.send("a", "b", env("a", 1)) == 150
 
     def test_jitter_bounds_and_fifo_over_1000_sends(self):
         world = World()
@@ -40,8 +38,7 @@ class TestDelivery:
         deliveries = []
         for i in range(1000):
             world.now = i * 10
-            event = world.send("a", "b", env("a", i + 1))
-            deliveries.append((world.now, event.deliver_at))
+            deliveries.append((world.now, world.send("a", "b", env("a", i + 1))))
         # Brute-force check over the generated schedule.
         last = 0
         for sent_at, deliver_at in deliveries:
@@ -162,11 +159,14 @@ class TestLossMode:
         world.add_link("a", "b", LinkConfig(10, 0, seed=21, loss_rate=0.3))
         received = []
         world.add_endpoint("b", lambda net, now, src, envelope: received.append(envelope))
+        dropped = []
         for i in range(50):
             world.now = i
-            world.send("a", "b", env("a", i + 1))
+            if world.send("a", "b", env("a", i + 1)) is None:
+                dropped.append(i + 1)
         world.run_until_quiescent()
         assert world.drops  # the seeded stream drops something at 30%
+        assert dropped == [e.envelope.sender_seq for e in world.drops]
         gaps = detect_gaps(received)
         assert set(gaps.get("a", [])) == {e.envelope.sender_seq for e in world.drops}
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -11,7 +12,6 @@ from replicasim.protocol import (
     Envelope,
     Instruction,
     MediaSignal,
-    NoPeerError,
     RoleOccupiedError,
     RoomError,
     RoomState,
@@ -19,11 +19,11 @@ from replicasim.protocol import (
     decode_envelope,
     detect_gaps,
     encode_envelope,
+    payload_to_dict,
     envelope_from_dict,
     envelope_to_dict,
     join_room,
     place_expert_avatar,
-    relay_media,
     submit_sync,
 )
 from replicasim.replica import SyncRequest, apply_commit
@@ -153,27 +153,19 @@ class TestAvatar:
 
 
 class TestRelay:
-    def room_with_both(self):
-        state, _ = join_room(fresh_room(), "op", Role.OPERATOR)
-        state, _ = join_room(state, "ex", Role.EXPERT)
-        return state
+    """A media blob crosses the wire codec bit-exact."""
 
     def test_zero_byte_blob(self):
-        state, env, peer = relay_media(self.room_with_both(), "op", b"")
-        assert env.payload.blob == b"" and peer == "ex"
+        env = Envelope(sender="op", sender_seq=1, room="r1", payload=MediaSignal(b""))
+        decoded, rest = decode_envelope(encode_envelope(env))
+        assert rest == b"" and decoded.payload.blob == b""
 
     def test_random_blob_bit_exact(self):
         blob = random.Random(7).randbytes(1024)
-        state, env, peer = relay_media(self.room_with_both(), "ex", blob)
-        # Round-trip through the wire codec and compare digests.
+        env = Envelope(sender="ex", sender_seq=1, room="r1", payload=MediaSignal(blob))
         decoded, rest = decode_envelope(encode_envelope(env))
         assert rest == b""
         assert hashlib.sha256(decoded.payload.blob).digest() == hashlib.sha256(blob).digest()
-
-    def test_no_peer(self):
-        state, _ = join_room(fresh_room(), "op", Role.OPERATOR)
-        with pytest.raises(NoPeerError):
-            relay_media(state, "op", b"hello")
 
 
 class TestWireCodec:
@@ -191,6 +183,41 @@ class TestWireCodec:
         first, rest = decode_envelope(data)
         second, tail = decode_envelope(rest)
         assert first == env1 and second == env2 and tail == b""
+
+    def test_valve_instruction_round_trip(self):
+        instruction = Instruction("set valve 2V4 to Closed", "2V4", ValveState.CLOSED)
+        env = Envelope(sender="expert", sender_seq=3, room="r1", payload=instruction, host_seq=5)
+        assert payload_to_dict(instruction) == {
+            "kind": "instruction", "text": "set valve 2V4 to Closed", "valve": "2V4", "target": "Closed"
+        }
+        decoded, rest = decode_envelope(encode_envelope(env))
+        assert decoded == env and rest == b""
+
+    def test_text_instruction_keeps_its_wire_dict(self):
+        assert payload_to_dict(Instruction("tick")) == {"kind": "instruction", "text": "tick"}
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"sender":"op","room":"r","payload":{"kind":"call_start"}}',
+            b"{not json",
+            b"\xff\xfe",
+            b"[]",
+            b'{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"avatar","client":"op",'
+            b'"role":"Operator","head_pose":{"pos":[NaN,0,0]},"gaze":[0,0,1]}}',
+            b'{"sender":"ex","sender_seq":1,"room":"r","payload":{"kind":"instruction","text":"t",'
+            b'"valve":"2V4","target":"Ajar"}}',
+            b'{"sender":"op","sender_seq":1e999,"room":"r","payload":{"kind":"call_start"}}',
+            b'{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"sync_commit","new_version":1,'
+            b'"accepted":[{"op":"paint","role":"Expert","seq":1}]}}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["missing-sender-seq", "not-json", "not-utf8", "array-body", "nan-pose", "ajar-target",
+             "infinite-sender-seq", "unknown-edit-op", "deep-nesting"],
+    )
+    def test_malformed_body_is_room_error(self, body):
+        with pytest.raises(RoomError, match="malformed frame body"):
+            decode_envelope(struct.pack(">I", len(body)) + body)
 
     def test_avatar_payload_round_trip(self):
         avatar = AvatarState("op", Role.OPERATOR, Pose((0.0, 1.7, 0.0)), (0.0, 0.0, 1.0))

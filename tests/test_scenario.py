@@ -41,7 +41,6 @@ from replicasim.scenario import (
     session_log_to_jsonl,
     validate_session_log,
     valve_registry,
-    zero_error_profile,
 )
 
 QUIET_PROFILE = OperatorProfile(
@@ -311,12 +310,6 @@ class TestRunSession:
         assert len(wrong_ids) == 12 and len(wrong_manips) == 12
         # Recovery keeps the plant on script even with forced errors.
         assert log.initial_valve_states == log.final_valve_states
-
-    def test_zero_error_profile_helper(self):
-        noisy = default_profiles()[Condition.TABLET]
-        quiet = zero_error_profile(noisy)
-        assert (quiet.p_simple, quiet.p_critical, quiet.p_repeat) == (0.0, 0.0, 0.0)
-        assert quiet.identify_latency_ms == noisy.identify_latency_ms
 
     def test_custom_link_config(self):
         log = run_quiet(Condition.HMD, seed=13, link_config=LinkConfig(0, 0))

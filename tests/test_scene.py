@@ -14,7 +14,6 @@ from replicasim.scene import (
     Annotation,
     DescriptorError,
     EditError,
-    IncompatibleModelsError,
     NodeKind,
     Pose,
     RemoveAnnotation,
@@ -29,10 +28,8 @@ from replicasim.scene import (
     anchor_model,
     apply_edit,
     canonical_json,
-    diff,
     edit_from_dict,
     edit_to_dict,
-    field_equal,
     load_model,
 )
 from replicasim.scenario import default_model
@@ -287,42 +284,6 @@ class TestEditedNode:
         with pytest.raises(EditError, match="highlight_color") as info:
             apply_edit(model, SetHighlight("1V1", color, Role.EXPERT, 1))
         assert info.value.reason == INVALID_HIGHLIGHT
-
-
-class TestDiff:
-    def test_equal_models_empty_diff(self):
-        model = load_model(small_descriptor())
-        assert diff(model, model) == []
-
-    def test_single_toggle(self):
-        model = load_model(small_descriptor())
-        toggled = apply_edit(model, SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 1))
-        edits = diff(model, toggled)
-        assert len(edits) == 1
-        assert isinstance(edits[0], SetValveState) and edits[0].node == "V1"
-
-    def test_incompatible_universes(self):
-        a = load_model(small_descriptor())
-        doc = small_descriptor()
-        doc["nodes"] = doc["nodes"][:-1]
-        b = load_model(doc)
-        with pytest.raises(IncompatibleModelsError):
-            diff(a, b)
-
-    def test_random_pairs_round_trip(self):
-        rng = random.Random(99)
-        base = load_model(small_descriptor())
-        for _ in range(100):
-            a = base
-            b = base
-            for i in range(rng.randrange(8)):
-                a = apply_edit(a, random_edit(rng, a, seq=i))
-            for i in range(rng.randrange(8)):
-                b = apply_edit(b, random_edit(rng, b, seq=100 + i))
-            edits = diff(a, b)
-            assert [(e.author_role, e.author_seq) for e in edits] == [(Role.EXPERT, i) for i in range(len(edits))]
-            patched = functools.reduce(apply_edit, edits, a)
-            assert field_equal(patched, b)
 
 
 class TestEditCodec:
