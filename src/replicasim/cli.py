@@ -46,11 +46,11 @@ def _parse_sessions(value: str) -> dict:
 def _load(path: str, parse):
     """``parse`` applied to the text of an input file; any failure to read or
     parse it is a config error that names the file."""
+    # ValueError: bad UTF-8 or JSON, or a failed field check; RecursionError: JSON nested past the
+    # interpreter's limit; ConfigError: a reader's own refusal.
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except KeyError as exc:
-        raise CliError(f"cannot load {path!r}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
+    except (OSError, ValueError, RecursionError, ConfigError) as exc:
         raise CliError(f"cannot load {path!r}: {exc}") from None
 
 
@@ -63,6 +63,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # compiled from source in the other order, the process peaks up to 1 MB higher.
     from replicasim.scenario import (
         Condition,
+        PlanError,
         build_default_plan,
         default_model,
         default_profiles,
@@ -71,6 +72,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profiles_from_dict,
         run_session,
         session_log_to_jsonl,
+        validate_plan,
         valve_registry,
     )
     from replicasim.scene import load_model
@@ -84,13 +86,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         only = Condition(args.condition)
         counts = {only: counts[only]}
     model = _load_json(args.model, load_model) if args.model else default_model()
+    registry = valve_registry(model)
     routing = _load_json(args.routing, routing_table_from_dict) if args.routing else default_routing_table()
-    plan = _load_json(args.plan, plan_from_dict) if args.plan else build_default_plan(valve_registry(model))
+    if args.plan:
+        plan = _load_json(args.plan, lambda doc: validate_plan(plan_from_dict(doc), registry))
+    else:
+        try:
+            plan = build_default_plan(registry)
+        except PlanError as exc:  # only a --model can make the shipped plan fail
+            raise CliError(f"the default plan does not fit {args.model!r}: {exc}") from None
     profiles = _load_json(args.profile, profiles_from_dict) if args.profile else default_profiles()
-    unknown = sorted(routing.valves_referenced() - valve_registry(model).keys())
+    unknown = sorted(routing.valves_referenced() - registry.keys())
     if unknown:
         source = repr(args.routing) if args.routing else "the default routing table"
-        raise CliError(f"{source} names valves the model lacks: {', '.join(unknown)}")
+        lacking = repr(args.model) if args.model else "the default model"
+        raise CliError(f"{source} names valves {lacking} lacks: {', '.join(unknown)}")
     missing = sorted(c.value for c in counts if c not in profiles)
     if missing:
         raise CliError(f"{args.profile!r} has no profile for condition {', '.join(missing)}")

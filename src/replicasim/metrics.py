@@ -5,8 +5,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
+from replicasim import checks
+
 if TYPE_CHECKING:
     from replicasim.scenario import SessionLog
+
+
+class Condition(Enum):
+    TABLET = "tablet"
+    HMD = "hmd"
 
 
 class ErrorType(Enum):
@@ -34,8 +41,8 @@ class ErrorCounts:
     repetition: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.simple, self.critical, self.repetition) < 0:
-            raise ValueError("error counts must be non-negative")
+        for name in ("simple", "critical", "repetition"):
+            checks.count(getattr(self, name), name)
 
     def __add__(self, other: "ErrorCounts") -> "ErrorCounts":
         return ErrorCounts(

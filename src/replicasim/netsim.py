@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from replicasim import checks
 from replicasim.protocol import Envelope, envelope_to_dict
 
 EVENT_CAP = 500_000
@@ -38,12 +39,10 @@ class LinkConfig:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency and jitter must be non-negative")
-        if self.base_latency_ms - self.jitter_ms < 0:
+        if checks.count(self.base_latency_ms, "base_latency_ms") < checks.count(self.jitter_ms, "jitter_ms"):
             raise ValueError("base_latency must be at least jitter (delivery cannot precede send)")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
+        checks.integer(self.seed, "seed")
+        checks.probability(self.loss_rate, "loss_rate", True)
 
 
 @dataclass

@@ -8,14 +8,14 @@ configuration-sensitive signal rather than real thermodynamics.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
+from replicasim import ConfigError, checks
 from replicasim.scene import SceneModel, ValveState
 
 
-class PlantConfigError(Exception):
+class PlantConfigError(ConfigError):
     pass
 
 
@@ -39,10 +39,8 @@ class RoutingRow:
     effectiveness: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.effectiveness < 1.0:
-            raise ValueError(
-                f"effectiveness {self.effectiveness!r} for ({self.exchanger.value}, {self.flow.value}) outside [0, 1)"
-            )
+        name = f"effectiveness of ({self.exchanger.value}, {self.flow.value})"
+        object.__setattr__(self, "effectiveness", checks.probability(self.effectiveness, name, True))
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,8 @@ class RoutingTable:
     cold_inlet_c: float
 
     def __post_init__(self) -> None:
-        for key, value in (("hot_inlet_temp_c", self.hot_inlet_c), ("cold_inlet_temp_c", self.cold_inlet_c)):
-            if not math.isfinite(value):
-                raise ValueError(f"{key} {value!r} is not finite")
+        object.__setattr__(self, "hot_inlet_c", checks.finite(self.hot_inlet_c, "hot_inlet_temp_c"))
+        object.__setattr__(self, "cold_inlet_c", checks.finite(self.cold_inlet_c, "cold_inlet_temp_c"))
 
     def valves_referenced(self) -> set[str]:
         return {valve for row in self.rows for valve, _ in row.requires}
@@ -62,19 +59,20 @@ class RoutingTable:
 
 def routing_table_from_dict(doc: dict) -> RoutingTable:
     rows = []
-    for row in doc.get("rows", []):
+    for row in checks.typed(checks.typed(doc, "routing table", dict).get("rows", []), "rows", list):
+        requires = checks.typed(checks.typed(row, "routing row", dict).get("requires"), "requires", dict)
         rows.append(
             RoutingRow(
-                exchanger=Exchanger(row["exchanger"]),
-                flow=FlowMode(row["flow"]),
-                requires=tuple(sorted((v, ValveState(s)) for v, s in row["requires"].items())),
-                effectiveness=float(row["effectiveness"]),
+                exchanger=checks.member(row.get("exchanger"), "exchanger", Exchanger),
+                flow=checks.member(row.get("flow"), "flow", FlowMode),
+                requires=tuple(sorted((v, checks.member(s, f"{v} state", ValveState)) for v, s in requires.items())),
+                effectiveness=row.get("effectiveness"),
             )
         )
     return RoutingTable(
         rows=tuple(rows),
-        hot_inlet_c=float(doc.get("hot_inlet_temp_c", 60.0)),
-        cold_inlet_c=float(doc.get("cold_inlet_temp_c", 20.0)),
+        hot_inlet_c=doc.get("hot_inlet_temp_c", 60.0),
+        cold_inlet_c=doc.get("cold_inlet_temp_c", 20.0),
     )
 
 

@@ -17,8 +17,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from replicasim import checks
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
-from replicasim.scene import Edit, Pose, Role, SceneError, SceneModel, ValveState, edit_from_dict, edit_to_dict
+from replicasim.scene import Edit, Pose, Role, SceneModel, ValveState, edit_from_dict, edit_to_dict
 
 GAZE_NORM_TOL = 1e-9
 EXPERT_ELEVATION_M = 1.5
@@ -41,9 +42,8 @@ class AvatarState:
     gaze_direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(sum(c * c for c in self.gaze_direction))
-        if not abs(norm - 1.0) <= GAZE_NORM_TOL:  # written so that a NaN norm fails
-            raise ValueError(f"gaze_direction norm {norm!r} deviates from 1 beyond {GAZE_NORM_TOL}")
+        checks.ident(self.client, "client")
+        object.__setattr__(self, "gaze_direction", checks.unit(self.gaze_direction, "gaze_direction", 3, GAZE_NORM_TOL))
 
 
 # --- Payload union -------------------------------------------------------------
@@ -246,42 +246,46 @@ def payload_to_dict(payload: Payload) -> dict:
 
 
 def payload_from_dict(doc: dict) -> Payload:
-    kind = doc.get("kind")
+    kind = checks.typed(doc, "payload", dict).get("kind")
     if kind == "join":
-        return Join(Role(doc["role"]))
+        return Join(checks.member(doc.get("role"), "role", Role))
     if kind == "avatar":
         return Avatar(
             AvatarState(
-                client=doc["client"],
-                role=Role(doc["role"]),
-                head_pose=Pose.from_dict(doc["head_pose"]),
-                gaze_direction=tuple(float(c) for c in doc["gaze"]),  # type: ignore[arg-type]
+                client=doc.get("client"),
+                role=checks.member(doc.get("role"), "role", Role),
+                head_pose=Pose.from_dict(doc.get("head_pose")),
+                gaze_direction=doc.get("gaze"),
             )
         )
     if kind == "sync_req":
         return SyncReq(
             SyncRequest(
-                owner=doc["owner"],
-                owner_role=Role(doc["owner_role"]),
-                base_version=int(doc["base_version"]),
-                edits=tuple(edit_from_dict(e) for e in doc["edits"]),
+                owner=checks.ident(doc.get("owner"), "owner"),
+                owner_role=checks.member(doc.get("owner_role"), "owner_role", Role),
+                base_version=checks.count(doc.get("base_version"), "base_version"),
+                edits=tuple(map(edit_from_dict, checks.typed(doc.get("edits"), "edits", list))),
             )
         )
     if kind == "sync_commit":
         return SyncCommit(
-            accepted=tuple(edit_from_dict(e) for e in doc["accepted"]),
-            new_version=int(doc["new_version"]),
+            accepted=tuple(map(edit_from_dict, checks.typed(doc.get("accepted"), "accepted", list))),
+            new_version=checks.count(doc.get("new_version"), "new_version"),
         )
     if kind == "instruction":
-        target = doc.get("target")
-        return Instruction(doc["text"], doc.get("valve"), None if target is None else ValveState(target))
+        valve, target = doc.get("valve"), doc.get("target")
+        return Instruction(
+            checks.typed(doc.get("text"), "text", str),
+            None if valve is None else checks.ident(valve, "valve"),
+            None if target is None else checks.member(target, "target", ValveState),
+        )
     if kind == "call_start":
         return CallStart()
     if kind == "call_end":
         return CallEnd()
     if kind == "media":
-        return MediaSignal(base64.b64decode(doc["blob_b64"]))
-    raise RoomError(f"unknown payload kind {kind!r}")
+        return MediaSignal(base64.b64decode(checks.typed(doc.get("blob_b64"), "blob_b64", str)))
+    raise ValueError(f"unknown payload kind {kind!r}")
 
 
 def envelope_to_dict(env: Envelope) -> dict:
@@ -295,12 +299,13 @@ def envelope_to_dict(env: Envelope) -> dict:
 
 
 def envelope_from_dict(doc: dict) -> Envelope:
+    host_seq = checks.typed(doc, "envelope", dict).get("host_seq")
     return Envelope(
-        sender=doc["sender"],
-        sender_seq=int(doc["sender_seq"]),
-        room=doc["room"],
-        payload=payload_from_dict(doc["payload"]),
-        host_seq=doc.get("host_seq"),
+        sender=checks.ident(doc.get("sender"), "sender"),
+        sender_seq=checks.count(doc.get("sender_seq"), "sender_seq"),
+        room=checks.ident(doc.get("room"), "room"),
+        payload=payload_from_dict(doc.get("payload")),
+        host_seq=None if host_seq is None else checks.count(host_seq, "host_seq"),
     )
 
 
@@ -321,7 +326,7 @@ def decode_envelope(data: bytes) -> tuple[Envelope, bytes]:
         raise RoomError(f"truncated frame: expected {length} payload bytes")
     try:
         env = envelope_from_dict(json.loads(data[4 : 4 + length].decode("utf-8")))
-    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError, SceneError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested past the interpreter's limit
         raise RoomError(f"malformed frame body: {exc!r}") from exc
     return env, data[4 + length :]
 

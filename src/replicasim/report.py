@@ -12,8 +12,8 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from replicasim import ConfigError
-from replicasim.metrics import CSV_COLUMNS, ErrorCounts, percent_improvement, weighted_total
+from replicasim import ConfigError, checks
+from replicasim.metrics import CSV_COLUMNS, Condition, ErrorCounts, percent_improvement, weighted_total
 from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
 
 TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
@@ -31,39 +31,36 @@ class ReportError(ConfigError):
 
 
 def read_metrics_csv(path: str) -> list[dict]:
+    """The rows of a metrics CSV; a malformed file raises ReportError naming it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells, which no check accepts
+        try:
+            records = list(reader)
+        except (ValueError, csv.Error) as exc:  # bad UTF-8; a field past the csv module's size limit
+            raise ReportError(f"cannot read {path!r}: {exc}") from None
+    missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
+    if missing:
+        raise ReportError(f"{path!r} is missing columns: {sorted(missing)}")
+    if not records:
+        raise ReportError(f"{path!r} contains no data rows")
     rows = []
     first_line = {}  # session_id -> line it first appears on
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ReportError(f"metrics CSV missing columns: {sorted(missing)}")
-        for i, raw in enumerate(reader, start=2):
-            try:
-                row = {
-                    "session_id": raw["session_id"],
-                    "condition": raw["condition"],
-                    "seed": int(raw["seed"]),
-                }
-                if row["session_id"] in first_line:
-                    raise ValueError(f"session_id {row['session_id']!r} repeats line {first_line[row['session_id']]}")
-                first_line[row["session_id"]] = i
-                for key in TIME_MEASURES:
-                    row[key] = float(raw[key])
-                    if not math.isfinite(row[key]):
-                        raise ValueError(f"{key} must be finite, got {raw[key]!r}")
-                for key in ERROR_MEASURES:
-                    row[key] = int(raw[key])
-                    if row[key] < 0:
-                        raise ValueError(f"{key} must be non-negative, got {raw[key]!r}")
-                derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
-                if row["weighted_total"] != derived:
-                    raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ReportError(f"malformed CSV row at line {i}: {exc}") from None
-            rows.append(row)
-    if not rows:
-        raise ReportError("metrics CSV contains no data rows")
+    for i, raw in enumerate(records, start=2):
+        try:
+            session_id = checks.ident(raw["session_id"], "session_id")
+            if session_id in first_line:
+                raise ValueError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
+            first_line[session_id] = i
+            condition = checks.member(raw["condition"], "condition", Condition)
+            row = {"session_id": session_id, "condition": condition.value, "seed": int(raw["seed"])}
+            row.update((key, checks.finite(float(raw[key]), key)) for key in TIME_MEASURES)
+            row.update((key, int(raw[key])) for key in ERROR_MEASURES)
+            derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
+            if row["weighted_total"] != derived:
+                raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
+        except ValueError as exc:
+            raise ReportError(f"malformed row in {path!r} at line {i}: {exc}") from None
+        rows.append(row)
     return rows
 
 

@@ -8,15 +8,14 @@ from a profile. Everything is a pure function of the session seed.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 from typing import Optional, Union
 
-from replicasim import ConfigError
+from replicasim import ConfigError, checks
 from replicasim import plant as plant_mod
+from replicasim.metrics import Condition
 from replicasim.netsim import LinkConfig, TraceEntry, World, derive_seed
 from replicasim.plant import PlantState, RoutingTable, plant_from_model, routing_table_from_dict
 from replicasim.protocol import (
@@ -87,11 +86,6 @@ class LogError(ConfigError):
     pass
 
 
-class Condition(Enum):
-    TABLET = "tablet"
-    HMD = "hmd"
-
-
 # --- Inspection plan -----------------------------------------------------------
 
 
@@ -138,8 +132,8 @@ def block_kind_name(block: Block) -> str:
 OPS_PER_KIND = {Handedness.ONE_HANDED: 4, Handedness.TWO_HANDED: 2}
 
 
-def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> None:
-    """Check block sizes, valve existence and handedness consistency."""
+def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> InspectionPlan:
+    """Check block sizes, valve existence and handedness consistency; returns ``plan``."""
     if len(plan.parts) != 2:
         raise PlanError("plan must have exactly two parts")
     seen_ids: set[str] = set()
@@ -167,32 +161,36 @@ def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> None
                         f"block {block.id!r}: valve {op.valve!r} is {registry[op.valve].value},"
                         f" not {block.kind.value}"
                     )
+    return plan
 
 
 def plan_from_dict(doc: dict) -> InspectionPlan:
     parts = []
-    for part in doc["parts"]:
+    for part in checks.typed(checks.typed(doc, "plan", dict).get("parts"), "parts", list):
         blocks: list[Block] = []
-        for b in part["blocks"]:
-            if not isinstance(b["id"], str):
-                raise PlanError(f"block id must be a string, got {b['id']!r}")
-            if b["type"] == "manipulation":
-                blocks.append(
-                    ManipulationBlock(
-                        id=b["id"],
-                        kind=Handedness(b["kind"]),
-                        operations=tuple(ValveOp(o["valve"], ValveState(o["target"])) for o in b["operations"]),
-                    )
+        for b in checks.typed(checks.typed(part, "part", dict).get("blocks"), "blocks", list):
+            block_id = checks.ident(checks.typed(b, "block", dict).get("id"), "block id")
+            if b.get("type") == "manipulation":
+                kind = checks.member(b.get("kind"), f"block {block_id!r} kind", Handedness)
+                operations = tuple(
+                    ValveOp(checks.ident(checks.typed(o, "operation", dict).get("valve"), f"block {block_id!r} valve"),
+                            checks.member(o.get("target"), f"block {block_id!r} target", ValveState))
+                    for o in checks.typed(b.get("operations"), f"block {block_id!r} operations", list)
                 )
-            elif b["type"] == "no_manipulation":
-                blocks.append(NoManipulationBlock(id=b["id"], prompt=b["prompt"]))
+                blocks.append(ManipulationBlock(block_id, kind, operations))
+            elif b.get("type") == "no_manipulation":
+                blocks.append(NoManipulationBlock(block_id, checks.typed(b.get("prompt"), "prompt", str)))
             else:
                 raise PlanError(f"unknown block type {b.get('type')!r}")
-        parts.append(PlanPart(name=part["name"], blocks=tuple(blocks)))
+        parts.append(PlanPart(checks.typed(part.get("name"), "part name", str), tuple(blocks)))
     return InspectionPlan(parts=tuple(parts))
 
 
 # --- Profiles ---------------------------------------------------------------------
+
+
+_PROBABILITIES = ("p_simple", "p_critical", "p_repeat")
+_LATENCIES = ("identify_latency_ms", "manipulate_latency_1h_ms", "manipulate_latency_2h_ms", "describe_latency_ms")
 
 
 @dataclass(frozen=True)
@@ -209,35 +207,20 @@ class OperatorProfile:
     tablet_putdown_penalty_ms: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("p_simple", "p_critical", "p_repeat"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        for name in (
-            "identify_latency_ms",
-            "manipulate_latency_1h_ms",
-            "manipulate_latency_2h_ms",
-            "describe_latency_ms",
-        ):
-            mean, sd = getattr(self, name)
-            if not (0 < mean < math.inf and 0 <= sd < math.inf):  # NaN fails every comparison
-                raise ValueError(f"{name} needs a finite positive mean and a finite non-negative sd")
+        for name in _PROBABILITIES:
+            object.__setattr__(self, name, checks.probability(getattr(self, name), name))
+        for name in _LATENCIES:
+            mean, sd = checks.vector(getattr(self, name), name, 2)
+            if not (mean > 0 and sd >= 0):
+                raise ValueError(f"{name} needs a positive mean and a non-negative sd")
+            object.__setattr__(self, name, (mean, sd))
+        checks.count(self.tablet_putdown_penalty_ms, "tablet_putdown_penalty_ms")
 
     @staticmethod
     def from_dict(doc: dict) -> "OperatorProfile":
-        def pair(key):
-            mean, sd = doc[key]
-            return (float(mean), float(sd))
-
+        doc = checks.typed(doc, "profile", dict)
         return OperatorProfile(
-            p_simple=float(doc["p_simple"]),
-            p_critical=float(doc["p_critical"]),
-            p_repeat=float(doc["p_repeat"]),
-            identify_latency_ms=pair("identify_latency_ms"),
-            manipulate_latency_1h_ms=pair("manipulate_latency_1h_ms"),
-            manipulate_latency_2h_ms=pair("manipulate_latency_2h_ms"),
-            describe_latency_ms=pair("describe_latency_ms"),
-            tablet_putdown_penalty_ms=int(doc.get("tablet_putdown_penalty_ms", 0)),
+            *(doc.get(name) for name in _PROBABILITIES + _LATENCIES), doc.get("tablet_putdown_penalty_ms", 0)
         )
 
 
@@ -264,13 +247,14 @@ def build_default_plan(registry: dict[str, Handedness]) -> InspectionPlan:
     The shipped ``data/default_plan.json`` is the plan's only source; it is
     validated against ``registry``.
     """
-    plan = plan_from_dict(_load_data("default_plan.json"))
-    validate_plan(plan, registry)
-    return plan
+    return validate_plan(plan_from_dict(_load_data("default_plan.json")), registry)
 
 
 def profiles_from_dict(doc: dict) -> dict[Condition, OperatorProfile]:
-    return {Condition(name): OperatorProfile.from_dict(profile) for name, profile in doc.items()}
+    return {
+        checks.member(name, "condition", Condition): OperatorProfile.from_dict(profile)
+        for name, profile in checks.typed(doc, "profiles", dict).items()
+    }
 
 
 def default_profiles() -> dict[Condition, OperatorProfile]:
@@ -324,24 +308,30 @@ def session_log_from_jsonl(text: str) -> SessionLog:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise LogError("empty session log")
-    header = json.loads(lines[0])
+    header = checks.typed(json.loads(lines[0]), "session header", dict)
     if header.get("record") != "session":
         raise LogError("first record must be the session header")
     events = []
     for line in lines[1:]:
-        doc = json.loads(line)
+        doc = checks.typed(json.loads(line), "log record", dict)
         if doc.get("record") != "event":
             raise LogError(f"unexpected record {doc.get('record')!r}")
-        events.append(
-            LogEvent(
-                t_ms=int(doc["t_ms"]),
-                kind=doc["kind"],
-                data=doc.get("data", {}),
-                block=doc.get("block"),
-                block_kind=doc.get("block_kind"),
-            )
-        )
-    return SessionLog(condition=Condition(header["condition"]), seed=int(header["seed"]), events=events)
+        kind = checks.typed(doc.get("kind"), "kind", str)
+        data = checks.typed(doc.get("data", {}), f"{kind} data", dict)
+        if kind in (IDENTIFY, MANIPULATE, REPEAT_REQUEST):  # the errors that replay counts
+            checks.ident(data.get("valve"), f"{kind} valve")
+        if kind in (IDENTIFY, MANIPULATE):
+            checks.typed(data.get("correct"), f"{kind} correct", bool)
+        block, block_kind = doc.get("block"), doc.get("block_kind")
+        events.append(LogEvent(
+            t_ms=checks.count(doc.get("t_ms"), "t_ms"),
+            kind=kind,
+            data=data,
+            block=None if block is None else checks.ident(block, "block"),
+            block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
+        ))
+    condition = checks.member(header.get("condition"), "condition", Condition)
+    return SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
 
 
 def validate_session_log(log: SessionLog) -> None:

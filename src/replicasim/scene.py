@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from replicasim import ConfigError
+from replicasim import ConfigError, checks
 
 QUAT_NORM_TOL = 1e-9
 
@@ -70,15 +70,8 @@ class Pose:
     orientation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if len(self.position) != 3:
-            raise ValueError("position must be a 3-vector")
-        if len(self.orientation) != 4:
-            raise ValueError("orientation must be a quaternion (w, x, y, z)")
-        if not all(map(math.isfinite, self.position)):
-            raise ValueError(f"position {self.position!r} has a non-finite component")
-        norm = math.sqrt(sum(c * c for c in self.orientation))
-        if not abs(norm - 1.0) <= QUAT_NORM_TOL:  # written so that a NaN norm fails
-            raise ValueError(f"quaternion norm {norm!r} deviates from 1 beyond {QUAT_NORM_TOL}")
+        object.__setattr__(self, "position", checks.vector(self.position, "position", 3))
+        object.__setattr__(self, "orientation", checks.unit(self.orientation, "quaternion", 4, QUAT_NORM_TOL))
 
     def rotate(self, v: tuple[float, float, float]) -> tuple[float, float, float]:
         """Rotate a vector by this pose's orientation."""
@@ -115,9 +108,8 @@ class Pose:
 
     @staticmethod
     def from_dict(doc: dict) -> "Pose":
-        pos = doc.get("pos", [0.0, 0.0, 0.0])
-        quat = doc.get("quat", [1.0, 0.0, 0.0, 0.0])
-        return Pose(tuple(float(c) for c in pos), tuple(float(c) for c in quat))  # type: ignore[arg-type]
+        doc = checks.typed(doc, "pose", dict)
+        return Pose(doc.get("pos", (0.0, 0.0, 0.0)), doc.get("quat", (1.0, 0.0, 0.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -129,10 +121,8 @@ class VisualState:
 
     def __post_init__(self) -> None:
         if self.highlight_color is not None:
-            if len(self.highlight_color) != 3 or any(
-                not isinstance(c, (int, float)) or not 0.0 <= c <= 1.0 for c in self.highlight_color
-            ):
-                raise ValueError("highlight_color components must each be a number in [0, 1]")
+            for c in checks.vector(self.highlight_color, "highlight_color", 3):
+                checks.probability(c, "highlight_color component")
 
 
 @dataclass(frozen=True)
@@ -164,10 +154,10 @@ class Annotation:
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("annotation id must be non-empty")
-        if not all(map(math.isfinite, self.offset)):
-            raise ValueError(f"annotation {self.id!r} offset {self.offset!r} has a non-finite component")
+        checks.ident(self.id, "annotation id")
+        checks.ident(self.anchor, "annotation anchor")
+        checks.typed(self.text, "annotation text", str)
+        object.__setattr__(self, "offset", checks.vector(self.offset, "annotation offset", 3))
 
 
 # --- Edit vocabulary ---------------------------------------------------------
@@ -276,45 +266,32 @@ def load_model(descriptor: dict) -> SceneModel:
         {"marker_offset": {"pos": [x,y,z], "quat": [w,x,y,z]},
          "nodes": [{"id", "kind", "parent"?, "pose"?, "valve_state"?, "handedness"?}, ...]}
     """
-    if not isinstance(descriptor, dict):
-        raise DescriptorError("descriptor must be a JSON object")
+    nodes: dict[str, SceneNode] = {}
+    try:
+        for doc in checks.typed(checks.typed(descriptor, "descriptor", dict).get("nodes", []), "nodes", list):
+            node_id = checks.ident(checks.typed(doc, "node", dict).get("id"), "node id")
+            if node_id in nodes:
+                raise ValueError(f"duplicate node id {node_id!r}")
+            try:
+                kind = checks.member(doc.get("kind"), "kind", NodeKind)
+                valve = kind is NodeKind.VALVE
+                parent = doc.get("parent")
+                nodes[node_id] = SceneNode(
+                    node_id,
+                    kind,
+                    None if parent is None else checks.ident(parent, "parent"),
+                    Pose.from_dict(doc.get("pose", {})),
+                    checks.member(doc.get("valve_state"), "valve_state", ValveState) if valve else None,
+                    checks.member(doc.get("handedness"), "handedness", Handedness) if valve else None,
+                )
+            except ValueError as exc:
+                raise ValueError(f"node {node_id!r}: {exc}") from None
+    except ValueError as exc:
+        raise DescriptorError(str(exc)) from None
     try:
         marker_offset = Pose.from_dict(descriptor.get("marker_offset", {}))
     except ValueError as exc:
         raise DescriptorError(f"marker_offset: {exc}") from None
-    nodes: dict[str, SceneNode] = {}
-    for i, doc in enumerate(descriptor.get("nodes", [])):
-        node_id = doc.get("id", "")
-        if not isinstance(node_id, str):
-            raise DescriptorError(f"node {i}: id must be a string, got {node_id!r}")
-        if node_id in nodes:
-            raise DescriptorError(f"duplicate node id {node_id!r}")
-        try:
-            kind = NodeKind(doc.get("kind", ""))
-        except ValueError:
-            raise DescriptorError(f"node {node_id or i!r}: unknown kind {doc.get('kind')!r}") from None
-        valve_state = handedness = None
-        if kind is NodeKind.VALVE:
-            if "valve_state" not in doc:
-                raise DescriptorError(f"valve {node_id!r} missing valve_state")
-            if "handedness" not in doc:
-                raise DescriptorError(f"valve {node_id!r} missing handedness")
-            try:
-                valve_state = ValveState(doc["valve_state"])
-                handedness = Handedness(doc["handedness"])
-            except ValueError as exc:
-                raise DescriptorError(f"valve {node_id!r}: {exc}") from None
-        try:
-            nodes[node_id] = SceneNode(
-                id=node_id,
-                kind=kind,
-                parent=doc.get("parent"),
-                local_pose=Pose.from_dict(doc.get("pose", {})),
-                valve_state=valve_state,
-                handedness=handedness,
-            )
-        except ValueError as exc:
-            raise DescriptorError(str(exc)) from None
     for node in nodes.values():
         if node.parent is not None and node.parent not in nodes:
             raise DescriptorError(f"node {node.id!r} has dangling parent {node.parent!r}")
@@ -514,12 +491,13 @@ def annotation_to_dict(ann: Annotation) -> dict:
 
 
 def annotation_from_dict(doc: dict) -> Annotation:
+    doc = checks.typed(doc, "annotation", dict)
     return Annotation(
-        id=doc["id"],
-        author_role=Role(doc["author_role"]),
-        anchor=doc["anchor"],
-        text=doc["text"],
-        offset=tuple(float(c) for c in doc.get("offset", (0.0, 0.0, 0.0))),  # type: ignore[arg-type]
+        id=doc.get("id"),
+        author_role=checks.member(doc.get("author_role"), "author_role", Role),
+        anchor=doc.get("anchor"),
+        text=doc.get("text"),
+        offset=doc.get("offset", (0.0, 0.0, 0.0)),
     )
 
 
@@ -542,20 +520,23 @@ def edit_to_dict(edit: Edit) -> dict:
 
 
 def edit_from_dict(doc: dict) -> Edit:
-    op = doc.get("op")
-    role = Role(doc["role"])
-    seq = int(doc["seq"])
+    """An edit from its wire form. A highlight color is only required to be a
+    list here; its range is the model's check, so a bad one is a rejected edit."""
+    op = checks.typed(doc, "edit", dict).get("op")
+    role = checks.member(doc.get("role"), "role", Role)
+    seq = checks.count(doc.get("seq"), "seq")
+    if op == "add_annotation":
+        return AddAnnotation(annotation_from_dict(doc.get("annotation")), role, seq)
+    if op == "remove_annotation":
+        return RemoveAnnotation(checks.ident(doc.get("annotation_id"), "annotation_id"), role, seq)
+    if op not in ("set_pose", "set_valve_state", "set_highlight", "set_indication"):
+        raise ValueError(f"unknown edit op {op!r}")
+    node = checks.ident(doc.get("node"), "node")
     if op == "set_pose":
-        return SetPose(doc["node"], Pose.from_dict(doc["pose"]), role, seq)
+        return SetPose(node, Pose.from_dict(doc.get("pose")), role, seq)
     if op == "set_valve_state":
-        return SetValveState(doc["node"], ValveState(doc["state"]), role, seq)
+        return SetValveState(node, checks.member(doc.get("state"), "state", ValveState), role, seq)
     if op == "set_highlight":
         color = doc.get("color")
-        return SetHighlight(doc["node"], tuple(color) if color is not None else None, role, seq)
-    if op == "set_indication":
-        return SetIndication(doc["node"], bool(doc["playing"]), role, seq)
-    if op == "add_annotation":
-        return AddAnnotation(annotation_from_dict(doc["annotation"]), role, seq)
-    if op == "remove_annotation":
-        return RemoveAnnotation(doc["annotation_id"], role, seq)
-    raise EditError(f"unknown edit op {op!r}")
+        return SetHighlight(node, None if color is None else tuple(checks.typed(color, "color", list)), role, seq)
+    return SetIndication(node, checks.typed(doc.get("playing"), "playing", bool), role, seq)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence
 
+from replicasim import checks
+
 _NORMAL = NormalDist()
 
 DEFAULT_EXACT_THRESHOLD = 16
@@ -39,8 +41,10 @@ class Sample:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise StatsError("sample must contain at least one value")
-        if any(not math.isfinite(v) for v in self.values):
-            raise StatsError("sample values must be finite")
+        try:
+            checks.vector(self.values, "sample values", len(self.values))
+        except ValueError as exc:
+            raise StatsError(str(exc)) from None
 
     @property
     def n(self) -> int:

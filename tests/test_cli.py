@@ -208,11 +208,15 @@ def shipped_with(name: str, mutate) -> str:
         ("replay", LOG_HEADER + '{"record":"event","t_ms":0,"kind":"CallStart"}\n'
                    '{"record":"event","t_ms":5,"kind":"Identify","data":{"correct":false}}\n'
                    '{"record":"event","t_ms":9,"kind":"CallEnd"}\n'),
+        ("--plan", shipped_with("default_plan.json",
+                                lambda d: d["parts"][0]["blocks"][1]["operations"][0].update(valve=[]))),
+        ("--model", shipped_with("default_model.json",
+                                 lambda d: next(n for n in d["nodes"] if n["id"] == "1V1").update(id="1V1x"))),
     ],
     ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "model-unknown-kind", "routing-json",
          "routing-enum", "routing-effectiveness", "routing-nan-inlet", "profile-json", "model-numeric-valve-id",
          "plan-dict-block-id", "profile-infinite-putdown", "replay-json", "replay-missing-key",
-         "replay-header-only", "replay-error-without-valve"],
+         "replay-header-only", "replay-error-without-valve", "plan-list-valve", "model-renamed-valve"],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     bad = tmp_path / "malformed_input.json"

@@ -45,3 +45,20 @@ def test_every_public_definition_has_a_caller_or_documentation():
         and node.name not in used
     ]
     assert orphans == []
+
+
+def test_field_checks_live_in_one_module():
+    """Outside ``checks.py`` no module refers to ``isfinite`` or checks an id
+    with ``isinstance(..., str)``: every field check is one of ``checks``'."""
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "checks.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if getattr(node, "attr", None) == "isfinite" or getattr(node, "id", None) == "isfinite":
+                found.append(f"{module.name}:{node.lineno} isfinite")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(getattr(kind, "id", None) == "str" for kind in kinds):
+                    found.append(f"{module.name}:{node.lineno} isinstance(..., str)")
+    assert found == []

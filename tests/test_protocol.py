@@ -211,9 +211,19 @@ class TestWireCodec:
             b'{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"sync_commit","new_version":1,'
             b'"accepted":[{"op":"paint","role":"Expert","seq":1}]}}',
             b"[" * 100_000 + b"]" * 100_000,
+            b'{"host_seq":"x","sender":"op","sender_seq":1,"room":"r","payload":{"kind":"call_start"}}',
+            b'{"sender":"ex","sender_seq":1,"room":"r","payload":{"kind":"sync_req","owner":"ex",'
+            b'"owner_role":"Expert","base_version":0,'
+            b'"edits":[{"op":"set_valve_state","node":[],"state":"Open","role":"Expert","seq":1}]}}',
+            b'{"sender":"host","sender_seq":1,"room":"r","payload":{"kind":"sync_commit","new_version":1,'
+            b'"accepted":[{"op":"set_indication","node":"V1","playing":"x","role":"Expert","seq":1}]}}',
+            b'{"sender":"ex","sender_seq":1,"room":"r","payload":{"kind":"sync_req","owner":"ex",'
+            b'"owner_role":"Expert","base_version":true,"edits":[]}}',
+            b'{"sender":5,"sender_seq":1,"room":"r","payload":{"kind":"call_start"}}',
         ],
         ids=["missing-sender-seq", "not-json", "not-utf8", "array-body", "nan-pose", "ajar-target",
-             "infinite-sender-seq", "unknown-edit-op", "deep-nesting"],
+             "infinite-sender-seq", "unknown-edit-op", "deep-nesting", "string-host-seq", "list-edit-node",
+             "string-playing", "bool-base-version", "numeric-sender"],
     )
     def test_malformed_body_is_room_error(self, body):
         with pytest.raises(RoomError, match="malformed frame body"):
