@@ -121,13 +121,31 @@ def make_sync_request(replica: Replica) -> SyncRequest:
     )
 
 
+def _expert_rule(edit: Edit, field_authors: dict) -> str | None:
+    """The Expert's rule: every edit that fits the model applies."""
+    return None
+
+
+def _operator_rule(edit: Edit, field_authors: dict) -> str | None:
+    """The Operator's rule: no annotation removal, and no write over a field the Expert authored."""
+    if type(edit) is RemoveAnnotation:
+        return REJECT_ANNOTATION_RETENTION
+    author = field_authors.get(edit_field_key(edit))
+    if author is not None and author[0] is Role.EXPERT:
+        return REJECT_EXPERT_PRECEDENCE
+    # Same-role conflicts fall to the incoming request, which holds the
+    # later host sequence.
+    return None
+
+
 def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
     """Merge a replica's pending edits into the shared model.
 
     Pure function: identical (request, shared) inputs produce a bit-identical
     outcome. The version bumps once per accepted batch, not per edit. An edit
     that does not fit the model is rejected with the reason its check names;
-    the role rules below decide the rest.
+    the rest pass the request role's rule: ``_expert_rule`` accepts them all,
+    ``_operator_rule`` applies the Operator's two restrictions.
     """
     if request.base_version > shared.version:
         raise ProtocolError(
@@ -138,20 +156,8 @@ def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
             raise ProtocolError(
                 f"edit authored as {edit.author_role.value} in a request from the {request.owner_role.value}"
             )
-
-    def role_rule(edit: Edit, field_authors: dict) -> str | None:
-        if request.owner_role is Role.EXPERT:
-            return None  # Expert edits always win.
-        if isinstance(edit, RemoveAnnotation):
-            return REJECT_ANNOTATION_RETENTION
-        author = field_authors.get(edit_field_key(edit))
-        if author is not None and author[0] is Role.EXPERT:
-            return REJECT_EXPERT_PRECEDENCE
-        # Same-role conflicts fall to the incoming request, which holds the
-        # later host sequence.
-        return None
-
-    merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, role_rule)
+    rule = _expert_rule if request.owner_role is Role.EXPERT else _operator_rule
+    merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, rule)
     return MergeOutcome(merged=merged if accepted else shared, accepted=accepted, rejected=rejected)
 
 
@@ -170,10 +176,11 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     The replica's own accepted edits, identified by (author_role, author_seq),
     leave ``pending``; edits the host rejected stay so the owner can see and
     revise them. The pending edits are re-applied to ``shared`` in one batch
-    at ``shared.version``, whose rule passes every edit, so any that no longer
-    apply (target removed remotely, annotation id now taken) are dropped. With
-    nothing left pending, ``working`` equals ``shared``; on a large model it
-    is a fresh overlay of ``shared`` with empty deltas.
+    at ``shared.version`` under ``_expert_rule``, which passes every edit
+    that fits, so any that no longer apply (target removed remotely,
+    annotation id now taken) are dropped. With nothing left pending,
+    ``working`` equals ``shared``; on a large model it is a fresh overlay of
+    ``shared`` with empty deltas.
     """
     if shared.version < replica.base_version:
         raise ReplicaError(
@@ -186,7 +193,7 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
     pending = ()
     if remaining:
-        working, pending, _ = _apply_batch(working, remaining, shared.version, lambda edit, authors: None)
+        working, pending, _ = _apply_batch(working, remaining, shared.version, _expert_rule)
     return Replica(replica.owner, replica.owner_role, shared.version, working, pending)
 
 

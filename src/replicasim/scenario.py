@@ -34,6 +34,8 @@ from replicasim.protocol import (
     update_avatar,
 )
 from replicasim.replica import (
+    MergeOutcome,
+    SyncRequest,
     acknowledge_commit,
     apply_commit,
     create_replica,
@@ -418,11 +420,17 @@ class _ExpertAgent:
         for edit in edits:
             self.replica = edit_replica(self.replica, edit)
         self.indicated = valve
-        request = make_sync_request(self.replica)
+        env, outcome = self._commit(make_sync_request(self.replica))
+        self.replica = acknowledge_commit(self.replica, outcome.accepted, self.s.room.shared)
+        net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms=pause)
+
+    def _commit(self, request: SyncRequest) -> tuple[Envelope, MergeOutcome]:
+        """Merge ``request`` as the host and record the commit for the operator."""
+        before = self.s.room.shared
         room, env, outcome = submit_sync(self.s.room, request)
         self.s.room = room
-        self.replica = acknowledge_commit(self.replica, outcome.accepted, room.shared)
-        net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms=pause)
+        self.s.commits[outcome.merged.version] = (before, outcome.accepted, outcome.merged)
+        return env, outcome
 
     def _advance(self, net: World, now: int) -> None:
         if self.step_index >= len(self.steps):
@@ -464,8 +472,7 @@ class _ExpertAgent:
             self.s.room = room
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
         elif isinstance(payload, SyncReq):
-            room, env_out, _ = submit_sync(self.s.room, payload.request)
-            self.s.room = room
+            env_out, _ = self._commit(payload.request)
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
         elif isinstance(payload, Instruction):  # the operator has finished the current step
             step = self.steps[self.step_index]
@@ -548,7 +555,18 @@ class _OperatorAgent:
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         payload = env.payload
         if isinstance(payload, SyncCommit):
-            self.local_shared = apply_commit(self.local_shared, payload.accepted, payload.new_version)
+            # Replay is a pure function of (model, accepted edits, version), so
+            # when its inputs are the very objects the host merged, the host's
+            # merged model is its result and is adopted as is; any other commit
+            # (one that follows a lost commit, say) is replayed. An empty commit
+            # keeps its version and ``()`` is one object, so it may pop another
+            # empty commit's entry; the hit is still exact, because an empty
+            # commit's merged model is its pre-commit model.
+            before, accepted, merged = self.s.commits.pop(payload.new_version, (None, None, None))
+            if before is self.local_shared and accepted is payload.accepted:
+                self.local_shared = merged
+            else:
+                self.local_shared = apply_commit(self.local_shared, payload.accepted, payload.new_version)
             self.replica = acknowledge_commit(self.replica, payload.accepted, self.local_shared)
             for edit in payload.accepted:
                 if isinstance(edit, SetIndication) and edit.playing:
@@ -579,6 +597,9 @@ class _Session:
     plant: PlantState
     room: RoomState
     recorder: _Recorder
+    # Host commits on their way to the operator, by new version: (pre-commit
+    # model, accepted edits, merged model). The operator pops each on arrival.
+    commits: dict[int, tuple[SceneModel, tuple, SceneModel]] = field(default_factory=dict)
 
 
 def run_session(

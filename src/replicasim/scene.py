@@ -212,8 +212,7 @@ class RemoveAnnotation:
 
 Edit = Union[SetPose, SetValveState, SetHighlight, SetIndication, AddAnnotation, RemoveAnnotation]
 
-FIELD_EDITS = (SetPose, SetValveState, SetHighlight, SetIndication)
-
+# The four node-field edits and the provenance field each one writes.
 _FIELD_NAME = {SetPose: "pose", SetValveState: "valve_state", SetHighlight: "highlight", SetIndication: "indication"}
 
 
@@ -368,11 +367,11 @@ def _apply_batch(
             if authors is model.field_authors:
                 authors = dict(authors) if type(authors) is dict else _copy_delta(authors)
             nodes[node.id] = node
-            authors[edit_field_key(edit)] = (edit.author_role, version)
+            authors[(_FIELD_NAME[type(edit)], node.id)] = (edit.author_role, version)
             continue
         if annotations is model.annotations:
             annotations = dict(annotations)
-        if isinstance(edit, AddAnnotation):
+        if type(edit) is AddAnnotation:
             annotations[edit.annotation.id] = edit.annotation
         else:
             del annotations[edit.annotation_id]
@@ -393,9 +392,11 @@ def _edited_node(
     The node is built with its constructor, so every ``__post_init__`` check runs.
     An overlay is read as its delta, then its base: ``ChainMap.get`` and ``in``
     run in Python. Edits replace nodes and never add one, so the base holds
-    every node id.
+    every node id. Edits dispatch on their exact type; any other value is
+    an unsupported edit.
     """
-    if isinstance(edit, FIELD_EDITS):
+    edit_type = type(edit)
+    if edit_type in _FIELD_NAME:
         if type(nodes) is dict:
             node = nodes.get(edit.node)
         else:
@@ -404,13 +405,13 @@ def _edited_node(
         if node is None:
             raise EditError(f"unknown node {edit.node!r}")
         pose, valve_state, visual = node.local_pose, node.valve_state, node.visual
-        if isinstance(edit, SetPose):
+        if edit_type is SetPose:
             pose = edit.pose
-        elif isinstance(edit, SetValveState):
+        elif edit_type is SetValveState:
             if node.kind is not NodeKind.VALVE:
                 raise EditError(f"cannot set valve_state on non-valve {edit.node!r}")
             valve_state = edit.state
-        elif isinstance(edit, SetHighlight):
+        elif edit_type is SetHighlight:
             try:
                 visual = VisualState(edit.color, visual.indication_animation)
             except ValueError as exc:
@@ -418,14 +419,14 @@ def _edited_node(
         else:
             visual = VisualState(visual.highlight_color, edit.playing)
         return SceneNode(node.id, node.kind, node.parent, pose, valve_state, node.handedness, visual)
-    if isinstance(edit, AddAnnotation):
+    if edit_type is AddAnnotation:
         ann = edit.annotation
         if ann.anchor not in (nodes if type(nodes) is dict else nodes.maps[1]):
             raise EditError(f"annotation {ann.id!r} anchors unknown node {ann.anchor!r}")
         if ann.id in annotations:
             raise EditError(f"annotation id {ann.id!r} already present", DUPLICATE_ANNOTATION)
         return None
-    if isinstance(edit, RemoveAnnotation):
+    if edit_type is RemoveAnnotation:
         if edit.annotation_id not in annotations:
             raise EditError(f"unknown annotation {edit.annotation_id!r}")
         return None

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -252,6 +253,19 @@ class TestSynchronize:
             assert outcome.rejected == ((req.edits[0], REJECT_INVALID_HIGHLIGHT),)
             assert outcome.merged.nodes["V1"].visual.highlight_color is None
             assert outcome.merged.nodes["V2"].valve_state is ValveState.OPEN
+
+    def test_non_edit_value_is_an_unsupported_edit(self, shared):
+        # Edits dispatch on their exact type: a value with an edit's fields is not one.
+        for role in Role:
+            lookalike = SimpleNamespace(node="V1", state=ValveState.CLOSED, author_role=role, author_seq=1)
+            with pytest.raises(EditError, match="unsupported edit") as info:
+                apply_commit(shared, (lookalike,), shared.version + 1)
+            assert info.value.reason == REJECT_UNKNOWN_TARGET
+            valid = SetValveState("V2", ValveState.OPEN, role, 2)
+            outcome = synchronize(SyncRequest("c", role, 0, (lookalike, valid)), shared)
+            assert outcome.rejected == ((lookalike, REJECT_UNKNOWN_TARGET),)
+            assert outcome.accepted == (valid,)
+            assert outcome.merged.nodes["V1"] == shared.nodes["V1"]
 
     def test_edit_authored_under_other_role_is_protocol_error(self, shared):
         # The edit keeps the dataclass default author_role, Expert, inside an Operator request.

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import sys
 
@@ -15,7 +16,7 @@ from replicasim.plant import (
     route,
 )
 from replicasim.protocol import Avatar, SyncCommit, SyncReq
-from replicasim import scene
+from replicasim import netsim, replica, scenario, scene
 from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
@@ -242,6 +243,67 @@ class TestRunSession:
             sys.setprofile(None)
         assert calls["batch"] > 0  # the hook saw the replica path run
         assert calls["replace"] == 0
+
+    @pytest.mark.parametrize("condition, batches, replays", [(Condition.HMD, 59, 0), (Condition.TABLET, 0, 0)])
+    def test_session_applies_each_commit_once(self, condition, batches, replays):
+        # Call counts, not timings. Of the seed-0 hmd session's 24 commits the
+        # operator replays none: each time, it adopts the model the host merged.
+        # Every batch it would have replayed is one the host already applied.
+        watched = {scene._apply_batch.__code__: "batch", replica.apply_commit.__code__: "replay"}
+        calls = {"batch": 0, "replay": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        plan = build_default_plan(valve_registry(default_model()))
+        sys.setprofile(count)
+        try:
+            run_session(plan, condition, default_profiles()[condition], seed=0)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"batch": batches, "replay": replays}
+
+    # sha256 of the seed-0 hmd session's JSONL when the k-th of its 24 SyncCommit
+    # sends is dropped, computed by replaying every commit the operator receives.
+    DROPPED_COMMIT_DIGESTS = {
+        1: "1d1ba1a4564c42d4c5adbeb14f98109309dab8700f4c442f9b480b82c3b846d1",
+        2: "7e95c4af51bdb22215ad5e5aec712a8e8d1caa97a2b7f81c3ac9924a6670ac6a",
+        5: "18c4b4bc08b6cd766fe4556ffbc92175d315718d127ecdc7fb8cbcd38fecacb0",
+        13: "cee57e082bb51f7211dde27bc58ac8dcf9837d56419775fe473ec869c4b5a379",
+        24: "4dd60a36e0e438768f1d5573bfc219c6fac0f746d5eb37d403e06a11acbb3c2d",
+    }
+
+    @pytest.mark.parametrize("k", sorted(DROPPED_COMMIT_DIGESTS))
+    def test_commits_after_a_lost_commit_are_replayed(self, monkeypatch, k):
+        # After a lost commit the operator's model is no longer the one the host
+        # merged from, so each later commit is replayed, and the log is the one a
+        # replay of every commit gives.
+        send = netsim.World.send
+        seen = []
+
+        def drop_kth_commit(world, src, dst, envelope, extra_delay_ms=0):
+            if type(envelope.payload) is SyncCommit:
+                seen.append(envelope)
+                if len(seen) == k:
+                    return None
+            return send(world, src, dst, envelope, extra_delay_ms)
+
+        replays = []
+        apply_commit = replica.apply_commit
+
+        def counted_apply_commit(*args):
+            replays.append(args)
+            return apply_commit(*args)
+
+        monkeypatch.setattr(netsim.World, "send", drop_kth_commit)
+        monkeypatch.setattr(scenario, "apply_commit", counted_apply_commit)
+        plan = build_default_plan(valve_registry(default_model()))
+        log = run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0)
+        assert len(seen) == 24
+        assert len(replays) == 24 - k
+        digest = hashlib.sha256(session_log_to_jsonl(log).encode("utf-8")).hexdigest()
+        assert digest == self.DROPPED_COMMIT_DIGESTS[k]
 
     def test_tablet_has_no_sync_traffic(self):
         log = run_quiet(Condition.TABLET, seed=9)
