@@ -43,6 +43,7 @@ from replicasim.replica import (
     make_sync_request,
 )
 from replicasim.scene import (
+    EditError,
     Handedness,
     Pose,
     Role,
@@ -386,7 +387,8 @@ EXPERT_ID = "expert"
 
 
 class _ExpertAgent:
-    """Guide-side state machine; also carries the room host role."""
+    """Guide-side state machine and room host. As host it commits its own edits
+    through ``synchronize`` with no private replica; only the operator holds one."""
 
     def __init__(self, session: "_Session"):
         self.s = session
@@ -401,7 +403,6 @@ class _ExpertAgent:
         self.pending_pause_ms = 0
         self.edit_seq = 0
         self.indicated: Optional[str] = None
-        self.replica = None
 
     def _next_seq(self) -> int:
         self.edit_seq += 1
@@ -417,11 +418,11 @@ class _ExpertAgent:
         if self.indicated is not None:
             edits.append(SetIndication(self.indicated, False, Role.EXPERT, self._next_seq()))
         edits.append(SetIndication(valve, True, Role.EXPERT, self._next_seq()))
-        for edit in edits:
-            self.replica = edit_replica(self.replica, edit)
         self.indicated = valve
-        env, outcome = self._commit(make_sync_request(self.replica))
-        self.replica = acknowledge_commit(self.replica, outcome.accepted, self.s.room.shared)
+        env, outcome = self._commit(SyncRequest(EXPERT_ID, Role.EXPERT, self.s.room.shared.version, tuple(edits)))
+        if outcome.rejected:
+            edit, reason = outcome.rejected[0]
+            raise EditError(f"the host rejected its own edit {edit!r}: {reason}", reason)
         net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms=pause)
 
     def _commit(self, request: SyncRequest) -> tuple[Envelope, MergeOutcome]:
@@ -637,7 +638,6 @@ def run_session(
     world.add_link(OPERATOR_ID, EXPERT_ID, link)
     world.add_link(EXPERT_ID, OPERATOR_ID, link)
     expert = _ExpertAgent(session)
-    expert.replica = create_replica(room.shared, EXPERT_ID, Role.EXPERT)
     operator = _OperatorAgent(session)
     world.add_endpoint(EXPERT_ID, expert)
     world.add_endpoint(OPERATOR_ID, operator)

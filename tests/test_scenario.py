@@ -21,6 +21,7 @@ from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
     CALL_START,
+    DEFAULT_SESSION_LINK,
     IDENTIFY,
     INSTRUCTION,
     MANIPULATE,
@@ -244,13 +245,22 @@ class TestRunSession:
         assert calls["batch"] > 0  # the hook saw the replica path run
         assert calls["replace"] == 0
 
-    @pytest.mark.parametrize("condition, batches, replays", [(Condition.HMD, 59, 0), (Condition.TABLET, 0, 0)])
-    def test_session_applies_each_commit_once(self, condition, batches, replays):
+    @pytest.mark.parametrize("condition, batches, replays, edits, acks",
+                             [(Condition.HMD, 36, 0, 12, 24), (Condition.TABLET, 0, 0, 0, 0)])
+    def test_session_applies_each_commit_once(self, condition, batches, replays, edits, acks):
         # Call counts, not timings. Of the seed-0 hmd session's 24 commits the
         # operator replays none: each time, it adopts the model the host merged.
         # Every batch it would have replayed is one the host already applied.
-        watched = {scene._apply_batch.__code__: "batch", replica.apply_commit.__code__: "replay"}
-        calls = {"batch": 0, "replay": 0}
+        # The host commits its own 12 indication batches with no private
+        # replica, so every private edit and acknowledge is the operator's:
+        # one edit per valve operation, one acknowledge per commit.
+        watched = {
+            scene._apply_batch.__code__: "batch",
+            replica.apply_commit.__code__: "replay",
+            replica.edit_replica.__code__: "edit",
+            replica.acknowledge_commit.__code__: "ack",
+        }
+        calls = {"batch": 0, "replay": 0, "edit": 0, "ack": 0}
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code in watched:
@@ -262,7 +272,53 @@ class TestRunSession:
             run_session(plan, condition, default_profiles()[condition], seed=0)
         finally:
             sys.setprofile(None)
-        assert calls == {"batch": batches, "replay": replays}
+        assert calls == {"batch": batches, "replay": replays, "edit": edits, "ack": acks}
+
+    # sha256 of the JSONL of the hmd sessions of seeds 0-4, computed on the tree
+    # before the host dropped its private replica. In each of these sessions the
+    # operator's commits advance the shared version between two of the host's
+    # own indication commits (11 of 12 times), so the host's old replica was one
+    # version behind when it made its request.
+    @pytest.mark.parametrize("link, digests", [
+        pytest.param(DEFAULT_SESSION_LINK, (
+            "b8dca3d7e4cf7d0fc405b780204cbc10abd0c3ffc6dcb896d7d6b347cb0ee3e7",
+            "a508bb9e52bf41a6a77fa076fc2cb82692cc0d5751ba2a5bc1d1e71293590416",
+            "83499522c12b2e8107e6bf5e2d5796de72d2d8335a3cc979e12158802fc768ef",
+            "048b4ff440abf97df228d6603cab3b045a2778a0e40bec0be5ffbb24afd9b6d3",
+            "8ad08c8ee359ee8c27f2c6cba504c49765e8e41818e91e48609e793fececc769",
+        ), id="default-link"),
+        pytest.param(LinkConfig(40, 30), (
+            "efe6a99ad8ae0ed8f02a881a4d416807bf32bbf79e407341c6036934fe0f25f2",
+            "896547e6caa6982487f836eb82136cd67d94114897cb4d1207ac7ef598980657",
+            "59832b7227e59a93dcdff625c0cdd5461139fda8b06091bc38aaa94a13e783b1",
+            "48d583addb4bb93fe1f5124b744117f8cb60866c5f8f4fbe905cc828325579dc",
+            "950dd5491d6119bbd24c69f6a15f2e1c841b14520bec3a64b618fb464df8d207",
+        ), id="40ms-30ms"),
+    ])
+    def test_hmd_session_bytes_are_pinned(self, link, digests):
+        model = default_model()
+        plan = build_default_plan(valve_registry(model))
+        profile = default_profiles()[Condition.HMD]
+        assert digests == tuple(
+            hashlib.sha256(session_log_to_jsonl(
+                run_session(plan, Condition.HMD, profile, seed=seed, model=model, link_config=link)
+            ).encode("utf-8")).hexdigest()
+            for seed in range(5)
+        )
+
+    def test_host_edit_rejected_by_its_own_commit_raises(self, monkeypatch):
+        # The host's indication edits go straight into its merge; one the merge
+        # rejects stops the session with the edit and the reason named.
+        plan = build_default_plan(valve_registry(default_model()))
+        blocks = list(plan.parts[0].blocks)
+        i = next(i for i, b in enumerate(blocks) if isinstance(b, ManipulationBlock))
+        ghost = dataclasses.replace(blocks[i].operations[0], valve="ghost-valve")
+        blocks[i] = dataclasses.replace(blocks[i], operations=(ghost,) + blocks[i].operations[1:])
+        parts = (dataclasses.replace(plan.parts[0], blocks=tuple(blocks)),) + plan.parts[1:]
+        monkeypatch.setattr(scenario, "validate_plan", lambda plan, registry: plan)
+        with pytest.raises(scene.EditError, match=r"SetIndication\(node='ghost-valve'.*unknown-target") as info:
+            run_session(dataclasses.replace(plan, parts=parts), Condition.HMD, QUIET_PROFILE, seed=0)
+        assert info.value.reason == scene.UNKNOWN_TARGET
 
     # sha256 of the seed-0 hmd session's JSONL when the k-th of its 24 SyncCommit
     # sends is dropped, computed by replaying every commit the operator receives.
