@@ -7,7 +7,7 @@ the guide indicates each valve on their replica, synchronizes it so the
 maintainer sees the indication, and the maintainer identifies and operates the
 valve. Everything below is a pure function of the seed.
 """
-from replicasim.metrics import block_times, count_errors, errors_from_log, weighted_total
+from replicasim.metrics import block_times, error_counts, weighted_total
 from replicasim.protocol import SyncCommit, SyncReq
 from replicasim.scenario import (
     Condition,
@@ -36,7 +36,7 @@ for block in timing.blocks:
     print(f"  {block.block:<16} ({block.kind:<14}) {block.duration_s:7.1f}s")
 print(f"  total call span {timing.total_s:.1f}s")
 
-counts = count_errors(errors_from_log(log))
+counts = error_counts(log)
 print(f"\nerrors: simple={counts.simple} critical={counts.critical} "
       f"repetition={counts.repetition} weighted={weighted_total(counts)}")
 print("plant restored to initial state:", log.initial_valve_states == log.final_valve_states)

@@ -19,6 +19,15 @@ E = TypeVar("E", bound=Enum)
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 _NUMBER_TYPES = {int, float}
 
+# The bound of each field type. A count, a log's t_ms among them, is exact in
+# every JSON reader: at most 2**53 - 1, the integer range of I-JSON (RFC 7493,
+# section 2.2). A metrics time column (s) is at most a call of MAX_COUNT ms, so
+# its sums and squares stay finite. A profile's latency or penalty (ms) is at
+# most a day, so that even a call of a million steps ends within MAX_COUNT ms.
+MAX_COUNT = 2**53 - 1
+MAX_SECONDS = MAX_COUNT / 1000
+MAX_LATENCY_MS = 86_400_000
+
 
 def _refuse(name: str, expected: str, value: object) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
@@ -41,6 +50,14 @@ def finite(value: object, name: str) -> float:
     return number
 
 
+def seconds(value: object, name: str) -> float:
+    """A time column: an int or float of magnitude at most ``MAX_SECONDS``, as a float."""
+    number = _float(value)
+    if not abs(number) <= MAX_SECONDS:  # written so that NaN fails
+        raise _refuse(name, f"a number of magnitude at most {MAX_SECONDS}", value)
+    return number
+
+
 def integer(value: object, name: str) -> int:
     """An int of either sign."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -49,9 +66,9 @@ def integer(value: object, name: str) -> int:
 
 
 def count(value: object, name: str) -> int:
-    """A non-negative int."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise _refuse(name, "a non-negative integer", value)
+    """A non-negative int of at most ``MAX_COUNT``."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= MAX_COUNT:
+        raise _refuse(name, f"an integer in [0, {MAX_COUNT}]", value)
     return value
 
 

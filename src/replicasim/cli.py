@@ -153,11 +153,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _read_log(text: str):
     """A session log with its block timings and error counts; reading any of
     them can fail on a malformed log."""
-    from replicasim.metrics import block_times, count_errors, errors_from_log
+    from replicasim.metrics import block_times, error_counts
     from replicasim.scenario import session_log_from_jsonl
 
     log = session_log_from_jsonl(text)
-    return log, block_times(log), count_errors(errors_from_log(log))
+    return log, block_times(log), error_counts(log)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

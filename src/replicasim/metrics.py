@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from replicasim import checks
 
@@ -16,24 +16,6 @@ class Condition(Enum):
     HMD = "hmd"
 
 
-class ErrorType(Enum):
-    SIMPLE = "Simple"
-    CRITICAL = "Critical"
-    REPETITION = "Repetition"
-
-
-# Critical errors can worsen the system state, so they count double.
-ERROR_WEIGHTS = {ErrorType.SIMPLE: 1, ErrorType.CRITICAL: 2, ErrorType.REPETITION: 1}
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    t_ms: int
-    type: ErrorType
-    valve: str
-    block: Optional[str] = None
-
-
 @dataclass(frozen=True)
 class ErrorCounts:
     simple: int = 0
@@ -41,15 +23,10 @@ class ErrorCounts:
     repetition: int = 0
 
     def __post_init__(self) -> None:
+        # Not checks.count: a total over the rows of a file may pass its bound.
         for name in ("simple", "critical", "repetition"):
-            checks.count(getattr(self, name), name)
-
-    def __add__(self, other: "ErrorCounts") -> "ErrorCounts":
-        return ErrorCounts(
-            self.simple + other.simple,
-            self.critical + other.critical,
-            self.repetition + other.repetition,
-        )
+            if checks.integer(getattr(self, name), name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -59,35 +36,22 @@ class BlockTiming:
     duration_s: float
 
 
-def errors_from_log(log: SessionLog) -> list[ErrorRecord]:
+def error_counts(log: SessionLog) -> ErrorCounts:
+    """The log's errors by type, in one pass: a wrong ``Identify`` is Simple, a
+    wrong ``Manipulate`` is Critical and each ``RepeatRequest`` is a Repetition."""
     from replicasim.scenario import IDENTIFY, MANIPULATE, REPEAT_REQUEST
 
-    records = []
+    counts = {IDENTIFY: 0, MANIPULATE: 0, REPEAT_REQUEST: 0}
     for event in log.events:
-        if event.kind == IDENTIFY and not event.data.get("correct", True):
-            records.append(ErrorRecord(event.t_ms, ErrorType.SIMPLE, event.data["valve"], event.block))
-        elif event.kind == MANIPULATE and not event.data.get("correct", True):
-            records.append(ErrorRecord(event.t_ms, ErrorType.CRITICAL, event.data["valve"], event.block))
-        elif event.kind == REPEAT_REQUEST:
-            records.append(ErrorRecord(event.t_ms, ErrorType.REPETITION, event.data["valve"], event.block))
-    return records
-
-
-def count_errors(records: list[ErrorRecord]) -> ErrorCounts:
-    return ErrorCounts(
-        simple=sum(1 for r in records if r.type is ErrorType.SIMPLE),
-        critical=sum(1 for r in records if r.type is ErrorType.CRITICAL),
-        repetition=sum(1 for r in records if r.type is ErrorType.REPETITION),
-    )
+        if event.kind == REPEAT_REQUEST or (event.kind in counts and not event.data.get("correct", True)):
+            counts[event.kind] += 1
+    return ErrorCounts(counts[IDENTIFY], counts[MANIPULATE], counts[REPEAT_REQUEST])
 
 
 def weighted_total(counts: ErrorCounts) -> int:
-    """Ponderated error total: Critical errors count twice."""
-    return (
-        counts.simple * ERROR_WEIGHTS[ErrorType.SIMPLE]
-        + counts.critical * ERROR_WEIGHTS[ErrorType.CRITICAL]
-        + counts.repetition * ERROR_WEIGHTS[ErrorType.REPETITION]
-    )
+    """Ponderated error total."""
+    # Critical errors can worsen the system state, so they count double.
+    return counts.simple + 2 * counts.critical + counts.repetition
 
 
 @dataclass(frozen=True)
@@ -154,7 +118,7 @@ CSV_COLUMNS = (
 
 def session_row(session_id: str, log: SessionLog) -> dict:
     timing = block_times(log)
-    counts = count_errors(errors_from_log(log))
+    counts = error_counts(log)
     return {
         "session_id": session_id,
         "condition": log.condition.value,

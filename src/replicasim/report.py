@@ -53,8 +53,8 @@ def read_metrics_csv(path: str) -> list[dict]:
             first_line[session_id] = i
             condition = checks.member(raw["condition"], "condition", Condition)
             row = {"session_id": session_id, "condition": condition.value, "seed": int(raw["seed"])}
-            row.update((key, checks.finite(float(raw[key]), key)) for key in TIME_MEASURES)
-            row.update((key, int(raw[key])) for key in ERROR_MEASURES)
+            row.update((key, checks.seconds(float(raw[key]), key)) for key in TIME_MEASURES)
+            row.update((key, checks.count(int(raw[key]), key)) for key in ERROR_MEASURES)
             derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
             if row["weighted_total"] != derived:
                 raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")

@@ -124,9 +124,6 @@ class PlanPart:
 class InspectionPlan:
     parts: tuple[PlanPart, ...]
 
-    def blocks(self) -> list[Block]:
-        return [b for part in self.parts for b in part.blocks]
-
 
 def block_kind_name(block: Block) -> str:
     return block.kind.value if isinstance(block, ManipulationBlock) else NO_MANIPULATION
@@ -212,12 +209,14 @@ class OperatorProfile:
     def __post_init__(self) -> None:
         for name in _PROBABILITIES:
             object.__setattr__(self, name, checks.probability(getattr(self, name), name))
+        top = checks.MAX_LATENCY_MS
         for name in _LATENCIES:
             mean, sd = checks.vector(getattr(self, name), name, 2)
-            if not (mean > 0 and sd >= 0):
-                raise ValueError(f"{name} needs a positive mean and a non-negative sd")
+            if not (0 < mean <= top and 0 <= sd <= top):
+                raise ValueError(f"{name} needs a mean in (0, {top}] and an sd in [0, {top}]")
             object.__setattr__(self, name, (mean, sd))
-        checks.count(self.tablet_putdown_penalty_ms, "tablet_putdown_penalty_ms")
+        if checks.count(self.tablet_putdown_penalty_ms, "tablet_putdown_penalty_ms") > top:
+            raise ValueError(f"tablet_putdown_penalty_ms must be at most {top}, got {self.tablet_putdown_penalty_ms}")
 
     @staticmethod
     def from_dict(doc: dict) -> "OperatorProfile":
@@ -386,21 +385,44 @@ OPERATOR_ID = "operator"
 EXPERT_ID = "expert"
 
 
+def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
+    """The guide's walk of ``plan``, resumed with the time the operator reports
+    each step done: yields ``(Instruction, pause_ms)`` per step, keeps
+    ``recorder.current_block`` and logs a block's closing ``BREAKPOINT``.
+
+    It holds neither its agent nor the ``World``: a generator that held its
+    agent would close a cycle (agent, generator, frame, agent) that keeps each
+    session's world, trace and models alive until the cyclic collector runs."""
+    yield  # started by the agent; the call's start resumes it
+    pause = INTRO_PAUSE_MS
+    for i, part in enumerate(plan.parts):
+        for block in part.blocks:
+            recorder.current_block = block
+            if isinstance(block, NoManipulationBlock):
+                instructions = [Instruction(f"describe: {block.prompt}")]
+            else:
+                instructions = [Instruction(f"set valve {op.valve} to {op.target.value}", op.valve, op.target)
+                                for op in block.operations]
+            for instruction in instructions:
+                now = yield instruction, pause
+                pause = 0
+            recorder.log(now, BREAKPOINT)
+            recorder.current_block = None
+        if i == 0:
+            yield Instruction(REPORT_TEMPERATURE), pause
+            pause = EXPLANATION_PAUSE_MS
+    yield Instruction(WRAP_UP), pause + SUMMARY_PAUSE_MS
+
+
 class _ExpertAgent:
-    """Guide-side state machine and room host. As host it commits its own edits
-    through ``synchronize`` with no private replica; only the operator holds one."""
+    """The guide and room host. It walks the plan through :func:`_guide_steps`;
+    as host it commits its own edits through ``synchronize`` with no private
+    replica; only the operator holds one."""
 
     def __init__(self, session: "_Session"):
         self.s = session
-        self.steps: list[Union[Block, str]] = []
-        for i, part in enumerate(session.plan.parts):
-            self.steps.extend(part.blocks)
-            if i == 0:
-                self.steps.append(REPORT_TEMPERATURE)
-        self.steps.append(WRAP_UP)
-        self.step_index = 0
-        self.op_index = 0
-        self.pending_pause_ms = 0
+        self.steps = _guide_steps(session.plan, session.recorder)
+        next(self.steps)
         self.edit_seq = 0
         self.indicated: Optional[str] = None
 
@@ -433,38 +455,13 @@ class _ExpertAgent:
         self.s.commits[outcome.merged.version] = (before, outcome.accepted, outcome.merged)
         return env, outcome
 
-    def _advance(self, net: World, now: int) -> None:
-        if self.step_index >= len(self.steps):
-            return
-        step = self.steps[self.step_index]
-        pause = self.pending_pause_ms
-        self.pending_pause_ms = 0
-        if step == REPORT_TEMPERATURE:
-            self._send(net, Instruction(REPORT_TEMPERATURE), pause)
-        elif step == WRAP_UP:
-            self._send(net, Instruction(WRAP_UP), pause + SUMMARY_PAUSE_MS)
-        else:
-            self.s.recorder.current_block = step
-            if isinstance(step, NoManipulationBlock):
-                self._send(net, Instruction(f"describe: {step.prompt}"), pause)
-            else:
-                op = step.operations[self.op_index]
-                if self.s.condition is Condition.HMD:
-                    self._sync_indication(net, op.valve, pause)
-                self._send(net, Instruction(f"set valve {op.valve} to {op.target.value}", op.valve, op.target), pause)
-
-    def _complete_block_step(self, net: World, now: int) -> None:
-        self.s.recorder.log(now, BREAKPOINT)
-        self.s.recorder.current_block = None
-        self.step_index += 1
-        self.op_index = 0
-        self._advance(net, now)
-
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         payload = env.payload
-        if isinstance(payload, CallStart):
-            self.pending_pause_ms = INTRO_PAUSE_MS
-            self._advance(net, now)
+        if isinstance(payload, (CallStart, Instruction)):  # the call starts, or the operator has done a step
+            instruction, pause = self.steps.send(now)
+            if instruction.valve is not None and self.s.condition is Condition.HMD:
+                self._sync_indication(net, instruction.valve, pause)
+            self._send(net, instruction, pause)
         elif isinstance(payload, Avatar):
             room, _ = update_avatar(self.s.room, payload.state)
             pose = place_expert_avatar(payload.state)
@@ -475,17 +472,6 @@ class _ExpertAgent:
         elif isinstance(payload, SyncReq):
             env_out, _ = self._commit(payload.request)
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
-        elif isinstance(payload, Instruction):  # the operator has finished the current step
-            step = self.steps[self.step_index]
-            if step == REPORT_TEMPERATURE:
-                self.step_index += 1
-                self.pending_pause_ms = EXPLANATION_PAUSE_MS
-                self._advance(net, now)
-            elif isinstance(step, ManipulationBlock) and self.op_index + 1 < len(step.operations):
-                self.op_index += 1
-                self._advance(net, now)
-            else:
-                self._complete_block_step(net, now)
 
 
 class _OperatorAgent:

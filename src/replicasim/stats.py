@@ -353,7 +353,7 @@ def compare_groups(a: Sample, b: Sample, measure: str = "") -> Comparison:
             res = shapiro_wilk(sample)
             shapiro_results.append(res)
             normal = normal and res.p_value > NORMALITY_ALPHA
-        except (StatsError, DegenerateSampleError):
+        except StatsError:
             shapiro_results.append(None)
             normal = False
     if normal:

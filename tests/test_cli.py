@@ -9,8 +9,18 @@ from pathlib import Path
 
 import pytest
 
+from replicasim import checks
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import REFERENCE_CONSTANTS, read_metrics_csv, run_reference_checks
+from replicasim.scenario import (
+    Condition,
+    build_default_plan,
+    default_model,
+    default_profiles,
+    run_session,
+    session_log_to_jsonl,
+    valve_registry,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -184,6 +194,16 @@ def shipped_with(name: str, mutate) -> str:
     return json.dumps(doc)
 
 
+def simulated_log_with(mutate) -> str:
+    """The JSONL of the default seed-0 hmd session after ``mutate`` changed one
+    leaf of its list of records."""
+    log = run_session(build_default_plan(valve_registry(default_model())), Condition.HMD,
+                      default_profiles()[Condition.HMD], seed=0)
+    records = [json.loads(line) for line in session_log_to_jsonl(log).splitlines()]
+    mutate(records)
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
 @pytest.mark.parametrize(
     "option, text",
     [
@@ -212,11 +232,17 @@ def shipped_with(name: str, mutate) -> str:
                                 lambda d: d["parts"][0]["blocks"][1]["operations"][0].update(valve=[]))),
         ("--model", shipped_with("default_model.json",
                                  lambda d: next(n for n in d["nodes"] if n["id"] == "1V1").update(id="1V1x"))),
+        ("--profile", shipped_with("default_profiles.json",
+                                   lambda d: d["tablet"].update(identify_latency_ms=[1e308, 1e308]))),
+        ("--profile", shipped_with("default_profiles.json",
+                                   lambda d: d["tablet"].update(tablet_putdown_penalty_ms=10**400))),
+        ("replay", simulated_log_with(lambda records: records[-1].update(t_ms=10**400))),
     ],
     ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "model-unknown-kind", "routing-json",
          "routing-enum", "routing-effectiveness", "routing-nan-inlet", "profile-json", "model-numeric-valve-id",
          "plan-dict-block-id", "profile-infinite-putdown", "replay-json", "replay-missing-key",
-         "replay-header-only", "replay-error-without-valve", "plan-list-valve", "model-renamed-valve"],
+         "replay-header-only", "replay-error-without-valve", "plan-list-valve", "model-renamed-valve",
+         "profile-huge-latency", "profile-huge-putdown", "replay-huge-t-ms"],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     bad = tmp_path / "malformed_input.json"
@@ -332,8 +358,10 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "row",
         ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0", "s2,tablet,1,700,150,120,0,0,0,99",
-         "s1,tablet,1,700,150,120,0,0,0,0"],
-        ids=["non-finite-time", "negative-count", "inconsistent-weighted-total", "repeated-session-id"],
+         "s1,tablet,1,700,150,120,0,0,0,0", "s2,tablet,1,1e300,150,120,0,0,0,0",
+         f"s2,tablet,1,700,150,120,{10**400},0,0,{10**400}"],
+        ids=["non-finite-time", "negative-count", "inconsistent-weighted-total", "repeated-session-id",
+             "huge-time", "huge-count"],
     )
     def test_out_of_range_value_names_line(self, tmp_path, capsys, row):
         csv_path = tmp_path / "bad.csv"
@@ -346,6 +374,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "line 3" in err
         assert "Traceback" not in err
+
+    def test_values_at_their_bounds_are_analyzed(self, tmp_path, capsys):
+        # Each row is within the bounds, though the total of its counts is not.
+        lines = ["session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total"]
+        lines += [f"s{i},{cond},{i},{checks.MAX_SECONDS},{-checks.MAX_SECONDS},{i},{checks.MAX_COUNT},0,0,{checks.MAX_COUNT}"
+                  for i, cond in enumerate(("tablet", "tablet", "hmd", "hmd"))]
+        csv_path = tmp_path / "bounds.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("analyze", str(csv_path), "--out", str(tmp_path), "--histograms") == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_one_session_per_condition_has_no_tests_section(self, tmp_path, capsys):
         out = tmp_path / "corpus"

@@ -5,10 +5,8 @@ import pytest
 from replicasim.metrics import (
     BlockTiming,
     ErrorCounts,
-    ErrorType,
     block_times,
-    count_errors,
-    errors_from_log,
+    error_counts,
     percent_improvement,
     session_row,
     weighted_total,
@@ -39,34 +37,29 @@ def action_log(*events):
 
 class TestClassify:
     def test_wrong_identification_is_simple(self):
-        records = errors_from_log(action_log(("Identify", {"valve": "1V3", "correct": False})))
-        assert [r.type for r in records] == [ErrorType.SIMPLE]
-        assert records[0].valve == "1V3"
+        assert error_counts(action_log(("Identify", {"valve": "1V3", "correct": False}))) == ErrorCounts(simple=1)
 
     def test_wrong_manipulation_is_critical(self):
-        records = errors_from_log(action_log(("Manipulate", {"valve": "1V3", "correct": False})))
-        assert [r.type for r in records] == [ErrorType.CRITICAL]
+        assert error_counts(action_log(("Manipulate", {"valve": "1V3", "correct": False}))) == ErrorCounts(critical=1)
 
     def test_all_correct_is_clean(self):
         log = action_log(("Identify", {"valve": "2V4", "correct": True}),
                          ("Manipulate", {"valve": "2V4", "correct": True}))
-        assert errors_from_log(log) == []
+        assert error_counts(log) == ErrorCounts()
 
     def test_repeat_request(self):
-        records = errors_from_log(action_log(("RepeatRequest", {"valve": "2V4"})))
-        assert [r.type for r in records] == [ErrorType.REPETITION]
+        assert error_counts(action_log(("RepeatRequest", {"valve": "2V4"}))) == ErrorCounts(repetition=1)
 
     def test_distinct_wrong_actions_both_counted(self):
         log = action_log(("Identify", {"valve": "1V3", "correct": False}),
                          ("Manipulate", {"valve": "1V5", "correct": False}))
-        assert sorted(r.type.value for r in errors_from_log(log)) == ["Critical", "Simple"]
+        assert error_counts(log) == ErrorCounts(simple=1, critical=1)
 
     def test_at_most_one_record_per_category(self):
         log = action_log(("RepeatRequest", {"valve": "2V4"}),
                          ("Identify", {"valve": "1V1", "correct": False}),
                          ("Manipulate", {"valve": "1V2", "correct": False}))
-        records = errors_from_log(log)
-        assert len(records) == len({r.type for r in records})
+        assert error_counts(log) == ErrorCounts(1, 1, 1)
 
 
 class TestWeightedTotal:
@@ -84,7 +77,8 @@ class TestWeightedTotal:
         for _ in range(100):
             a = ErrorCounts(rng.randrange(10), rng.randrange(10), rng.randrange(10))
             b = ErrorCounts(rng.randrange(10), rng.randrange(10), rng.randrange(10))
-            assert weighted_total(a + b) == weighted_total(a) + weighted_total(b)
+            total = ErrorCounts(a.simple + b.simple, a.critical + b.critical, a.repetition + b.repetition)
+            assert weighted_total(total) == weighted_total(a) + weighted_total(b)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -156,8 +150,7 @@ class TestErrorsFromLog:
             LogEvent(60, "Breakpoint", {}, "b1", "OneHanded"),
             LogEvent(70, "CallEnd"),
         ]
-        records = errors_from_log(make_log(events))
-        counts = count_errors(records)
+        counts = error_counts(make_log(events))
         assert counts == ErrorCounts(simple=1, critical=1, repetition=1)
         assert weighted_total(counts) == 4
 

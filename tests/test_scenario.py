@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import sys
+import weakref
 
 import pytest
 
@@ -305,6 +307,56 @@ class TestRunSession:
             ).encode("utf-8")).hexdigest()
             for seed in range(5)
         )
+
+    # sha256 of the JSONL of the tablet sessions of seeds 0-4, computed on the
+    # tree before the guide's plan walk became one generator.
+    @pytest.mark.parametrize("link, digests", [
+        pytest.param(DEFAULT_SESSION_LINK, (
+            "117e21826c211ea4405ee4181ba7ed65a8aa27bfd10f9adb41ec7ab8abf63c2e",
+            "c7c810d889699f08b50c92f1b9963fe1fcd13e8562e11db81541c553833f9c4c",
+            "1f90389a5af50c264855f849530401989026a5440d192be8de0164d8233d93ec",
+            "87d6e7a4ec0eb4c8bb85700824514d063912f20eb73fb5127cc0cf3277370dac",
+            "d3bb73a3aef7b9eca4f0e4755345bbf28452e5b9078e637fd0ab30f22a5f0d9b",
+        ), id="default-link"),
+        pytest.param(LinkConfig(40, 30), (
+            "caf69c312391a5dbe9312123c2bd3c7a65758eab75ad52be32558736b184650b",
+            "943d2b21e14d5c6c3d960d967f4676904b5f4235a22a55b69dd69826675fc503",
+            "c3d7a6f1717fac8c076cc2c45cdabd1770e143bb098ab5448f33ba603a4d664f",
+            "08afb9ca702a6496f0c822b6bf292c131c3a1e2b7ce578221abd2a2b11d62d16",
+            "8c34dae2a7307742b50b551b20e3c27db6dedd0739b039b3ebeac915058e21a1",
+        ), id="40ms-30ms"),
+    ])
+    def test_tablet_session_bytes_are_pinned(self, link, digests):
+        model = default_model()
+        plan = build_default_plan(valve_registry(model))
+        profile = default_profiles()[Condition.TABLET]
+        assert digests == tuple(
+            hashlib.sha256(session_log_to_jsonl(
+                run_session(plan, Condition.TABLET, profile, seed=seed, model=model, link_config=link)
+            ).encode("utf-8")).hexdigest()
+            for seed in range(5)
+        )
+
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_finished_session_leaves_no_reference_cycle(self, monkeypatch, condition):
+        # Reference counting alone frees a session's World, and with it the
+        # trace and models, when run_session returns: no agent, generator or
+        # frame holds a cycle back to it, so the cyclic collector has no work.
+        worlds = []
+
+        def tracked_world(*args, **kwargs):
+            world = netsim.World(*args, **kwargs)
+            worlds.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(scenario, "World", tracked_world)
+        gc.disable()
+        try:
+            log = run_quiet(condition, seed=3)
+            assert len(worlds) == 1 and worlds[0]() is None
+            assert log.transcript
+        finally:
+            gc.enable()
 
     def test_host_edit_rejected_by_its_own_commit_raises(self, monkeypatch):
         # The host's indication edits go straight into its merge; one the merge
