@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 usage/config error.
 
 Each command imports the layers it runs when it runs, so ``analyze`` and
-``paper-check`` never load the simulator.
+``paper-check`` never load the simulator, and ``simulate`` never loads the
+statistics.
 """
 from __future__ import annotations
 
@@ -59,8 +60,6 @@ def _load_json(path: str, build):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # The simulator loads before the statistics stack that report pulls in:
-    # compiled from source in the other order, the process peaks up to 1 MB higher.
     from replicasim.scenario import (
         Condition,
         PlanError,
@@ -78,8 +77,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from replicasim.scene import load_model
     from replicasim.plant import routing_table_from_dict
     from replicasim.netsim import derive_seed
-    from replicasim.metrics import session_row
-    from replicasim.report import write_metrics_csv
+    from replicasim.metrics import session_row, write_metrics_csv
 
     counts = _parse_sessions(args.sessions)
     if args.condition != "both":

@@ -1,11 +1,12 @@
 """Error taxonomy, ponderation, and per-block timing extraction from session logs."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from replicasim import checks
+from replicasim.records import record
 
 if TYPE_CHECKING:
     from replicasim.scenario import SessionLog
@@ -16,7 +17,7 @@ class Condition(Enum):
     HMD = "hmd"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ErrorCounts:
     simple: int = 0
     critical: int = 0
@@ -29,7 +30,7 @@ class ErrorCounts:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BlockTiming:
     block: str
     kind: str  # OneHanded | TwoHanded | NoManipulation
@@ -54,7 +55,7 @@ def weighted_total(counts: ErrorCounts) -> int:
     return counts.simple + 2 * counts.critical + counts.repetition
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimingSummary:
     blocks: tuple[BlockTiming, ...]
     totals_by_kind: dict
@@ -131,3 +132,11 @@ def session_row(session_id: str, log: SessionLog) -> dict:
         "repetition": counts.repetition,
         "weighted_total": weighted_total(counts),
     }
+
+
+def write_metrics_csv(path: str, rows: list[dict]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row[k] for k in CSV_COLUMNS})

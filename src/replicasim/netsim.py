@@ -12,11 +12,11 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from replicasim import checks
 from replicasim.protocol import Envelope, envelope_to_dict
+from replicasim.records import record
 
 EVENT_CAP = 500_000
 
@@ -31,7 +31,7 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkConfig:
     base_latency_ms: int = 0
     jitter_ms: int = 0
@@ -45,14 +45,14 @@ class LinkConfig:
         checks.probability(self.loss_rate, "loss_rate", True)
 
 
-@dataclass
+@record
 class _Link:
     config: LinkConfig
     rng: random.Random
     last_delivery_ms: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceEntry:
     t_ms: int
     src: str

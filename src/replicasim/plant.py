@@ -8,10 +8,10 @@ configuration-sensitive signal rather than real thermodynamics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from replicasim import ConfigError, checks
+from replicasim.records import record
 from replicasim.scene import SceneModel, ValveState
 
 
@@ -31,7 +31,7 @@ class FlowMode(Enum):
     UNDEFINED = "Undefined"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoutingRow:
     exchanger: Exchanger
     flow: FlowMode
@@ -43,7 +43,7 @@ class RoutingRow:
         object.__setattr__(self, "effectiveness", checks.probability(self.effectiveness, name, True))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoutingTable:
     rows: tuple[RoutingRow, ...]
     hot_inlet_c: float
@@ -100,7 +100,7 @@ def effectiveness(valve_states: dict[str, ValveState], table: RoutingTable) -> f
     return row.effectiveness
 
 
-@dataclass
+@record
 class PlantState:
     """Physical-twin state: valve positions plus the routing table with its inlet temperatures."""
 

@@ -14,10 +14,10 @@ import base64
 import json
 import math
 import struct
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from replicasim import checks
+from replicasim.records import field, record
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
 from replicasim.scene import Edit, Pose, Role, SceneModel, ValveState, edit_from_dict, edit_to_dict
 
@@ -34,7 +34,7 @@ class RoleOccupiedError(RoomError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AvatarState:
     client: str
     role: Role
@@ -49,28 +49,28 @@ class AvatarState:
 # --- Payload union -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Join:
     role: Role
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Avatar:
     state: AvatarState
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyncReq:
     request: SyncRequest
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyncCommit:
     accepted: tuple[Edit, ...]
     new_version: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Instruction:
     """Spoken guidance; ``text`` is what the operator hears and logs.
 
@@ -83,17 +83,17 @@ class Instruction:
     target: Optional[ValveState] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallStart:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallEnd:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MediaSignal:
     blob: bytes
 
@@ -101,7 +101,7 @@ class MediaSignal:
 Payload = Union[Join, Avatar, SyncReq, SyncCommit, Instruction, CallStart, CallEnd, MediaSignal]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Envelope:
     sender: str
     sender_seq: int
@@ -110,7 +110,7 @@ class Envelope:
     host_seq: Optional[int] = None
 
 
-@dataclass
+@record
 class RoomState:
     """Membership, the authoritative shared model, and sequencing counters."""
 

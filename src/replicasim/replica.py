@@ -14,8 +14,8 @@ Rejected edits never abort a batch; the remaining edits still apply.
 from __future__ import annotations
 
 from collections import ChainMap
-from dataclasses import dataclass
 
+from replicasim.records import record
 from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
     INVALID_HIGHLIGHT as REJECT_INVALID_HIGHLIGHT,
@@ -51,7 +51,7 @@ class ProtocolError(ReplicaError):
     """Raised for malformed sync requests (e.g. base version from the future)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Replica:
     """A client-owned copy of the shared model with a private edit log.
 
@@ -69,7 +69,7 @@ class Replica:
     pending: tuple[Edit, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyncRequest:
     owner: str
     owner_role: Role
@@ -77,7 +77,7 @@ class SyncRequest:
     edits: tuple[Edit, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MergeOutcome:
     merged: SceneModel
     accepted: tuple[Edit, ...]

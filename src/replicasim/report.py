@@ -10,10 +10,21 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import reprlib
 from dataclasses import dataclass, field
 
 from replicasim import ConfigError, checks
-from replicasim.metrics import CSV_COLUMNS, Condition, ErrorCounts, percent_improvement, weighted_total
+# write_metrics_csv lives in metrics, beside CSV_COLUMNS, so that simulate loads no
+# analysis code; report keeps the name, under which bench/tracer.py times it.
+from replicasim.metrics import (
+    CSV_COLUMNS,
+    Condition,
+    ErrorCounts,
+    percent_improvement,
+    weighted_total,
+    write_metrics_csv,
+)
 from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
 
 TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
@@ -28,6 +39,20 @@ TREATMENT_CONDITION = "hmd"
 
 class ReportError(ConfigError):
     pass
+
+
+# A numeric cell is a JSON number (RFC 8259, section 6) in ASCII digits; int()
+# and float() would also take spaces, "_", a leading "+" and digits such as "٣".
+_INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_NUMBER = re.compile(_INTEGER.pattern + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _cell(raw: str, name: str, convert):
+    """``convert(raw)``, int or float, once ``raw`` fits that type's number grammar."""
+    grammar, kind = (_INTEGER, "an integer") if convert is int else (_NUMBER, "a number")
+    if grammar.fullmatch(raw) is None:
+        raise ValueError(f"{name} must be {kind} in JSON form, got {reprlib.repr(raw)}")
+    return convert(raw)
 
 
 def read_metrics_csv(path: str) -> list[dict]:
@@ -52,9 +77,9 @@ def read_metrics_csv(path: str) -> list[dict]:
                 raise ValueError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
             first_line[session_id] = i
             condition = checks.member(raw["condition"], "condition", Condition)
-            row = {"session_id": session_id, "condition": condition.value, "seed": int(raw["seed"])}
-            row.update((key, checks.seconds(float(raw[key]), key)) for key in TIME_MEASURES)
-            row.update((key, checks.count(int(raw[key]), key)) for key in ERROR_MEASURES)
+            row = {"session_id": session_id, "condition": condition.value, "seed": _cell(raw["seed"], "seed", int)}
+            row.update((key, checks.seconds(_cell(raw[key], key, float), key)) for key in TIME_MEASURES)
+            row.update((key, checks.count(_cell(raw[key], key, int), key)) for key in ERROR_MEASURES)
             derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
             if row["weighted_total"] != derived:
                 raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
@@ -62,14 +87,6 @@ def read_metrics_csv(path: str) -> list[dict]:
             raise ReportError(f"malformed row in {path!r} at line {i}: {exc}") from None
         rows.append(row)
     return rows
-
-
-def write_metrics_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in CSV_COLUMNS})
 
 
 @dataclass

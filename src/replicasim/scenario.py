@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Union
 
@@ -33,6 +32,7 @@ from replicasim.protocol import (
     submit_sync,
     update_avatar,
 )
+from replicasim.records import field, record
 from replicasim.replica import (
     MergeOutcome,
     SyncRequest,
@@ -92,20 +92,20 @@ class LogError(ConfigError):
 # --- Inspection plan -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValveOp:
     valve: str
     target: ValveState
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ManipulationBlock:
     id: str
     kind: Handedness
     operations: tuple[ValveOp, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoManipulationBlock:
     id: str
     prompt: str
@@ -114,13 +114,13 @@ class NoManipulationBlock:
 Block = Union[ManipulationBlock, NoManipulationBlock]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlanPart:
     name: str
     blocks: tuple[Block, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InspectionPlan:
     parts: tuple[PlanPart, ...]
 
@@ -193,7 +193,7 @@ _PROBABILITIES = ("p_simple", "p_critical", "p_repeat")
 _LATENCIES = ("identify_latency_ms", "manipulate_latency_1h_ms", "manipulate_latency_2h_ms", "describe_latency_ms")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OperatorProfile:
     """Per-instruction error probabilities and latency distributions (ms)."""
 
@@ -270,7 +270,7 @@ def valve_registry(model: SceneModel) -> dict[str, Handedness]:
 # --- Session log -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LogEvent:
     t_ms: int
     kind: str
@@ -288,7 +288,7 @@ class LogEvent:
         return doc
 
 
-@dataclass
+@record
 class SessionLog:
     condition: Condition
     seed: int
@@ -575,7 +575,7 @@ class _OperatorAgent:
                 self._send(net, Instruction("described"), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
 
 
-@dataclass
+@record
 class _Session:
     condition: Condition
     seed: int

@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 import math
 from collections import ChainMap
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from replicasim import ConfigError, checks
+from replicasim.records import field, record, replace
 
 QUAT_NORM_TOL = 1e-9
 
@@ -62,7 +62,7 @@ class Handedness(Enum):
     TWO_HANDED = "TwoHanded"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pose:
     """Rigid transform: position in meters plus a unit quaternion (w, x, y, z)."""
 
@@ -112,7 +112,7 @@ class Pose:
         return Pose(doc.get("pos", (0.0, 0.0, 0.0)), doc.get("quat", (1.0, 0.0, 0.0, 0.0)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VisualState:
     """Presentation flags on a node: optional highlight color, indication animation."""
 
@@ -125,7 +125,7 @@ class VisualState:
                 checks.probability(c, "highlight_color component")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SceneNode:
     id: str
     kind: NodeKind
@@ -145,7 +145,7 @@ class SceneNode:
             raise ValueError(f"non-valve {self.id!r} must not carry valve_state/handedness")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Annotation:
     id: str
     author_role: Role
@@ -164,7 +164,7 @@ class Annotation:
 # Atomic single-field operations; compound gestures are sequences of these.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetPose:
     node: str
     pose: Pose
@@ -172,7 +172,7 @@ class SetPose:
     author_seq: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetValveState:
     node: str
     state: ValveState
@@ -180,7 +180,7 @@ class SetValveState:
     author_seq: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetHighlight:
     node: str
     color: Optional[tuple[float, float, float]]
@@ -188,7 +188,7 @@ class SetHighlight:
     author_seq: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetIndication:
     node: str
     playing: bool
@@ -196,14 +196,14 @@ class SetIndication:
     author_seq: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AddAnnotation:
     annotation: Annotation
     author_role: Role = Role.EXPERT
     author_seq: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RemoveAnnotation:
     annotation_id: str
     author_role: Role = Role.EXPERT
@@ -222,7 +222,7 @@ def edit_field_key(edit: Edit) -> Optional[tuple[str, str]]:
     return (name, edit.node) if name else None
 
 
-@dataclass
+@record
 class SceneModel:
     """Versioned snapshot of the shared scene.
 

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
-import dataclasses
 import hashlib
 import json
 import random
@@ -37,6 +36,7 @@ from replicasim.scene import (
     canonical_json,
     load_model,
 )
+from replicasim.records import replace
 from replicasim.scenario import (
     INSTRUCTION,
     MANIPULATE,
@@ -461,9 +461,7 @@ def test_criterion_7_pipeline_power_and_false_positives():
     # A true null: one profile for both conditions, with the putdown penalty
     # zeroed so the engine's tablet-only time cost cannot masquerade as a
     # pipeline false positive.
-    from dataclasses import replace as dc_replace
-
-    null_profile = dc_replace(profiles[Condition.TABLET], tablet_putdown_penalty_ms=0)
+    null_profile = replace(profiles[Condition.TABLET], tablet_putdown_penalty_ms=0)
     null_profiles = {Condition.TABLET: null_profile, Condition.HMD: null_profile}
     fp_reps, fp_hits = 200, 0
     for rep in range(fp_reps):
@@ -494,7 +492,7 @@ def test_criterion_8_scenario_integrity():
 
     profiles = default_profiles()
     for condition in Condition:
-        quiet = dataclasses.replace(profiles[condition], p_simple=0.0, p_critical=0.0, p_repeat=0.0)
+        quiet = replace(profiles[condition], p_simple=0.0, p_critical=0.0, p_repeat=0.0)
         for seed in (1, 2, 3):
             log = run_session(plan, condition, quiet, seed=seed, model=model)
             assert log.initial_valve_states == log.final_valve_states

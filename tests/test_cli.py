@@ -131,6 +131,12 @@ class TestCommandImports:
         assert "replicasim.scenario" in loaded
         assert not loaded & {"replicasim.report", "replicasim.stats"}
 
+    def test_simulate_loads_no_report_or_stats(self, tmp_path):
+        argv = ["simulate", "--sessions", "1", "--out", str(tmp_path)]
+        loaded = modules_after(f"from replicasim.cli import main\nassert main({argv!r}) == 0")
+        assert SIMULATOR <= loaded
+        assert not loaded & {"replicasim.report", "replicasim.stats", "statistics", "dataclasses"}
+
     @pytest.mark.parametrize(
         "option, text",
         [("--model", '{"nodes": [{"id": "V1", "kind": "Bogus"}]}'), ("replay", LOG_HEADER)],
@@ -374,6 +380,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "line 3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("seed", " 7 "), ("seed", "1_0"), ("seed", "٣"), ("seed", "+7"), ("total_s", "1_2.5"), ("total_s", " 12.5")],
+        ids=["seed-spaces", "seed-underscore", "seed-arabic-indic-digit", "seed-plus", "time-underscore",
+             "time-leading-space"],
+    )
+    def test_number_outside_json_grammar_names_line(self, tmp_path, capsys, column, cell):
+        # int() and float() take each of these cells; the JSON number grammar takes none.
+        header = "session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total"
+        cells = dict(zip(header.split(","), "s2,tablet,1,700,150,120,0,0,0,0".split(",")), **{column: cell})
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{header}\ns1,tablet,1,700,150,120,0,0,0,0\n{','.join(cells.values())}\n",
+                            encoding="utf-8")
+        assert run_cli("analyze", str(csv_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 3" in err
+        assert column in err
 
     def test_values_at_their_bounds_are_analyzed(self, tmp_path, capsys):
         # Each row is within the bounds, though the total of its counts is not.

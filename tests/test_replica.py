@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -41,6 +40,7 @@ from replicasim.scene import (
     field_equal,
     load_model,
 )
+from replicasim.records import replace
 from replicasim.scenario import default_model
 
 from test_scene import random_edit, small_descriptor
@@ -268,7 +268,7 @@ class TestSynchronize:
             assert outcome.merged.nodes["V1"] == shared.nodes["V1"]
 
     def test_edit_authored_under_other_role_is_protocol_error(self, shared):
-        # The edit keeps the dataclass default author_role, Expert, inside an Operator request.
+        # The edit keeps the record default author_role, Expert, inside an Operator request.
         req = SyncRequest("op", Role.OPERATOR, 0, (SetValveState("V1", ValveState.CLOSED),))
         with pytest.raises(ProtocolError):
             synchronize(req, shared)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -18,7 +17,7 @@ from replicasim.plant import (
     route,
 )
 from replicasim.protocol import Avatar, SyncCommit, SyncReq
-from replicasim import netsim, replica, scenario, scene
+from replicasim import netsim, records, replica, scenario, scene
 from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
@@ -231,7 +230,7 @@ class TestRunSession:
     def test_hmd_session_builds_values_without_dataclasses_replace(self):
         # A call count, not a timing: the session hot path builds scene, replica
         # and room values with their constructors.
-        watched = {dataclasses.replace.__code__: "replace", scene._apply_batch.__code__: "batch"}
+        watched = {records.replace.__code__: "replace", scene._apply_batch.__code__: "batch"}
         calls = {"replace": 0, "batch": 0}
 
         def count(frame, event, arg):
@@ -364,12 +363,12 @@ class TestRunSession:
         plan = build_default_plan(valve_registry(default_model()))
         blocks = list(plan.parts[0].blocks)
         i = next(i for i, b in enumerate(blocks) if isinstance(b, ManipulationBlock))
-        ghost = dataclasses.replace(blocks[i].operations[0], valve="ghost-valve")
-        blocks[i] = dataclasses.replace(blocks[i], operations=(ghost,) + blocks[i].operations[1:])
-        parts = (dataclasses.replace(plan.parts[0], blocks=tuple(blocks)),) + plan.parts[1:]
+        ghost = records.replace(blocks[i].operations[0], valve="ghost-valve")
+        blocks[i] = records.replace(blocks[i], operations=(ghost,) + blocks[i].operations[1:])
+        parts = (records.replace(plan.parts[0], blocks=tuple(blocks)),) + plan.parts[1:]
         monkeypatch.setattr(scenario, "validate_plan", lambda plan, registry: plan)
         with pytest.raises(scene.EditError, match=r"SetIndication\(node='ghost-valve'.*unknown-target") as info:
-            run_session(dataclasses.replace(plan, parts=parts), Condition.HMD, QUIET_PROFILE, seed=0)
+            run_session(records.replace(plan, parts=parts), Condition.HMD, QUIET_PROFILE, seed=0)
         assert info.value.reason == scene.UNKNOWN_TARGET
 
     # sha256 of the seed-0 hmd session's JSONL when the k-th of its 24 SyncCommit

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -32,6 +31,7 @@ from replicasim.scene import (
     edit_to_dict,
     load_model,
 )
+from replicasim.records import replace
 from replicasim.scenario import default_model
 
 
@@ -231,7 +231,7 @@ class TestApplyEdit:
 
 
 class TestEditedNode:
-    """``_edited_node`` builds each node with its constructor; ``dataclasses.replace`` is the oracle."""
+    """``_edited_node`` builds each node with its constructor; ``records.replace`` is the oracle."""
 
     def test_every_field_edit_on_every_default_node_matches_replace(self):
         model = default_model()
@@ -239,25 +239,25 @@ class TestEditedNode:
         for node in model.nodes.values():
             visual = node.visual
             cases = [
-                (SetPose(node.id, pose), dataclasses.replace(node, local_pose=pose)),
+                (SetPose(node.id, pose), replace(node, local_pose=pose)),
                 (SetHighlight(node.id, (1.0, 0.5, 0.0)),
-                 dataclasses.replace(node, visual=dataclasses.replace(visual, highlight_color=(1.0, 0.5, 0.0)))),
+                 replace(node, visual=replace(visual, highlight_color=(1.0, 0.5, 0.0)))),
                 (SetHighlight(node.id, None),
-                 dataclasses.replace(node, visual=dataclasses.replace(visual, highlight_color=None))),
+                 replace(node, visual=replace(visual, highlight_color=None))),
                 (SetIndication(node.id, True),
-                 dataclasses.replace(node, visual=dataclasses.replace(visual, indication_animation=True))),
+                 replace(node, visual=replace(visual, indication_animation=True))),
                 (SetIndication(node.id, False),
-                 dataclasses.replace(node, visual=dataclasses.replace(visual, indication_animation=False))),
+                 replace(node, visual=replace(visual, indication_animation=False))),
             ]
             if node.kind is NodeKind.VALVE:
                 for state in ValveState:
-                    cases.append((SetValveState(node.id, state), dataclasses.replace(node, valve_state=state)))
+                    cases.append((SetValveState(node.id, state), replace(node, valve_state=state)))
             for edit, oracle in cases:
                 assert _edited_node(edit, model.nodes, model.annotations) == oracle, edit
             # A highlight on top of an indication keeps both flags.
             playing = _edited_node(SetIndication(node.id, True), model.nodes, model.annotations)
             both = _edited_node(SetHighlight(node.id, (0.0, 0.0, 1.0)), {node.id: playing}, {})
-            assert both == dataclasses.replace(playing, visual=VisualState((0.0, 0.0, 1.0), True))
+            assert both == replace(playing, visual=VisualState((0.0, 0.0, 1.0), True))
 
     def test_invalid_edits_raise_as_before(self):
         model = default_model()
@@ -271,7 +271,7 @@ class TestEditedNode:
         assert info.value.reason == UNKNOWN_TARGET
         # The node's own __post_init__ still runs: a valve needs a valve_state.
         with pytest.raises(ValueError, match="requires valve_state") as oracle:
-            dataclasses.replace(valve, valve_state=None)
+            replace(valve, valve_state=None)
         with pytest.raises(ValueError, match="requires valve_state") as built:
             _edited_node(SetValveState(valve.id, None), model.nodes, model.annotations)
         assert str(built.value) == str(oracle.value)
