@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 from typing import Callable, Optional
 
@@ -134,4 +133,4 @@ class World:
 
 
 def trace_to_jsonl(trace: list[TraceEntry]) -> str:
-    return "\n".join(json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":")) for e in trace) + ("\n" if trace else "")
+    return "\n".join(checks.dumps(e.to_dict()) for e in trace) + ("\n" if trace else "")

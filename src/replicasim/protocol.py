@@ -310,7 +310,7 @@ def envelope_from_dict(doc: dict) -> Envelope:
 
 
 def encode_envelope(env: Envelope) -> bytes:
-    body = json.dumps(envelope_to_dict(env), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = checks.dumps(envelope_to_dict(env)).encode("utf-8")
     return struct.pack(">I", len(body)) + body
 
 

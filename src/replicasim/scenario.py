@@ -8,8 +8,8 @@ from a profile. Everything is a pure function of the session seed.
 from __future__ import annotations
 
 import json
+import os
 import random
-from importlib import resources
 from typing import Optional, Union
 
 from replicasim import ConfigError, checks
@@ -230,8 +230,9 @@ class OperatorProfile:
 
 
 def _load_data(name: str) -> dict:
-    with resources.files("replicasim.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    # Through the module's own loader, which reads from a directory or a zip
+    # archive alike, so that no run pays for importing importlib.resources.
+    return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", name)).decode("utf-8"))
 
 
 def default_model() -> SceneModel:
@@ -300,9 +301,8 @@ class SessionLog:
 
 
 def session_log_to_jsonl(log: SessionLog) -> str:
-    lines = [json.dumps({"record": "session", "condition": log.condition.value, "seed": log.seed},
-                        sort_keys=True, separators=(",", ":"))]
-    lines += [json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":")) for e in log.events]
+    lines = [checks.dumps({"record": "session", "condition": log.condition.value, "seed": log.seed})]
+    lines += [checks.dumps(e.to_dict()) for e in log.events]
     return "\n".join(lines) + "\n"
 
 
@@ -359,24 +359,21 @@ def validate_session_log(log: SessionLog) -> None:
 
 class _Recorder:
     def __init__(self) -> None:
+        # (t_ms, n, event) with n the entry's index: sorting the tuples orders
+        # by time, then by logging order, and never compares two events.
         self._entries: list[tuple[int, int, LogEvent]] = []
-        self._n = 0
-        self.current_block: Optional[Block] = None
+        self._block: tuple[Optional[str], Optional[str]] = (None, None)
+
+    def enter(self, block: Optional[Block]) -> None:
+        """Stamp later events with ``block``'s id and kind name, or with none."""
+        self._block = (None, None) if block is None else (block.id, block_kind_name(block))
 
     def log(self, t_ms: int, kind: str, data: Optional[dict] = None) -> None:
-        block = self.current_block
-        event = LogEvent(
-            t_ms=int(t_ms),
-            kind=kind,
-            data=data or {},
-            block=block.id if block else None,
-            block_kind=block_kind_name(block) if block else None,
-        )
-        self._entries.append((event.t_ms, self._n, event))
-        self._n += 1
+        t_ms = int(t_ms)
+        self._entries.append((t_ms, len(self._entries), LogEvent(t_ms, kind, data or {}, *self._block)))
 
     def events(self) -> list[LogEvent]:
-        return [e for _, _, e in sorted(self._entries, key=lambda item: (item[0], item[1]))]
+        return [e for _, _, e in sorted(self._entries)]
 
 
 # --- Agents ------------------------------------------------------------------------
@@ -387,8 +384,8 @@ EXPERT_ID = "expert"
 
 def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     """The guide's walk of ``plan``, resumed with the time the operator reports
-    each step done: yields ``(Instruction, pause_ms)`` per step, keeps
-    ``recorder.current_block`` and logs a block's closing ``BREAKPOINT``.
+    each step done: yields ``(Instruction, pause_ms)`` per step, tells
+    ``recorder`` which block it is in and logs a block's closing ``BREAKPOINT``.
 
     It holds neither its agent nor the ``World``: a generator that held its
     agent would close a cycle (agent, generator, frame, agent) that keeps each
@@ -397,7 +394,7 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     pause = INTRO_PAUSE_MS
     for i, part in enumerate(plan.parts):
         for block in part.blocks:
-            recorder.current_block = block
+            recorder.enter(block)
             if isinstance(block, NoManipulationBlock):
                 instructions = [Instruction(f"describe: {block.prompt}")]
             else:
@@ -407,7 +404,7 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
                 now = yield instruction, pause
                 pause = 0
             recorder.log(now, BREAKPOINT)
-            recorder.current_block = None
+            recorder.enter(None)
         if i == 0:
             yield Instruction(REPORT_TEMPERATURE), pause
             pause = EXPLANATION_PAUSE_MS

@@ -6,7 +6,6 @@ replicas, merges and network replay safe to reason about.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import ChainMap
 from enum import Enum
@@ -475,7 +474,7 @@ def to_canonical_dict(model: SceneModel) -> dict:
 
 def canonical_json(model: SceneModel) -> str:
     """Stable byte-for-byte serialization (sorted node ids, sorted keys)."""
-    return json.dumps(to_canonical_dict(model), sort_keys=True, separators=(",", ":"))
+    return checks.dumps(to_canonical_dict(model))
 
 
 # --- Edit wire codec -----------------------------------------------------------

@@ -40,10 +40,11 @@ def fresh_env() -> dict:
     return dict(os.environ, PYTHONPATH=str(SRC))
 
 
-def modules_after(code: str) -> set[str]:
-    """Module names in sys.modules once ``code`` has run in a fresh interpreter."""
+def modules_after(code: str, *flags: str) -> set[str]:
+    """Module names in sys.modules once ``code`` has run in a fresh interpreter started with ``flags``."""
     probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", probe], env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -136,6 +137,13 @@ class TestCommandImports:
         loaded = modules_after(f"from replicasim.cli import main\nassert main({argv!r}) == 0")
         assert SIMULATOR <= loaded
         assert not loaded & {"replicasim.report", "replicasim.stats", "statistics", "dataclasses"}
+
+    def test_simulate_reads_package_data_without_importlib_resources(self, tmp_path):
+        # -S: without site, no .pth file can load importlib.resources first.
+        argv = ["simulate", "--sessions", "1", "--out", str(tmp_path)]
+        loaded = modules_after(f"from replicasim.cli import main\nassert main({argv!r}) == 0", "-S")
+        assert "replicasim.scenario" in loaded
+        assert "importlib.resources" not in loaded
 
     @pytest.mark.parametrize(
         "option, text",

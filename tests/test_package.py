@@ -1,8 +1,13 @@
 import ast
+import os
 import re
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import replicasim
+from replicasim.scenario import default_model
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "replicasim"
@@ -45,6 +50,20 @@ def test_every_public_definition_has_a_caller_or_documentation():
         and node.name not in used
     ]
     assert orphans == []
+
+
+def test_default_model_loads_from_a_zip_archive(tmp_path):
+    archive = tmp_path / "replicasim.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(PACKAGE.rglob("*")):
+            if path.suffix in (".py", ".json"):
+                zf.write(path, path.relative_to(PACKAGE.parent).as_posix())
+    probe = ("import replicasim.scenario as s\nassert s.__file__.startswith(%r)\n"
+             "print(len(s.default_model().nodes), len(s.default_profiles()))" % str(archive))
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(archive)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(default_model().nodes)), "2"]
 
 
 def test_field_checks_live_in_one_module():

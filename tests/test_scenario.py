@@ -275,6 +275,26 @@ class TestRunSession:
             sys.setprofile(None)
         assert calls == {"batch": batches, "replay": replays, "edit": edits, "ack": acks}
 
+    def test_session_names_each_block_kind_once(self):
+        # A call count, not a timing: the recorder names a block's kind when
+        # the guide enters it, not once per logged event (62 calls before).
+        # validate_plan names each block once more, on every session.
+        calls = {"all": 0, "recorder": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is scenario.block_kind_name.__code__:
+                calls["all"] += 1
+                calls["recorder"] += frame.f_back.f_code is scenario._Recorder.enter.__code__
+
+        plan = build_default_plan(valve_registry(default_model()))
+        blocks = sum(len(part.blocks) for part in plan.parts)
+        sys.setprofile(count)
+        try:
+            run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"all": 2 * blocks, "recorder": blocks}
+
     # sha256 of the JSONL of the hmd sessions of seeds 0-4, computed on the tree
     # before the host dropped its private replica. In each of these sessions the
     # operator's commits advance the shared version between two of the host's
