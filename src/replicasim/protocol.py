@@ -1,9 +1,17 @@
 """Rooms, roles, message envelopes and host-ordered commit sequencing.
 
-The room host is a pure sequencer: it stamps every broadcast with a strictly
-increasing host sequence number, merges sync requests against the one
-authoritative shared model, and re-broadcasts accepted edits. Endpoints hold
-no shared mutable state; everything travels by message value.
+The room host is a pure sequencer: it stamps every envelope it sends with a
+strictly increasing host sequence number, merges sync requests against the one
+authoritative shared model, and re-broadcasts accepted edits. Joining a room
+stamps nothing and every stamped envelope is sent, so on a lossless link the
+sequence numbers arrive without holes. Endpoints hold no shared mutable state;
+everything travels by message value.
+
+The payloads are what a session sends, one type per meaning: the call's start
+and end, avatars, sync requests and commits, the guide's steps
+(``Instruction``, ``ReportTemperature``) and the operator's ``StepDone``. No
+session sends a ``MediaSignal``; the replica-sync benchmark carries each
+encoded frame in one.
 
 Wire format (documented in docs/protocol.md): length-prefixed JSON, a 4-byte
 big-endian payload length followed by a UTF-8 JSON envelope object.
@@ -50,11 +58,6 @@ class AvatarState:
 
 
 @record(frozen=True)
-class Join:
-    role: Role
-
-
-@record(frozen=True)
 class Avatar:
     state: AvatarState
 
@@ -84,6 +87,23 @@ class Instruction:
 
 
 @record(frozen=True)
+class ReportTemperature:
+    """The guide asks for the plant's outlet temperature."""
+
+
+@record(frozen=True)
+class StepDone:
+    """The operator's reply to each of the guide's steps; the reply to a
+    ``ReportTemperature`` carries the reading in degrees Celsius."""
+
+    temperature_c: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.temperature_c is not None:
+            object.__setattr__(self, "temperature_c", checks.finite(self.temperature_c, "temperature_c"))
+
+
+@record(frozen=True)
 class CallStart:
     pass
 
@@ -98,7 +118,7 @@ class MediaSignal:
     blob: bytes
 
 
-Payload = Union[Join, Avatar, SyncReq, SyncCommit, Instruction, CallStart, CallEnd, MediaSignal]
+Payload = Union[Avatar, SyncReq, SyncCommit, Instruction, ReportTemperature, StepDone, CallStart, CallEnd, MediaSignal]
 
 
 @record(frozen=True)
@@ -135,8 +155,9 @@ class RoomState:
         return state, env
 
 
-def join_room(state: RoomState, client: str, role: Role) -> tuple[RoomState, Envelope]:
-    """Add a member; at most one Expert and one Operator per room."""
+def join_room(state: RoomState, client: str, role: Role) -> RoomState:
+    """Add a member; at most one Expert and one Operator per room. Joining
+    sends nothing, so it stamps nothing."""
     if not client:
         raise RoomError("client id must be non-empty")
     if role in state.members.values():
@@ -145,8 +166,7 @@ def join_room(state: RoomState, client: str, role: Role) -> tuple[RoomState, Env
         raise RoomError(f"client {client!r} already joined")
     members = dict(state.members)
     members[client] = role
-    state = RoomState(state.room, state.shared, members, state.avatar_map, state.next_host_seq, state.sender_counters)
-    return state._stamp(client, Join(role))
+    return RoomState(state.room, state.shared, members, state.avatar_map, state.next_host_seq, state.sender_counters)
 
 
 def update_avatar(state: RoomState, avatar: AvatarState) -> tuple[RoomState, Envelope]:
@@ -203,8 +223,6 @@ def _look_rotation(direction: tuple[float, ...]) -> tuple[float, float, float, f
 
 
 def payload_to_dict(payload: Payload) -> dict:
-    if isinstance(payload, Join):
-        return {"kind": "join", "role": payload.role.value}
     if isinstance(payload, Avatar):
         a = payload.state
         return {
@@ -236,6 +254,12 @@ def payload_to_dict(payload: Payload) -> dict:
         if payload.target is not None:
             doc["target"] = payload.target.value
         return doc
+    if isinstance(payload, ReportTemperature):
+        return {"kind": "report_temperature"}
+    if isinstance(payload, StepDone):
+        if payload.temperature_c is None:
+            return {"kind": "step_done"}
+        return {"kind": "step_done", "temperature_c": payload.temperature_c}
     if isinstance(payload, CallStart):
         return {"kind": "call_start"}
     if isinstance(payload, CallEnd):
@@ -247,8 +271,6 @@ def payload_to_dict(payload: Payload) -> dict:
 
 def payload_from_dict(doc: dict) -> Payload:
     kind = checks.typed(doc, "payload", dict).get("kind")
-    if kind == "join":
-        return Join(checks.member(doc.get("role"), "role", Role))
     if kind == "avatar":
         return Avatar(
             AvatarState(
@@ -279,6 +301,10 @@ def payload_from_dict(doc: dict) -> Payload:
             None if valve is None else checks.ident(valve, "valve"),
             None if target is None else checks.member(target, "target", ValveState),
         )
+    if kind == "report_temperature":
+        return ReportTemperature()
+    if kind == "step_done":
+        return StepDone(doc.get("temperature_c"))
     if kind == "call_start":
         return CallStart()
     if kind == "call_end":

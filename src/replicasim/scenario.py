@@ -2,8 +2,11 @@
 
 A session wires two scripted agents (guide and maintainer) through the room
 protocol over the simulated transport. The guide walks a two-part inspection
-plan; the maintainer draws identification/manipulation outcomes and latencies
-from a profile. Everything is a pure function of the session seed.
+plan and sends each step as a typed payload: an ``Instruction`` to operate a
+valve or describe, a ``ReportTemperature``, and ``CallEnd`` to wrap up. The
+maintainer draws identification/manipulation outcomes and latencies from a
+profile, answers each step with a ``StepDone`` and the wrap-up with its own
+``CallEnd``. Everything is a pure function of the session seed.
 """
 from __future__ import annotations
 
@@ -24,7 +27,9 @@ from replicasim.protocol import (
     CallStart,
     Envelope,
     Instruction,
+    ReportTemperature,
     RoomState,
+    StepDone,
     SyncCommit,
     SyncReq,
     join_room,
@@ -76,9 +81,8 @@ CALL_END = "CallEnd"
 
 NO_MANIPULATION = "NoManipulation"
 
-# The guide's plan steps outside the blocks, spoken as these instruction texts.
+# The instruction text the operator logs for a ReportTemperature step.
 REPORT_TEMPERATURE = "report-temperature"
-WRAP_UP = "wrap-up"
 
 
 class PlanError(ConfigError):
@@ -384,7 +388,7 @@ EXPERT_ID = "expert"
 
 def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     """The guide's walk of ``plan``, resumed with the time the operator reports
-    each step done: yields ``(Instruction, pause_ms)`` per step, tells
+    each step done: yields ``(step, pause_ms)`` per step, tells
     ``recorder`` which block it is in and logs a block's closing ``BREAKPOINT``.
 
     It holds neither its agent nor the ``World``: a generator that held its
@@ -406,9 +410,9 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
             recorder.log(now, BREAKPOINT)
             recorder.enter(None)
         if i == 0:
-            yield Instruction(REPORT_TEMPERATURE), pause
+            yield ReportTemperature(), pause
             pause = EXPLANATION_PAUSE_MS
-    yield Instruction(WRAP_UP), pause + SUMMARY_PAUSE_MS
+    yield CallEnd(), pause + SUMMARY_PAUSE_MS
 
 
 class _ExpertAgent:
@@ -454,17 +458,17 @@ class _ExpertAgent:
 
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         payload = env.payload
-        if isinstance(payload, (CallStart, Instruction)):  # the call starts, or the operator has done a step
-            instruction, pause = self.steps.send(now)
-            if instruction.valve is not None and self.s.condition is Condition.HMD:
-                self._sync_indication(net, instruction.valve, pause)
-            self._send(net, instruction, pause)
+        if isinstance(payload, (CallStart, StepDone)):  # the call starts, or the operator has done a step
+            step, pause = self.steps.send(now)
+            if isinstance(step, Instruction) and step.valve is not None and self.s.condition is Condition.HMD:
+                self._sync_indication(net, step.valve, pause)
+            self._send(net, step, pause)
         elif isinstance(payload, Avatar):
-            room, _ = update_avatar(self.s.room, payload.state)
+            # The host is the room's only other member, so the operator's
+            # avatar has no one to be relayed to; only the expert's is sent.
             pose = place_expert_avatar(payload.state)
             mine = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=pose)
-            room, env_out = update_avatar(room, mine)
-            self.s.room = room
+            self.s.room, env_out = update_avatar(self.s.room, mine)
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
         elif isinstance(payload, SyncReq):
             env_out, _ = self._commit(payload.request)
@@ -534,7 +538,7 @@ class _OperatorAgent:
             edit = SetValveState(valve, target, Role.OPERATOR, self._next_seq())
             self.replica = edit_replica(self.replica, edit)
             self._send(net, SyncReq(make_sync_request(self.replica)), extra_delay_ms=delay)
-        self._send(net, Instruction("done"), extra_delay_ms=delay)
+        self._send(net, StepDone(), extra_delay_ms=delay)
 
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         payload = env.payload
@@ -556,20 +560,20 @@ class _OperatorAgent:
                 if isinstance(edit, SetIndication) and edit.playing:
                     self.s.recorder.log(now, REPLICA_INDICATION, {"valve": edit.node})
         elif isinstance(payload, Instruction):
-            if payload.text == WRAP_UP:
-                self.s.recorder.log(now, CALL_END)
-                self._send(net, CallEnd())
-                return
             self.s.recorder.log(now, INSTRUCTION, {"text": payload.text})
             if payload.valve is not None:
                 self._handle_operation(net, now, payload.valve, payload.target)
-            elif payload.text == REPORT_TEMPERATURE:
-                delay = self._draw(self.s.profile.describe_latency_ms)
-                temp = plant_mod.outlet_temperature(self.s.plant)
-                self.s.recorder.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": round(temp, 2)})
-                self._send(net, Instruction(f"temperature {temp:.2f}"), extra_delay_ms=delay)
             else:  # a description prompt
-                self._send(net, Instruction("described"), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
+                self._send(net, StepDone(), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
+        elif isinstance(payload, ReportTemperature):
+            self.s.recorder.log(now, INSTRUCTION, {"text": REPORT_TEMPERATURE})
+            delay = self._draw(self.s.profile.describe_latency_ms)
+            reading = round(plant_mod.outlet_temperature(self.s.plant), 2)
+            self.s.recorder.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": reading})
+            self._send(net, StepDone(reading), extra_delay_ms=delay)
+        elif isinstance(payload, CallEnd):
+            self.s.recorder.log(now, CALL_END)
+            self._send(net, CallEnd())
 
 
 @record
@@ -603,8 +607,8 @@ def run_session(
     initial_states = dict(plant.valve_states)
 
     room = RoomState(room=f"session-{seed}", shared=model)
-    room, _ = join_room(room, OPERATOR_ID, Role.OPERATOR)
-    room, _ = join_room(room, EXPERT_ID, Role.EXPERT)
+    room = join_room(room, OPERATOR_ID, Role.OPERATOR)
+    room = join_room(room, EXPERT_ID, Role.EXPERT)
     recorder = _Recorder()
     session = _Session(
         condition=condition,

@@ -28,10 +28,13 @@ import math
 import random
 import re
 import struct
+import typing
 from importlib import resources
 from pathlib import Path
 
-from replicasim import ConfigError, scenario
+import pytest
+
+from replicasim import ConfigError, protocol, scenario
 from replicasim.cli import build_parser
 from replicasim.protocol import (
     Avatar,
@@ -40,10 +43,11 @@ from replicasim.protocol import (
     CallStart,
     Envelope,
     Instruction,
-    Join,
     MediaSignal,
+    ReportTemperature,
     RoomError,
     RoomState,
+    StepDone,
     SyncCommit,
     SyncReq,
     decode_envelope,
@@ -245,22 +249,24 @@ def one_frame_per_payload_kind() -> list[dict]:
         RemoveAnnotation("a1", Role.EXPERT, 6),
     )
     payloads = (
-        Join(Role.OPERATOR),
         Avatar(AvatarState("operator", Role.OPERATOR, Pose((0.0, 1.7, 0.0)), (0.0, 0.0, 1.0))),
         SyncReq(SyncRequest("expert", Role.EXPERT, 0, edits)),
         SyncCommit(edits, 1),
         Instruction("set valve 1V1 to Closed", "1V1", ValveState.CLOSED),
+        ReportTemperature(),
+        StepDone(32.0),
         CallStart(),
         CallEnd(),
         MediaSignal(b"\x00\x01\xff"),
     )
+    assert tuple(map(type, payloads)) == typing.get_args(protocol.Payload)
     return [envelope_to_dict(Envelope("expert", i + 1, "r", p, host_seq=i + 1)) for i, p in enumerate(payloads)]
 
 
 def test_frames():
     room = RoomState(room="r", shared=default_model())
-    room, _ = join_room(room, "operator", Role.OPERATOR)
-    room, _ = join_room(room, "expert", Role.EXPERT)
+    room = join_room(room, "operator", Role.OPERATOR)
+    room = join_room(room, "expert", Role.EXPERT)
     rng = random.Random(SEED)
     failures = []
     for frame in one_frame_per_payload_kind():
@@ -282,3 +288,11 @@ def test_frames():
                 except Exception as exc:
                     failures.append(f"submit_sync {case}: {type(exc).__name__}: {exc}")
     assert failures == []
+
+
+@pytest.mark.parametrize("reading", [math.nan, math.inf, True, "x"])
+def test_step_done_temperature_must_be_finite(reading):
+    frame = next(f for f in one_frame_per_payload_kind() if f["payload"]["kind"] == "step_done")
+    body = json.dumps(mutated(frame, ("payload", "temperature_c"), reading)).encode("utf-8")
+    with pytest.raises(RoomError, match="temperature_c must be a finite number"):
+        decode_envelope(struct.pack(">I", len(body)) + body)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -81,3 +82,47 @@ def test_field_checks_live_in_one_module():
                 if any(getattr(kind, "id", None) == "str" for kind in kinds):
                     found.append(f"{module.name}:{node.lineno} isinstance(..., str)")
     assert found == []
+
+
+def bench_references() -> list[tuple[str, str, str]]:
+    """``(file:line, module, dotted name)`` for each name the benchmark takes
+    from replicasim, read from its source: each ``from replicasim[.m] import X``,
+    each ``X.Y`` on a name ``X`` so imported, and each ``bench/tracer.py``
+    ``TIMED`` entry."""
+    refs = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "replicasim":
+                for alias in node.names:
+                    refs.append((f"{path.name}:{node.lineno}", node.module, alias.name))
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+            elif path.name == "tracer.py" and isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TIMED":
+                for module, names in ast.literal_eval(node.value).items():
+                    refs += [(f"{path.name}:{node.lineno}", f"replicasim.{module}", name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in imported:
+                module, name = imported[node.value.id]
+                refs.append((f"{path.name}:{node.lineno}", module, f"{name}.{node.attr}"))
+    return refs
+
+
+def resolves(module: str, dotted: str) -> bool:
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        try:  # an attribute, or a submodule that nothing has imported yet
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(f"{obj.__name__}.{part}")
+        except (AttributeError, ImportError):
+            return False
+    return True
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    """The benchmark is read here, not run: a name it uses that the package no
+    longer has would otherwise show only as a failed workload."""
+    refs = bench_references()
+    # one of each kind: an import, an attribute of an imported module, a TIMED entry
+    assert {(module, dotted) for _, module, dotted in refs} >= {
+        ("replicasim", "protocol"), ("replicasim", "protocol.Envelope"), ("replicasim.netsim", "World.send")}
+    assert [f"{where} {dotted}" for where, module, dotted in refs if not resolves(module, dotted)] == []

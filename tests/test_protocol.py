@@ -39,35 +39,35 @@ def fresh_room():
 
 class TestRooms:
     def test_operator_joins_empty_room(self):
-        state, env = join_room(fresh_room(), "op", Role.OPERATOR)
+        state = join_room(fresh_room(), "op", Role.OPERATOR)
         assert state.members == {"op": Role.OPERATOR}
-        assert env.host_seq == 1
+        assert state.next_host_seq == 1  # joining stamps nothing
 
     def test_both_roles_join(self):
-        state, _ = join_room(fresh_room(), "op", Role.OPERATOR)
-        state, env = join_room(state, "ex", Role.EXPERT)
+        state = join_room(fresh_room(), "op", Role.OPERATOR)
+        state = join_room(state, "ex", Role.EXPERT)
         assert set(state.members.values()) == {Role.OPERATOR, Role.EXPERT}
-        assert env.host_seq == 2
+        assert state.next_host_seq == 1
 
     def test_second_expert_rejected(self):
-        state, _ = join_room(fresh_room(), "ex", Role.EXPERT)
+        state = join_room(fresh_room(), "ex", Role.EXPERT)
         with pytest.raises(RoleOccupiedError):
             join_room(state, "ex2", Role.EXPERT)
 
     def test_host_seq_strictly_increasing(self):
         state = fresh_room()
-        seqs = []
         for client, role in [("op", Role.OPERATOR), ("ex", Role.EXPERT)]:
-            state, env = join_room(state, client, role)
+            state = join_room(state, client, role)
+        seqs = []
+        for _ in range(3):
+            state, env, _ = submit_sync(state, SyncRequest("op", Role.OPERATOR, 0, ()))
             seqs.append(env.host_seq)
-        state, env, _ = submit_sync(state, SyncRequest("op", Role.OPERATOR, 0, ()))
-        seqs.append(env.host_seq)
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert seqs == [1, 2, 3]
 
 
 class TestSubmitSync:
     def test_empty_request_commit(self):
-        state, _ = join_room(fresh_room(), "op", Role.OPERATOR)
+        state = join_room(fresh_room(), "op", Role.OPERATOR)
         old_version = state.shared.version
         state, env, outcome = submit_sync(state, SyncRequest("op", Role.OPERATOR, 0, ()))
         assert isinstance(env.payload, SyncCommit)
@@ -77,8 +77,8 @@ class TestSubmitSync:
     def test_claimed_role_must_match_joined_role(self):
         # The Operator claims the Expert role to overwrite an Expert-owned valve.
         state = RoomState(room="r", shared=default_model())
-        state, _ = join_room(state, "op", Role.OPERATOR)
-        state, _ = join_room(state, "ex", Role.EXPERT)
+        state = join_room(state, "op", Role.OPERATOR)
+        state = join_room(state, "ex", Role.EXPERT)
         expert = SyncRequest("ex", Role.EXPERT, 0, (SetValveState("1V1", ValveState.CLOSED, Role.EXPERT, 1),))
         state, _, _ = submit_sync(state, expert)
         forged = SyncRequest(
@@ -92,8 +92,8 @@ class TestSubmitSync:
         # Guide indicates the valve; the commit replayed on the operator side shows it.
         model = default_model()
         state = RoomState(room="r", shared=model)
-        state, _ = join_room(state, "op", Role.OPERATOR)
-        state, _ = join_room(state, "ex", Role.EXPERT)
+        state = join_room(state, "op", Role.OPERATOR)
+        state = join_room(state, "ex", Role.EXPERT)
         operator_model = model
         req = SyncRequest("ex", Role.EXPERT, 0, (SetIndication("2V4", True, Role.EXPERT, 1),))
         state, env, _ = submit_sync(state, req)
@@ -103,8 +103,8 @@ class TestSubmitSync:
 
     def test_racing_requests_serialize_and_converge(self):
         state = fresh_room()
-        state, _ = join_room(state, "op", Role.OPERATOR)
-        state, _ = join_room(state, "ex", Role.EXPERT)
+        state = join_room(state, "op", Role.OPERATOR)
+        state = join_room(state, "ex", Role.EXPERT)
         req_a = SyncRequest("op", Role.OPERATOR, 0, (SetIndication("V1", True, Role.OPERATOR, 1),))
         req_b = SyncRequest("ex", Role.EXPERT, 0, (SetIndication("V3", True, Role.EXPERT, 1),))
         replay_a = state.shared

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+from collections import Counter
 import itertools
 import sys
 import weakref
@@ -16,7 +17,7 @@ from replicasim.plant import (
     outlet_temperature,
     route,
 )
-from replicasim.protocol import Avatar, SyncCommit, SyncReq
+from replicasim.protocol import Avatar, SyncCommit, SyncReq, detect_gaps, payload_to_dict
 from replicasim import netsim, records, replica, scenario, scene
 from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
@@ -355,6 +356,45 @@ class TestRunSession:
             ).encode("utf-8")).hexdigest()
             for seed in range(5)
         )
+
+    @pytest.mark.parametrize("link", [DEFAULT_SESSION_LINK, LinkConfig(40, 30)], ids=["default-link", "40ms-30ms"])
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_sequence_numbers_arrive_without_holes(self, condition, link):
+        # Every stamped envelope is sent, so on a lossless link each endpoint
+        # receives each sender's sequence numbers 1..n and the operator the
+        # host's 1..n, in order; the operator stamps no host sequence number.
+        model = default_model()
+        plan = build_default_plan(valve_registry(model))
+        profile = default_profiles()[condition]
+        for seed in range(5):
+            log = run_session(plan, condition, profile, seed=seed, model=model, link_config=link)
+            to_operator = [t.envelope for t in log.transcript if t.dst == scenario.OPERATOR_ID]
+            to_expert = [t.envelope for t in log.transcript if t.dst == scenario.EXPERT_ID]
+            assert detect_gaps(to_operator) == {} and detect_gaps(to_expert) == {}
+            assert [e.host_seq for e in to_operator] == list(range(1, len(to_operator) + 1))
+            assert [e.host_seq for e in to_expert if e.host_seq is not None] == []
+
+    # What the seed-0 session sends, by direction and payload kind; the tablet
+    # session sends no sync requests or commits.
+    SEED_0_SENDS = {
+        ("operator", "expert"): {"call_start": 1, "avatar": 1, "sync_req": 12, "step_done": 15, "call_end": 1},
+        ("expert", "operator"): {"instruction": 14, "report_temperature": 1, "sync_commit": 24, "avatar": 1,
+                                 "call_end": 1},
+    }
+
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_what_a_session_sends_is_pinned(self, condition):
+        plan = build_default_plan(valve_registry(default_model()))
+        log = run_session(plan, condition, default_profiles()[condition], seed=0)
+        sent = {}
+        for t in log.transcript:
+            sent.setdefault((t.src, t.dst), Counter())[payload_to_dict(t.envelope.payload)["kind"]] += 1
+        expected = {
+            direction: {kind: n for kind, n in kinds.items()
+                        if condition is Condition.HMD or kind not in ("sync_req", "sync_commit")}
+            for direction, kinds in self.SEED_0_SENDS.items()
+        }
+        assert sent == expected
 
     @pytest.mark.parametrize("condition", list(Condition))
     def test_finished_session_leaves_no_reference_cycle(self, monkeypatch, condition):
