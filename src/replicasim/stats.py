@@ -1,16 +1,21 @@
 """Normality testing, rank comparison, and one-way ANOVA.
 
 Shapiro-Wilk follows Royston's AS R94 polynomial approximations (valid for
-3 <= n <= 50). Mann-Whitney uses midranks; for small samples its exact
-p-value counts all labelings by a rank-sum recurrence, otherwise it takes the
-tie-corrected normal approximation. ANOVA is provided both from raw samples
-and from (n, mean, sd) group summaries, which is how published results are
-reconstructed. The ANOVA F tail is a regularized incomplete beta function,
-evaluated by Lentz's continued fraction (Press et al., *Numerical Recipes*,
-3rd ed., 2007, section 6.4). Everything here is standard library.
+3 <= n <= 50); its coefficients depend on n alone and are computed once per n.
+Mann-Whitney uses midranks; for small samples its exact p-value counts all
+labelings by a rank-sum recurrence, otherwise it takes the tie-corrected
+normal approximation. The recurrence packs the counts for each subset size
+into the base-2**b digits of one Python integer, with b wide enough that no
+count spills into the next digit, so every count stays an exact integer.
+ANOVA is provided both from raw samples and from (n, mean, sd) group
+summaries, which is how published results are reconstructed. The ANOVA F
+tail is a regularized incomplete beta function, evaluated by Lentz's
+continued fraction (Press et al., *Numerical Recipes*, 3rd ed., 2007,
+section 6.4). Everything here is standard library.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -98,11 +103,16 @@ def _polyval(coeffs: Sequence[float], x: float) -> float:
     return y
 
 
-def _shapiro_wilk_weights(n: int) -> list[float]:
-    """Royston's approximate coefficients against expected normal order statistics."""
+@functools.cache
+def _shapiro_wilk_weights(n: int) -> tuple[float, ...]:
+    """Royston's approximate coefficients against expected normal order statistics.
+
+    A pure function of n, computed once per n: ``shapiro_wilk`` accepts
+    3 <= n <= 50, so the cache holds at most 48 entries.
+    """
     if n == 3:
         s = 1.0 / math.sqrt(2.0)
-        return [-s, 0.0, s]
+        return (-s, 0.0, s)
     m = [_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
     mm = math.fsum(v * v for v in m)
     rsn = 1.0 / math.sqrt(n)
@@ -112,15 +122,17 @@ def _shapiro_wilk_weights(n: int) -> list[float]:
     if n > 5:
         an1 = m[-2] / math.sqrt(mm) + _polyval(poly_an1, rsn)
         phi = (mm - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (1.0 - 2.0 * an**2 - 2.0 * an1**2)
-        return [-an, -an1] + [v / math.sqrt(phi) for v in m[2:-2]] + [an1, an]
+        return (-an, -an1, *(v / math.sqrt(phi) for v in m[2:-2]), an1, an)
     phi = (mm - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * an**2)
-    return [-an] + [v / math.sqrt(phi) for v in m[1:-1]] + [an]
+    return (-an, *(v / math.sqrt(phi) for v in m[1:-1]), an)
 
 
 def _shapiro_wilk_pvalue(w: float, n: int) -> float:
     if n == 3:
         p = (6.0 / math.pi) * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
         return min(max(p, 0.0), 1.0)
+    if w >= 1.0:
+        return 1.0  # as scipy.stats.shapiro; log(1 - w) below is undefined
     w1 = 1.0 - w
     if n <= 11:
         gamma = -2.273 + 0.459 * n
@@ -180,22 +192,50 @@ def _exact_two_sided_p(ranks2: list[int], n1: int) -> float:
     """Share of the C(n, n1) labelings whose |2U - n1*n2| is at least the observed one.
 
     Counts labelings instead of enumerating them (Mann & Whitney 1947; with
-    ties, Streitberg & Roehmel 1986): ``counts[j][s]`` is the number of ways to
-    pick j of the items seen so far with doubled rank sum s. Since
-    2U - n1*n2 = s - n1*(n + 1) for the first sample's doubled rank sum s,
-    every comparison and count is an exact integer.
+    ties, Streitberg & Roehmel 1986). Since 2U - n1*n2 = s - n1*(n + 1) for the
+    first sample's doubled rank sum s, every comparison and count is an exact
+    integer.
+
+    The counts are packed into integers. Over the ranks in ascending order,
+    ``counts[j]`` is the generating polynomial of the j-subsets of the ranks
+    seen so far, evaluated at x = 2**b: its base-2**b digit e is the number of
+    those subsets whose rank sum s is least_j + e * step. Here least_j is the
+    sum of the j smallest ranks and step is the gcd of the differences between
+    ranks, so s - least_j is a multiple of step. Adding one rank to every
+    subset of size j - 1 is then one shift and one add.
+
+    Digits cannot collide. A subset size j is kept only while its subsets can
+    still grow to size n1, so they are drawn from at most j + n2 ranks, and
+    there are at most C(j + n2, j) <= C(n, n1) < 2**(b - 1) of them. Each digit
+    holds its count exactly, so the p-value is the same as from unpacked counts.
     """
     n = len(ranks2)
+    total = math.comb(n, n1)
     centre = n1 * (n + 1)
     observed = abs(sum(ranks2[:n1]) - centre)
-    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n1)]
+    if observed == 0:
+        return 1.0
+    ranks2 = sorted(ranks2)
+    step = math.gcd(*(r - ranks2[0] for r in ranks2))
+    b = total.bit_length() + 1
+    counts = [1] + [0] * n1
     for seen, r in enumerate(ranks2):
-        for j in range(min(seen + 1, n1), 0, -1):
-            row = counts[j]
-            for s, c in counts[j - 1].items():
-                row[s + r] = row.get(s + r, 0) + c
-    hits = sum(c for s, c in counts[n1].items() if abs(s - centre) >= observed)
-    return hits / math.comb(n, n1)
+        # With n - seen - 1 ranks left, sizes below n1 - (n - seen - 1) are dropped.
+        for j in range(min(seen + 1, n1), max(n1 - n + seen, 0), -1):
+            counts[j] += counts[j - 1] << (r - ranks2[j - 1]) // step * b
+    # The tails are the digits at s <= centre - observed and at
+    # s >= centre + observed: digits e up to the floor of
+    # (centre - observed - least) / step and from the ceiling of
+    # (centre + observed - least) / step. The digits of each tail sum to at
+    # most C(n, n1) < 2**b - 1, so that sum is the tail's residue modulo
+    # 2**b - 1, since 2**b = 1 there.
+    least = sum(ranks2[:n1])
+    low_top = (centre - observed - least) // step
+    high_bottom = -((least - centre - observed) // step)
+    digit_sum = (1 << b) - 1
+    low = counts[n1] & ((1 << max(low_top + 1, 0) * b) - 1)
+    high = counts[n1] >> high_bottom * b
+    return (low % digit_sum + high % digit_sum) / total
 
 
 def mann_whitney(a: Sample, b: Sample, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> TestResult:
@@ -205,7 +245,10 @@ def mann_whitney(a: Sample, b: Sample, exact_threshold: int = DEFAULT_EXACT_THRE
     along in ``extra`` since both conventions appear in the literature. When
     the pooled size is at most ``exact_threshold`` the p-value is exact: the
     share of all C(n1 + n2, n1) labelings at least as extreme, counted by a
-    rank-sum recurrence rather than enumerated.
+    rank-sum recurrence rather than enumerated. The recurrence keeps the counts
+    of each subset size as the digits of one integer, so it costs one shift
+    and one add per rank and subset size. Every count is an exact integer, and
+    so is the comparison with the observed statistic.
     """
     n1, n2 = a.n, b.n
     pooled = list(a.values) + list(b.values)

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from statistics import NormalDist
 
 import pytest
 
-from replicasim import checks
+from replicasim import checks, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import REFERENCE_CONSTANTS, read_metrics_csv, run_reference_checks
 from replicasim.scenario import (
@@ -21,6 +22,7 @@ from replicasim.scenario import (
     session_log_to_jsonl,
     valve_registry,
 )
+from replicasim.stats import _shapiro_wilk_weights
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -348,6 +350,42 @@ class TestAnalyze:
         test_rows = [line for line in report.splitlines() if "| ANOVA |" in line or "| MWW |" in line]
         assert test_rows
         assert all(line.rstrip().endswith("no |") for line in test_rows)
+
+    def test_group_with_shapiro_wilk_w_of_one_is_analyzed(self, tmp_path, capsys):
+        # The tablet times are the n = 7 Shapiro-Wilk coefficients shifted by
+        # 100, so their W rounds to 1.0; its p approximation took log(0).
+        header = "session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total"
+        tablet = [a + 100.0 for a in _shapiro_wilk_weights(7)]
+        hmd = [90.0, 97.5, 93.0, 99.0, 91.5, 95.0, 96.5]
+        lines = [header]
+        for cond, values in (("tablet", tablet), ("hmd", hmd)):
+            lines += [f"{cond}-{i:03d},{cond},{i},{v!r},{v / 4!r},{v / 5!r},0,0,0,0" for i, v in enumerate(values)]
+        csv_path = tmp_path / "w_one.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("analyze", str(csv_path), "--out", str(tmp_path)) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_shapiro_wilk_coefficients_computed_once_per_n(self, tmp_path):
+        # A call count, not a timing: every group of the 8:8 corpus has n = 8,
+        # so its analysis computes the n = 8 coefficients, 8 inverse normal
+        # CDFs, once. Of its 14 Shapiro-Wilk calls, 3 meet a zero-variance group.
+        out = tmp_path / "corpus"
+        assert run_cli("simulate", "--sessions", "8:8", "--seed", "424242", "--out", str(out)) == EXIT_OK
+        watched = {NormalDist.inv_cdf.__code__: "inv_cdf", stats.shapiro_wilk.__code__: "shapiro_wilk"}
+        calls = {"inv_cdf": 0, "shapiro_wilk": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        _shapiro_wilk_weights.cache_clear()
+        sys.setprofile(count)
+        try:
+            code = run_cli("analyze", str(out / "metrics.csv"), "--out", str(out))
+        finally:
+            sys.setprofile(None)
+        assert code == EXIT_OK
+        assert calls == {"inv_cdf": 8, "shapiro_wilk": 14}  # 88 inverse CDFs when computed per call
 
     def test_single_condition_summary_only(self, tmp_path, quick_profiles):
         out = tmp_path / "single"

@@ -109,6 +109,14 @@ class TestShapiroWilk:
             assert 0.0 < res.statistic <= 1.0
             assert 0.0 <= res.p_value <= 1.0
 
+    def test_sample_of_the_weights_has_p_one(self):
+        # W of such a sample is 1 up to rounding; where it rounds to 1.0, the
+        # p approximation took log(1 - W) = log(0). scipy.stats.shapiro
+        # reports p = 1 for each of these samples.
+        for n in range(4, 51):
+            res = shapiro_wilk(Sample(_shapiro_wilk_weights(n)))
+            assert res.p_value == 1.0, n
+
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(11)
         for n in (4, 6, 11, 12, 20, 39, 50):
@@ -204,14 +212,25 @@ class TestMannWhitney:
                     res = mann_whitney(Sample(a), Sample(b))
                     assert res.exact
                     assert res.p_value == doubled_rank_enumeration_p(a, b), (a, b)
+            # With n1 >= n - 3, C(n, n1) and so the packed digits are narrow,
+            # though the pooled sample has many more subsets of middle size.
+            # A two-level tie puts many of them on one rank sum; the all-tied
+            # sample puts every subset on one.
+            half = [0.0, 1.0] * (n // 2) + [1.0] * (n % 2)
+            for n1 in range(max(n - 3, 1), n):
+                for pooled in (half, half[::-1], sorted(half), [0.0] * n):
+                    a, b = tuple(pooled[:n1]), tuple(pooled[n1:])
+                    res = mann_whitney(Sample(a), Sample(b))
+                    assert res.exact
+                    assert res.p_value == doubled_rank_enumeration_p(a, b), (a, b)
 
-    @pytest.mark.parametrize("n1, n2", [(8, 8), (5, 11)])
+    @pytest.mark.parametrize("n1, n2", [(8, 8), (5, 11), (19, 20)])
     def test_exact_p_matches_scipy_exact_without_ties(self, n1, n2):
         rng = random.Random(n1 * 100 + n2)
         for shift in (0.0, 0.3, 1.0):
             a = tuple(rng.random() + shift for _ in range(n1))
             b = tuple(rng.random() for _ in range(n2))
-            res = mann_whitney(Sample(a), Sample(b))
+            res = mann_whitney(Sample(a), Sample(b), exact_threshold=n1 + n2)
             ref = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
             assert res.exact
             assert res.statistic == ref.statistic
