@@ -15,6 +15,7 @@ from replicasim.stats import (
     anova_oneway_summary,
     compare_groups,
     mann_whitney,
+    mean_sd,
     shapiro_wilk,
 )
 
@@ -45,5 +46,6 @@ print(f"ANOVA from published summaries: F={summary.statistic:.2f} df={summary.df
 # The branching pipeline in one call.
 comparison = compare_groups(a, b, measure="total_s")
 print(f"\npipeline chose {comparison.chosen.upper()}: p={comparison.result.p_value:.2e}")
-for summary, group in zip(comparison.summaries, ("first", "second")):
+for sample, group in zip((a, b), ("first", "second")):
+    summary = mean_sd(sample)
     print(f"  {group}: n={summary.n} mean={summary.mean:.1f} sd={summary.sd:.1f}")

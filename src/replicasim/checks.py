@@ -3,14 +3,17 @@
 Each check takes a value and the name of its field, returns the value in the
 type the program uses, and raises ``ValueError`` naming the field when the
 value does not fit. A bool is never a number, and an integer field takes an
-int only: never a bool, never a float. Each boundary maps the ``ValueError``
-to its own error: a ``ConfigError`` for a file, a ``RoomError`` for a frame.
-``dumps`` writes all of the program's JSON, in one form.
+int only: never a bool, never a float. ``numeral`` reads a number written as
+text, a CSV cell or a command-line option, in JSON's number grammar. Each
+boundary maps the ``ValueError`` to its own error: a ``ConfigError`` for a file
+or an option, a ``RoomError`` for a frame. ``dumps`` writes all of the
+program's JSON, in one form.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 import sys
 from enum import Enum
@@ -36,8 +39,21 @@ MAX_LATENCY_MS = 86_400_000
 dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+_INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_NUMBER = re.compile(_INTEGER.pattern + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _refuse(name: str, expected: str, value: object) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
+
+
+def numeral(text: str, name: str, convert):
+    """``convert(text)``, int or float, once ``text`` is a JSON number (RFC 8259, section 6) of
+    that type in ASCII digits; int() and float() also take spaces, "_", "+1" and digits such as "٣"."""
+    grammar, kind = (_INTEGER, "an integer") if convert is int else (_NUMBER, "a number")
+    if grammar.fullmatch(text) is None:
+        raise _refuse(name, f"{kind} in JSON form", text)
+    return convert(text)
 
 
 def _float(value: object) -> float:

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from replicasim import ConfigError
+from replicasim import ConfigError, checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,10 +31,10 @@ def _parse_sessions(value: str) -> dict:
     parts = value.split(":")
     try:
         if len(parts) == 1:
-            n = int(parts[0])
+            n = integer(parts[0])
             counts = {Condition.TABLET: n, Condition.HMD: n}
         elif len(parts) == 2:
-            counts = {Condition.TABLET: int(parts[0]), Condition.HMD: int(parts[1])}
+            counts = {Condition.TABLET: integer(parts[0]), Condition.HMD: integer(parts[1])}
         else:
             raise ValueError(value)
     except ValueError:
@@ -42,6 +42,11 @@ def _parse_sessions(value: str) -> dict:
     if any(n < 1 for n in counts.values()):
         raise CliError("sessions per condition must be at least 1")
     return counts
+
+
+def integer(text: str) -> int:
+    """An integer option of either sign, in the JSON integer grammar of the metrics CSV."""
+    return checks.numeral(text, "integer", int)
 
 
 def _load(path: str, parse):
@@ -193,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run seeded sessions and write logs + metrics CSV")
     sim.add_argument("--condition", choices=["tablet", "hmd", "both"], default="both")
     sim.add_argument("--sessions", default="19:20", help="N per condition, or TABLET:HMD (default 19:20)")
-    sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    sim.add_argument("--seed", type=integer, default=0, help="master seed (default 0)")
     sim.add_argument("--plan", help="inspection plan JSON (default: built-in two-part plan)")
     sim.add_argument("--profile", help="operator profiles JSON (default: calibrated profiles)")
     sim.add_argument("--routing", help="routing/effectiveness table JSON")

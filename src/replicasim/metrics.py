@@ -67,30 +67,24 @@ def block_times(log: SessionLog) -> TimingSummary:
 
     The first block's duration is measured from CallStart. The sum of block
     durations never exceeds the total, since the wrap-up tail follows the last
-    breakpoint. A log that fails :func:`validate_session_log` raises LogError.
+    breakpoint. ``log`` must have passed :func:`validate_session_log`, as every log
+    that ``run_session`` returns or ``session_log_from_jsonl`` reads has.
     """
-    from replicasim.scenario import BREAKPOINT, NO_MANIPULATION, LogError, validate_session_log
+    from replicasim.scenario import BLOCK_KINDS, BREAKPOINT
 
-    validate_session_log(log)
     events = log.events
     start_ms = events[0].t_ms
     end_ms = events[-1].t_ms
 
     blocks: list[BlockTiming] = []
+    totals = dict.fromkeys(BLOCK_KINDS, 0.0)
     previous_ms = start_ms
     for event in events:
-        if event.kind != BREAKPOINT:
-            continue
-        if event.block is None:
-            raise LogError("breakpoint without block context")
-        blocks.append(BlockTiming(event.block, event.block_kind or "", (event.t_ms - previous_ms) / 1000.0))
-        previous_ms = event.t_ms
-
-    totals = {"OneHanded": 0.0, "TwoHanded": 0.0, NO_MANIPULATION: 0.0}
-    for timing in blocks:
-        if timing.kind not in totals:
-            raise LogError(f"unknown block kind {timing.kind!r}")
-        totals[timing.kind] += timing.duration_s
+        if event.kind == BREAKPOINT:
+            timing = BlockTiming(event.block, event.block_kind, (event.t_ms - previous_ms) / 1000.0)
+            blocks.append(timing)
+            totals[timing.kind] += timing.duration_s
+            previous_ms = event.t_ms
     return TimingSummary(blocks=tuple(blocks), totals_by_kind=totals, total_s=(end_ms - start_ms) / 1000.0)
 
 

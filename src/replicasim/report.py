@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
-import reprlib
 from dataclasses import dataclass, field
 
 from replicasim import ConfigError, checks
@@ -41,20 +39,6 @@ class ReportError(ConfigError):
     pass
 
 
-# A numeric cell is a JSON number (RFC 8259, section 6) in ASCII digits; int()
-# and float() would also take spaces, "_", a leading "+" and digits such as "٣".
-_INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
-_NUMBER = re.compile(_INTEGER.pattern + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-
-
-def _cell(raw: str, name: str, convert):
-    """``convert(raw)``, int or float, once ``raw`` fits that type's number grammar."""
-    grammar, kind = (_INTEGER, "an integer") if convert is int else (_NUMBER, "a number")
-    if grammar.fullmatch(raw) is None:
-        raise ValueError(f"{name} must be {kind} in JSON form, got {reprlib.repr(raw)}")
-    return convert(raw)
-
-
 def read_metrics_csv(path: str) -> list[dict]:
     """The rows of a metrics CSV; a malformed file raises ReportError naming it."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -63,7 +47,11 @@ def read_metrics_csv(path: str) -> list[dict]:
             records = list(reader)
         except (ValueError, csv.Error) as exc:  # bad UTF-8; a field past the csv module's size limit
             raise ReportError(f"cannot read {path!r}: {exc}") from None
-    missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
+    header = reader.fieldnames or []
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:  # csv.DictReader would keep the last copy's cells
+        raise ReportError(f"{path!r} repeats column {repeated[0]!r}")
+    missing = set(CSV_COLUMNS) - set(header)
     if missing:
         raise ReportError(f"{path!r} is missing columns: {sorted(missing)}")
     if not records:
@@ -77,9 +65,10 @@ def read_metrics_csv(path: str) -> list[dict]:
                 raise ValueError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
             first_line[session_id] = i
             condition = checks.member(raw["condition"], "condition", Condition)
-            row = {"session_id": session_id, "condition": condition.value, "seed": _cell(raw["seed"], "seed", int)}
-            row.update((key, checks.seconds(_cell(raw[key], key, float), key)) for key in TIME_MEASURES)
-            row.update((key, checks.count(_cell(raw[key], key, int), key)) for key in ERROR_MEASURES)
+            seed = checks.numeral(raw["seed"], "seed", int)
+            row = {"session_id": session_id, "condition": condition.value, "seed": seed}
+            row.update((key, checks.seconds(checks.numeral(raw[key], key, float), key)) for key in TIME_MEASURES)
+            row.update((key, checks.count(checks.numeral(raw[key], key, int), key)) for key in ERROR_MEASURES)
             derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
             if row["weighted_total"] != derived:
                 raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
@@ -105,12 +94,15 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
         by_condition.setdefault(row["condition"], []).append(row)
     conditions = tuple(sorted(by_condition, reverse=True))  # tablet before hmd
 
-    summaries = {}
-    for measure in ALL_MEASURES:
-        for cond, cond_rows in by_condition.items():
-            values = tuple(float(r[measure]) for r in cond_rows)
-            if len(values) >= 2:
-                summaries[(measure, cond)] = mean_sd(Sample(values, label=f"{cond}:{measure}"))
+    # One sample per (measure, condition) of at least two sessions: it gives
+    # the group's summary and, when both conditions have one, its comparison.
+    samples = {
+        (measure, cond): Sample(tuple(float(r[measure]) for r in cond_rows), label=f"{cond}:{measure}")
+        for measure in ALL_MEASURES
+        for cond, cond_rows in by_condition.items()
+        if len(cond_rows) >= 2
+    }
+    summaries = {key: mean_sd(sample) for key, sample in samples.items()}
 
     error_totals = {
         cond: ErrorCounts(
@@ -131,8 +123,7 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
     # Comparing needs a mean and SD per group, so at least two sessions in each.
     if participants.get(BASELINE_CONDITION, 0) >= 2 and participants.get(TREATMENT_CONDITION, 0) >= 2:
         for measure in ALL_MEASURES:
-            a = Sample(tuple(float(r[measure]) for r in by_condition[BASELINE_CONDITION]), label=BASELINE_CONDITION)
-            b = Sample(tuple(float(r[measure]) for r in by_condition[TREATMENT_CONDITION]), label=TREATMENT_CONDITION)
+            a, b = samples[(measure, BASELINE_CONDITION)], samples[(measure, TREATMENT_CONDITION)]
             report.comparisons.append(compare_groups(a, b, measure=measure))
         report.improvements = _improvements(report)
     return report
@@ -196,6 +187,7 @@ def render_markdown(report: AnalysisReport) -> str:
         ("Simple (x1)", lambda e: e.simple),
         ("Critical (x2)", lambda e: e.critical),
         ("Repetition (x1)", lambda e: e.repetition),
+        ("Total with ponderation", weighted_total),
     ]
     for label, get in rows:
         cells = []
@@ -203,11 +195,6 @@ def render_markdown(report: AnalysisReport) -> str:
             total = get(report.error_totals[cond])
             cells.append(f"{total} | {total / report.participants[cond]:.2f}")
         out.write(f"| {label} | " + " | ".join(cells) + " |\n")
-    cells = []
-    for cond in report.conditions:
-        wt = weighted_total(report.error_totals[cond])
-        cells.append(f"{wt} | {wt / report.participants[cond]:.2f}")
-    out.write("| Total with ponderation | " + " | ".join(cells) + " |\n")
     if report.improvements:
         out.write("\n## Improvements (tablet baseline vs hmd)\n\n")
         labels = {
@@ -232,7 +219,7 @@ def render_results_csv(report: AnalysisReport) -> str:
         writer.writerow(
             [
                 c.measure,
-                "anova" if c.chosen == "anova" else "mww",
+                c.chosen,
                 c.result.statistic_name,
                 f"{c.result.statistic:.6g}",
                 df1,

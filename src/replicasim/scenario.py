@@ -80,6 +80,8 @@ TEMPERATURE_REPORT = "TemperatureReport"
 CALL_END = "CallEnd"
 
 NO_MANIPULATION = "NoManipulation"
+# Every block kind name, as a log's ``block_kind`` and the metrics name them.
+BLOCK_KINDS = (Handedness.ONE_HANDED.value, Handedness.TWO_HANDED.value, NO_MANIPULATION)
 
 # The instruction text the operator logs for a ReportTemperature step.
 REPORT_TEMPERATURE = "report-temperature"
@@ -97,22 +99,20 @@ class LogError(ConfigError):
 
 
 @record(frozen=True)
-class ValveOp:
-    valve: str
-    target: ValveState
-
-
-@record(frozen=True)
 class ManipulationBlock:
+    """A block of valve operations of one handedness. Each operation is the
+    ``Instruction`` the guide sends for it, with its ``valve`` and ``target``,
+    built once when the plan is read."""
+
     id: str
     kind: Handedness
-    operations: tuple[ValveOp, ...]
+    operations: tuple[Instruction, ...]
 
 
 @record(frozen=True)
 class NoManipulationBlock:
     id: str
-    prompt: str
+    instruction: Instruction  # the guide's ``describe: …`` prompt
 
 
 Block = Union[ManipulationBlock, NoManipulationBlock]
@@ -143,7 +143,7 @@ def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> Insp
     seen_ids: set[str] = set()
     for part in plan.parts:
         kinds = {block_kind_name(b) for b in part.blocks}
-        if not {"OneHanded", "TwoHanded", NO_MANIPULATION} <= kinds:
+        if not kinds.issuperset(BLOCK_KINDS):
             raise PlanError(f"part {part.name!r} must contain 1-handed, 2-handed and no-manipulation blocks")
         for block in part.blocks:
             if block.id in seen_ids:
@@ -176,14 +176,15 @@ def plan_from_dict(doc: dict) -> InspectionPlan:
             block_id = checks.ident(checks.typed(b, "block", dict).get("id"), "block id")
             if b.get("type") == "manipulation":
                 kind = checks.member(b.get("kind"), f"block {block_id!r} kind", Handedness)
-                operations = tuple(
-                    ValveOp(checks.ident(checks.typed(o, "operation", dict).get("valve"), f"block {block_id!r} valve"),
-                            checks.member(o.get("target"), f"block {block_id!r} target", ValveState))
-                    for o in checks.typed(b.get("operations"), f"block {block_id!r} operations", list)
-                )
-                blocks.append(ManipulationBlock(block_id, kind, operations))
+                operations = []
+                for o in checks.typed(b.get("operations"), f"block {block_id!r} operations", list):
+                    valve = checks.ident(checks.typed(o, "operation", dict).get("valve"), f"block {block_id!r} valve")
+                    target = checks.member(o.get("target"), f"block {block_id!r} target", ValveState)
+                    operations.append(Instruction(f"set valve {valve} to {target.value}", valve, target))
+                blocks.append(ManipulationBlock(block_id, kind, tuple(operations)))
             elif b.get("type") == "no_manipulation":
-                blocks.append(NoManipulationBlock(block_id, checks.typed(b.get("prompt"), "prompt", str)))
+                prompt = checks.typed(b.get("prompt"), "prompt", str)
+                blocks.append(NoManipulationBlock(block_id, Instruction(f"describe: {prompt}")))
             else:
                 raise PlanError(f"unknown block type {b.get('type')!r}")
         parts.append(PlanPart(checks.typed(part.get("name"), "part name", str), tuple(blocks)))
@@ -337,10 +338,13 @@ def session_log_from_jsonl(text: str) -> SessionLog:
             block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
         ))
     condition = checks.member(header.get("condition"), "condition", Condition)
-    return SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
+    log = SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
+    validate_session_log(log)
+    return log
 
 
 def validate_session_log(log: SessionLog) -> None:
+    """Check every rule of a session log, the rules that the metrics rely on among them."""
     events = log.events
     if not events or events[0].kind != CALL_START:
         raise LogError("log must start with CallStart")
@@ -355,10 +359,15 @@ def validate_session_log(log: SessionLog) -> None:
     manipulation_blocks = {
         e.block for e in events if e.block is not None and e.block_kind != NO_MANIPULATION
     }
-    closed = {e.block for e in events if e.kind == BREAKPOINT}
-    unclosed = manipulation_blocks - closed
+    breakpoints = [e for e in events if e.kind == BREAKPOINT]
+    unclosed = manipulation_blocks - {e.block for e in breakpoints}
     if unclosed:
         raise LogError(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
+    if any(e.block is None for e in breakpoints):
+        raise LogError("breakpoint without block context")
+    for e in breakpoints:
+        if e.block_kind not in BLOCK_KINDS:
+            raise LogError(f"unknown block kind {e.block_kind or ''!r}")
 
 
 class _Recorder:
@@ -388,8 +397,9 @@ EXPERT_ID = "expert"
 
 def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     """The guide's walk of ``plan``, resumed with the time the operator reports
-    each step done: yields ``(step, pause_ms)`` per step, tells
-    ``recorder`` which block it is in and logs a block's closing ``BREAKPOINT``.
+    each step done: yields ``(step, pause_ms)`` per step, a block's
+    instructions as the plan holds them; tells ``recorder`` which block it is
+    in and logs a block's closing ``BREAKPOINT``.
 
     It holds neither its agent nor the ``World``: a generator that held its
     agent would close a cycle (agent, generator, frame, agent) that keeps each
@@ -399,11 +409,7 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     for i, part in enumerate(plan.parts):
         for block in part.blocks:
             recorder.enter(block)
-            if isinstance(block, NoManipulationBlock):
-                instructions = [Instruction(f"describe: {block.prompt}")]
-            else:
-                instructions = [Instruction(f"set valve {op.valve} to {op.target.value}", op.valve, op.target)
-                                for op in block.operations]
+            instructions = block.operations if isinstance(block, ManipulationBlock) else (block.instruction,)
             for instruction in instructions:
                 now = yield instruction, pause
                 pause = 0
@@ -599,10 +605,13 @@ def run_session(
     routing: Optional[RoutingTable] = None,
     link_config: Optional[LinkConfig] = None,
 ) -> SessionLog:
-    """Simulate one full inspection call and return its event log."""
+    """Simulate one full inspection call and return its event log.
+
+    ``plan`` must already have passed :func:`validate_plan` against ``model``
+    (the default model when it is None); the session does not check it again.
+    """
     model = model if model is not None else default_model()
     routing = routing if routing is not None else default_routing_table()
-    validate_plan(plan, valve_registry(model))
     plant = plant_from_model(model, routing)
     initial_states = dict(plant.valve_states)
 

@@ -7,8 +7,8 @@ labelings by a rank-sum recurrence, otherwise it takes the tie-corrected
 normal approximation. The recurrence packs the counts for each subset size
 into the base-2**b digits of one Python integer, with b wide enough that no
 count spills into the next digit, so every count stays an exact integer.
-ANOVA is provided both from raw samples and from (n, mean, sd) group
-summaries, which is how published results are reconstructed. The ANOVA F
+ANOVA computes F from (n, mean, sd) group summaries, which is how published
+results are reconstructed; raw samples go through their summaries. The F
 tail is a regularized incomplete beta function, evaluated by Lentz's
 continued fraction (Press et al., *Numerical Recipes*, 3rd ed., 2007,
 section 6.4). Everything here is standard library.
@@ -332,17 +332,8 @@ def _f_sf(f: float, df1: int, df2: int) -> float:
 
 
 def anova_oneway_raw(groups: list[Sample]) -> TestResult:
-    if len(groups) < 2:
-        raise StatsError("ANOVA needs at least two groups")
-    for g in groups:
-        if g.n < 2:
-            raise StatsError(f"group {g.label!r} needs n >= 2")
-    total_n = sum(g.n for g in groups)
-    grand = math.fsum(v for g in groups for v in g.values) / total_n
-    means = [math.fsum(g.values) / g.n for g in groups]
-    ss_between = sum(g.n * (mean - grand) ** 2 for g, mean in zip(groups, means))
-    ss_within = sum(math.fsum((v - mean) ** 2 for v in g.values) for g, mean in zip(groups, means))
-    return _anova_from_ss(ss_between, ss_within, len(groups), total_n)
+    """F statistic of raw samples, from their (n, mean, sd) summaries."""
+    return anova_oneway_summary([mean_sd(g) for g in groups])
 
 
 def anova_oneway_summary(groups: list[GroupSummary]) -> TestResult:
@@ -353,13 +344,8 @@ def anova_oneway_summary(groups: list[GroupSummary]) -> TestResult:
     grand = sum(g.n * g.mean for g in groups) / total_n
     ss_between = sum(g.n * (g.mean - grand) ** 2 for g in groups)
     ss_within = sum((g.n - 1) * g.sd**2 for g in groups)
-    return _anova_from_ss(ss_between, ss_within, len(groups), total_n)
-
-
-def _anova_from_ss(ss_between: float, ss_within: float, k: int, total_n: int) -> TestResult:
-    df1, df2 = k - 1, total_n - k
-    if df2 <= 0:
-        raise StatsError("not enough observations for within-group variance")
+    # Every group has n >= 2, so df2 >= len(groups) > 0.
+    df1, df2 = len(groups) - 1, total_n - len(groups)
     ms_within = ss_within / df2
     if ms_within <= 0.0:
         if ss_between <= 0.0:
@@ -377,7 +363,6 @@ class Comparison:
     """One measurement's full pipeline record: SW per group, branch, final test."""
 
     measure: str
-    summaries: tuple[GroupSummary, ...]
     shapiro: tuple[Optional[TestResult], ...]
     chosen: str  # "anova" | "mww"
     result: TestResult
@@ -407,7 +392,6 @@ def compare_groups(a: Sample, b: Sample, measure: str = "") -> Comparison:
         result = mann_whitney(a, b)
     return Comparison(
         measure=measure,
-        summaries=(mean_sd(a), mean_sd(b)),
         shapiro=tuple(shapiro_results),
         chosen=chosen,
         result=result,

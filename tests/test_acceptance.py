@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 import hashlib
+import importlib.util
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +54,9 @@ from replicasim.scenario import (
     valve_registry,
 )
 from replicasim.metrics import ErrorCounts, percent_improvement, weighted_total
+from replicasim.report import ALL_MEASURES, BASELINE_CONDITION, TREATMENT_CONDITION, analyze_rows, read_metrics_csv
 from replicasim.stats import (
+    NORMALITY_ALPHA,
     GroupSummary,
     Sample,
     anova_oneway_raw,
@@ -567,3 +571,31 @@ def test_criterion_9_analyze_determinism(tmp_path, sessions):
     assert digests == ANALYZE_424242_DIGESTS[sessions]
     report(9, f"cmd_analyze on a {sessions} corpus with a fixed seed wrote report.md and report.csv"
               " matching the pinned digests")
+
+
+def load_bench_checks():
+    """``bench/checks.py``, the benchmark's SciPy output check, under a name of its own."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--sessions", "8:8", "--seed", "424242"], ["--sessions", "5:11", "--seed", "424242"],
+                                  []], ids=["8:8", "5:11", "default"])
+def test_comparisons_pass_the_benchmark_output_check(tmp_path, argv):
+    # The check a bench run applies to every comparison, run here so that a
+    # Comparison or TestResult change that breaks it fails the suite.
+    out = tmp_path / "corpus"
+    assert cli_main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
+    rows = read_metrics_csv(str(out / "metrics.csv"))
+    comparisons = analyze_rows(rows).comparisons
+    assert len(comparisons) == len(ALL_MEASURES)
+    comparison_errors = load_bench_checks().comparison_errors
+    errors = []
+    for comparison in comparisons:
+        a, b = ([float(r[comparison.measure]) for r in rows if r["condition"] == cond]
+                for cond in (BASELINE_CONDITION, TREATMENT_CONDITION))
+        errors += comparison_errors(comparison, a, b, NORMALITY_ALPHA)
+    assert errors == []

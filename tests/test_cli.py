@@ -10,7 +10,7 @@ from statistics import NormalDist
 
 import pytest
 
-from replicasim import checks, stats
+from replicasim import checks, scenario, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import REFERENCE_CONSTANTS, read_metrics_csv, run_reference_checks
 from replicasim.scenario import (
@@ -202,6 +202,47 @@ class TestSimulate:
         code = run_cli("simulate", "--plan", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--sessions", "١:٢"), ("--sessions", "+1:1_0"), ("--sessions", " 2"), ("--seed", "٣"), ("--seed", "1_0")],
+        ids=["sessions-arabic-indic-digits", "sessions-plus-underscore", "sessions-space", "seed-arabic-indic-digit",
+             "seed-underscore"],
+    )
+    def test_integer_outside_json_grammar_is_config_error(self, tmp_path, capsys, option, value):
+        # int() takes each of these; the JSON integer grammar that the CSV reader uses takes none.
+        argv = ["simulate", "--sessions", "1", option, value, "--out", str(tmp_path / "x")]
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses a --seed its type function rejects
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert option.lstrip("-") in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_simulates(self, tmp_path):
+        assert run_cli("simulate", "--sessions", "1", "--condition", "tablet", "--seed", "-3",
+                       "--out", str(tmp_path)) == EXIT_OK
+
+    def test_corpus_validates_its_plan_once_and_each_log_once(self, tmp_path):
+        # Call counts, not timings: the plan is validated where it is built,
+        # once per corpus, and each session validates the log it makes.
+        watched = {scenario.validate_plan.__code__: "validate_plan",
+                   scenario.validate_session_log.__code__: "validate_session_log"}
+        calls = {"validate_plan": 0, "validate_session_log": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        sys.setprofile(count)
+        try:
+            code = run_cli("simulate", "--sessions", "3:4", "--out", str(tmp_path))
+        finally:
+            sys.setprofile(None)
+        assert code == EXIT_OK
+        assert calls == {"validate_plan": 1, "validate_session_log": 7}  # 8 and 14 when sessions checked again
+
 
 def shipped_with(name: str, mutate) -> str:
     """The text of a shipped data file after ``mutate`` changed one leaf of it."""
@@ -369,10 +410,13 @@ class TestAnalyze:
         # A call count, not a timing: every group of the 8:8 corpus has n = 8,
         # so its analysis computes the n = 8 coefficients, 8 inverse normal
         # CDFs, once. Of its 14 Shapiro-Wilk calls, 3 meet a zero-variance group.
+        # It builds one Sample and one summary per (measure, condition), 14 of
+        # each, and each of its 3 ANOVAs summarises its two groups again.
         out = tmp_path / "corpus"
         assert run_cli("simulate", "--sessions", "8:8", "--seed", "424242", "--out", str(out)) == EXIT_OK
-        watched = {NormalDist.inv_cdf.__code__: "inv_cdf", stats.shapiro_wilk.__code__: "shapiro_wilk"}
-        calls = {"inv_cdf": 0, "shapiro_wilk": 0}
+        watched = {NormalDist.inv_cdf.__code__: "inv_cdf", stats.shapiro_wilk.__code__: "shapiro_wilk",
+                   stats.Sample.__init__.__code__: "Sample", stats.mean_sd.__code__: "mean_sd"}
+        calls = {"inv_cdf": 0, "shapiro_wilk": 0, "Sample": 0, "mean_sd": 0}
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code in watched:
@@ -385,7 +429,9 @@ class TestAnalyze:
         finally:
             sys.setprofile(None)
         assert code == EXIT_OK
-        assert calls == {"inv_cdf": 8, "shapiro_wilk": 14}  # 88 inverse CDFs when computed per call
+        # 88 inverse CDFs when computed per call; 28 Samples and 28 summaries
+        # when the comparisons built their own.
+        assert calls == {"inv_cdf": 8, "shapiro_wilk": 14, "Sample": 14, "mean_sd": 20}
 
     def test_single_condition_summary_only(self, tmp_path, quick_profiles):
         out = tmp_path / "single"
@@ -406,6 +452,17 @@ class TestAnalyze:
         )
         assert run_cli("analyze", str(csv_path)) == EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
+
+    def test_repeated_column_is_refused(self, tmp_path, capsys):
+        # csv.DictReader keeps the last copy of a repeated column, which would
+        # analyse every total_s as 1.
+        header = "session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total"
+        rows = [f"s{i},{cond},{i},{700 + i},150,120,0,0,0,0,1" for i, cond in enumerate(("tablet",) * 3 + ("hmd",) * 3)]
+        csv_path = tmp_path / "repeated.csv"
+        csv_path.write_text("\n".join([header + ",total_s"] + rows) + "\n", encoding="utf-8")
+        assert run_cli("analyze", str(csv_path), "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "repeated.csv" in err and "'total_s'" in err
 
     @pytest.mark.parametrize(
         "row",

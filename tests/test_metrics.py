@@ -21,6 +21,7 @@ from replicasim.scenario import (
     default_model,
     default_profiles,
     run_session,
+    validate_session_log,
     valve_registry,
 )
 
@@ -111,14 +112,22 @@ class TestBlockTimes:
             timing = block_times(log)
             assert sum(b.duration_s for b in timing.blocks) <= timing.total_s
 
+    # block_times trusts a validated log; the logs it cannot time are refused
+    # by validate_session_log, which every log reader and run_session call.
     def test_malformed_log_rejected(self):
-        with pytest.raises(LogError):
-            block_times(make_log([LogEvent(0, "CallStart")]))
+        with pytest.raises(LogError, match="must end with CallEnd"):
+            validate_session_log(make_log([LogEvent(0, "CallStart")]))
 
     def test_breakpoint_without_block_rejected(self):
         events = [LogEvent(0, "CallStart"), LogEvent(5, "Breakpoint"), LogEvent(9, "CallEnd")]
-        with pytest.raises(LogError):
-            block_times(make_log(events))
+        with pytest.raises(LogError, match="breakpoint without block context"):
+            validate_session_log(make_log(events))
+
+    @pytest.mark.parametrize("block_kind", ["Diagonal", None])
+    def test_breakpoint_with_unknown_block_kind_rejected(self, block_kind):
+        events = [LogEvent(0, "CallStart"), LogEvent(5, "Breakpoint", {}, "b1", block_kind), LogEvent(9, "CallEnd")]
+        with pytest.raises(LogError, match=f"unknown block kind {block_kind or ''!r}"):
+            validate_session_log(make_log(events))
 
 
 class TestCalibratedCorpus:

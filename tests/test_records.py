@@ -134,7 +134,7 @@ def record_classes():
 
 def test_package_records_are_slotted():
     classes = record_classes()
-    assert len(classes) == 44
+    assert len(classes) == 43
     for cls, node in classes:
         assert cls.__slots__ == cls.__match_args__, cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls

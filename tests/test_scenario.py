@@ -17,7 +17,7 @@ from replicasim.plant import (
     outlet_temperature,
     route,
 )
-from replicasim.protocol import Avatar, SyncCommit, SyncReq, detect_gaps, payload_to_dict
+from replicasim.protocol import Avatar, Instruction, SyncCommit, SyncReq, detect_gaps, payload_to_dict
 from replicasim import netsim, records, replica, scenario, scene
 from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
@@ -279,7 +279,7 @@ class TestRunSession:
     def test_session_names_each_block_kind_once(self):
         # A call count, not a timing: the recorder names a block's kind when
         # the guide enters it, not once per logged event (62 calls before).
-        # validate_plan names each block once more, on every session.
+        # validate_plan, which names each block again, runs once per corpus.
         calls = {"all": 0, "recorder": 0}
 
         def count(frame, event, arg):
@@ -294,7 +294,26 @@ class TestRunSession:
             run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0)
         finally:
             sys.setprofile(None)
-        assert calls == {"all": 2 * blocks, "recorder": blocks}
+        assert calls == {"all": blocks, "recorder": blocks}
+
+    @pytest.mark.parametrize("condition", [Condition.HMD, Condition.TABLET])
+    def test_session_builds_no_instruction_and_checks_no_plan(self, condition):
+        # Call counts, not timings: the plan holds the guide's 14 instructions,
+        # built once when it is read, and it was validated before the session.
+        watched = {Instruction.__init__.__code__: "instruction", scenario.validate_plan.__code__: "validate_plan"}
+        calls = {"instruction": 0, "validate_plan": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        plan = build_default_plan(valve_registry(default_model()))
+        sys.setprofile(count)
+        try:
+            run_session(plan, condition, default_profiles()[condition], seed=0)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"instruction": 0, "validate_plan": 0}
 
     # sha256 of the JSONL of the hmd sessions of seeds 0-4, computed on the tree
     # before the host dropped its private replica. In each of these sessions the
@@ -417,7 +436,7 @@ class TestRunSession:
         finally:
             gc.enable()
 
-    def test_host_edit_rejected_by_its_own_commit_raises(self, monkeypatch):
+    def test_host_edit_rejected_by_its_own_commit_raises(self):
         # The host's indication edits go straight into its merge; one the merge
         # rejects stops the session with the edit and the reason named.
         plan = build_default_plan(valve_registry(default_model()))
@@ -426,7 +445,6 @@ class TestRunSession:
         ghost = records.replace(blocks[i].operations[0], valve="ghost-valve")
         blocks[i] = records.replace(blocks[i], operations=(ghost,) + blocks[i].operations[1:])
         parts = (records.replace(plan.parts[0], blocks=tuple(blocks)),) + plan.parts[1:]
-        monkeypatch.setattr(scenario, "validate_plan", lambda plan, registry: plan)
         with pytest.raises(scene.EditError, match=r"SetIndication\(node='ghost-valve'.*unknown-target") as info:
             run_session(records.replace(plan, parts=parts), Condition.HMD, QUIET_PROFILE, seed=0)
         assert info.value.reason == scene.UNKNOWN_TARGET
@@ -518,6 +536,12 @@ class TestRunSession:
         truncated = type(log)(condition=log.condition, seed=log.seed, events=log.events[:-1])
         with pytest.raises(LogError):
             validate_session_log(truncated)
+
+    def test_reader_validates_the_log(self):
+        # A log that parses but breaks a log rule is refused where it is read.
+        text = session_log_to_jsonl(run_quiet(Condition.HMD, seed=3))
+        with pytest.raises(LogError, match="must end with CallEnd"):
+            session_log_from_jsonl(text.rsplit("\n", 2)[0] + "\n")
 
     def test_god_view_avatar_elevation(self):
         log = run_quiet(Condition.HMD, seed=6)
