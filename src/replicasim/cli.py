@@ -142,12 +142,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     (outdir / "report.csv").write_text(render_results_csv(report), encoding="utf-8")
     if args.histograms:
         for measure in ALL_MEASURES:
-            values = {}
-            for cond in report.conditions:
-                values[cond] = [float(r[measure]) for r in rows if r["condition"] == cond]
-            if all(vals for vals in values.values()):
-                svg = render_svg_histogram(values, measure)
-                (outdir / f"hist_{measure}.svg").write_text(svg, encoding="utf-8")
+            values = {cond: report.samples[(measure, cond)].values for cond in report.conditions}
+            (outdir / f"hist_{measure}.svg").write_text(render_svg_histogram(values, measure), encoding="utf-8")
     print(render_markdown(report))
     print(f"report written to {outdir}")
     return EXIT_OK

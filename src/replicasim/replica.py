@@ -13,8 +13,6 @@ Rejected edits never abort a batch; the remaining edits still apply.
 """
 from __future__ import annotations
 
-from collections import ChainMap
-
 from replicasim.records import record
 from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
@@ -33,15 +31,6 @@ from replicasim.scene import (
 REJECT_EXPERT_PRECEDENCE = "expert-precedence"
 REJECT_ANNOTATION_RETENTION = "annotation-retention"
 
-# Node count from which a replica's working copy overlays the shared model.
-# A private edit on a flat copy copies ``nodes`` and ``field_authors`` (about
-# 8 ns per entry); on an overlay it pays a fixed few microseconds of
-# Python-level ChainMap work instead. One acknowledge plus one private edit
-# costs the same both ways at about 512 nodes (384 with four edits per
-# acknowledge; timeit, CPython 3.11, 2 CPUs). The rule sits at twice that,
-# because reading a whole overlay (iteration, ``len``) also runs in Python.
-OVERLAY_MIN_NODES = 1024
-
 
 class ReplicaError(Exception):
     pass
@@ -56,10 +45,10 @@ class Replica:
     """A client-owned copy of the shared model with a private edit log.
 
     ``working`` is the shared model at ``base_version`` with ``pending``
-    applied. On a model of ``OVERLAY_MIN_NODES`` nodes or more, its ``nodes``
-    and ``field_authors`` are ``ChainMap(delta, base)`` overlays: the base is
-    the shared model's own dict and the delta holds only what the pending
-    edits touched, so a private edit copies the delta, not the model.
+    applied, written by the same batch applier as every model. So on a model
+    of ``scene.OVERLAY_MIN_NODES`` nodes or more its ``nodes`` overlays the
+    dict the model was loaded with, and a private edit copies what was
+    edited since load, not the model.
     """
 
     owner: str
@@ -90,20 +79,7 @@ def create_replica(shared: SceneModel, owner: str, role: Role) -> Replica:
     Node poses are the shared model's; the reduced size at which a client
     displays its replica is not part of the model.
     """
-    return Replica(owner=owner, owner_role=role, base_version=shared.version, working=_working_copy(shared))
-
-
-def _working_copy(shared: SceneModel) -> SceneModel:
-    """The start of a working copy on ``shared``: a fresh overlay with empty
-    deltas from ``OVERLAY_MIN_NODES`` nodes on, else ``shared`` itself.
-
-    A model that is already an overlay is its own start, so overlays never
-    nest: its first edit copies its delta and keeps its base.
-    """
-    if type(shared.nodes) is not dict or len(shared.nodes) < OVERLAY_MIN_NODES:
-        return shared
-    return SceneModel(ChainMap({}, shared.nodes), shared.annotations, shared.version, shared.world_anchor,
-                      shared.marker_offset, ChainMap({}, shared.field_authors))
+    return Replica(owner=owner, owner_role=role, base_version=shared.version, working=shared)
 
 
 def edit_replica(replica: Replica, edit: Edit) -> Replica:
@@ -179,21 +155,18 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     at ``shared.version`` under ``_expert_rule``, which passes every edit
     that fits, so any that no longer apply (target removed remotely,
     annotation id now taken) are dropped. With nothing left pending,
-    ``working`` equals ``shared``; on a large model it is a fresh overlay of
-    ``shared`` with empty deltas.
+    ``working`` is ``shared`` itself; on a large model it otherwise overlays
+    the same base as ``shared``.
     """
     if shared.version < replica.base_version:
         raise ReplicaError(
             f"shared version {shared.version} is behind replica base {replica.base_version}"
         )
-    working = _working_copy(shared)
-    if not replica.pending:
-        return Replica(replica.owner, replica.owner_role, shared.version, working)
     accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted}
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
-    pending = ()
-    if remaining:
-        working, pending, _ = _apply_batch(working, remaining, shared.version, _expert_rule)
+    if not remaining:
+        return Replica(replica.owner, replica.owner_role, shared.version, shared)
+    working, pending, _ = _apply_batch(shared, remaining, shared.version, _expert_rule)
     return Replica(replica.owner, replica.owner_role, shared.version, working, pending)
 
 

@@ -81,7 +81,8 @@ def read_metrics_csv(path: str) -> list[dict]:
 @dataclass
 class AnalysisReport:
     conditions: tuple[str, ...]
-    summaries: dict  # (measure, condition) -> GroupSummary
+    samples: dict  # (measure, condition) -> Sample
+    summaries: dict  # (measure, condition) -> GroupSummary, for groups of n >= 2
     comparisons: list[Comparison] = field(default_factory=list)
     error_totals: dict = field(default_factory=dict)  # condition -> ErrorCounts
     participants: dict = field(default_factory=dict)  # condition -> n
@@ -94,15 +95,15 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
         by_condition.setdefault(row["condition"], []).append(row)
     conditions = tuple(sorted(by_condition, reverse=True))  # tablet before hmd
 
-    # One sample per (measure, condition) of at least two sessions: it gives
-    # the group's summary and, when both conditions have one, its comparison.
+    # One sample per (measure, condition): it gives the histograms and, for a
+    # group of at least two sessions, the summary and, when both conditions
+    # have one, the comparison.
     samples = {
         (measure, cond): Sample(tuple(float(r[measure]) for r in cond_rows), label=f"{cond}:{measure}")
         for measure in ALL_MEASURES
         for cond, cond_rows in by_condition.items()
-        if len(cond_rows) >= 2
     }
-    summaries = {key: mean_sd(sample) for key, sample in samples.items()}
+    summaries = {key: mean_sd(sample) for key, sample in samples.items() if sample.n >= 2}
 
     error_totals = {
         cond: ErrorCounts(
@@ -116,6 +117,7 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
 
     report = AnalysisReport(
         conditions=conditions,
+        samples=samples,
         summaries=summaries,
         error_totals=error_totals,
         participants=participants,
@@ -231,7 +233,7 @@ def render_results_csv(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
-def render_svg_histogram(values_by_condition: dict[str, list[float]], measure: str) -> str:
+def render_svg_histogram(values_by_condition: dict[str, tuple[float, ...]], measure: str) -> str:
     """Small self-contained grouped histogram; deterministic output."""
     all_values = [v for vals in values_by_condition.values() for v in vals]
     lo, hi = min(all_values), max(all_values)

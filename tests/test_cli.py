@@ -12,7 +12,13 @@ import pytest
 
 from replicasim import checks, scenario, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
-from replicasim.report import REFERENCE_CONSTANTS, read_metrics_csv, run_reference_checks
+from replicasim.report import (
+    ALL_MEASURES,
+    REFERENCE_CONSTANTS,
+    read_metrics_csv,
+    render_svg_histogram,
+    run_reference_checks,
+)
 from replicasim.scenario import (
     Condition,
     build_default_plan,
@@ -515,17 +521,28 @@ class TestAnalyze:
     def test_one_session_per_condition_has_no_tests_section(self, tmp_path, capsys):
         out = tmp_path / "corpus"
         assert run_cli("simulate", "--sessions", "1:1", "--seed", "3", "--out", str(out)) == EXIT_OK
-        assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out)) == EXIT_OK
+        assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out), "--histograms") == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
         report = (out / "report.md").read_text(encoding="utf-8")
         assert "## Group summaries" in report and "## Errors by type" in report
         assert "## Tests" not in report
+        assert_histograms_of_every_group(out)
 
     def test_histograms_written(self, tmp_path, quick_profiles):
         out = self.make_corpus(tmp_path, quick_profiles)
         assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out), "--histograms") == EXIT_OK
-        svgs = list(out.glob("hist_*.svg"))
-        assert svgs and all(s.read_text(encoding="utf-8").startswith("<svg") for s in svgs)
+        assert_histograms_of_every_group(out)
+
+
+def assert_histograms_of_every_group(out):
+    """One SVG per measure, each drawn from every (measure, condition) value list of the CSV's rows."""
+    rows = read_metrics_csv(str(out / "metrics.csv"))
+    conditions = sorted({r["condition"] for r in rows}, reverse=True)
+    for measure in ALL_MEASURES:
+        values = {cond: [float(r[measure]) for r in rows if r["condition"] == cond] for cond in conditions}
+        svg = (out / f"hist_{measure}.svg").read_text(encoding="utf-8")
+        assert svg.startswith("<svg") and svg == render_svg_histogram(values, measure)
+    assert len(list(out.glob("hist_*.svg"))) == len(ALL_MEASURES)
 
 
 class TestReplay:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from replicasim import replica as replica_module
+from replicasim import scene as scene_module
 from replicasim.replica import (
     REJECT_ANNOTATION_RETENTION,
     REJECT_DUPLICATE_ANNOTATION,
@@ -491,12 +491,13 @@ class TestCommitReplay:
 
 
 class Overlaid:
-    """Runs the tests of the class it is mixed into with every working copy an
-    overlay of its base, as on a model of OVERLAY_MIN_NODES nodes or more."""
+    """Runs the tests of the class it is mixed into with every written model,
+    shared or working copy, an overlay of its base, as on a model of
+    OVERLAY_MIN_NODES nodes or more."""
 
     @pytest.fixture(autouse=True)
-    def every_working_copy_overlaid(self, monkeypatch):
-        monkeypatch.setattr(replica_module, "OVERLAY_MIN_NODES", 0)
+    def every_written_model_overlaid(self, monkeypatch):
+        monkeypatch.setattr(scene_module, "OVERLAY_MIN_NODES", 0)
 
 
 class TestCreateReplicaOverlaid(Overlaid, TestCreateReplica):
@@ -535,7 +536,7 @@ def large_model():
 
 def test_private_edits_on_a_large_model_copy_only_what_they_touch():
     shared = large_model()
-    assert len(shared.nodes) >= replica_module.OVERLAY_MIN_NODES
+    assert len(shared.nodes) >= scene_module.OVERLAY_MIN_NODES
     before = canonical_json(shared)
     valves = sorted(n.id for n in shared.valves())
     rng = random.Random(5)
@@ -552,9 +553,10 @@ def test_private_edits_on_a_large_model_copy_only_what_they_touch():
     working = replica.working
     field_edits = [e for e in replica.pending if edit_field_key(e) is not None]
     assert working.nodes.maps[1] is shared.nodes
-    assert working.field_authors.maps[1] is shared.field_authors
     assert set(working.nodes.maps[0]) == {e.node for e in field_edits}
-    assert set(working.field_authors.maps[0]) == {edit_field_key(e) for e in field_edits}
+    # Each mapping is judged on its own length: the few provenance entries stay a dict.
+    assert type(working.field_authors) is dict
+    assert set(working.field_authors) == {edit_field_key(e) for e in field_edits}
     assert canonical_json(shared) == before
 
     # The host accepts the first half; the rest is re-applied onto the new shared model.
@@ -563,5 +565,60 @@ def test_private_edits_on_a_large_model_copy_only_what_they_touch():
     rebased = acknowledge_commit(replica, outcome.accepted, outcome.merged)
     assert rebased.pending == remaining
     assert rebased.working == apply_commit(outcome.merged, remaining, outcome.merged.version)
-    assert rebased.working.nodes.maps[1] is outcome.merged.nodes
-    assert set(rebased.working.nodes.maps[0]) == {e.node for e in remaining if edit_field_key(e) is not None}
+    # The shared model and the rebased copy overlay the same load-time dict;
+    # the copy's delta holds every node edited since load, committed or pending.
+    assert outcome.merged.nodes.maps[1] is shared.nodes
+    assert rebased.working.nodes.maps[1] is shared.nodes
+    assert set(rebased.working.nodes.maps[0]) == {
+        e.node for e in outcome.accepted + remaining if edit_field_key(e) is not None}
+
+
+def commit_sequence(loaded, requests):
+    """Each request merged by the host and replayed by a second holder; both models after every commit."""
+    host = holder = loaded
+    steps = []
+    for request in requests:
+        outcome = synchronize(request, host)
+        host = outcome.merged
+        holder = apply_commit(holder, outcome.accepted, host.version)
+        steps.append((outcome.accepted, host, holder))
+    return steps
+
+
+def test_commits_on_a_large_shared_model_copy_only_what_they_touch(monkeypatch):
+    loaded = large_model()
+    before = canonical_json(loaded)
+    valves = sorted(n.id for n in loaded.valves())[:80]  # few enough that roles collide
+    rng = random.Random(21)
+    requests = []
+    for r in range(40):
+        role = rng.choice((Role.EXPERT, Role.OPERATOR))
+        edits = []
+        for j in range(rng.randint(1, 8)):
+            valve, seq = rng.choice(valves), r * 8 + j
+            edits.append(rng.choice([
+                SetValveState(valve, ValveState.CLOSED, role, seq),
+                SetHighlight(valve, (1.0, 0.5, 0.0), role, seq),
+                SetPose(valve, Pose((0.01 * seq, 0.0, 0.0)), role, seq),
+                AddAnnotation(Annotation(f"a{seq}", role, valve, "note"), role, seq),
+            ]))
+        requests.append(SyncRequest(role.value, role, 0, tuple(edits)))
+
+    steps = commit_sequence(loaded, requests)
+    edited = set()
+    for accepted, host, holder in steps:
+        edited |= {e.node for e in accepted if edit_field_key(e) is not None}
+        for model in (host, holder):
+            assert model.nodes.maps[1] is loaded.nodes
+            assert set(model.nodes.maps[0]) == edited
+            assert type(model.field_authors) is dict
+    assert any(len(accepted) < len(request.edits) for (accepted, _, _), request in zip(steps, requests))
+    assert canonical_json(loaded) == before
+
+    monkeypatch.setattr(scene_module, "OVERLAY_MIN_NODES", len(loaded.nodes) + 1)
+    flat = commit_sequence(loaded, requests)[-1][1]
+    assert type(flat.nodes) is dict
+    _, host, holder = steps[-1]
+    for model in (host, holder):
+        assert model == flat and flat == model
+        assert canonical_json(model) == canonical_json(flat)

@@ -14,6 +14,7 @@ from replicasim.scene import (
     DescriptorError,
     EditError,
     NodeKind,
+    Overlay,
     Pose,
     RemoveAnnotation,
     Role,
@@ -228,6 +229,44 @@ class TestApplyEdit:
             out = apply_edit(model, random_edit(rng, model, seq=i))
             assert out.version >= model.version
             model = out
+
+
+class TestOverlay:
+    """An overlay reads as the dict ``{**base, **delta}`` it stands for."""
+
+    def test_reads_match_the_flat_dict(self):
+        base = {"a": 1, "b": 2, "c": 3}
+        overlay = Overlay({"b": 20, "d": 4}, base)
+        flat = {"a": 1, "b": 20, "c": 3, "d": 4}
+        assert overlay.flat() == flat
+        assert [overlay[k] for k in "abcd"] == [flat[k] for k in "abcd"]
+        assert [overlay.get(k, "missing") for k in "abcdz"] == [flat.get(k, "missing") for k in "abcdz"]
+        assert overlay.get("z") is None
+        assert [k in overlay for k in "abcdz"] == [k in flat for k in "abcdz"]
+        with pytest.raises(KeyError):
+            overlay["z"]
+        assert sorted(overlay) == sorted(flat) and len(overlay) == len(flat)
+        assert sorted(overlay.items()) == sorted(flat.items())
+        assert sorted(overlay.values()) == sorted(flat.values())
+
+    def test_equality_is_the_flat_dicts_in_either_order(self):
+        overlay = Overlay({"b": 20}, {"a": 1, "b": 2})
+        assert overlay == {"a": 1, "b": 20} and {"a": 1, "b": 20} == overlay
+        assert overlay == Overlay({"a": 1}, {"a": 0, "b": 20})
+        assert overlay != {"a": 1, "b": 2} and {"a": 1, "b": 2} != overlay
+        assert overlay != Overlay({}, {"a": 1, "b": 2})
+        assert overlay != [("a", 1), ("b", 20)]
+
+    def test_model_with_overlaid_nodes_equals_its_flat_copy(self):
+        model = default_model()
+        edit = SetValveState("2V4", ValveState.OPEN, Role.OPERATOR, 1)
+        flat = apply_edit(model, edit)
+        overlaid = apply_edit(replace(model, nodes=Overlay({}, model.nodes)), edit)
+        assert type(overlaid.nodes) is Overlay and overlaid.nodes.maps[1] is model.nodes
+        assert set(overlaid.nodes.maps[0]) == {"2V4"}
+        assert overlaid == flat and flat == overlaid
+        assert overlaid.valves() == flat.valves()
+        assert canonical_json(overlaid) == canonical_json(flat)
 
 
 class TestEditedNode:
