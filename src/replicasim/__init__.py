@@ -16,11 +16,16 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 
-class ConfigError(Exception):
-    """Base class for bad input: a malformed file, option or document.
+class ConfigError(ValueError):
+    """Bad input: a malformed file, option, document or field.
 
-    The CLI reports any ConfigError as a message and exits 2.
+    The CLI reports it as a message naming its source and exits 2. Being a
+    ``ValueError``, it also lets argparse refuse an option's value.
     """
+
+
+class RoomError(Exception):
+    """A frame, sync request or commit that a peer refuses."""
 
 
 _SCENE_NAMES = (

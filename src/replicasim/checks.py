@@ -1,13 +1,14 @@
 """Field checks shared by every reader of outside input and every ``__post_init__``.
 
 Each check takes a value and the name of its field, returns the value in the
-type the program uses, and raises ``ValueError`` naming the field when the
+type the program uses, and raises ``ConfigError`` naming the field when the
 value does not fit. A bool is never a number, and an integer field takes an
 int only: never a bool, never a float. ``numeral`` reads a number written as
-text, a CSV cell or a command-line option, in JSON's number grammar. Each
-boundary maps the ``ValueError`` to its own error: a ``ConfigError`` for a file
-or an option, a ``RoomError`` for a frame. ``dumps`` writes all of the
-program's JSON, in one form.
+text, a CSV cell or a command-line option, in JSON's number grammar, and
+``loads`` is the one parse of JSON from outside the program. The CLI reports a
+``ConfigError`` with the file or option it came from; ``decode_envelope``
+refuses the frame with a ``RoomError``. ``dumps`` writes all of the program's
+JSON, in one form.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ import reprlib
 import sys
 from enum import Enum
 from typing import TypeVar
+
+from replicasim import ConfigError
 
 E = TypeVar("E", bound=Enum)
 
@@ -43,8 +46,8 @@ _INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
 _NUMBER = re.compile(_INTEGER.pattern + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
-def _refuse(name: str, expected: str, value: object) -> ValueError:
-    return ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
+def _refuse(name: str, expected: str, value: object) -> ConfigError:
+    return ConfigError(f"{name} must be {expected}, got {reprlib.repr(value)}")
 
 
 def numeral(text: str, name: str, convert):
@@ -53,7 +56,20 @@ def numeral(text: str, name: str, convert):
     grammar, kind = (_INTEGER, "an integer") if convert is int else (_NUMBER, "a number")
     if grammar.fullmatch(text) is None:
         raise _refuse(name, f"{kind} in JSON form", text)
+    # int() refuses more digits than the interpreter's limit (Python 3.10.7 on) with a bare ValueError.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if convert is int and 0 < digits < len(text.lstrip("-")):
+        raise _refuse(name, f"an integer of at most {digits} digits", text)
     return convert(text)
+
+
+def loads(text: str) -> object:
+    """The JSON document ``text``; malformed JSON, or JSON nested past the
+    interpreter's recursion limit, is a ``ConfigError``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _float(value: object) -> float:
@@ -142,7 +158,7 @@ def vector(values: object, name: str, length: int) -> tuple[float, ...]:
     """``length`` finite numbers, as a tuple of floats."""
     components = _components(values, name, length)
     if not all(map(math.isfinite, components)):
-        raise ValueError(f"{name} {reprlib.repr(values)} has a non-finite component")
+        raise ConfigError(f"{name} {reprlib.repr(values)} has a non-finite component")
     return components
 
 
@@ -152,5 +168,5 @@ def unit(values: object, name: str, length: int, tol: float) -> tuple[float, ...
     components = _components(values, name, length)
     norm = math.hypot(*components)
     if not abs(norm - 1.0) <= tol:  # written so that a NaN norm fails
-        raise ValueError(f"{name} norm {norm!r} of {reprlib.repr(values)} deviates from 1 beyond {tol}")
+        raise ConfigError(f"{name} norm {norm!r} of {reprlib.repr(values)} deviates from 1 beyond {tol}")
     return components

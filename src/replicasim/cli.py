@@ -1,6 +1,8 @@
 """Command-line entry point: simulate, analyze, replay, paper-check.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error.
+Exit codes: 0 success, 1 check failure, 2 usage error or bad input. Bad
+input is a ``ConfigError``, reported with the file or option it came from;
+any other exception is a program fault and ends in a traceback (exit 1).
 
 Each command imports the layers it runs when it runs, so ``analyze`` and
 ``paper-check`` never load the simulator, and ``simulate`` never loads the
@@ -9,7 +11,6 @@ statistics.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,27 +21,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-class CliError(ConfigError):
-    pass
-
-
 def _parse_sessions(value: str) -> dict:
     """``N`` applies to both conditions; ``T:H`` sets tablet and hmd counts."""
     from replicasim.scenario import Condition
 
-    parts = value.split(":")
     try:
-        if len(parts) == 1:
-            n = integer(parts[0])
-            counts = {Condition.TABLET: n, Condition.HMD: n}
-        elif len(parts) == 2:
-            counts = {Condition.TABLET: integer(parts[0]), Condition.HMD: integer(parts[1])}
-        else:
-            raise ValueError(value)
-    except ValueError:
-        raise CliError(f"--sessions expects N or TABLET:HMD, got {value!r}") from None
+        numbers = [integer(part) for part in value.split(":")]
+    except ConfigError:
+        numbers = []
+    if len(numbers) not in (1, 2):
+        raise ConfigError(f"--sessions expects N or TABLET:HMD, got {value!r}")
+    counts = {Condition.TABLET: numbers[0], Condition.HMD: numbers[-1]}
     if any(n < 1 for n in counts.values()):
-        raise CliError("sessions per condition must be at least 1")
+        raise ConfigError("sessions per condition must be at least 1")
     return counts
 
 
@@ -50,24 +43,22 @@ def integer(text: str) -> int:
 
 
 def _load(path: str, parse):
-    """``parse`` applied to the text of an input file; any failure to read or
-    parse it is a config error that names the file."""
-    # ValueError: bad UTF-8 or JSON, or a failed field check; RecursionError: JSON nested past the
-    # interpreter's limit; ConfigError: a reader's own refusal.
+    """``parse`` applied to the text of an input file; a file that cannot be
+    read, is not UTF-8 or is refused by ``parse`` is a config error that names
+    the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError, ConfigError) as exc:
-        raise CliError(f"cannot load {path!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"cannot load {path!r}: {exc}") from None
 
 
 def _load_json(path: str, build):
-    return _load(path, lambda text: build(json.loads(text)))
+    return _load(path, lambda text: build(checks.loads(text)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from replicasim.scenario import (
         Condition,
-        PlanError,
         build_default_plan,
         default_model,
         default_profiles,
@@ -96,17 +87,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         try:
             plan = build_default_plan(registry)
-        except PlanError as exc:  # only a --model can make the shipped plan fail
-            raise CliError(f"the default plan does not fit {args.model!r}: {exc}") from None
+        except ConfigError as exc:  # only a --model can make the shipped plan fail
+            raise ConfigError(f"the default plan does not fit {args.model!r}: {exc}") from None
     profiles = _load_json(args.profile, profiles_from_dict) if args.profile else default_profiles()
     unknown = sorted(routing.valves_referenced() - registry.keys())
     if unknown:
         source = repr(args.routing) if args.routing else "the default routing table"
         lacking = repr(args.model) if args.model else "the default model"
-        raise CliError(f"{source} names valves {lacking} lacks: {', '.join(unknown)}")
+        raise ConfigError(f"{source} names valves {lacking} lacks: {', '.join(unknown)}")
     missing = sorted(c.value for c in counts if c not in profiles)
     if missing:
-        raise CliError(f"{args.profile!r} has no profile for condition {', '.join(missing)}")
+        raise ConfigError(f"{args.profile!r} has no profile for condition {', '.join(missing)}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,7 @@ import csv
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from replicasim import checks
+from replicasim import ConfigError, checks
 from replicasim.records import record
 
 if TYPE_CHECKING:
@@ -27,7 +27,7 @@ class ErrorCounts:
         # Not checks.count: a total over the rows of a file may pass its bound.
         for name in ("simple", "critical", "repetition"):
             if checks.integer(getattr(self, name), name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @record(frozen=True)

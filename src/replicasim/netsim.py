@@ -13,15 +13,11 @@ import heapq
 import random
 from typing import Callable, Optional
 
-from replicasim import checks
+from replicasim import ConfigError, checks
 from replicasim.protocol import Envelope, envelope_to_dict
 from replicasim.records import record
 
 EVENT_CAP = 500_000
-
-
-class LivelockError(Exception):
-    pass
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -39,7 +35,7 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         if checks.count(self.base_latency_ms, "base_latency_ms") < checks.count(self.jitter_ms, "jitter_ms"):
-            raise ValueError("base_latency must be at least jitter (delivery cannot precede send)")
+            raise ConfigError("base_latency must be at least jitter (delivery cannot precede send)")
         checks.integer(self.seed, "seed")
         checks.probability(self.loss_rate, "loss_rate", True)
 
@@ -120,7 +116,7 @@ class World:
         while self._heap:
             processed += 1
             if processed > EVENT_CAP:
-                raise LivelockError(f"exceeded event safety cap of {EVENT_CAP}")
+                raise RuntimeError(f"exceeded event safety cap of {EVENT_CAP}")
             deliver_at, _, _, _, src, dst, envelope = heapq.heappop(self._heap)
             self.now = max(self.now, deliver_at)
             self.trace.append(TraceEntry(deliver_at, src, dst, envelope))

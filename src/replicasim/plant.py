@@ -15,10 +15,6 @@ from replicasim.records import record
 from replicasim.scene import SceneModel, ValveState
 
 
-class PlantConfigError(ConfigError):
-    pass
-
-
 class Exchanger(Enum):
     SHELL_AND_TUBE = "ShellAndTube"
     PLATE = "Plate"
@@ -79,7 +75,7 @@ def routing_table_from_dict(doc: dict) -> RoutingTable:
 def _matching_row(valve_states: dict[str, ValveState], table: RoutingTable) -> RoutingRow | None:
     missing = table.valves_referenced() - set(valve_states)
     if missing:
-        raise PlantConfigError(f"routing table references unknown valves {sorted(missing)}")
+        raise ConfigError(f"routing table references unknown valves {sorted(missing)}")
     for row in table.rows:
         if all(valve_states[valve] is state for valve, state in row.requires):
             return row
@@ -109,7 +105,7 @@ class PlantState:
 
     def set_valve(self, valve: str, state: ValveState) -> None:
         if valve not in self.valve_states:
-            raise PlantConfigError(f"unknown valve {valve!r}")
+            raise ConfigError(f"unknown valve {valve!r}")
         self.valve_states[valve] = state
 
 

@@ -19,12 +19,12 @@ big-endian payload length followed by a UTF-8 JSON envelope object.
 from __future__ import annotations
 
 import base64
-import json
+import binascii
 import math
 import struct
 from typing import Optional, Union
 
-from replicasim import checks
+from replicasim import ConfigError, RoomError, checks
 from replicasim.records import field, record
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
 from replicasim.scene import Edit, Pose, Role, SceneModel, ValveState, edit_from_dict, edit_to_dict
@@ -32,14 +32,6 @@ from replicasim.scene import Edit, Pose, Role, SceneModel, ValveState, edit_from
 GAZE_NORM_TOL = 1e-9
 EXPERT_ELEVATION_M = 1.5
 HOST_ID = "host"
-
-
-class RoomError(Exception):
-    pass
-
-
-class RoleOccupiedError(RoomError):
-    pass
 
 
 @record(frozen=True)
@@ -161,7 +153,7 @@ def join_room(state: RoomState, client: str, role: Role) -> RoomState:
     if not client:
         raise RoomError("client id must be non-empty")
     if role in state.members.values():
-        raise RoleOccupiedError(f"room {state.room!r} already has an {role.value}")
+        raise RoomError(f"room {state.room!r} already has an {role.value}")
     if client in state.members:
         raise RoomError(f"client {client!r} already joined")
     members = dict(state.members)
@@ -266,7 +258,7 @@ def payload_to_dict(payload: Payload) -> dict:
         return {"kind": "call_end"}
     if isinstance(payload, MediaSignal):
         return {"kind": "media", "blob_b64": base64.b64encode(payload.blob).decode("ascii")}
-    raise RoomError(f"unsupported payload {payload!r}")
+    raise TypeError(f"unsupported payload {payload!r}")  # a fault of the sender, not a refusal
 
 
 def payload_from_dict(doc: dict) -> Payload:
@@ -310,8 +302,9 @@ def payload_from_dict(doc: dict) -> Payload:
     if kind == "call_end":
         return CallEnd()
     if kind == "media":
-        return MediaSignal(base64.b64decode(checks.typed(doc.get("blob_b64"), "blob_b64", str)))
-    raise ValueError(f"unknown payload kind {kind!r}")
+        # As bytes, since b64decode refuses a non-ASCII str with a bare ValueError.
+        return MediaSignal(base64.b64decode(checks.typed(doc.get("blob_b64"), "blob_b64", str).encode("ascii")))
+    raise ConfigError(f"unknown payload kind {kind!r}")
 
 
 def envelope_to_dict(env: Envelope) -> dict:
@@ -350,9 +343,10 @@ def decode_envelope(data: bytes) -> tuple[Envelope, bytes]:
     (length,) = struct.unpack(">I", data[:4])
     if len(data) < 4 + length:
         raise RoomError(f"truncated frame: expected {length} payload bytes")
+    # UnicodeError: a body not in UTF-8 or a media blob not in ASCII; binascii.Error: a blob not in base64.
     try:
-        env = envelope_from_dict(json.loads(data[4 : 4 + length].decode("utf-8")))
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested past the interpreter's limit
+        env = envelope_from_dict(checks.loads(data[4 : 4 + length].decode("utf-8")))
+    except (ConfigError, UnicodeError, binascii.Error) as exc:
         raise RoomError(f"malformed frame body: {exc!r}") from exc
     return env, data[4 + length :]
 

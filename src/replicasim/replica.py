@@ -13,6 +13,7 @@ Rejected edits never abort a batch; the remaining edits still apply.
 """
 from __future__ import annotations
 
+from replicasim import RoomError
 from replicasim.records import record
 from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
@@ -30,14 +31,6 @@ from replicasim.scene import (
 
 REJECT_EXPERT_PRECEDENCE = "expert-precedence"
 REJECT_ANNOTATION_RETENTION = "annotation-retention"
-
-
-class ReplicaError(Exception):
-    pass
-
-
-class ProtocolError(ReplicaError):
-    """Raised for malformed sync requests (e.g. base version from the future)."""
 
 
 @record(frozen=True)
@@ -124,14 +117,11 @@ def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
     ``_operator_rule`` applies the Operator's two restrictions.
     """
     if request.base_version > shared.version:
-        raise ProtocolError(
-            f"base_version {request.base_version} is ahead of shared version {shared.version}"
-        )
+        raise RoomError(f"base_version {request.base_version} is ahead of shared version {shared.version}")
     for edit in request.edits:
         if edit.author_role is not request.owner_role:
-            raise ProtocolError(
-                f"edit authored as {edit.author_role.value} in a request from the {request.owner_role.value}"
-            )
+            raise RoomError(f"edit authored as {edit.author_role.value}"
+                            f" in a request from the {request.owner_role.value}")
     rule = _expert_rule if request.owner_role is Role.EXPERT else _operator_rule
     merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, rule)
     return MergeOutcome(merged=merged if accepted else shared, accepted=accepted, rejected=rejected)
@@ -159,9 +149,7 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     the same base as ``shared``.
     """
     if shared.version < replica.base_version:
-        raise ReplicaError(
-            f"shared version {shared.version} is behind replica base {replica.base_version}"
-        )
+        raise RoomError(f"shared version {shared.version} is behind replica base {replica.base_version}")
     accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted}
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
     if not remaining:

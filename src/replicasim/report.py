@@ -35,34 +35,30 @@ BASELINE_CONDITION = "tablet"
 TREATMENT_CONDITION = "hmd"
 
 
-class ReportError(ConfigError):
-    pass
-
-
 def read_metrics_csv(path: str) -> list[dict]:
-    """The rows of a metrics CSV; a malformed file raises ReportError naming it."""
+    """The rows of a metrics CSV; a malformed file raises a ConfigError naming it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells, which no check accepts
         try:
             records = list(reader)
-        except (ValueError, csv.Error) as exc:  # bad UTF-8; a field past the csv module's size limit
-            raise ReportError(f"cannot read {path!r}: {exc}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's size limit
+            raise ConfigError(f"cannot read {path!r}: {exc}") from None
     header = reader.fieldnames or []
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:  # csv.DictReader would keep the last copy's cells
-        raise ReportError(f"{path!r} repeats column {repeated[0]!r}")
+        raise ConfigError(f"{path!r} repeats column {repeated[0]!r}")
     missing = set(CSV_COLUMNS) - set(header)
     if missing:
-        raise ReportError(f"{path!r} is missing columns: {sorted(missing)}")
+        raise ConfigError(f"{path!r} is missing columns: {sorted(missing)}")
     if not records:
-        raise ReportError(f"{path!r} contains no data rows")
+        raise ConfigError(f"{path!r} contains no data rows")
     rows = []
     first_line = {}  # session_id -> line it first appears on
     for i, raw in enumerate(records, start=2):
         try:
             session_id = checks.ident(raw["session_id"], "session_id")
             if session_id in first_line:
-                raise ValueError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
+                raise ConfigError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
             first_line[session_id] = i
             condition = checks.member(raw["condition"], "condition", Condition)
             seed = checks.numeral(raw["seed"], "seed", int)
@@ -71,9 +67,9 @@ def read_metrics_csv(path: str) -> list[dict]:
             row.update((key, checks.count(checks.numeral(raw[key], key, int), key)) for key in ERROR_MEASURES)
             derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
             if row["weighted_total"] != derived:
-                raise ValueError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
-        except ValueError as exc:
-            raise ReportError(f"malformed row in {path!r} at line {i}: {exc}") from None
+                raise ConfigError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
+        except ConfigError as exc:
+            raise ConfigError(f"malformed row in {path!r} at line {i}: {exc}") from None
         rows.append(row)
     return rows
 

@@ -87,14 +87,6 @@ BLOCK_KINDS = (Handedness.ONE_HANDED.value, Handedness.TWO_HANDED.value, NO_MANI
 REPORT_TEMPERATURE = "report-temperature"
 
 
-class PlanError(ConfigError):
-    pass
-
-
-class LogError(ConfigError):
-    pass
-
-
 # --- Inspection plan -----------------------------------------------------------
 
 
@@ -139,29 +131,29 @@ OPS_PER_KIND = {Handedness.ONE_HANDED: 4, Handedness.TWO_HANDED: 2}
 def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> InspectionPlan:
     """Check block sizes, valve existence and handedness consistency; returns ``plan``."""
     if len(plan.parts) != 2:
-        raise PlanError("plan must have exactly two parts")
+        raise ConfigError("plan must have exactly two parts")
     seen_ids: set[str] = set()
     for part in plan.parts:
         kinds = {block_kind_name(b) for b in part.blocks}
         if not kinds.issuperset(BLOCK_KINDS):
-            raise PlanError(f"part {part.name!r} must contain 1-handed, 2-handed and no-manipulation blocks")
+            raise ConfigError(f"part {part.name!r} must contain 1-handed, 2-handed and no-manipulation blocks")
         for block in part.blocks:
             if block.id in seen_ids:
-                raise PlanError(f"duplicate block id {block.id!r}")
+                raise ConfigError(f"duplicate block id {block.id!r}")
             seen_ids.add(block.id)
             if not isinstance(block, ManipulationBlock):
                 continue
             expected = OPS_PER_KIND[block.kind]
             if len(block.operations) != expected:
-                raise PlanError(
+                raise ConfigError(
                     f"block {block.id!r}: {block.kind.value} blocks take exactly {expected} operations,"
                     f" got {len(block.operations)}"
                 )
             for op in block.operations:
                 if op.valve not in registry:
-                    raise PlanError(f"block {block.id!r} references unknown valve {op.valve!r}")
+                    raise ConfigError(f"block {block.id!r} references unknown valve {op.valve!r}")
                 if registry[op.valve] is not block.kind:
-                    raise PlanError(
+                    raise ConfigError(
                         f"block {block.id!r}: valve {op.valve!r} is {registry[op.valve].value},"
                         f" not {block.kind.value}"
                     )
@@ -186,7 +178,7 @@ def plan_from_dict(doc: dict) -> InspectionPlan:
                 prompt = checks.typed(b.get("prompt"), "prompt", str)
                 blocks.append(NoManipulationBlock(block_id, Instruction(f"describe: {prompt}")))
             else:
-                raise PlanError(f"unknown block type {b.get('type')!r}")
+                raise ConfigError(f"unknown block type {b.get('type')!r}")
         parts.append(PlanPart(checks.typed(part.get("name"), "part name", str), tuple(blocks)))
     return InspectionPlan(parts=tuple(parts))
 
@@ -218,10 +210,10 @@ class OperatorProfile:
         for name in _LATENCIES:
             mean, sd = checks.vector(getattr(self, name), name, 2)
             if not (0 < mean <= top and 0 <= sd <= top):
-                raise ValueError(f"{name} needs a mean in (0, {top}] and an sd in [0, {top}]")
+                raise ConfigError(f"{name} needs a mean in (0, {top}] and an sd in [0, {top}]")
             object.__setattr__(self, name, (mean, sd))
         if checks.count(self.tablet_putdown_penalty_ms, "tablet_putdown_penalty_ms") > top:
-            raise ValueError(f"tablet_putdown_penalty_ms must be at most {top}, got {self.tablet_putdown_penalty_ms}")
+            raise ConfigError(f"tablet_putdown_penalty_ms must be at most {top}, got {self.tablet_putdown_penalty_ms}")
 
     @staticmethod
     def from_dict(doc: dict) -> "OperatorProfile":
@@ -237,6 +229,7 @@ class OperatorProfile:
 def _load_data(name: str) -> dict:
     # Through the module's own loader, which reads from a directory or a zip
     # archive alike, so that no run pays for importing importlib.resources.
+    # json.loads, not checks.loads: a corrupt shipped file is a fault, not bad input.
     return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", name)).decode("utf-8"))
 
 
@@ -314,15 +307,15 @@ def session_log_to_jsonl(log: SessionLog) -> str:
 def session_log_from_jsonl(text: str) -> SessionLog:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
-        raise LogError("empty session log")
-    header = checks.typed(json.loads(lines[0]), "session header", dict)
+        raise ConfigError("empty session log")
+    header = checks.typed(checks.loads(lines[0]), "session header", dict)
     if header.get("record") != "session":
-        raise LogError("first record must be the session header")
+        raise ConfigError("first record must be the session header")
     events = []
     for line in lines[1:]:
-        doc = checks.typed(json.loads(line), "log record", dict)
+        doc = checks.typed(checks.loads(line), "log record", dict)
         if doc.get("record") != "event":
-            raise LogError(f"unexpected record {doc.get('record')!r}")
+            raise ConfigError(f"unexpected record {doc.get('record')!r}")
         kind = checks.typed(doc.get("kind"), "kind", str)
         data = checks.typed(doc.get("data", {}), f"{kind} data", dict)
         if kind in (IDENTIFY, MANIPULATE, REPEAT_REQUEST):  # the errors that replay counts
@@ -347,13 +340,13 @@ def validate_session_log(log: SessionLog) -> None:
     """Check every rule of a session log, the rules that the metrics rely on among them."""
     events = log.events
     if not events or events[0].kind != CALL_START:
-        raise LogError("log must start with CallStart")
+        raise ConfigError("log must start with CallStart")
     if events[-1].kind != CALL_END:
-        raise LogError("log must end with CallEnd")
+        raise ConfigError("log must end with CallEnd")
     last_t = events[0].t_ms
     for event in events:
         if event.t_ms < last_t:
-            raise LogError(f"timestamps decrease at {event.kind} t={event.t_ms}")
+            raise ConfigError(f"timestamps decrease at {event.kind} t={event.t_ms}")
         last_t = event.t_ms
     # Every manipulation block mentioned in events must be closed by a breakpoint.
     manipulation_blocks = {
@@ -362,12 +355,12 @@ def validate_session_log(log: SessionLog) -> None:
     breakpoints = [e for e in events if e.kind == BREAKPOINT]
     unclosed = manipulation_blocks - {e.block for e in breakpoints}
     if unclosed:
-        raise LogError(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
+        raise ConfigError(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
     if any(e.block is None for e in breakpoints):
-        raise LogError("breakpoint without block context")
+        raise ConfigError("breakpoint without block context")
     for e in breakpoints:
         if e.block_kind not in BLOCK_KINDS:
-            raise LogError(f"unknown block kind {e.block_kind or ''!r}")
+            raise ConfigError(f"unknown block kind {e.block_kind or ''!r}")
 
 
 class _Recorder:

@@ -17,21 +17,13 @@ from replicasim.records import field, record, replace
 QUAT_NORM_TOL = 1e-9
 
 
-class SceneError(Exception):
-    """Base class for scene model failures."""
-
-
-class DescriptorError(SceneError, ConfigError):
-    """Raised when a model descriptor document is malformed."""
-
-
 # Why an edit does not fit a model; sync rejections report these reasons.
 UNKNOWN_TARGET = "unknown-target"
 DUPLICATE_ANNOTATION = "duplicate-annotation"
 INVALID_HIGHLIGHT = "invalid-highlight"
 
 
-class EditError(SceneError):
+class EditError(Exception):
     """Raised when an edit cannot be applied to a model; ``reason`` names why."""
 
     def __init__(self, message: str, reason: str = UNKNOWN_TARGET) -> None:
@@ -136,12 +128,12 @@ class SceneNode:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise ValueError("node id must be non-empty")
+            raise ConfigError("node id must be non-empty")
         is_valve = self.kind is NodeKind.VALVE
         if is_valve and (self.valve_state is None or self.handedness is None):
-            raise ValueError(f"valve {self.id!r} requires valve_state and handedness")
+            raise ConfigError(f"valve {self.id!r} requires valve_state and handedness")
         if not is_valve and (self.valve_state is not None or self.handedness is not None):
-            raise ValueError(f"non-valve {self.id!r} must not carry valve_state/handedness")
+            raise ConfigError(f"non-valve {self.id!r} must not carry valve_state/handedness")
 
 
 @record(frozen=True)
@@ -301,34 +293,31 @@ def load_model(descriptor: dict) -> SceneModel:
          "nodes": [{"id", "kind", "parent"?, "pose"?, "valve_state"?, "handedness"?}, ...]}
     """
     nodes: dict[str, SceneNode] = {}
-    try:
-        for doc in checks.typed(checks.typed(descriptor, "descriptor", dict).get("nodes", []), "nodes", list):
-            node_id = checks.ident(checks.typed(doc, "node", dict).get("id"), "node id")
-            if node_id in nodes:
-                raise ValueError(f"duplicate node id {node_id!r}")
-            try:
-                kind = checks.member(doc.get("kind"), "kind", NodeKind)
-                valve = kind is NodeKind.VALVE
-                parent = doc.get("parent")
-                nodes[node_id] = SceneNode(
-                    node_id,
-                    kind,
-                    None if parent is None else checks.ident(parent, "parent"),
-                    Pose.from_dict(doc.get("pose", {})),
-                    checks.member(doc.get("valve_state"), "valve_state", ValveState) if valve else None,
-                    checks.member(doc.get("handedness"), "handedness", Handedness) if valve else None,
-                )
-            except ValueError as exc:
-                raise ValueError(f"node {node_id!r}: {exc}") from None
-    except ValueError as exc:
-        raise DescriptorError(str(exc)) from None
+    for doc in checks.typed(checks.typed(descriptor, "descriptor", dict).get("nodes", []), "nodes", list):
+        node_id = checks.ident(checks.typed(doc, "node", dict).get("id"), "node id")
+        if node_id in nodes:
+            raise ConfigError(f"duplicate node id {node_id!r}")
+        try:
+            kind = checks.member(doc.get("kind"), "kind", NodeKind)
+            valve = kind is NodeKind.VALVE
+            parent = doc.get("parent")
+            nodes[node_id] = SceneNode(
+                node_id,
+                kind,
+                None if parent is None else checks.ident(parent, "parent"),
+                Pose.from_dict(doc.get("pose", {})),
+                checks.member(doc.get("valve_state"), "valve_state", ValveState) if valve else None,
+                checks.member(doc.get("handedness"), "handedness", Handedness) if valve else None,
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"node {node_id!r}: {exc}") from None
     try:
         marker_offset = Pose.from_dict(descriptor.get("marker_offset", {}))
-    except ValueError as exc:
-        raise DescriptorError(f"marker_offset: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"marker_offset: {exc}") from None
     for node in nodes.values():
         if node.parent is not None and node.parent not in nodes:
-            raise DescriptorError(f"node {node.id!r} has dangling parent {node.parent!r}")
+            raise ConfigError(f"node {node.id!r} has dangling parent {node.parent!r}")
     _check_parent_cycles(nodes)
     return SceneModel(nodes=nodes, marker_offset=marker_offset)
 
@@ -339,7 +328,7 @@ def _check_parent_cycles(nodes: dict[str, SceneNode]) -> None:
         cur: Optional[str] = start
         while cur is not None:
             if cur in seen:
-                raise DescriptorError(f"parent cycle through node {cur!r}")
+                raise ConfigError(f"parent cycle through node {cur!r}")
             seen.add(cur)
             cur = nodes[cur].parent
 
@@ -441,7 +430,7 @@ def _edited_node(edit: Edit, nodes: Mapping[str, SceneNode], annotations: dict[s
         elif edit_type is SetHighlight:
             try:
                 visual = VisualState(edit.color, visual.indication_animation)
-            except ValueError as exc:
+            except ConfigError as exc:
                 raise EditError(f"node {edit.node!r}: {exc}", INVALID_HIGHLIGHT) from None
         else:
             visual = VisualState(visual.highlight_color, edit.playing)
@@ -558,7 +547,7 @@ def edit_from_dict(doc: dict) -> Edit:
     if op == "remove_annotation":
         return RemoveAnnotation(checks.ident(doc.get("annotation_id"), "annotation_id"), role, seq)
     if op not in ("set_pose", "set_valve_state", "set_highlight", "set_indication"):
-        raise ValueError(f"unknown edit op {op!r}")
+        raise ConfigError(f"unknown edit op {op!r}")
     node = checks.ident(doc.get("node"), "node")
     if op == "set_pose":
         return SetPose(node, Pose.from_dict(doc.get("pose")), role, seq)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence
 
-from replicasim import checks
+from replicasim import ConfigError, checks
 
 _NORMAL = NormalDist()
 
@@ -48,7 +48,7 @@ class Sample:
             raise StatsError("sample must contain at least one value")
         try:
             checks.vector(self.values, "sample values", len(self.values))
-        except ValueError as exc:
+        except ConfigError as exc:
             raise StatsError(str(exc)) from None
 
     @property

@@ -10,7 +10,7 @@ from statistics import NormalDist
 
 import pytest
 
-from replicasim import checks, scenario, stats
+from replicasim import checks, plant, scenario, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import (
     ALL_MEASURES,
@@ -320,6 +320,19 @@ def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     assert bad.name in err
 
 
+def test_fault_in_a_reader_is_not_bad_input(tmp_path, monkeypatch):
+    # A ValueError raised after the file was read and parsed is a program fault:
+    # it leaves main with its traceback instead of exiting 2 as "cannot load".
+    def fault(doc):
+        raise ValueError("fault after parsing")
+
+    monkeypatch.setattr(plant, "routing_table_from_dict", fault)
+    shipped = resources.files("replicasim").joinpath("data/default_routing.json")
+    with pytest.raises(ValueError, match="fault after parsing") as info:
+        run_cli("simulate", "--sessions", "1:1", "--routing", str(shipped), "--out", str(tmp_path / "out"))
+    assert type(info.value) is ValueError
+
+
 def test_non_finite_profile_latency_is_config_error(tmp_path, quick_profiles, capsys):
     profiles = json.loads(Path(quick_profiles).read_text(encoding="utf-8"))
     profiles["hmd"]["identify_latency_ms"] = [math.nan, 200]
@@ -474,9 +487,9 @@ class TestAnalyze:
         "row",
         ["s2,tablet,1,nan,150,120,0,0,0,0", "s2,tablet,1,700,150,120,-5,0,0,0", "s2,tablet,1,700,150,120,0,0,0,99",
          "s1,tablet,1,700,150,120,0,0,0,0", "s2,tablet,1,1e300,150,120,0,0,0,0",
-         f"s2,tablet,1,700,150,120,{10**400},0,0,{10**400}"],
+         f"s2,tablet,1,700,150,120,{10**400},0,0,{10**400}", f"s2,tablet,{'1' * 5000},700,150,120,0,0,0,0"],
         ids=["non-finite-time", "negative-count", "inconsistent-weighted-total", "repeated-session-id",
-             "huge-time", "huge-count"],
+             "huge-time", "huge-count", "seed-past-int-digit-limit"],
     )
     def test_out_of_range_value_names_line(self, tmp_path, capsys, row):
         csv_path = tmp_path / "bad.csv"

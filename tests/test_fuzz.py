@@ -10,11 +10,12 @@ failing case reproduces; each test reports all of its failing cases at once.
 Properties:
 
 - the CLI exits 0 or 2 and raises nothing (in process, an exception out of
-  ``main`` is what prints a traceback), and a refusal names the file;
+  ``main`` is what prints a traceback): bad input is a ``ConfigError``, and
+  its message names the file;
 - a run that exits 0 writes no non-finite number;
 - ``decode_envelope`` raises nothing but ``RoomError``;
 - a decoded ``SyncReq`` given to ``submit_sync`` raises nothing but
-  ``RoomError`` or ``ProtocolError``.
+  ``RoomError``.
 
 ``simulate`` runs each case until its first session builds the plant, by
 which point every input has been read and checked against the others;
@@ -55,8 +56,8 @@ from replicasim.protocol import (
     join_room,
     submit_sync,
 )
-from replicasim.replica import ProtocolError, SyncRequest
-from replicasim.report import ReportError, read_metrics_csv
+from replicasim.replica import SyncRequest
+from replicasim.report import read_metrics_csv
 from replicasim.scenario import Condition, default_model, default_profiles, session_log_to_jsonl
 from replicasim.scene import (
     AddAnnotation,
@@ -225,7 +226,7 @@ def test_metrics_csv(tmp_path, capsys):
         file.write_text(text.getvalue(), encoding="utf-8")
         try:
             read_metrics_csv(str(file))
-        except ReportError:
+        except ConfigError:
             continue
         except Exception as exc:
             failures.append(f"{show(path, value)}: {type(exc).__name__}: {exc}")
@@ -283,7 +284,7 @@ def test_frames():
             if isinstance(env.payload, SyncReq):
                 try:
                     submit_sync(room, env.payload.request)
-                except (RoomError, ProtocolError):
+                except RoomError:
                     pass
                 except Exception as exc:
                     failures.append(f"submit_sync {case}: {type(exc).__name__}: {exc}")

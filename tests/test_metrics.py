@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from replicasim import ConfigError
 from replicasim.metrics import (
     BlockTiming,
     ErrorCounts,
@@ -14,7 +15,6 @@ from replicasim.metrics import (
 from replicasim.netsim import derive_seed
 from replicasim.scenario import (
     Condition,
-    LogError,
     LogEvent,
     SessionLog,
     build_default_plan,
@@ -115,18 +115,18 @@ class TestBlockTimes:
     # block_times trusts a validated log; the logs it cannot time are refused
     # by validate_session_log, which every log reader and run_session call.
     def test_malformed_log_rejected(self):
-        with pytest.raises(LogError, match="must end with CallEnd"):
+        with pytest.raises(ConfigError, match="must end with CallEnd"):
             validate_session_log(make_log([LogEvent(0, "CallStart")]))
 
     def test_breakpoint_without_block_rejected(self):
         events = [LogEvent(0, "CallStart"), LogEvent(5, "Breakpoint"), LogEvent(9, "CallEnd")]
-        with pytest.raises(LogError, match="breakpoint without block context"):
+        with pytest.raises(ConfigError, match="breakpoint without block context"):
             validate_session_log(make_log(events))
 
     @pytest.mark.parametrize("block_kind", ["Diagonal", None])
     def test_breakpoint_with_unknown_block_kind_rejected(self, block_kind):
         events = [LogEvent(0, "CallStart"), LogEvent(5, "Breakpoint", {}, "b1", block_kind), LogEvent(9, "CallEnd")]
-        with pytest.raises(LogError, match=f"unknown block kind {block_kind or ''!r}"):
+        with pytest.raises(ConfigError, match=f"unknown block kind {block_kind or ''!r}"):
             validate_session_log(make_log(events))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from replicasim import netsim
-from replicasim.netsim import LinkConfig, LivelockError, World, derive_seed, trace_to_jsonl
+from replicasim.netsim import LinkConfig, World, derive_seed, trace_to_jsonl
 from replicasim.protocol import (
     CallStart,
     Envelope,
@@ -88,7 +88,7 @@ class TestRun:
 
         world.add_endpoint("a", echo)
         world.send("a", "a", env("a", 1))
-        with pytest.raises(LivelockError):
+        with pytest.raises(RuntimeError, match="event safety cap"):
             world.run_until_quiescent()
 
     def test_clock_monotone_over_trace(self):

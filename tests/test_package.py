@@ -84,6 +84,29 @@ def test_field_checks_live_in_one_module():
     assert found == []
 
 
+def test_only_the_json_parse_catches_any_value_error():
+    """Outside ``checks.loads`` no ``except`` clause names ``ValueError``,
+    ``RecursionError``, ``Exception`` or ``BaseException``, and none is bare:
+    bad input is a ``ConfigError``, so a broader catch would report a program
+    fault as bad input."""
+    broad = {"ValueError", "RecursionError", "Exception", "BaseException"}
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for function in tree.body
+            if module.name == "checks.py" and isinstance(function, ast.FunctionDef) and function.name == "loads"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and id(node) not in exempt:
+                types = ast.walk(node.type) if node.type else [ast.Name("BaseException")]  # a bare except
+                caught = {getattr(n, "id", getattr(n, "attr", None)) for n in types} & broad
+                found += [f"{module.name}:{node.lineno} {name}" for name in sorted(caught)]
+    assert found == []
+
+
 def bench_references() -> list[tuple[str, str, str]]:
     """``(file:line, module, dotted name)`` for each name the benchmark takes
     from replicasim, read from its source: each ``from replicasim[.m] import X``,

@@ -12,7 +12,6 @@ from replicasim.protocol import (
     Envelope,
     Instruction,
     MediaSignal,
-    RoleOccupiedError,
     RoomError,
     RoomState,
     SyncCommit,
@@ -51,7 +50,7 @@ class TestRooms:
 
     def test_second_expert_rejected(self):
         state = join_room(fresh_room(), "ex", Role.EXPERT)
-        with pytest.raises(RoleOccupiedError):
+        with pytest.raises(RoomError, match="already has an"):
             join_room(state, "ex2", Role.EXPERT)
 
     def test_host_seq_strictly_increasing(self):
@@ -117,9 +116,21 @@ class TestSubmitSync:
             replay_b = apply_commit(replay_b, env.payload.accepted, env.payload.new_version)
         assert canonical_json(replay_a) == canonical_json(replay_b) == canonical_json(state.shared)
 
-    def test_non_member_rejected(self):
-        with pytest.raises(Exception, match="non-member"):
-            submit_sync(fresh_room(), SyncRequest("ghost", Role.OPERATOR, 0, ()))
+    @pytest.mark.parametrize(
+        "owner, owner_role, author_role, ahead, cause",
+        [
+            ("ghost", Role.OPERATOR, Role.OPERATOR, 0, "sync from non-member 'ghost'"),
+            ("op", Role.EXPERT, Role.EXPERT, 0, "claims Expert, joined as Operator"),
+            ("op", Role.OPERATOR, Role.EXPERT, 0, "edit authored as Expert in a request from the Operator"),
+            ("op", Role.OPERATOR, Role.OPERATOR, 1, "base_version 1 is ahead of shared version 0"),
+        ],
+        ids=["owner-not-member", "claimed-role-not-joined-role", "author-role-not-owner-role", "base-version-ahead"],
+    )
+    def test_refused_request_is_room_error(self, owner, owner_role, author_role, ahead, cause):
+        state = join_room(join_room(fresh_room(), "op", Role.OPERATOR), "ex", Role.EXPERT)
+        edit = SetValveState("V1", ValveState.CLOSED, author_role, 1)
+        with pytest.raises(RoomError, match=cause):
+            submit_sync(state, SyncRequest(owner, owner_role, state.shared.version + ahead, (edit,)))
 
 
 class TestAvatar:
@@ -196,6 +207,11 @@ class TestWireCodec:
     def test_text_instruction_keeps_its_wire_dict(self):
         assert payload_to_dict(Instruction("tick")) == {"kind": "instruction", "text": "tick"}
 
+    def test_encoding_a_value_that_is_no_payload_is_a_fault(self):
+        # The sender's own bug, not a message a peer refuses: not a RoomError.
+        with pytest.raises(TypeError, match="unsupported payload"):
+            encode_envelope(Envelope(sender="op", sender_seq=1, room="r", payload=object()))
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -220,10 +236,12 @@ class TestWireCodec:
             b'{"sender":"ex","sender_seq":1,"room":"r","payload":{"kind":"sync_req","owner":"ex",'
             b'"owner_role":"Expert","base_version":true,"edits":[]}}',
             b'{"sender":5,"sender_seq":1,"room":"r","payload":{"kind":"call_start"}}',
+            b'{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"media","blob_b64":"AAH"}}',
+            '{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"media","blob_b64":"AAH\u00e9"}}'.encode(),
         ],
         ids=["missing-sender-seq", "not-json", "not-utf8", "array-body", "nan-pose", "ajar-target",
              "infinite-sender-seq", "unknown-edit-op", "deep-nesting", "string-host-seq", "list-edit-node",
-             "string-playing", "bool-base-version", "numeric-sender"],
+             "string-playing", "bool-base-version", "numeric-sender", "media-bad-padding", "media-non-ascii"],
     )
     def test_malformed_body_is_room_error(self, body):
         with pytest.raises(RoomError, match="malformed frame body"):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from replicasim import RoomError
 from replicasim import scene as scene_module
 from replicasim.replica import (
     REJECT_ANNOTATION_RETENTION,
@@ -10,8 +11,6 @@ from replicasim.replica import (
     REJECT_EXPERT_PRECEDENCE,
     REJECT_INVALID_HIGHLIGHT,
     REJECT_UNKNOWN_TARGET,
-    ProtocolError,
-    ReplicaError,
     SyncRequest,
     acknowledge_commit,
     apply_commit,
@@ -270,11 +269,11 @@ class TestSynchronize:
     def test_edit_authored_under_other_role_is_protocol_error(self, shared):
         # The edit keeps the record default author_role, Expert, inside an Operator request.
         req = SyncRequest("op", Role.OPERATOR, 0, (SetValveState("V1", ValveState.CLOSED),))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RoomError, match="authored as"):
             synchronize(req, shared)
 
     def test_future_base_version_is_protocol_error(self, shared):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RoomError, match="ahead of shared version"):
             synchronize(SyncRequest("op", Role.OPERATOR, shared.version + 1, ()), shared)
 
     def test_version_bumps_once_per_batch(self, shared):
@@ -404,7 +403,7 @@ class TestRebase:
     def test_snapshot_older_than_base_is_refused(self, shared):
         newer = apply_edit(shared, SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 1))
         replica = create_replica(newer, "op", Role.OPERATOR)
-        with pytest.raises(ReplicaError, match="behind replica base"):
+        with pytest.raises(RoomError, match="behind replica base"):
             acknowledge_commit(replica, (), shared)
 
 

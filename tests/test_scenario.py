@@ -18,7 +18,7 @@ from replicasim.plant import (
     route,
 )
 from replicasim.protocol import Avatar, Instruction, SyncCommit, SyncReq, detect_gaps, payload_to_dict
-from replicasim import netsim, records, replica, scenario, scene
+from replicasim import ConfigError, netsim, records, replica, scenario, scene
 from replicasim.scene import Handedness, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
@@ -31,10 +31,8 @@ from replicasim.scenario import (
     REPLICA_INDICATION,
     TEMPERATURE_REPORT,
     Condition,
-    LogError,
     ManipulationBlock,
     OperatorProfile,
-    PlanError,
     block_kind_name,
     build_default_plan,
     default_model,
@@ -157,19 +155,19 @@ class TestPlan:
             assert sizes[Handedness.TWO_HANDED] == 2
 
     def test_empty_registry_rejected(self):
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="references unknown valve"):
             build_default_plan({})
 
     def test_missing_valve_rejected(self):
         registry = valve_registry(default_model())
         del registry["2V4"]
-        with pytest.raises(PlanError, match="2V4"):
+        with pytest.raises(ConfigError, match="2V4"):
             build_default_plan(registry)
 
     def test_handedness_mismatch_rejected(self):
         registry = valve_registry(default_model())
         registry["2V4"] = Handedness.ONE_HANDED
-        with pytest.raises(PlanError, match="2V4"):
+        with pytest.raises(ConfigError, match="2V4"):
             build_default_plan(registry)
 
     def test_stock_plan_contents_pinned(self):
@@ -534,13 +532,13 @@ class TestRunSession:
     def test_malformed_log_rejected(self):
         log = run_quiet(Condition.HMD, seed=3)
         truncated = type(log)(condition=log.condition, seed=log.seed, events=log.events[:-1])
-        with pytest.raises(LogError):
+        with pytest.raises(ConfigError, match="must end with CallEnd"):
             validate_session_log(truncated)
 
     def test_reader_validates_the_log(self):
         # A log that parses but breaks a log rule is refused where it is read.
         text = session_log_to_jsonl(run_quiet(Condition.HMD, seed=3))
-        with pytest.raises(LogError, match="must end with CallEnd"):
+        with pytest.raises(ConfigError, match="must end with CallEnd"):
             session_log_from_jsonl(text.rsplit("\n", 2)[0] + "\n")
 
     def test_god_view_avatar_elevation(self):
@@ -570,5 +568,5 @@ class TestRunSession:
 
     def test_plan_must_match_model(self):
         registry = {"A1": Handedness.ONE_HANDED}
-        with pytest.raises(PlanError):
+        with pytest.raises(ConfigError, match="references unknown valve"):
             build_default_plan(registry)

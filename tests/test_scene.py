@@ -6,12 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from replicasim import ConfigError
 from replicasim.scene import (
     INVALID_HIGHLIGHT,
     UNKNOWN_TARGET,
     AddAnnotation,
     Annotation,
-    DescriptorError,
     EditError,
     NodeKind,
     Overlay,
@@ -87,18 +87,18 @@ class TestLoadModel:
             {"id": "2V4", "kind": "Valve", "valve_state": "Open", "handedness": "TwoHanded"},
             {"id": "2V4", "kind": "Valve", "valve_state": "Closed", "handedness": "TwoHanded"},
         ]}
-        with pytest.raises(DescriptorError, match="duplicate"):
+        with pytest.raises(ConfigError, match="duplicate"):
             load_model(doc)
 
     def test_dangling_parent(self):
         doc = {"nodes": [{"id": "V1", "kind": "Valve", "parent": "nope",
                           "valve_state": "Open", "handedness": "OneHanded"}]}
-        with pytest.raises(DescriptorError, match="dangling"):
+        with pytest.raises(ConfigError, match="dangling"):
             load_model(doc)
 
     def test_valve_missing_handedness(self):
         doc = {"nodes": [{"id": "V1", "kind": "Valve", "valve_state": "Open"}]}
-        with pytest.raises(DescriptorError, match="handedness"):
+        with pytest.raises(ConfigError, match="handedness"):
             load_model(doc)
 
     def test_parent_cycle(self):
@@ -106,15 +106,15 @@ class TestLoadModel:
             {"id": "A", "kind": "Pipe", "parent": "B"},
             {"id": "B", "kind": "Pipe", "parent": "A"},
         ]}
-        with pytest.raises(DescriptorError, match="cycle"):
+        with pytest.raises(ConfigError, match="cycle"):
             load_model(doc)
 
     def test_non_finite_pose_component(self):
         node = {"id": "V1", "kind": "Valve", "valve_state": "Open", "handedness": "OneHanded",
                 "pose": {"quat": ["NaN", 0, 0, 0]}}
-        with pytest.raises(DescriptorError, match="quaternion norm"):
+        with pytest.raises(ConfigError, match="quaternion norm"):
             load_model({"nodes": [node]})
-        with pytest.raises(DescriptorError, match="marker_offset"):
+        with pytest.raises(ConfigError, match="marker_offset"):
             load_model({"marker_offset": {"pos": ["Infinity", 0, 0]}, "nodes": []})
 
 
