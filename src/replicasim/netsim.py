@@ -3,8 +3,10 @@
 One single-threaded event loop delivers envelopes in (deliver_at, host_seq,
 sender_seq) order. All randomness comes from per-link generators seeded by a
 documented splitting rule, so a trace is a pure function of the initial world
-and its seeds. Links are reliable and FIFO; the optional loss mode exists only
-so receivers can demonstrate gap detection via sender sequence numbers.
+and its seeds. A link seeds its generator only if its config draws from it
+(jitter or loss); a zero-latency link holds none. Links are reliable and FIFO;
+the optional loss mode exists only so receivers can demonstrate gap detection
+via sender sequence numbers.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ class LinkConfig:
 @record
 class _Link:
     config: LinkConfig
-    rng: random.Random
+    rng: Optional[random.Random]  # None on a link without jitter or loss
     last_delivery_ms: int = 0
 
 
@@ -70,7 +72,7 @@ class World:
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.now = 0
-        self.endpoints: dict[str, object] = {}
+        self.endpoints: dict[str, Callable] = {}  # endpoint id -> its handle
         self.links: dict[tuple[str, str], _Link] = {}
         # (deliver_at, host_seq or 0, sender_seq, counter, src, dst, envelope); the
         # counter is unique, so entries never compare past it.
@@ -80,17 +82,19 @@ class World:
         self.drops: list[TraceEntry] = []
 
     def add_endpoint(self, endpoint_id: str, handler: object) -> None:
-        self.endpoints[endpoint_id] = handler
+        self.endpoints[endpoint_id] = getattr(handler, "handle", handler)
 
     def add_link(self, src: str, dst: str, config: Optional[LinkConfig] = None) -> None:
         config = config or LinkConfig()
-        seed = config.seed or self.master_seed
-        rng = random.Random(derive_seed(seed, f"link:{src}->{dst}"))
+        draws = config.jitter_ms or config.loss_rate > 0.0
+        rng = random.Random(derive_seed(config.seed or self.master_seed, f"link:{src}->{dst}")) if draws else None
         self.links[(src, dst)] = _Link(config=config, rng=rng)
 
     def send(self, src: str, dst: str, envelope: Envelope, extra_delay_ms: int = 0) -> Optional[int]:
         """Queue an envelope for delivery; returns its delivery time, or None if
-        the loss mode drops it."""
+        the loss mode drops it. A negative ``extra_delay_ms`` is a program fault."""
+        if extra_delay_ms < 0:
+            raise ValueError(f"extra_delay_ms must not be negative, got {extra_delay_ms}")
         link = self.links.get((src, dst))
         if link is None:
             self.add_link(src, dst)
@@ -120,11 +124,9 @@ class World:
             deliver_at, _, _, _, src, dst, envelope = heapq.heappop(self._heap)
             self.now = max(self.now, deliver_at)
             self.trace.append(TraceEntry(deliver_at, src, dst, envelope))
-            handler = self.endpoints.get(dst)
-            if handler is None:
-                continue
-            handle: Callable = getattr(handler, "handle", handler)  # type: ignore[assignment]
-            handle(self, deliver_at, src, envelope)
+            handle = self.endpoints.get(dst)
+            if handle is not None:
+                handle(self, deliver_at, src, envelope)
         return self.trace
 
 

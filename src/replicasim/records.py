@@ -1,6 +1,6 @@
 """Slotted value classes built with one compile each: the part of ``dataclasses`` the simulator uses.
 
-``@record`` gives a class the ``__init__`` (defaults, :class:`field` factories,
+``@record`` gives a class the constructor (defaults, :class:`field` factories,
 then ``__post_init__``), ``__repr__``, ``__eq__``, ``__match_args__`` and
 ``__hash__ = None`` of ``@dataclass(slots=True)``; ``frozen=True`` hashes the
 fields and refuses assignment and deletion. ``dataclasses`` compiles each method
@@ -12,15 +12,22 @@ The decorator returns a new class, rebuilt from the body with ``__slots__`` set
 to the fields: an instance has no ``__dict__``, a field read is a slot load, and
 assigning a name that is not a field raises ``AttributeError``, on a mutable
 record too. Defaults and factories leave the class body, since a slot and a
-class attribute cannot share a name; ``__init__`` binds them. A frozen
-``__init__`` writes each field through its slot's descriptor, bound once per
-class; a ``__post_init__`` may still normalise a field with
-``object.__setattr__``. Trap: a method with a zero-argument ``super()`` or a
+class attribute cannot share a name; the constructor binds them. A mutable
+record's constructor is ``__init__``. A frozen record's is ``__new__``: it fills
+a mutable twin, a sibling class with the same ``__slots__``, with plain slot
+stores, stores the record's class into ``__class__`` once, and only then runs
+``__post_init__``, which so sees its real class and may still normalise a field
+with ``object.__setattr__``. Copy, deepcopy and pickle rebuild a frozen record
+through ``__reduce__``: its class and field tuple. ``__eq__``, ``__hash__`` and
+``__reduce__`` are closures over the fields' ``attrgetter``, so each class
+compiles only its constructor, under the filename ``<record Name>``, which a
+profile keys its rows by. Trap: a method with a zero-argument ``super()`` or a
 ``__class__`` reference would still see the discarded class. No record has one.
 """
+from operator import attrgetter
 
 _MISSING = object()  # a field without a default
-_FACTORY = object()  # the __init__ default of a field built by a factory
+_FACTORY = object()  # the constructor default of a field built by a factory
 
 
 class field:
@@ -41,7 +48,7 @@ def record(cls=None, /, *, frozen=False):
     defaults = {name: ns.pop(name) for name in names if name in ns}
     cls = type(cls)(cls.__name__, cls.__bases__, ns)
     env = {"_FACTORY": _FACTORY}
-    params, body = ["self"], []
+    params, stores = [], []
     for name in names:
         default, value = defaults.get(name, _MISSING), name
         if isinstance(default, field):
@@ -52,27 +59,41 @@ def record(cls=None, /, *, frozen=False):
         else:
             env[f"_d_{name}"] = default
             params.append(f"{name}=_d_{name}")
-        if frozen:
-            env[f"_s_{name}"] = cls.__dict__[name].__set__
-            body.append(f"_s_{name}(self, {value})")
-        else:
-            body.append(f"self.{name} = {value}")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    mine, theirs = ("".join(f"{who}.{name}," for name in names) for who in ("self", "other"))
-    source = [f"def __init__({', '.join(params)}):\n    {'; '.join(body) or 'pass'}",
-              f"def __eq__(self, other):\n    return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
-              " else NotImplemented"]
+        stores.append(f"self.{name} = {value}")
+    post = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
     if frozen:
-        source.append(f"def __hash__(self):\n    return hash(({mine}))")
-    exec("\n".join(source), env)
-    cls.__init__, cls.__repr__, cls.__eq__, cls.__match_args__ = env["__init__"], _repr, env["__eq__"], names
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = env["__hash__"], _refuse_assignment, _refuse_deletion
-        cls.__getstate__, cls.__setstate__ = _get_state, _set_state  # for copy and pickle, as dataclasses does
+        env["_new"], env["_twin"] = object.__new__, type(cls)(cls.__name__, cls.__bases__, {"__slots__": names})
+        head, body = ["cls", *params], ["self = _new(_twin)", *stores, "self.__class__ = cls", *post, "return self"]
     else:
-        cls.__hash__ = None
+        head, body = ["self", *params], [*stores, *post] or ["pass"]
+    constructor = "__new__" if frozen else "__init__"
+    source = f"def {constructor}({', '.join(head)}):\n    {'; '.join(body)}"
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), env)
+    cls.__repr__, cls.__match_args__ = _repr, names
+    cls.__eq__, cls.__hash__, reduce = _shared(names)
+    if frozen:
+        cls.__new__ = staticmethod(env["__new__"])  # as a class statement makes it
+        cls.__setattr__, cls.__delattr__, cls.__reduce__ = _refuse_assignment, _refuse_deletion, reduce
+    else:
+        cls.__init__, cls.__hash__ = env["__init__"], None
     return cls
+
+
+def _shared(names: tuple):
+    """``__eq__``, ``__hash__`` and ``__reduce__`` over the tuple of the fields ``names``."""
+    # attrgetter of one name returns the bare value, and of none is refused
+    values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __reduce__(self):
+        return self.__class__, values(self)
+
+    return __eq__, __hash__, __reduce__
 
 
 def _repr(self) -> str:
@@ -88,17 +109,8 @@ def _refuse_deletion(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _get_state(self) -> list:
-    return [getattr(self, name) for name in self.__match_args__]
-
-
-def _set_state(self, state) -> None:
-    for name, value in zip(self.__match_args__, state):
-        object.__setattr__(self, name, value)
-
-
 def replace(obj, **changes):
-    """``dataclasses.replace`` for records: a copy with ``changes``, built by ``__init__``."""
+    """``dataclasses.replace`` for records: a copy with ``changes``, built by the constructor."""
     for name in obj.__match_args__:
         changes.setdefault(name, getattr(obj, name))
     return obj.__class__(**changes)

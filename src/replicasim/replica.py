@@ -150,7 +150,7 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     """
     if shared.version < replica.base_version:
         raise RoomError(f"shared version {shared.version} is behind replica base {replica.base_version}")
-    accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted}
+    accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted} if replica.pending else ()
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
     if not remaining:
         return Replica(replica.owner, replica.owner_role, shared.version, shared)

@@ -386,6 +386,8 @@ class _Recorder:
 
 OPERATOR_ID = "operator"
 EXPERT_ID = "expert"
+# The operator's opening avatar, the same in every session.
+OPERATOR_AVATAR = Avatar(AvatarState(client=OPERATOR_ID, role=Role.OPERATOR, head_pose=Pose((0.0, 1.7, 0.0))))
 
 
 def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
@@ -633,8 +635,7 @@ def run_session(
 
     recorder.log(0, CALL_START)
     operator._send(world, CallStart())
-    operator_avatar = AvatarState(client=OPERATOR_ID, role=Role.OPERATOR, head_pose=Pose((0.0, 1.7, 0.0)))
-    operator._send(world, Avatar(operator_avatar))
+    operator._send(world, OPERATOR_AVATAR)
     trace = world.run_until_quiescent()
 
     log = SessionLog(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from replicasim import netsim
@@ -47,6 +49,41 @@ class TestDelivery:
             if deliver_at > last:  # unclamped draws stay inside the jitter window
                 assert sent_at + 30 <= deliver_at <= sent_at + 70
             last = deliver_at
+
+    def test_negative_extra_delay_is_refused(self):
+        # Sending into the past is a program fault: nothing is queued, and the clock stays.
+        world = World()
+        world.add_link("a", "b", LinkConfig(0, 0))
+        world.now = 100
+        with pytest.raises(ValueError, match="extra_delay_ms must not be negative, got -50"):
+            world.send("a", "b", env("a", 1), extra_delay_ms=-50)
+        assert world._heap == []
+        assert world.run_until_quiescent() == [] and world.now == 100
+
+    def test_only_a_link_that_draws_holds_a_generator(self):
+        world = World(master_seed=5)
+        world.add_link("a", "b", LinkConfig(0, 0))
+        world.add_link("b", "a", LinkConfig(50, 0, seed=3))
+        assert world.links[("a", "b")].rng is None and world.links[("b", "a")].rng is None
+        assert world.send("a", "b", env("a", 1)) == 0
+
+    @pytest.mark.parametrize("master, seed", [(5, 42), (5, 0)])
+    def test_jittery_link_draws_its_split_stream(self, master, seed):
+        # A link without a seed of its own splits the world's master seed.
+        world = World(master_seed=master)
+        world.add_link("a", "b", LinkConfig(50, 20, seed=seed))
+        expected = random.Random(derive_seed(seed or master, "link:a->b"))
+        for i in range(20):
+            world.now = i * 1000  # far apart, so the FIFO clamp never binds
+            assert world.send("a", "b", env("a", i + 1)) == world.now + 50 + expected.randint(-20, 20)
+
+    def test_lossy_link_draws_its_split_stream(self):
+        world = World()
+        world.add_link("a", "b", LinkConfig(0, 0, seed=9, loss_rate=0.5))
+        expected = random.Random(derive_seed(9, "link:a->b"))
+        delivered = [world.send("a", "b", env("a", i + 1)) is not None for i in range(40)]
+        assert delivered == [expected.random() >= 0.5 for _ in range(40)]
+        assert 0 < sum(delivered) < 40
 
     def test_invalid_link_config(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from replicasim import plant, records, scenario, scene
+from replicasim import metrics, netsim, plant, protocol, records, replica, scenario, scene
+from replicasim.metrics import Condition
+from replicasim.scene import Role
 
 
 def twin(decorate, field):
@@ -100,6 +102,9 @@ def test_frozen_hash_and_refusals():
     # discarded, and raises TypeError.
     with pytest.raises(AttributeError, match="cannot assign to field 'colour'"):
         FROZEN[0]("a").colour = "red"
+    # a record of one field hashes its 1-tuple, and one of none the empty tuple
+    assert hash(protocol.StepDone(21.5)) == hash((21.5,))
+    assert hash(protocol.CallStart()) == hash(())
 
 
 def test_mutable_is_unhashable_and_assignable():
@@ -151,3 +156,106 @@ def test_package_records_are_slotted():
 def test_package_records_pickle():
     model = scenario.default_model()  # a mutable record of frozen nodes and poses
     assert pickle.loads(pickle.dumps(model)) == model
+
+
+def test_post_init_sees_its_record_class():
+    # A frozen record is filled as its mutable twin, but __post_init__ runs on the record.
+    seen = []
+
+    @records.record(frozen=True)
+    class Doubled:
+        value: int
+
+        def __post_init__(self) -> None:
+            seen.append(type(self))
+            object.__setattr__(self, "value", self.doubled())
+
+        def doubled(self) -> int:
+            return 2 * self.value
+
+    assert Doubled(3).value == 6 and records.replace(Doubled(3)).value == 12
+    assert seen == [Doubled] * 3
+
+
+def hmd_session() -> scenario.SessionLog:
+    plan = scenario.build_default_plan(scenario.valve_registry(scenario.default_model()))
+    return scenario.run_session(plan, Condition.HMD, scenario.default_profiles()[Condition.HMD], seed=0)
+
+
+def record_examples() -> dict[type, object]:
+    """One instance of each package record: the first reachable through the fields
+    of an hmd session and its inputs, and a few built by hand."""
+    log, model = hmd_session(), scenario.default_model()
+    plan = scenario.build_default_plan(scenario.valve_registry(model))
+    profile, table = scenario.default_profiles()[Condition.HMD], scenario.default_routing_table()
+    room = protocol.join_room(protocol.RoomState(room="r", shared=model), "operator", Role.OPERATOR)
+    world = netsim.World()
+    world.add_link("a", "b", netsim.LinkConfig(10, 5))
+    mine = replica.create_replica(model, "expert", Role.EXPERT)
+    highlight = scene.SetHighlight("1V1", (1.0, 0.0, 0.0), Role.EXPERT, 1)
+    outcome = replica.synchronize(replica.make_sync_request(replica.edit_replica(mine, highlight)), model)
+    session = scenario._Session(Condition.HMD, 0, plan, profile, plant.plant_from_model(model, table), room,
+                                scenario._Recorder())
+    by_hand = [protocol.MediaSignal(b"\x00"),
+               scene.AddAnnotation(scene.Annotation("note-1", Role.EXPERT, "1V1", "check"), Role.EXPERT, 2),
+               scene.RemoveAnnotation("note-1", Role.EXPERT, 3),
+               scene.SetPose("1V1", scene.Pose((1.0, 0.0, 0.0)), Role.EXPERT, 4)]
+    roots = [log, model, plan, profile, table, world.links, mine, outcome, session,
+             metrics.error_counts(log), metrics.block_times(log), *by_hand]
+    found, seen = {}, {}  # seen keeps each value alive, so that no id is reused
+    while roots:
+        value = roots.pop()
+        if id(value) in seen:
+            continue
+        seen[id(value)] = value
+        if type(value).__module__.startswith("replicasim.") and hasattr(type(value), "__match_args__"):
+            found.setdefault(type(value), value)
+            roots.extend(getattr(value, name) for name in value.__match_args__)
+        elif isinstance(value, (tuple, list)):
+            roots.extend(value)
+        elif isinstance(value, dict):
+            roots.extend(value.items())
+    return found
+
+
+def test_package_records_keep_their_class_through_every_copy():
+    examples = record_examples()
+    classes = [cls for cls, _ in record_classes()]
+    assert set(examples) == set(classes)
+    for cls in classes:
+        value = examples[cls]
+        copies = [records.replace(value), copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+        assert type(value) is cls and all(type(c) is cls for c in copies), cls
+        if cls.__hash__ is not None:  # frozen: a value, so every copy is equal
+            assert all(c == value for c in copies), cls
+
+
+def test_frozen_package_records_refuse_changes_once_built():
+    for cls, value in record_examples().items():
+        if cls.__hash__ is None:
+            continue
+        built = cls(*(getattr(value, name) for name in cls.__match_args__))
+        name = cls.__match_args__[0] if cls.__match_args__ else "extra"
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(built, name, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(built, name)
+        assert built == value
+
+
+def test_session_values_survive_pickle():
+    log = hmd_session()
+    envelopes = [entry.envelope for entry in log.transcript]
+    assert len(envelopes) == 71
+    assert pickle.loads(pickle.dumps(envelopes)) == envelopes
+    assert pickle.loads(pickle.dumps(log.events)) == log.events
+
+
+def test_package_record_constructors_compile_under_their_own_names():
+    # cProfile keys its rows by (file, line, name), so a shared "<string>" would fold every constructor into one.
+    filenames = {}
+    for cls, _ in record_classes():
+        constructor = cls.__new__ if cls.__hash__ is not None else cls.__init__
+        filenames[cls] = constructor.__code__.co_filename
+    assert len(set(filenames.values())) == len(filenames) == 43
+    assert filenames[protocol.Envelope] == "<record Envelope>"

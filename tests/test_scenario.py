@@ -2,6 +2,7 @@ import gc
 import hashlib
 from collections import Counter
 import itertools
+import random
 import sys
 import weakref
 
@@ -298,7 +299,7 @@ class TestRunSession:
     def test_session_builds_no_instruction_and_checks_no_plan(self, condition):
         # Call counts, not timings: the plan holds the guide's 14 instructions,
         # built once when it is read, and it was validated before the session.
-        watched = {Instruction.__init__.__code__: "instruction", scenario.validate_plan.__code__: "validate_plan"}
+        watched = {Instruction.__new__.__code__: "instruction", scenario.validate_plan.__code__: "validate_plan"}
         calls = {"instruction": 0, "validate_plan": 0}
 
         def count(frame, event, arg):
@@ -312,6 +313,24 @@ class TestRunSession:
         finally:
             sys.setprofile(None)
         assert calls == {"instruction": 0, "validate_plan": 0}
+
+    @pytest.mark.parametrize("link, seeded", [(LinkConfig(0, 0), 1), (None, 3)], ids=["zero-latency", "default-link"])
+    def test_session_seeds_only_the_generators_it_draws_from(self, link, seeded):
+        # A call count, not a timing: the operator always draws, and each of the
+        # two links draws only when its config has jitter or loss.
+        calls = {"seed": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is random.Random.seed.__code__:
+                calls["seed"] += 1
+
+        plan = build_default_plan(valve_registry(default_model()))
+        sys.setprofile(count)
+        try:
+            run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0, link_config=link)
+        finally:
+            sys.setprofile(None)
+        assert calls["seed"] == seeded
 
     # sha256 of the JSONL of the hmd sessions of seeds 0-4, computed on the tree
     # before the host dropped its private replica. In each of these sessions the
