@@ -4,12 +4,14 @@ Replicas, private edits, and role-aware synchronization
 
 Two clients share a plant model. Each works on a private replica; nothing is
 visible to the other side until a replica is synchronized, and the merge obeys
-expert precedence and annotation retention.
+expert precedence and annotation retention. A refused edit is final: the
+operator's replica drops it on the next commit instead of resending it.
 """
 from replicasim import (
     Annotation,
     Role,
     ValveState,
+    acknowledge_commit,
     canonical_json,
     create_replica,
     edit_replica,
@@ -58,6 +60,15 @@ m = synchronize(SyncRequest("expert", Role.EXPERT, base, (ex_edit,)), m).merged
 print("operator-first order: 2V4 =", m.nodes["2V4"].valve_state.value)
 
 m = synchronize(SyncRequest("expert", Role.EXPERT, base, (ex_edit,)), shared).merged
-late = synchronize(SyncRequest("operator", Role.OPERATOR, base, (op_edit,)), m)
+operator = edit_replica(create_replica(shared, "operator", Role.OPERATOR), op_edit)
+late = synchronize(make_sync_request(operator), m)
 print("expert-first order:   2V4 =", late.merged.nodes["2V4"].valve_state.value)
 print("operator edit rejected with:", late.rejected[0][1])
+
+# The refusal is final, so acknowledging the commit drops the refused edit
+# from the operator's pending log, and its replica shows the expert's value.
+print(f"operator before acknowledge: {len(operator.pending)} pending, 2V4 =",
+      operator.working.nodes["2V4"].valve_state.value)
+operator = acknowledge_commit(operator, late.accepted, late.merged)
+print(f"operator after acknowledge:  {len(operator.pending)} pending, 2V4 =",
+      operator.working.nodes["2V4"].valve_state.value)

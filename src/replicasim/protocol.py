@@ -161,9 +161,18 @@ def join_room(state: RoomState, client: str, role: Role) -> RoomState:
     return RoomState(state.room, state.shared, members, state.avatar_map, state.next_host_seq, state.sender_counters)
 
 
+def _check_claim(state: RoomState, client: str, role: Role, kind: str) -> None:
+    """Refuse a ``kind`` of message that speaks for a non-member, or in a role its client did not join with."""
+    joined = state.members.get(client)
+    if joined is None:
+        raise RoomError(f"{kind} from non-member {client!r}")
+    if role is not joined:
+        raise RoomError(f"{kind} from {client!r} claims {role.value}, joined as {joined.value}")
+
+
 def update_avatar(state: RoomState, avatar: AvatarState) -> tuple[RoomState, Envelope]:
-    if avatar.client not in state.members:
-        raise RoomError(f"client {avatar.client!r} is not a member")
+    """Record a member's avatar and stamp its relay, sent by the member."""
+    _check_claim(state, avatar.client, avatar.role, "avatar")
     avatars = dict(state.avatar_map)
     avatars[avatar.client] = avatar
     state = RoomState(state.room, state.shared, state.members, avatars, state.next_host_seq, state.sender_counters)
@@ -172,11 +181,7 @@ def update_avatar(state: RoomState, avatar: AvatarState) -> tuple[RoomState, Env
 
 def submit_sync(state: RoomState, req: SyncRequest) -> tuple[RoomState, Envelope, MergeOutcome]:
     """Merge a sync request against the authoritative model and broadcast the commit."""
-    if req.owner not in state.members:
-        raise RoomError(f"sync from non-member {req.owner!r}")
-    joined = state.members[req.owner]
-    if req.owner_role is not joined:
-        raise RoomError(f"sync from {req.owner!r} claims {req.owner_role.value}, joined as {joined.value}")
+    _check_claim(state, req.owner, req.owner_role, "sync")
     outcome = synchronize(req, state.shared)
     state = RoomState(
         state.room, outcome.merged, state.members, state.avatar_map, state.next_host_seq, state.sender_counters

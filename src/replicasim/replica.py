@@ -9,7 +9,9 @@ Merge policy, per field per node:
   authored by the Expert (even a stale one);
 * same-role conflicts resolve by host commit order (last writer wins).
 
-Rejected edits never abort a batch; the remaining edits still apply.
+Rejected edits never abort a batch; the remaining edits still apply. A
+refusal under these rules is final, so a replica drops a refused edit from its
+pending log on the next acknowledged commit instead of resending it.
 """
 from __future__ import annotations
 
@@ -107,6 +109,11 @@ def _operator_rule(edit: Edit, field_authors: dict) -> str | None:
     return None
 
 
+# The merge rule of each role: the host's for a request, and a replica's for
+# its own pending edits.
+_RULE = {Role.EXPERT: _expert_rule, Role.OPERATOR: _operator_rule}
+
+
 def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
     """Merge a replica's pending edits into the shared model.
 
@@ -122,8 +129,7 @@ def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
         if edit.author_role is not request.owner_role:
             raise RoomError(f"edit authored as {edit.author_role.value}"
                             f" in a request from the {request.owner_role.value}")
-    rule = _expert_rule if request.owner_role is Role.EXPERT else _operator_rule
-    merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, rule)
+    merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, _RULE[request.owner_role])
     return MergeOutcome(merged=merged if accepted else shared, accepted=accepted, rejected=rejected)
 
 
@@ -140,11 +146,16 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     """Rebuild a replica on ``shared`` once a commit lands.
 
     The replica's own accepted edits, identified by (author_role, author_seq),
-    leave ``pending``; edits the host rejected stay so the owner can see and
-    revise them. The pending edits are re-applied to ``shared`` in one batch
-    at ``shared.version`` under ``_expert_rule``, which passes every edit
-    that fits, so any that no longer apply (target removed remotely,
-    annotation id now taken) are dropped. With nothing left pending,
+    leave ``pending``. The rest are merged onto ``shared`` in one batch at
+    ``shared.version`` under the owner's own rule, as the host would merge
+    them now, and only the edits that pass stay pending. So an edit that no
+    longer fits (target removed remotely, annotation id now taken) and an
+    edit the host must refuse (an Operator write over an Expert-authored
+    field, an Operator annotation removal) are dropped, and ``working`` shows
+    the committed value instead. Both refusals are final: ``shared`` is a
+    prefix of the host's commits, an Expert-authored field stays
+    Expert-authored, and an Operator removal is always refused; so dropping
+    them loses no edit the host would accept. With nothing left pending,
     ``working`` is ``shared`` itself; on a large model it otherwise overlays
     the same base as ``shared``.
     """
@@ -154,7 +165,7 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
     if not remaining:
         return Replica(replica.owner, replica.owner_role, shared.version, shared)
-    working, pending, _ = _apply_batch(shared, remaining, shared.version, _expert_rule)
+    working, pending, _ = _apply_batch(shared, remaining, shared.version, _RULE[replica.owner_role])
     return Replica(replica.owner, replica.owner_role, shared.version, working, pending)
 
 

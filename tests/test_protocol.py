@@ -24,7 +24,9 @@ from replicasim.protocol import (
     join_room,
     place_expert_avatar,
     submit_sync,
+    update_avatar,
 )
+from replicasim.records import replace
 from replicasim.replica import SyncRequest, apply_commit
 from replicasim.scene import Pose, Role, SetIndication, SetValveState, ValveState, canonical_json, load_model
 from replicasim.scenario import default_model
@@ -161,6 +163,43 @@ class TestAvatar:
         for gaze in [(0.0, 0.0, 2.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0)]:
             with pytest.raises(ValueError):
                 AvatarState("op", Role.OPERATOR, Pose(), gaze_direction=gaze)
+
+
+class TestUpdateAvatar:
+    def room(self):
+        return join_room(join_room(fresh_room(), "op", Role.OPERATOR), "ex", Role.EXPERT)
+
+    def test_non_member_is_refused(self):
+        with pytest.raises(RoomError, match="avatar from non-member 'ghost'"):
+            update_avatar(self.room(), AvatarState("ghost", Role.OPERATOR, Pose()))
+
+    def test_claimed_role_must_match_joined_role(self):
+        state = self.room()
+        with pytest.raises(RoomError, match="avatar from 'op' claims Expert, joined as Operator"):
+            update_avatar(state, AvatarState("op", Role.EXPERT, Pose((0.0, 1.7, 0.0))))
+        assert state.avatar_map == {}
+
+    def test_relay_is_stamped_by_the_member(self):
+        state = self.room()
+        avatar = AvatarState("op", Role.OPERATOR, Pose((0.0, 1.7, 0.0)))
+        state, env = update_avatar(state, avatar)
+        assert env == Envelope(sender="op", sender_seq=1, room="r1", payload=Avatar(avatar), host_seq=1)
+        state, env = update_avatar(state, replace(avatar, head_pose=Pose((0.5, 1.7, 0.0))))
+        assert (env.sender_seq, env.host_seq) == (2, 2)
+        _, env = update_avatar(state, AvatarState("ex", Role.EXPERT, Pose((0.0, 3.2, 0.0))))
+        assert (env.sender, env.sender_seq, env.host_seq) == ("ex", 1, 3)
+
+    def test_avatar_map_holds_each_members_latest(self):
+        before = self.room()
+        first = AvatarState("op", Role.OPERATOR, Pose((0.0, 1.7, 0.0)))
+        latest = replace(first, head_pose=Pose((0.5, 1.7, 0.0)))
+        expert = AvatarState("ex", Role.EXPERT, Pose((0.0, 3.2, 0.0)))
+        state, _ = update_avatar(before, first)
+        state, _ = update_avatar(state, latest)
+        state, _ = update_avatar(state, expert)
+        assert state.avatar_map == {"op": latest, "ex": expert}
+        assert before.avatar_map == {}  # a new room state; the old one is unchanged
+        assert state.shared is before.shared
 
 
 class TestRelay:

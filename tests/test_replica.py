@@ -11,7 +11,9 @@ from replicasim.replica import (
     REJECT_EXPERT_PRECEDENCE,
     REJECT_INVALID_HIGHLIGHT,
     REJECT_UNKNOWN_TARGET,
+    Replica,
     SyncRequest,
+    _operator_rule,
     acknowledge_commit,
     apply_commit,
     create_replica,
@@ -337,7 +339,7 @@ class TestRebase:
 
     def test_random_interleavings_match_sequential_oracle(self, shared):
         rng = random.Random(41)
-        dropped = emptied = 0
+        dropped = refused = emptied = 0
         for _ in range(50):
             base = shared
             if rng.random() < 0.5:
@@ -373,23 +375,139 @@ class TestRebase:
                 remote = synchronize(req, remote).merged
             rebased = acknowledge_commit(replica, accepted, remote)
             # Oracle: re-apply the edits the host did not accept one at a time
-            # onto the remote snapshot, keeping those that still apply.
+            # onto the remote snapshot, keeping those that still apply and
+            # that the host would not refuse under the Operator's rule.
             keys = {(e.author_role, e.author_seq) for e in accepted}
             remaining = [e for e in replica.pending if (e.author_role, e.author_seq) not in keys]
             oracle, survivors = remote, []
             for edit in remaining:
                 try:
-                    oracle = apply_edit(oracle, edit)
+                    applied = apply_edit(oracle, edit)
                 except EditError:
+                    dropped += 1
                     continue
+                if _operator_rule(edit, oracle.field_authors) is not None:
+                    refused += 1
+                    continue
+                oracle = applied
                 survivors.append(edit)
             assert field_equal(rebased.working, oracle)
             assert rebased.pending == tuple(survivors)
             assert rebased.base_version == remote.version
-            dropped += len(remaining) - len(survivors)
             emptied += not remaining
         assert dropped > 0  # some pending edit no longer applied and was dropped
+        assert refused > 0  # some pending edit the host must refuse was dropped
         assert emptied > 0  # some acknowledge left nothing pending
+
+    def test_expert_commit_on_a_pending_field_drops_the_edit(self, shared):
+        # The operator's write never reached the host; the expert's commit makes it one the host must refuse.
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        replica = edit_replica(replica, SetValveState("V1", ValveState.CLOSED, Role.OPERATOR, 1))
+        outcome = synchronize(
+            SyncRequest("ex", Role.EXPERT, shared.version, (SetValveState("V1", ValveState.OPEN, Role.EXPERT, 1),)),
+            shared,
+        )
+        rebased = acknowledge_commit(replica, outcome.accepted, outcome.merged)
+        assert rebased.pending == ()
+        assert rebased.working.nodes["V1"].valve_state is ValveState.OPEN
+        assert field_equal(rebased.working, outcome.merged)
+
+    def test_refused_removal_leaves_pending_and_the_annotation_shows_again(self, shared):
+        shared = apply_edit(shared, AddAnnotation(Annotation("a1", Role.OPERATOR, "V1", "x"), Role.OPERATOR, 0))
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        replica = edit_replica(replica, RemoveAnnotation("a1", Role.OPERATOR, 1))
+        assert "a1" not in replica.working.annotations
+        outcome = synchronize(make_sync_request(replica), shared)
+        assert outcome.rejected == ((replica.pending[0], REJECT_ANNOTATION_RETENTION),)
+        rebased = acknowledge_commit(replica, outcome.accepted, outcome.merged)
+        assert rebased.pending == ()
+        assert rebased.working.annotations["a1"] == shared.annotations["a1"]
+
+    def test_expert_replica_rebases_under_the_expert_rule(self, shared):
+        # Edits the Operator's rule would refuse pass the Expert's, so they stay pending.
+        shared = apply_edit(shared, AddAnnotation(Annotation("a1", Role.OPERATOR, "V1", "x"), Role.OPERATOR, 0))
+        replica = create_replica(shared, "ex", Role.EXPERT)
+        replica = edit_replica(replica, RemoveAnnotation("a1", Role.EXPERT, 1))
+        replica = edit_replica(replica, SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 2))
+        outcome = synchronize(
+            SyncRequest("ex", Role.EXPERT, shared.version, (SetValveState("V1", ValveState.OPEN, Role.EXPERT, 3),)),
+            shared,
+        )
+        rebased = acknowledge_commit(replica, outcome.accepted, outcome.merged)
+        assert rebased.pending == replica.pending
+        assert "a1" not in rebased.working.annotations
+        assert rebased.working.nodes["V1"].valve_state is ValveState.CLOSED
+
+    def test_each_refused_edit_is_sent_once(self, shared):
+        shared = apply_edit(shared, SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 0))
+        replica = create_replica(shared, "op", Role.OPERATOR)
+        sizes = []
+        for i in range(1, 6):
+            replica = edit_replica(replica, SetValveState("V1", ValveState.OPEN, Role.OPERATOR, i))
+            request = make_sync_request(replica)
+            sizes.append(len(request.edits))
+            outcome = synchronize(request, shared)
+            assert [reason for _, reason in outcome.rejected] == [REJECT_EXPERT_PRECEDENCE] * len(request.edits)
+            shared = outcome.merged
+            replica = acknowledge_commit(replica, outcome.accepted, shared)
+        assert sizes == [1] * 5
+
+    def test_operator_refusal_is_final_under_random_commit_walks(self, shared):
+        rng = random.Random(59)
+        checked = 0
+        for _ in range(20):
+            model, refused = shared, []
+            for step in range(30):
+                role = rng.choice((Role.EXPERT, Role.OPERATOR))
+                edits = tuple(random_edit(rng, model, role, 10 * step + i) for i in range(rng.randrange(1, 4)))
+                model = synchronize(SyncRequest(role.value, role, model.version, edits), model).merged
+                candidate = random_edit(rng, model, Role.OPERATOR, 1000 + step)
+                if _operator_rule(candidate, model.field_authors) is not None:
+                    refused.append(candidate)
+                for edit in refused:
+                    outcome = synchronize(SyncRequest("op", Role.OPERATOR, model.version, (edit,)), model)
+                    assert outcome.accepted == (), (edit, model.version)
+                    checked += 1
+        assert checked > 0
+
+    def test_host_model_is_the_same_whether_or_not_refused_edits_are_resent(self, shared):
+        def resending_acknowledge(replica, accepted, model):
+            """The rebase under a rule that passes every edit that fits, so a refused edit stays pending."""
+            keys = {(e.author_role, e.author_seq) for e in accepted}
+            remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in keys)
+            working, pending, _ = scene_module._apply_batch(model, remaining, model.version, lambda edit, authors: None)
+            return Replica(replica.owner, replica.owner_role, model.version, working, pending)
+
+        acknowledges = (acknowledge_commit, resending_acknowledge)
+        rng = random.Random(53)
+        refusals = [[], []]
+        for episode in range(40):
+            hosts = [shared, shared]
+            replicas = [create_replica(shared, "op", Role.OPERATOR)] * 2
+            for step in range(rng.randrange(5, 25)):
+                action = rng.random()
+                if action < 0.45:  # one operator edit, the same on both replicas, or on neither
+                    edit = random_edit(rng, replicas[0].working, Role.OPERATOR, step)
+                    try:
+                        replicas = [edit_replica(r, edit) for r in replicas]
+                    except EditError:
+                        pass
+                    continue
+                if action < 0.75:  # an expert commit, which the operator acknowledges
+                    edit = random_edit(rng, hosts[0], Role.EXPERT, step)
+                    outcomes = [synchronize(SyncRequest("ex", Role.EXPERT, h.version, (edit,)), h) for h in hosts]
+                    accepted = [(), ()]
+                else:  # an operator sync
+                    outcomes = [synchronize(make_sync_request(r), h) for r, h in zip(replicas, hosts)]
+                    accepted = [o.accepted for o in outcomes]
+                    for refused, outcome in zip(refusals, outcomes):
+                        refused += [(episode, e.author_seq) for e, _ in outcome.rejected]
+                hosts = [o.merged for o in outcomes]
+                assert hosts[0] == hosts[1]
+                replicas = [ack(r, a, h) for ack, r, a, h in zip(acknowledges, replicas, accepted, hosts)]
+        dropping, resending = refusals
+        assert len(set(dropping)) == len(dropping) > 0  # each edit is refused at most once
+        assert len(set(resending)) < len(resending)  # resent edits are refused again
 
     def test_nothing_left_pending_takes_shared(self, shared):
         replica = create_replica(shared, "op", Role.OPERATOR)
@@ -477,15 +595,17 @@ class TestCommitReplay:
         for edit in edits:
             assert apply_edit(model, edit) == apply_commit(model, (edit,), model.version + 1)
 
-    def test_acknowledge_clears_accepted_keeps_rejected(self, shared):
+    def test_acknowledge_clears_accepted_and_refused(self, shared):
         ex_req = SyncRequest("ex", Role.EXPERT, 0, (SetValveState("V1", ValveState.CLOSED, Role.EXPERT, 1),))
         shared2 = synchronize(ex_req, shared).merged
         replica = create_replica(shared, "op", Role.OPERATOR)
         replica = edit_replica(replica, SetValveState("V1", ValveState.OPEN, Role.OPERATOR, 1))
         replica = edit_replica(replica, SetValveState("V2", ValveState.OPEN, Role.OPERATOR, 2))
         outcome = synchronize(make_sync_request(replica), shared2)
+        assert [e.author_seq for e, _ in outcome.rejected] == [1]
         replica = acknowledge_commit(replica, outcome.accepted, outcome.merged)
-        assert [e.author_seq for e in replica.pending] == [1]  # rejected edit stays visible
+        assert replica.pending == ()  # the refused edit is final, so it is not resent
+        assert replica.working.nodes["V1"].valve_state is ValveState.CLOSED  # the expert's value shows
         assert replica.base_version == outcome.merged.version
 
 
