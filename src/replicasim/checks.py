@@ -8,7 +8,8 @@ text, a CSV cell or a command-line option, in JSON's number grammar, and
 ``loads`` is the one parse of JSON from outside the program. The CLI reports a
 ``ConfigError`` with the file or option it came from; ``decode_envelope``
 refuses the frame with a ``RoomError``. ``dumps`` writes all of the program's
-JSON, in one form.
+JSON, in one form, with one encoder built at import; it raises ``TypeError`` on
+a value of no JSON type and ``RecursionError`` on one that contains itself.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import re
 import reprlib
 import sys
 from enum import Enum
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import TypeVar
 
 from replicasim import ConfigError
@@ -37,9 +39,16 @@ MAX_SECONDS = MAX_COUNT / 1000
 MAX_LATENCY_MS = 86_400_000
 
 # ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, the form of
-# every log line, trace line, wire frame and model digest, from one encoder
-# built once instead of one per call.
-dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# every log line, trace line, wire frame and model digest, from one C encoder
+# built once (``JSONEncoder.encode`` builds one per call). It keeps no cycle
+# markers, so a value that contains itself raises ``RecursionError``.
+if c_make_encoder is None:  # an interpreter without the _json accelerator
+    dumps = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+else:
+    _encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
+
+    def dumps(value: object) -> str:
+        return "".join(_encode(value, 0))
 
 
 _INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")

@@ -11,8 +11,8 @@ via sender sequence numbers.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from replicasim import ConfigError, checks
@@ -100,33 +100,37 @@ class World:
             self.add_link(src, dst)
             link = self.links[(src, dst)]
         cfg = link.config
-        send_at = self.now + extra_delay_ms
-        jitter = link.rng.randint(-cfg.jitter_ms, cfg.jitter_ms) if cfg.jitter_ms else 0
-        deliver_at = send_at + cfg.base_latency_ms + jitter
+        deliver_at = self.now + extra_delay_ms + cfg.base_latency_ms
+        if cfg.jitter_ms:
+            deliver_at += link.rng.randint(-cfg.jitter_ms, cfg.jitter_ms)
         # Reliable ordered contract: never deliver before an earlier send on this link.
-        deliver_at = max(deliver_at, link.last_delivery_ms)
+        if deliver_at < link.last_delivery_ms:
+            deliver_at = link.last_delivery_ms
         if cfg.loss_rate > 0.0 and link.rng.random() < cfg.loss_rate:
             self.drops.append(TraceEntry(deliver_at, src, dst, envelope))
             return None
         link.last_delivery_ms = deliver_at
-        host_key = envelope.host_seq if envelope.host_seq is not None else 0
         self._counter += 1
-        heapq.heappush(self._heap, (deliver_at, host_key, envelope.sender_seq, self._counter, src, dst, envelope))
+        entry = (deliver_at, envelope.host_seq or 0, envelope.sender_seq, self._counter, src, dst, envelope)
+        heappush(self._heap, entry)
         return deliver_at
 
     def run_until_quiescent(self) -> list[TraceEntry]:
-        """Deliver pending events in order until none remain; returns the full trace."""
-        processed = 0
-        while self._heap:
-            processed += 1
-            if processed > EVENT_CAP:
-                raise RuntimeError(f"exceeded event safety cap of {EVENT_CAP}")
-            deliver_at, _, _, _, src, dst, envelope = heapq.heappop(self._heap)
-            self.now = max(self.now, deliver_at)
-            self.trace.append(TraceEntry(deliver_at, src, dst, envelope))
-            handle = self.endpoints.get(dst)
+        """Deliver pending events in order until none remain; returns the full trace. Raises
+        ``RuntimeError`` if events still wait after ``EVENT_CAP`` deliveries, a livelock."""
+        heap, pop, record_entry, endpoints = self._heap, heappop, self.trace.append, self.endpoints
+        for _ in range(EVENT_CAP):
+            if not heap:
+                return self.trace
+            deliver_at, _, _, _, src, dst, envelope = pop(heap)
+            if deliver_at > self.now:
+                self.now = deliver_at
+            record_entry(TraceEntry(deliver_at, src, dst, envelope))
+            handle = endpoints.get(dst)
             if handle is not None:
                 handle(self, deliver_at, src, envelope)
+        if heap:
+            raise RuntimeError(f"exceeded event safety cap of {EVENT_CAP}")
         return self.trace
 
 

@@ -133,18 +133,16 @@ class RoomState:
     next_host_seq: int = 1
     sender_counters: dict[str, int] = field(default_factory=dict)
 
-    def _stamp(self, sender: str, payload: Payload) -> "tuple[RoomState, Envelope]":
-        counters = dict(self.sender_counters)
-        counters[sender] = counters.get(sender, 0) + 1
-        env = Envelope(
-            sender=sender,
-            sender_seq=counters[sender],
-            room=self.room,
-            payload=payload,
-            host_seq=self.next_host_seq,
-        )
-        state = RoomState(self.room, self.shared, self.members, self.avatar_map, self.next_host_seq + 1, counters)
-        return state, env
+    def _stamp(
+        self, sender: str, payload: Payload, shared: Optional[SceneModel] = None, avatar_map: Optional[dict] = None
+    ) -> "tuple[RoomState, Envelope]":
+        """The state once ``sender`` sends ``payload``, with ``shared`` or ``avatar_map`` in place
+        of its own when given, and the stamped envelope. ``self`` is left as it was."""
+        counters = {**self.sender_counters, sender: self.sender_counters.get(sender, 0) + 1}
+        shared = self.shared if shared is None else shared
+        avatar_map = self.avatar_map if avatar_map is None else avatar_map
+        state = RoomState(self.room, shared, self.members, avatar_map, self.next_host_seq + 1, counters)
+        return state, Envelope(sender, counters[sender], self.room, payload, self.next_host_seq)
 
 
 def join_room(state: RoomState, client: str, role: Role) -> RoomState:
@@ -173,20 +171,14 @@ def _check_claim(state: RoomState, client: str, role: Role, kind: str) -> None:
 def update_avatar(state: RoomState, avatar: AvatarState) -> tuple[RoomState, Envelope]:
     """Record a member's avatar and stamp its relay, sent by the member."""
     _check_claim(state, avatar.client, avatar.role, "avatar")
-    avatars = dict(state.avatar_map)
-    avatars[avatar.client] = avatar
-    state = RoomState(state.room, state.shared, state.members, avatars, state.next_host_seq, state.sender_counters)
-    return state._stamp(avatar.client, Avatar(avatar))
+    return state._stamp(avatar.client, Avatar(avatar), avatar_map={**state.avatar_map, avatar.client: avatar})
 
 
 def submit_sync(state: RoomState, req: SyncRequest) -> tuple[RoomState, Envelope, MergeOutcome]:
     """Merge a sync request against the authoritative model and broadcast the commit."""
     _check_claim(state, req.owner, req.owner_role, "sync")
     outcome = synchronize(req, state.shared)
-    state = RoomState(
-        state.room, outcome.merged, state.members, state.avatar_map, state.next_host_seq, state.sender_counters
-    )
-    state, env = state._stamp(HOST_ID, SyncCommit(outcome.accepted, outcome.merged.version))
+    state, env = state._stamp(HOST_ID, SyncCommit(outcome.accepted, outcome.merged.version), shared=outcome.merged)
     return state, env, outcome
 
 

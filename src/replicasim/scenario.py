@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 import random
+from functools import cache
+from operator import attrgetter
 from typing import Optional, Union
 
 from replicasim import ConfigError, checks
@@ -233,10 +235,12 @@ def _load_data(name: str) -> dict:
     return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", name)).decode("utf-8"))
 
 
+@cache  # one per process: no code writes a model, and _apply_batch copies before it writes
 def default_model() -> SceneModel:
     return load_model(_load_data("default_model.json"))
 
 
+@cache
 def default_routing_table() -> RoutingTable:
     return routing_table_from_dict(_load_data("default_routing.json"))
 
@@ -364,10 +368,11 @@ def validate_session_log(log: SessionLog) -> None:
 
 
 class _Recorder:
+    """A session's events, kept in logging order; ``events`` sorts them stably by
+    time, so that events of equal time keep the order they were logged in."""
+
     def __init__(self) -> None:
-        # (t_ms, n, event) with n the entry's index: sorting the tuples orders
-        # by time, then by logging order, and never compares two events.
-        self._entries: list[tuple[int, int, LogEvent]] = []
+        self._events: list[LogEvent] = []
         self._block: tuple[Optional[str], Optional[str]] = (None, None)
 
     def enter(self, block: Optional[Block]) -> None:
@@ -375,19 +380,19 @@ class _Recorder:
         self._block = (None, None) if block is None else (block.id, block_kind_name(block))
 
     def log(self, t_ms: int, kind: str, data: Optional[dict] = None) -> None:
-        t_ms = int(t_ms)
-        self._entries.append((t_ms, len(self._entries), LogEvent(t_ms, kind, data or {}, *self._block)))
+        self._events.append(LogEvent(int(t_ms), kind, data or {}, *self._block))
 
     def events(self) -> list[LogEvent]:
-        return [e for _, _, e in sorted(self._entries)]
+        return sorted(self._events, key=attrgetter("t_ms"))
 
 
 # --- Agents ------------------------------------------------------------------------
 
 OPERATOR_ID = "operator"
 EXPERT_ID = "expert"
-# The operator's opening avatar, the same in every session.
+# The operator's opening avatar, the same in every session, and the expert's placed above it once.
 OPERATOR_AVATAR = Avatar(AvatarState(client=OPERATOR_ID, role=Role.OPERATOR, head_pose=Pose((0.0, 1.7, 0.0))))
+EXPERT_AVATAR = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=place_expert_avatar(OPERATOR_AVATAR.state))
 
 
 def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
@@ -467,8 +472,9 @@ class _ExpertAgent:
         elif isinstance(payload, Avatar):
             # The host is the room's only other member, so the operator's
             # avatar has no one to be relayed to; only the expert's is sent.
-            pose = place_expert_avatar(payload.state)
-            mine = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=pose)
+            mine = EXPERT_AVATAR
+            if payload is not OPERATOR_AVATAR:
+                mine = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=place_expert_avatar(payload.state))
             self.s.room, env_out = update_avatar(self.s.room, mine)
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
         elif isinstance(payload, SyncReq):

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import json
+import math
 import os
 import re
 import subprocess
@@ -7,8 +9,14 @@ import sys
 import zipfile
 from pathlib import Path
 
+import pytest
+
 import replicasim
+from replicasim import checks, protocol, scenario
+from replicasim.netsim import derive_seed
+from replicasim.protocol import Envelope, envelope_to_dict
 from replicasim.scenario import default_model
+from replicasim.scene import Pose, Role, SetIndication, SetValveState, ValveState, canonical_json
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "replicasim"
@@ -149,3 +157,96 @@ def test_every_name_the_benchmark_uses_resolves():
     assert {(module, dotted) for _, module, dotted in refs} >= {
         ("replicasim", "protocol"), ("replicasim", "protocol.Envelope"), ("replicasim.netsim", "World.send")}
     assert [f"{where} {dotted}" for where, module, dotted in refs if not resolves(module, dotted)] == []
+
+
+def test_only_checks_writes_json():
+    """``checks.dumps`` is the program's one JSON writer: no other module calls
+    ``json.dumps`` or ``json.dump`` or builds a ``JSONEncoder``."""
+    writers = {"dumps", "dump", "JSONEncoder"}
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "checks.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in writers and getattr(node.value, "id", None) == "json":
+                found.append(f"{module.name}:{node.lineno} json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found += [f"{module.name}:{node.lineno} {a.name}" for a in node.names if a.name in writers]
+            elif isinstance(node, ast.Name) and node.id == "JSONEncoder":
+                found.append(f"{module.name}:{node.lineno} JSONEncoder")
+    assert found == []
+
+
+def stdlib_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_dumps_matches_the_stdlib_on_the_default_corpus():
+    # The corpus of ``simulate``'s defaults: every log line, and every envelope
+    # that the sessions send, parsed back and written again.
+    model = default_model()
+    plan = scenario.build_default_plan(scenario.valve_registry(model))
+    profiles = scenario.default_profiles()
+    lines = envelopes = 0
+    for condition, count in ((scenario.Condition.TABLET, 19), (scenario.Condition.HMD, 20)):
+        for i in range(count):
+            seed = derive_seed(0, f"session:{condition.value}:{i}")
+            log = scenario.run_session(plan, condition, profiles[condition], seed=seed, model=model)
+            for line in scenario.session_log_to_jsonl(log).splitlines():
+                doc = json.loads(line)
+                assert checks.dumps(doc) == stdlib_dumps(doc) == line
+                lines += 1
+            for entry in log.transcript:
+                doc = entry.to_dict()
+                assert checks.dumps(doc) == stdlib_dumps(doc)
+                envelopes += 1
+    assert lines > 39 * 40 and envelopes > 39 * 30
+
+
+@pytest.mark.parametrize("payload", [
+    protocol.Avatar(protocol.AvatarState("op", Role.OPERATOR, Pose((0.1, 1.7, -0.2)), (0.0, 0.6, 0.8))),
+    protocol.SyncReq(protocol.SyncRequest("op", Role.OPERATOR, 3, (
+        SetValveState("1V1", ValveState.OPEN, Role.OPERATOR, 1), SetIndication("2V4", False, Role.OPERATOR, 2)))),
+    protocol.SyncCommit((SetIndication("2V4", True, Role.EXPERT, 2),), 4),
+    protocol.Instruction("set valve 1V1 to Open", "1V1", ValveState.OPEN),
+    protocol.ReportTemperature(),
+    protocol.StepDone(41.25),
+    protocol.CallStart(),
+    protocol.CallEnd(),
+    protocol.MediaSignal(bytes(range(256))),
+], ids=lambda payload: type(payload).__name__)
+def test_dumps_matches_the_stdlib_on_each_payload_kind(payload):
+    doc = envelope_to_dict(Envelope("op", 7, "room-\u00e9", payload, 9))
+    assert checks.dumps(doc) == stdlib_dumps(doc)
+
+
+def test_dumps_matches_the_stdlib_on_a_model_and_at_the_edges():
+    model = default_model()
+    assert canonical_json(model) == stdlib_dumps(json.loads(canonical_json(model)))
+    edges = [math.nan, math.inf, -math.inf, -0.0, 1e300, 2**64, "", "caf\u00e9 \u2603 \U0001f600", "\"\\\n",
+             {"b": [None, True, False, 1.5], "a": {"z": {}, "y": []}}, {3: "three", 1: "one"}]
+    for value in edges:
+        assert checks.dumps(value) == stdlib_dumps(value)
+    assert checks.dumps([math.nan, "\u00e9"]) == '[NaN,"\\u00e9"]'  # NaN as before, non-ASCII escaped
+
+
+def test_dumps_refuses_what_the_stdlib_refuses():
+    with pytest.raises(TypeError) as ours:
+        checks.dumps({"a": [object()]})
+    with pytest.raises(TypeError) as theirs:
+        stdlib_dumps({"a": [object()]})
+    assert str(ours.value) == str(theirs.value) == "Object of type object is not JSON serializable"
+    circular: list = []
+    circular.append(circular)
+    with pytest.raises(RecursionError):  # no cycle markers; json.dumps raises ValueError here
+        checks.dumps(circular)
+
+
+def test_dumps_falls_back_to_the_encoder_method_without_the_accelerator():
+    probe = ("import json, json.encoder\njson.encoder.c_make_encoder = None\nfrom replicasim import checks\n"
+             "assert checks.dumps.__func__ is json.JSONEncoder.encode\n"
+             "print(checks.dumps({'b': [float('nan'), 'caf\\u00e9'], 'a': 1}))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"a":1,"b":[NaN,"caf\\u00e9"]}\n'

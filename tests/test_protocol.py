@@ -202,6 +202,45 @@ class TestUpdateAvatar:
         assert state.shared is before.shared
 
 
+class TestStampedState:
+    """``submit_sync`` and ``update_avatar`` return the one state that the stamp
+    builds, with the changed field in place, and leave their input as it was."""
+
+    def busy_room(self):
+        state = join_room(join_room(fresh_room(), "op", Role.OPERATOR), "ex", Role.EXPERT)
+        state, _ = update_avatar(state, AvatarState("op", Role.OPERATOR, Pose((0.0, 1.7, 0.0))))
+        request = SyncRequest("op", Role.OPERATOR, 0, (SetIndication("V1", True, Role.OPERATOR, 1),))
+        state, _, _ = submit_sync(state, request)
+        return state
+
+    def fields(self, state):
+        return (state.room, state.shared, dict(state.members), dict(state.avatar_map), state.next_host_seq,
+                dict(state.sender_counters), canonical_json(state.shared))
+
+    def test_submit_sync(self):
+        before = self.busy_room()
+        kept = self.fields(before)
+        req = SyncRequest("ex", Role.EXPERT, 1, (SetValveState("V3", ValveState.OPEN, Role.EXPERT, 1),))
+        state, env, outcome = submit_sync(before, req)
+        assert self.fields(before) == kept
+        assert (state.next_host_seq, state.sender_counters) == (4, {"op": 1, "host": 2})
+        assert state.avatar_map == before.avatar_map and state.members == before.members
+        assert state.shared is outcome.merged and state.shared.version == 2
+        assert state.shared.nodes["V3"].valve_state is ValveState.OPEN
+        assert (env.sender, env.sender_seq, env.host_seq) == ("host", 2, 3)
+
+    def test_update_avatar(self):
+        before = self.busy_room()
+        kept = self.fields(before)
+        avatar = AvatarState("ex", Role.EXPERT, Pose((0.0, 3.2, 0.0)))
+        state, env = update_avatar(before, avatar)
+        assert self.fields(before) == kept
+        assert (state.next_host_seq, state.sender_counters) == (4, {"op": 1, "host": 1, "ex": 1})
+        assert state.avatar_map == {"op": before.avatar_map["op"], "ex": avatar}
+        assert state.shared is before.shared and state.members == before.members
+        assert env == Envelope("ex", 1, "r1", Avatar(avatar), 3)
+
+
 class TestRelay:
     """A media blob crosses the wire codec bit-exact."""
 

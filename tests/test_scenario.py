@@ -16,11 +16,22 @@ from replicasim.plant import (
     RoutingRow,
     RoutingTable,
     outlet_temperature,
+    plant_from_model,
     route,
+    routing_table_from_dict,
 )
-from replicasim.protocol import Avatar, Instruction, SyncCommit, SyncReq, detect_gaps, payload_to_dict
-from replicasim import ConfigError, netsim, records, replica, scenario, scene
-from replicasim.scene import Handedness, SetIndication, ValveState
+from replicasim.protocol import (
+    Avatar,
+    AvatarState,
+    Envelope,
+    Instruction,
+    SyncCommit,
+    SyncReq,
+    detect_gaps,
+    payload_to_dict,
+)
+from replicasim import ConfigError, netsim, protocol, records, replica, scenario, scene
+from replicasim.scene import Handedness, Pose, Role, SetIndication, ValveState
 from replicasim.scenario import (
     CALL_END,
     CALL_START,
@@ -313,6 +324,83 @@ class TestRunSession:
         finally:
             sys.setprofile(None)
         assert calls == {"instruction": 0, "validate_plan": 0}
+
+    @pytest.mark.parametrize("condition, room_states, stamps", [(Condition.HMD, 44, 41), (Condition.TABLET, 20, 17)])
+    def test_session_builds_one_room_state_per_stamp_and_places_no_avatar(self, condition, room_states, stamps):
+        # Call counts, not timings, of the seed-1 session: the opening room and
+        # its two joins, then one state per stamp (69 and 21 when submit_sync
+        # and update_avatar built a state of their own before stamping). The
+        # expert's reply to the constant opening avatar was placed at import.
+        watched = {
+            protocol.RoomState.__init__.__code__: "room",
+            protocol.RoomState._stamp.__code__: "stamp",
+            protocol.place_expert_avatar.__code__: "place",
+        }
+        calls = {"room": 0, "stamp": 0, "place": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        plan = build_default_plan(valve_registry(default_model()))
+        sys.setprofile(count)
+        try:
+            log = run_session(plan, condition, default_profiles()[condition], seed=1)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"room": room_states, "stamp": stamps, "place": 0}
+        sent = [t.envelope.payload for t in log.transcript if isinstance(t.envelope.payload, Avatar)]
+        placed = protocol.place_expert_avatar(scenario.OPERATOR_AVATAR.state)
+        assert sent == [scenario.OPERATOR_AVATAR, Avatar(AvatarState(scenario.EXPERT_ID, Role.EXPERT, placed))]
+
+    def test_expert_places_any_other_avatar(self):
+        model = default_model()
+        room = protocol.join_room(protocol.join_room(protocol.RoomState("r", model), "operator", Role.OPERATOR),
+                                  "expert", Role.EXPERT)
+        session = scenario._Session(Condition.TABLET, 0, build_default_plan(valve_registry(model)), QUIET_PROFILE,
+                                    plant_from_model(model, default_routing_table()), room, scenario._Recorder())
+        world = netsim.World()
+        received = []
+        world.add_endpoint(scenario.OPERATOR_ID, lambda net, now, src, env: received.append(env.payload))
+        moved = AvatarState(scenario.OPERATOR_ID, Role.OPERATOR, Pose((1.0, 1.6, -2.0)))
+        envelope = Envelope(scenario.OPERATOR_ID, 1, "r", Avatar(moved))
+        scenario._ExpertAgent(session).handle(world, 0, scenario.OPERATOR_ID, envelope)
+        world.run_until_quiescent()
+        placed = protocol.place_expert_avatar(moved)
+        assert placed != scenario.EXPERT_AVATAR.head_pose
+        assert received == [Avatar(AvatarState(scenario.EXPERT_ID, Role.EXPERT, placed))]
+
+    def test_default_model_and_routing_are_read_once_per_process(self):
+        assert default_model() is default_model()
+        assert default_routing_table() is default_routing_table()
+        default_model.cache_clear()
+        default_routing_table.cache_clear()
+        watched = {scene.load_model.__code__: "model", routing_table_from_dict.__code__: "routing"}
+        calls = {"model": 0, "routing": 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        sys.setprofile(count)
+        try:
+            for condition in (Condition.TABLET, Condition.HMD, Condition.TABLET):
+                run_quiet(condition)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"model": 1, "routing": 1}
+        # The sessions left the shared model as it was loaded.
+        loaded = scene.load_model(scenario._load_data("default_model.json"))
+        assert scene.canonical_json(default_model()) == scene.canonical_json(loaded)
+
+    def test_recorder_keeps_logging_order_at_equal_times(self):
+        recorder = scenario._Recorder()
+        for t_ms, kind in [(5, "a"), (3, "b"), (5, "c"), (3, "d"), (4, "e"), (3, "f"), (0, "g")]:
+            recorder.log(t_ms, kind)
+        events = recorder.events()
+        assert [(e.t_ms, e.kind) for e in events] == [
+            (0, "g"), (3, "b"), (3, "d"), (3, "f"), (4, "e"), (5, "a"), (5, "c")]
+        assert recorder.events() == events  # reading the events leaves the recorder as it was
 
     @pytest.mark.parametrize("link, seeded", [(LinkConfig(0, 0), 1), (None, 3)], ids=["zero-latency", "default-link"])
     def test_session_seeds_only_the_generators_it_draws_from(self, link, seeded):
