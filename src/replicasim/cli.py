@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 check failure, 2 usage error or bad input. Bad
 input is a ``ConfigError``, reported with the file or option it came from;
 any other exception is a program fault and ends in a traceback (exit 1).
 
-Each command imports the layers it runs when it runs, so ``analyze`` and
-``paper-check`` never load the simulator, and ``simulate`` never loads the
-statistics.
+Each command imports the layers it runs when it runs, so ``analyze``,
+``replay`` and ``paper-check`` never load the simulator, and ``simulate`` never
+loads the statistics.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ EXIT_CONFIG = 2
 
 def _parse_sessions(value: str) -> dict:
     """``N`` applies to both conditions; ``T:H`` sets tablet and hmd counts."""
-    from replicasim.scenario import Condition
+    from replicasim.metrics import Condition
 
     try:
         numbers = [integer(part) for part in value.split(":")]
@@ -58,7 +58,6 @@ def _load_json(path: str, build):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from replicasim.scenario import (
-        Condition,
         build_default_plan,
         default_model,
         default_profiles,
@@ -66,14 +65,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan_from_dict,
         profiles_from_dict,
         run_session,
-        session_log_to_jsonl,
         validate_plan,
         valve_registry,
     )
     from replicasim.scene import load_model
     from replicasim.plant import routing_table_from_dict
     from replicasim.netsim import derive_seed
-    from replicasim.metrics import session_row, write_metrics_csv
+    from replicasim.metrics import Condition, session_log_to_jsonl, session_row, write_metrics_csv
 
     counts = _parse_sessions(args.sessions)
     if args.condition != "both":
@@ -102,7 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for condition in sorted(counts, key=lambda c: c.value, reverse=True):  # tablet first
+    for condition in (c for c in Condition if c in counts):  # in declaration order: tablet first
         profile = profiles[condition]
         for i in range(counts[condition]):
             session_seed = derive_seed(args.seed, f"session:{condition.value}:{i}")
@@ -143,21 +141,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _read_log(text: str):
     """A session log with its block timings and error counts; reading any of
     them can fail on a malformed log."""
-    from replicasim.metrics import block_times, error_counts
-    from replicasim.scenario import session_log_from_jsonl
+    from replicasim.metrics import block_times, error_counts, session_log_from_jsonl
 
     log = session_log_from_jsonl(text)
     return log, block_times(log), error_counts(log)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from replicasim.metrics import weighted_total
+    from replicasim.metrics import BLOCK_KINDS, weighted_total
 
     for path in args.logs:
         log, timing, counts = _load(path, _read_log)
+        one_handed, two_handed, _ = (timing.totals_by_kind[kind] for kind in BLOCK_KINDS)
         print(f"{path}: condition={log.condition.value} seed={log.seed}")
-        print(f"  total {timing.total_s:.1f}s | 1-handed {timing.totals_by_kind['OneHanded']:.1f}s"
-              f" | 2-handed {timing.totals_by_kind['TwoHanded']:.1f}s")
+        print(f"  total {timing.total_s:.1f}s | 1-handed {one_handed:.1f}s | 2-handed {two_handed:.1f}s")
         for b in timing.blocks:
             print(f"  block {b.block} ({b.kind}): {b.duration_s:.1f}s")
         print(f"  errors: simple={counts.simple} critical={counts.critical}"

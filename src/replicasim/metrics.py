@@ -1,20 +1,136 @@
-"""Error taxonomy, ponderation, and per-block timing extraction from session logs."""
+"""The session-log format, and the error taxonomy, ponderation and per-block timings read from it.
+
+It loads no simulator layer: ``scenario`` writes logs in this format, and
+``replay`` and ``analyze`` read them without loading the simulator.
+"""
 from __future__ import annotations
 
 import csv
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import Optional
 
 from replicasim import ConfigError, checks
-from replicasim.records import record
-
-if TYPE_CHECKING:
-    from replicasim.scenario import SessionLog
+from replicasim.records import field, record
 
 
-class Condition(Enum):
+class Condition(Enum):  # in report order: the baseline, tablet, first
     TABLET = "tablet"
     HMD = "hmd"
+
+
+# --- Session log -----------------------------------------------------------------
+
+# Log event kinds
+CALL_START = "CallStart"
+INSTRUCTION = "Instruction"
+REPLICA_INDICATION = "ReplicaIndication"
+IDENTIFY = "Identify"
+MANIPULATE = "Manipulate"
+REPEAT_REQUEST = "RepeatRequest"
+BREAKPOINT = "Breakpoint"
+TEMPERATURE_REPORT = "TemperatureReport"
+CALL_END = "CallEnd"
+EVENT_KINDS = frozenset((CALL_START, INSTRUCTION, REPLICA_INDICATION, IDENTIFY, MANIPULATE, REPEAT_REQUEST,
+                         BREAKPOINT, TEMPERATURE_REPORT, CALL_END))
+
+NO_MANIPULATION = "NoManipulation"
+# Every block kind name, as a log's ``block_kind`` and the metrics name them: the
+# values of ``scene.Handedness``, then NO_MANIPULATION.
+BLOCK_KINDS = ("OneHanded", "TwoHanded", NO_MANIPULATION)
+
+
+@record(frozen=True)
+class LogEvent:
+    t_ms: int
+    kind: str
+    data: dict = field(default_factory=dict)
+    block: Optional[str] = None
+    block_kind: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        doc: dict = {"record": "event", "t_ms": self.t_ms, "kind": self.kind}
+        if self.block is not None:
+            doc["block"] = self.block
+            doc["block_kind"] = self.block_kind
+        if self.data:
+            doc["data"] = self.data
+        return doc
+
+
+@record
+class SessionLog:
+    condition: Condition
+    seed: int
+    events: list[LogEvent]
+    # Auxiliary context for tests and replay tooling; not part of the JSONL schema.
+    initial_valve_states: dict = field(default_factory=dict)  # valve id -> scene.ValveState
+    final_valve_states: dict = field(default_factory=dict)  # valve id -> scene.ValveState
+    transcript: list = field(default_factory=list)  # of netsim.TraceEntry
+
+
+def session_log_to_jsonl(log: SessionLog) -> str:
+    lines = [checks.dumps({"record": "session", "condition": log.condition.value, "seed": log.seed})]
+    lines += [checks.dumps(e.to_dict()) for e in log.events]
+    return "\n".join(lines) + "\n"
+
+
+def session_log_from_jsonl(text: str) -> SessionLog:
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise ConfigError("empty session log")
+    header = checks.typed(checks.loads(lines[0][1]), "session header", dict)
+    if header.get("record") != "session":
+        raise ConfigError("first record must be the session header")
+    events = []
+    for n, line in lines[1:]:
+        doc = checks.typed(checks.loads(line), "log record", dict)
+        if doc.get("record") != "event":
+            raise ConfigError(f"unexpected record {doc.get('record')!r}")
+        kind = checks.typed(doc.get("kind"), "kind", str)
+        if kind not in EVENT_KINDS:
+            raise ConfigError(f"unknown event kind {kind!r} at line {n}")
+        data = checks.typed(doc.get("data", {}), f"{kind} data", dict)
+        if kind in (IDENTIFY, MANIPULATE, REPEAT_REQUEST):  # the errors that replay counts
+            checks.ident(data.get("valve"), f"{kind} valve")
+        if kind in (IDENTIFY, MANIPULATE):
+            checks.typed(data.get("correct"), f"{kind} correct", bool)
+        block, block_kind = doc.get("block"), doc.get("block_kind")
+        events.append(LogEvent(
+            t_ms=checks.count(doc.get("t_ms"), "t_ms"),
+            kind=kind,
+            data=data,
+            block=None if block is None else checks.ident(block, "block"),
+            block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
+        ))
+    condition = checks.member(header.get("condition"), "condition", Condition)
+    log = SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
+    validate_session_log(log)
+    return log
+
+
+def validate_session_log(log: SessionLog) -> None:
+    """Check every rule of a session log, the rules that the metrics rely on among them."""
+    events = log.events
+    if not events or events[0].kind != CALL_START:
+        raise ConfigError("log must start with CallStart")
+    if events[-1].kind != CALL_END:
+        raise ConfigError("log must end with CallEnd")
+    last_t = events[0].t_ms
+    for event in events:
+        if event.t_ms < last_t:
+            raise ConfigError(f"timestamps decrease at {event.kind} t={event.t_ms}")
+        last_t = event.t_ms
+    # Every manipulation block mentioned in events must be closed by a breakpoint.
+    manipulation_blocks = {e.block for e in events if e.block is not None and e.block_kind != NO_MANIPULATION}
+    breakpoints = [e for e in events if e.kind == BREAKPOINT]
+    unclosed = manipulation_blocks - {e.block for e in breakpoints}
+    if unclosed:
+        raise ConfigError(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
+    if any(e.block is None for e in breakpoints):
+        raise ConfigError("breakpoint without block context")
+    for e in breakpoints:
+        if e.block_kind not in BLOCK_KINDS:
+            raise ConfigError(f"unknown block kind {e.block_kind or ''!r}")
 
 
 @record(frozen=True)
@@ -33,15 +149,13 @@ class ErrorCounts:
 @record(frozen=True)
 class BlockTiming:
     block: str
-    kind: str  # OneHanded | TwoHanded | NoManipulation
+    kind: str  # one of BLOCK_KINDS
     duration_s: float
 
 
 def error_counts(log: SessionLog) -> ErrorCounts:
     """The log's errors by type, in one pass: a wrong ``Identify`` is Simple, a
     wrong ``Manipulate`` is Critical and each ``RepeatRequest`` is a Repetition."""
-    from replicasim.scenario import IDENTIFY, MANIPULATE, REPEAT_REQUEST
-
     counts = {IDENTIFY: 0, MANIPULATE: 0, REPEAT_REQUEST: 0}
     for event in log.events:
         if event.kind == REPEAT_REQUEST or (event.kind in counts and not event.data.get("correct", True)):
@@ -58,7 +172,7 @@ def weighted_total(counts: ErrorCounts) -> int:
 @record(frozen=True)
 class TimingSummary:
     blocks: tuple[BlockTiming, ...]
-    totals_by_kind: dict
+    totals_by_kind: dict  # each of BLOCK_KINDS, in that order -> seconds
     total_s: float
 
 
@@ -70,8 +184,6 @@ def block_times(log: SessionLog) -> TimingSummary:
     breakpoint. ``log`` must have passed :func:`validate_session_log`, as every log
     that ``run_session`` returns or ``session_log_from_jsonl`` reads has.
     """
-    from replicasim.scenario import BLOCK_KINDS, BREAKPOINT
-
     events = log.events
     start_ms = events[0].t_ms
     end_ms = events[-1].t_ms
@@ -114,13 +226,14 @@ CSV_COLUMNS = (
 def session_row(session_id: str, log: SessionLog) -> dict:
     timing = block_times(log)
     counts = error_counts(log)
+    one_handed, two_handed, _ = (timing.totals_by_kind[kind] for kind in BLOCK_KINDS)
     return {
         "session_id": session_id,
         "condition": log.condition.value,
         "seed": log.seed,
         "total_s": round(timing.total_s, 3),
-        "one_handed_s": round(timing.totals_by_kind["OneHanded"], 3),
-        "two_handed_s": round(timing.totals_by_kind["TwoHanded"], 3),
+        "one_handed_s": round(one_handed, 3),
+        "two_handed_s": round(two_handed, 3),
         "simple": counts.simple,
         "critical": counts.critical,
         "repetition": counts.repetition,

@@ -31,8 +31,8 @@ ALL_MEASURES = TIME_MEASURES + ERROR_MEASURES
 
 HISTOGRAM_BINS = 8
 
-BASELINE_CONDITION = "tablet"
-TREATMENT_CONDITION = "hmd"
+BASELINE_CONDITION = Condition.TABLET.value
+TREATMENT_CONDITION = Condition.HMD.value
 
 
 def read_metrics_csv(path: str) -> list[dict]:
@@ -56,6 +56,8 @@ def read_metrics_csv(path: str) -> list[dict]:
     first_line = {}  # session_id -> line it first appears on
     for i, raw in enumerate(records, start=2):
         try:
+            if None in raw:  # csv.DictReader files the cells past the header under None
+                raise ConfigError(f"{len(raw[None])} more cells than the header has columns")
             session_id = checks.ident(raw["session_id"], "session_id")
             if session_id in first_line:
                 raise ConfigError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
@@ -89,7 +91,7 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
     by_condition: dict[str, list[dict]] = {}
     for row in rows:
         by_condition.setdefault(row["condition"], []).append(row)
-    conditions = tuple(sorted(by_condition, reverse=True))  # tablet before hmd
+    conditions = tuple(c.value for c in Condition if c.value in by_condition)  # in declaration order: tablet first
 
     # One sample per (measure, condition): it gives the histograms and, for a
     # group of at least two sessions, the summary and, when both conditions
@@ -237,7 +239,7 @@ def render_svg_histogram(values_by_condition: dict[str, tuple[float, ...]], meas
         hi = lo + 1.0
     width, height, margin = 640, 320, 40
     edges = [lo + (hi - lo) * i / HISTOGRAM_BINS for i in range(HISTOGRAM_BINS + 1)]
-    conditions = sorted(values_by_condition, reverse=True)
+    conditions = [c.value for c in Condition if c.value in values_by_condition]
     counts = {
         cond: [
             sum(1 for v in vals if edges[i] <= v < edges[i + 1] or (i == HISTOGRAM_BINS - 1 and v == hi))

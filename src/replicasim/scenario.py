@@ -17,10 +17,10 @@ from functools import cache
 from operator import attrgetter
 from typing import Optional, Union
 
-from replicasim import ConfigError, checks
+from replicasim import ConfigError, checks, metrics
 from replicasim import plant as plant_mod
-from replicasim.metrics import Condition
-from replicasim.netsim import LinkConfig, TraceEntry, World, derive_seed
+from replicasim.metrics import Condition, session_log_to_jsonl  # bench/ times the writer under this name
+from replicasim.netsim import LinkConfig, World, derive_seed
 from replicasim.plant import PlantState, RoutingTable, plant_from_model, routing_table_from_dict
 from replicasim.protocol import (
     Avatar,
@@ -70,21 +70,6 @@ INTRO_PAUSE_MS = 30_000
 EXPLANATION_PAUSE_MS = 60_000
 SUMMARY_PAUSE_MS = 30_000
 
-# Log event kinds
-CALL_START = "CallStart"
-INSTRUCTION = "Instruction"
-REPLICA_INDICATION = "ReplicaIndication"
-IDENTIFY = "Identify"
-MANIPULATE = "Manipulate"
-REPEAT_REQUEST = "RepeatRequest"
-BREAKPOINT = "Breakpoint"
-TEMPERATURE_REPORT = "TemperatureReport"
-CALL_END = "CallEnd"
-
-NO_MANIPULATION = "NoManipulation"
-# Every block kind name, as a log's ``block_kind`` and the metrics name them.
-BLOCK_KINDS = (Handedness.ONE_HANDED.value, Handedness.TWO_HANDED.value, NO_MANIPULATION)
-
 # The instruction text the operator logs for a ReportTemperature step.
 REPORT_TEMPERATURE = "report-temperature"
 
@@ -124,7 +109,7 @@ class InspectionPlan:
 
 
 def block_kind_name(block: Block) -> str:
-    return block.kind.value if isinstance(block, ManipulationBlock) else NO_MANIPULATION
+    return block.kind.value if isinstance(block, ManipulationBlock) else metrics.NO_MANIPULATION
 
 
 OPS_PER_KIND = {Handedness.ONE_HANDED: 4, Handedness.TWO_HANDED: 2}
@@ -137,7 +122,7 @@ def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> Insp
     seen_ids: set[str] = set()
     for part in plan.parts:
         kinds = {block_kind_name(b) for b in part.blocks}
-        if not kinds.issuperset(BLOCK_KINDS):
+        if not kinds.issuperset(metrics.BLOCK_KINDS):
             raise ConfigError(f"part {part.name!r} must contain 1-handed, 2-handed and no-manipulation blocks")
         for block in part.blocks:
             if block.id in seen_ids:
@@ -270,109 +255,12 @@ def valve_registry(model: SceneModel) -> dict[str, Handedness]:
     return {n.id: n.handedness for n in model.valves()}
 
 
-# --- Session log -----------------------------------------------------------------
-
-
-@record(frozen=True)
-class LogEvent:
-    t_ms: int
-    kind: str
-    data: dict = field(default_factory=dict)
-    block: Optional[str] = None
-    block_kind: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        doc: dict = {"record": "event", "t_ms": self.t_ms, "kind": self.kind}
-        if self.block is not None:
-            doc["block"] = self.block
-            doc["block_kind"] = self.block_kind
-        if self.data:
-            doc["data"] = self.data
-        return doc
-
-
-@record
-class SessionLog:
-    condition: Condition
-    seed: int
-    events: list[LogEvent]
-    # Auxiliary context for tests and replay tooling; not part of the JSONL schema.
-    initial_valve_states: dict[str, ValveState] = field(default_factory=dict)
-    final_valve_states: dict[str, ValveState] = field(default_factory=dict)
-    transcript: list[TraceEntry] = field(default_factory=list)
-
-
-def session_log_to_jsonl(log: SessionLog) -> str:
-    lines = [checks.dumps({"record": "session", "condition": log.condition.value, "seed": log.seed})]
-    lines += [checks.dumps(e.to_dict()) for e in log.events]
-    return "\n".join(lines) + "\n"
-
-
-def session_log_from_jsonl(text: str) -> SessionLog:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ConfigError("empty session log")
-    header = checks.typed(checks.loads(lines[0]), "session header", dict)
-    if header.get("record") != "session":
-        raise ConfigError("first record must be the session header")
-    events = []
-    for line in lines[1:]:
-        doc = checks.typed(checks.loads(line), "log record", dict)
-        if doc.get("record") != "event":
-            raise ConfigError(f"unexpected record {doc.get('record')!r}")
-        kind = checks.typed(doc.get("kind"), "kind", str)
-        data = checks.typed(doc.get("data", {}), f"{kind} data", dict)
-        if kind in (IDENTIFY, MANIPULATE, REPEAT_REQUEST):  # the errors that replay counts
-            checks.ident(data.get("valve"), f"{kind} valve")
-        if kind in (IDENTIFY, MANIPULATE):
-            checks.typed(data.get("correct"), f"{kind} correct", bool)
-        block, block_kind = doc.get("block"), doc.get("block_kind")
-        events.append(LogEvent(
-            t_ms=checks.count(doc.get("t_ms"), "t_ms"),
-            kind=kind,
-            data=data,
-            block=None if block is None else checks.ident(block, "block"),
-            block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
-        ))
-    condition = checks.member(header.get("condition"), "condition", Condition)
-    log = SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
-    validate_session_log(log)
-    return log
-
-
-def validate_session_log(log: SessionLog) -> None:
-    """Check every rule of a session log, the rules that the metrics rely on among them."""
-    events = log.events
-    if not events or events[0].kind != CALL_START:
-        raise ConfigError("log must start with CallStart")
-    if events[-1].kind != CALL_END:
-        raise ConfigError("log must end with CallEnd")
-    last_t = events[0].t_ms
-    for event in events:
-        if event.t_ms < last_t:
-            raise ConfigError(f"timestamps decrease at {event.kind} t={event.t_ms}")
-        last_t = event.t_ms
-    # Every manipulation block mentioned in events must be closed by a breakpoint.
-    manipulation_blocks = {
-        e.block for e in events if e.block is not None and e.block_kind != NO_MANIPULATION
-    }
-    breakpoints = [e for e in events if e.kind == BREAKPOINT]
-    unclosed = manipulation_blocks - {e.block for e in breakpoints}
-    if unclosed:
-        raise ConfigError(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
-    if any(e.block is None for e in breakpoints):
-        raise ConfigError("breakpoint without block context")
-    for e in breakpoints:
-        if e.block_kind not in BLOCK_KINDS:
-            raise ConfigError(f"unknown block kind {e.block_kind or ''!r}")
-
-
 class _Recorder:
     """A session's events, kept in logging order; ``events`` sorts them stably by
     time, so that events of equal time keep the order they were logged in."""
 
     def __init__(self) -> None:
-        self._events: list[LogEvent] = []
+        self._events: list[metrics.LogEvent] = []
         self._block: tuple[Optional[str], Optional[str]] = (None, None)
 
     def enter(self, block: Optional[Block]) -> None:
@@ -380,9 +268,9 @@ class _Recorder:
         self._block = (None, None) if block is None else (block.id, block_kind_name(block))
 
     def log(self, t_ms: int, kind: str, data: Optional[dict] = None) -> None:
-        self._events.append(LogEvent(int(t_ms), kind, data or {}, *self._block))
+        self._events.append(metrics.LogEvent(int(t_ms), kind, data or {}, *self._block))
 
-    def events(self) -> list[LogEvent]:
+    def events(self) -> list[metrics.LogEvent]:
         return sorted(self._events, key=attrgetter("t_ms"))
 
 
@@ -399,7 +287,7 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     """The guide's walk of ``plan``, resumed with the time the operator reports
     each step done: yields ``(step, pause_ms)`` per step, a block's
     instructions as the plan holds them; tells ``recorder`` which block it is
-    in and logs a block's closing ``BREAKPOINT``.
+    in and logs a block's closing ``Breakpoint``.
 
     It holds neither its agent nor the ``World``: a generator that held its
     agent would close a cycle (agent, generator, frame, agent) that keeps each
@@ -413,7 +301,7 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
             for instruction in instructions:
                 now = yield instruction, pause
                 pause = 0
-            recorder.log(now, BREAKPOINT)
+            recorder.log(now, metrics.BREAKPOINT)
             recorder.enter(None)
         if i == 0:
             yield ReportTemperature(), pause
@@ -527,18 +415,18 @@ class _OperatorAgent:
         t = now
         if self.rng.random() < profile.p_repeat:
             t += self._draw(profile.identify_latency_ms)
-            self.s.recorder.log(t, REPEAT_REQUEST, {"valve": valve})
+            self.s.recorder.log(t, metrics.REPEAT_REQUEST, {"valve": valve})
         if self.rng.random() < profile.p_simple:
             t += self._draw(profile.identify_latency_ms)
-            self.s.recorder.log(t, IDENTIFY, {"valve": self._wrong_valve(valve), "correct": False})
+            self.s.recorder.log(t, metrics.IDENTIFY, {"valve": self._wrong_valve(valve), "correct": False})
         t += self._draw(profile.identify_latency_ms)
-        self.s.recorder.log(t, IDENTIFY, {"valve": valve, "correct": True})
+        self.s.recorder.log(t, metrics.IDENTIFY, {"valve": valve, "correct": True})
         if self.rng.random() < profile.p_critical:
             # The wrong grab is interrupted before the valve state changes.
             t += self._draw(manip) + putdown
-            self.s.recorder.log(t, MANIPULATE, {"valve": self._wrong_valve(valve), "correct": False})
+            self.s.recorder.log(t, metrics.MANIPULATE, {"valve": self._wrong_valve(valve), "correct": False})
         t += self._draw(manip) + putdown
-        self.s.recorder.log(t, MANIPULATE, {"valve": valve, "correct": True})
+        self.s.recorder.log(t, metrics.MANIPULATE, {"valve": valve, "correct": True})
         self.s.plant.set_valve(valve, target)
         delay = t - now
         if self.s.condition is Condition.HMD:
@@ -565,21 +453,21 @@ class _OperatorAgent:
             self.replica = acknowledge_commit(self.replica, payload.accepted, self.local_shared)
             for edit in payload.accepted:
                 if isinstance(edit, SetIndication) and edit.playing:
-                    self.s.recorder.log(now, REPLICA_INDICATION, {"valve": edit.node})
+                    self.s.recorder.log(now, metrics.REPLICA_INDICATION, {"valve": edit.node})
         elif isinstance(payload, Instruction):
-            self.s.recorder.log(now, INSTRUCTION, {"text": payload.text})
+            self.s.recorder.log(now, metrics.INSTRUCTION, {"text": payload.text})
             if payload.valve is not None:
                 self._handle_operation(net, now, payload.valve, payload.target)
             else:  # a description prompt
                 self._send(net, StepDone(), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
         elif isinstance(payload, ReportTemperature):
-            self.s.recorder.log(now, INSTRUCTION, {"text": REPORT_TEMPERATURE})
+            self.s.recorder.log(now, metrics.INSTRUCTION, {"text": REPORT_TEMPERATURE})
             delay = self._draw(self.s.profile.describe_latency_ms)
             reading = round(plant_mod.outlet_temperature(self.s.plant), 2)
-            self.s.recorder.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": reading})
+            self.s.recorder.log(now + delay, metrics.TEMPERATURE_REPORT, {"temperature_c": reading})
             self._send(net, StepDone(reading), extra_delay_ms=delay)
         elif isinstance(payload, CallEnd):
-            self.s.recorder.log(now, CALL_END)
+            self.s.recorder.log(now, metrics.CALL_END)
             self._send(net, CallEnd())
 
 
@@ -605,7 +493,7 @@ def run_session(
     model: Optional[SceneModel] = None,
     routing: Optional[RoutingTable] = None,
     link_config: Optional[LinkConfig] = None,
-) -> SessionLog:
+) -> metrics.SessionLog:
     """Simulate one full inspection call and return its event log.
 
     ``plan`` must already have passed :func:`validate_plan` against ``model``
@@ -639,12 +527,12 @@ def run_session(
     world.add_endpoint(EXPERT_ID, expert)
     world.add_endpoint(OPERATOR_ID, operator)
 
-    recorder.log(0, CALL_START)
+    recorder.log(0, metrics.CALL_START)
     operator._send(world, CallStart())
     operator._send(world, OPERATOR_AVATAR)
     trace = world.run_until_quiescent()
 
-    log = SessionLog(
+    log = metrics.SessionLog(
         condition=condition,
         seed=seed,
         events=recorder.events(),
@@ -652,5 +540,5 @@ def run_session(
         final_valve_states=dict(plant.valve_states),
         transcript=trace,
     )
-    validate_session_log(log)
+    metrics.validate_session_log(log)
     return log

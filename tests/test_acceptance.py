@@ -6,7 +6,10 @@ lines alongside the pytest verdicts.
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -40,10 +43,6 @@ from replicasim.scene import (
 )
 from replicasim.records import replace
 from replicasim.scenario import (
-    INSTRUCTION,
-    MANIPULATE,
-    IDENTIFY,
-    REPLICA_INDICATION,
     Condition,
     ManipulationBlock,
     build_default_plan,
@@ -53,7 +52,15 @@ from replicasim.scenario import (
     run_session,
     valve_registry,
 )
-from replicasim.metrics import ErrorCounts, percent_improvement, weighted_total
+from replicasim.metrics import (
+    IDENTIFY,
+    INSTRUCTION,
+    MANIPULATE,
+    REPLICA_INDICATION,
+    ErrorCounts,
+    percent_improvement,
+    weighted_total,
+)
 from replicasim.report import ALL_MEASURES, BASELINE_CONDITION, TREATMENT_CONDITION, analyze_rows, read_metrics_csv
 from replicasim.stats import (
     NORMALITY_ALPHA,
@@ -571,6 +578,28 @@ def test_criterion_9_analyze_determinism(tmp_path, sessions):
     assert digests == ANALYZE_424242_DIGESTS[sessions]
     report(9, f"cmd_analyze on a {sessions} corpus with a fixed seed wrote report.md and report.csv"
               " matching the pinned digests")
+
+
+def test_criterion_9_digests_hold_in_fresh_processes_under_two_hash_seeds(tmp_path):
+    # As a user runs the CLI: each command in a fresh interpreter, whose string
+    # hashing, and so the order of a set of strings, follows PYTHONHASHSEED.
+    # The logs are compared too: a wrong valve drawn from an unordered set
+    # changes a log but no count that the reports read.
+    trees = []
+    for hash_seed in ("0", "987654"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), PYTHONHASHSEED=hash_seed)
+        for argv in (["simulate", "--sessions", "5:11", "--seed", "424242", "--out", str(out)],
+                     ["analyze", str(out / "metrics.csv"), "--out", str(out)]):
+            proc = subprocess.run([sys.executable, "-m", "replicasim.cli", *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        trees.append({file.name: hashlib.sha256(file.read_bytes()).hexdigest() for file in sorted(out.iterdir())})
+    assert len(trees[0]) == 19  # 16 session logs, metrics.csv, report.md and report.csv
+    assert trees[0] == trees[1]
+    assert {name: trees[0][name] for name in ("report.md", "report.csv")} == ANALYZE_424242_DIGESTS["5:11"]
+    report(9, "simulate and analyze in fresh processes under PYTHONHASHSEED 0 and 987654 wrote the same files,"
+              " with the pinned report digests")
 
 
 def load_bench_checks():

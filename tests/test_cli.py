@@ -10,7 +10,7 @@ from statistics import NormalDist
 
 import pytest
 
-from replicasim import checks, plant, scenario, stats
+from replicasim import checks, metrics, plant, scenario, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import (
     ALL_MEASURES,
@@ -137,8 +137,14 @@ class TestCommandImports:
     def test_replay_loads_no_report_or_stats(self, corpus):
         log = str(sorted(corpus.glob("session_*.jsonl"))[0])
         loaded = modules_after(f"from replicasim.cli import main\nassert main(['replay', {log!r}]) == 0")
-        assert "replicasim.scenario" in loaded
+        assert "replicasim.metrics" in loaded
+        assert not loaded & SIMULATOR
         assert not loaded & {"replicasim.report", "replicasim.stats"}
+
+    def test_import_metrics_loads_only_checks_and_records(self):
+        # The session-log format and the scores read from logs stand on the field checks alone.
+        loaded = {m for m in modules_after("import replicasim.metrics") if m.startswith("replicasim.")}
+        assert loaded == {"replicasim.metrics", "replicasim.checks", "replicasim.records"}
 
     def test_simulate_loads_no_report_or_stats(self, tmp_path):
         argv = ["simulate", "--sessions", "1", "--out", str(tmp_path)]
@@ -234,7 +240,7 @@ class TestSimulate:
         # Call counts, not timings: the plan is validated where it is built,
         # once per corpus, and each session validates the log it makes.
         watched = {scenario.validate_plan.__code__: "validate_plan",
-                   scenario.validate_session_log.__code__: "validate_session_log"}
+                   metrics.validate_session_log.__code__: "validate_session_log"}
         calls = {"validate_plan": 0, "validate_session_log": 0}
 
         def count(frame, event, arg):
@@ -461,6 +467,19 @@ class TestAnalyze:
         assert "Group summaries" in report
         assert "Tests (" not in report  # no between-group section
 
+    def test_row_with_extra_cells_names_line(self, tmp_path, capsys):
+        # csv.DictReader files the cells past the header under the key None, which no check reads.
+        out = tmp_path / "corpus"
+        assert run_cli("simulate", "--sessions", "3:3", "--seed", "1", "--out", str(out)) == EXIT_OK
+        csv_path = out / "metrics.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[2] += ",999,extra"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("analyze", str(csv_path), "--out", str(tmp_path / "report")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "metrics.csv" in err and "line 3" in err and "2 more cells" in err
+        assert not (tmp_path / "report").exists()
+
     def test_malformed_row_names_line(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(
@@ -567,6 +586,14 @@ class TestReplay:
         assert run_cli("replay", str(log)) == EXIT_OK
         printed = capsys.readouterr().out
         assert "condition=hmd" in printed and "errors:" in printed
+
+    def test_unknown_event_kind_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bogus.jsonl"
+        bad.write_text(simulated_log_with(lambda records: records.insert(2, {"record": "event", "t_ms": 0,
+                                                                              "kind": "Bogus"})), encoding="utf-8")
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bogus.jsonl" in err and "'Bogus'" in err and "line 3" in err
 
     def test_malformed_log_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

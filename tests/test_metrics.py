@@ -1,27 +1,33 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from replicasim import ConfigError
 from replicasim.metrics import (
+    BLOCK_KINDS,
+    EVENT_KINDS,
+    NO_MANIPULATION,
     BlockTiming,
+    Condition,
     ErrorCounts,
+    LogEvent,
+    SessionLog,
     block_times,
     error_counts,
     percent_improvement,
     session_row,
+    validate_session_log,
     weighted_total,
 )
 from replicasim.netsim import derive_seed
+from replicasim.scene import Handedness
 from replicasim.scenario import (
-    Condition,
-    LogEvent,
-    SessionLog,
     build_default_plan,
     default_model,
     default_profiles,
     run_session,
-    validate_session_log,
     valve_registry,
 )
 
@@ -111,6 +117,16 @@ class TestBlockTimes:
             log = run_session(plan, Condition.HMD, profiles[Condition.HMD], seed=seed)
             timing = block_times(log)
             assert sum(b.duration_s for b in timing.blocks) <= timing.total_s
+
+    def test_block_kinds_are_the_handedness_values_and_no_manipulation(self):
+        # metrics spells the kinds itself, so that reading a log loads no scene.
+        assert set(BLOCK_KINDS) == {h.value for h in Handedness} | {NO_MANIPULATION}
+        assert BLOCK_KINDS[:2] == (Handedness.ONE_HANDED.value, Handedness.TWO_HANDED.value)
+
+    def test_event_kinds_are_the_documented_kinds(self):
+        schema = (Path(__file__).resolve().parent.parent / "docs" / "log-schema.md").read_text(encoding="utf-8")
+        table = schema[schema.index("| kind "):schema.index("## Invariants")]
+        assert EVENT_KINDS == set(re.findall(r"^\| `(\w+)` +\|", table, flags=re.MULTILINE))
 
     # block_times trusts a validated log; the logs it cannot time are refused
     # by validate_session_log, which every log reader and run_session call.

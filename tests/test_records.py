@@ -177,7 +177,7 @@ def test_post_init_sees_its_record_class():
     assert seen == [Doubled] * 3
 
 
-def hmd_session() -> scenario.SessionLog:
+def hmd_session() -> metrics.SessionLog:
     plan = scenario.build_default_plan(scenario.valve_registry(scenario.default_model()))
     return scenario.run_session(plan, Condition.HMD, scenario.default_profiles()[Condition.HMD], seed=0)
 

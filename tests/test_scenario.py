@@ -32,10 +32,9 @@ from replicasim.protocol import (
 )
 from replicasim import ConfigError, netsim, protocol, records, replica, scenario, scene
 from replicasim.scene import Handedness, Pose, Role, SetIndication, ValveState
-from replicasim.scenario import (
+from replicasim.metrics import (
     CALL_END,
     CALL_START,
-    DEFAULT_SESSION_LINK,
     IDENTIFY,
     INSTRUCTION,
     MANIPULATE,
@@ -43,6 +42,12 @@ from replicasim.scenario import (
     REPLICA_INDICATION,
     TEMPERATURE_REPORT,
     Condition,
+    session_log_from_jsonl,
+    session_log_to_jsonl,
+    validate_session_log,
+)
+from replicasim.scenario import (
+    DEFAULT_SESSION_LINK,
     ManipulationBlock,
     OperatorProfile,
     block_kind_name,
@@ -51,9 +56,6 @@ from replicasim.scenario import (
     default_profiles,
     default_routing_table,
     run_session,
-    session_log_from_jsonl,
-    session_log_to_jsonl,
-    validate_session_log,
     valve_registry,
 )
 
