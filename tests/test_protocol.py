@@ -2,19 +2,26 @@ import hashlib
 import math
 import random
 import struct
+import typing
 
 import pytest
 
+from replicasim import ConfigError
 from replicasim.protocol import (
     Avatar,
     AvatarState,
+    CallEnd,
     CallStart,
     Envelope,
     Instruction,
     MediaSignal,
+    Payload,
+    ReportTemperature,
     RoomError,
     RoomState,
+    StepDone,
     SyncCommit,
+    SyncReq,
     decode_envelope,
     detect_gaps,
     encode_envelope,
@@ -28,7 +35,22 @@ from replicasim.protocol import (
 )
 from replicasim.records import replace
 from replicasim.replica import SyncRequest, apply_commit
-from replicasim.scene import Pose, Role, SetIndication, SetValveState, ValveState, canonical_json, load_model
+from replicasim.scene import (
+    AddAnnotation,
+    Annotation,
+    Edit,
+    Pose,
+    RemoveAnnotation,
+    Role,
+    SetHighlight,
+    SetIndication,
+    SetPose,
+    SetValveState,
+    ValveState,
+    canonical_json,
+    edit_from_dict,
+    load_model,
+)
 from replicasim.scenario import default_model
 
 from test_scene import small_descriptor
@@ -329,6 +351,164 @@ class TestWireCodec:
         avatar = AvatarState("op", Role.OPERATOR, Pose((0.0, 1.7, 0.0)), (0.0, 0.0, 1.0))
         env = Envelope(sender="op", sender_seq=1, room="r", payload=Avatar(avatar))
         assert envelope_from_dict(envelope_to_dict(env)) == env
+
+
+# One frame per payload kind, byte for byte as the codec writes it.
+GOLDEN_PAYLOAD_FRAMES = {
+    "avatar": (
+        Envelope("op", 1, "r1", Avatar(AvatarState("op", Role.OPERATOR, Pose((0.5, 1.7, -0.25)), (0.0, 0.6, 0.8)))),
+        b'\x00\x00\x00\xc8{"host_seq":null,"payload":{"client":"op","gaze":[0.0,0.6,0.8],"head_pose":'
+        b'{"pos":[0.5,1.7,-0.25],"quat":[1.0,0.0,0.0,0.0]},"kind":"avatar","role":"Operator"},'
+        b'"room":"r1","sender":"op","sender_seq":1}',
+    ),
+    "sync_req": (
+        Envelope("op", 2, "r1", SyncReq(SyncRequest("op", Role.OPERATOR, 3, (
+            SetHighlight("V1", (1.0, 0.5, 0.0), Role.OPERATOR, 4), SetIndication("V2", True, Role.OPERATOR, 5))))),
+        b'\x00\x00\x018{"host_seq":null,"payload":{"base_version":3,"edits":[{"color":[1.0,0.5,0.0],'
+        b'"node":"V1","op":"set_highlight","role":"Operator","seq":4},{"node":"V2","op":"set_indication",'
+        b'"playing":true,"role":"Operator","seq":5}],"kind":"sync_req","owner":"op","owner_role":"Operator"},'
+        b'"room":"r1","sender":"op","sender_seq":2}',
+    ),
+    "sync_commit": (
+        Envelope("host", 7, "r1", SyncCommit((SetValveState("V1", ValveState.OPEN, Role.EXPERT, 2),), 4), 9),
+        b'\x00\x00\x00\xc3{"host_seq":9,"payload":{"accepted":[{"node":"V1","op":"set_valve_state",'
+        b'"role":"Expert","seq":2,"state":"Open"}],"kind":"sync_commit","new_version":4},'
+        b'"room":"r1","sender":"host","sender_seq":7}',
+    ),
+    "instruction": (
+        Envelope("ex", 3, "r1", Instruction("set valve 2V4 to Closed", "2V4", ValveState.CLOSED), 5),
+        b'\x00\x00\x00\x99{"host_seq":5,"payload":{"kind":"instruction","target":"Closed",'
+        b'"text":"set valve 2V4 to Closed","valve":"2V4"},"room":"r1","sender":"ex","sender_seq":3}',
+    ),
+    "report_temperature": (
+        Envelope("ex", 4, "r1", ReportTemperature(), 6),
+        b'\x00\x00\x00_{"host_seq":6,"payload":{"kind":"report_temperature"},"room":"r1","sender":"ex",'
+        b'"sender_seq":4}',
+    ),
+    "step_done": (
+        Envelope("op", 5, "r1", StepDone(41.25)),
+        b'\x00\x00\x00o{"host_seq":null,"payload":{"kind":"step_done","temperature_c":41.25},"room":"r1",'
+        b'"sender":"op","sender_seq":5}',
+    ),
+    "call_start": (
+        Envelope("op", 1, "r1", CallStart()),
+        b'\x00\x00\x00Z{"host_seq":null,"payload":{"kind":"call_start"},"room":"r1","sender":"op","sender_seq":1}',
+    ),
+    "call_end": (
+        Envelope("ex", 9, "r1", CallEnd(), 12),
+        b'\x00\x00\x00V{"host_seq":12,"payload":{"kind":"call_end"},"room":"r1","sender":"ex","sender_seq":9}',
+    ),
+    "media": (
+        Envelope("op", 6, "r1", MediaSignal(b"\x00\x01\xfe\xff")),
+        b'\x00\x00\x00k{"host_seq":null,"payload":{"blob_b64":"AAH+/w==","kind":"media"},"room":"r1",'
+        b'"sender":"op","sender_seq":6}',
+    ),
+}
+
+# One frame per edit op, each carried alone in a commit, byte for byte.
+GOLDEN_EDIT_FRAMES = {
+    "set_pose": (
+        SetPose("V1", Pose((1.0, 0.0, -2.5), (0.0, 1.0, 0.0, 0.0)), Role.EXPERT, 1),
+        b'\x00\x00\x00\xe4{"host_seq":1,"payload":{"accepted":[{"node":"V1","op":"set_pose","pose":'
+        b'{"pos":[1.0,0.0,-2.5],"quat":[0.0,1.0,0.0,0.0]},"role":"Expert","seq":1}],"kind":"sync_commit",'
+        b'"new_version":1},"room":"r1","sender":"host","sender_seq":1}',
+    ),
+    "set_valve_state": (
+        SetValveState("V2", ValveState.CLOSED, Role.OPERATOR, 2),
+        b'\x00\x00\x00\xc7{"host_seq":1,"payload":{"accepted":[{"node":"V2","op":"set_valve_state",'
+        b'"role":"Operator","seq":2,"state":"Closed"}],"kind":"sync_commit","new_version":1},'
+        b'"room":"r1","sender":"host","sender_seq":1}',
+    ),
+    "set_highlight": (
+        SetHighlight("V3", None, Role.EXPERT, 3),
+        b'\x00\x00\x00\xbf{"host_seq":1,"payload":{"accepted":[{"color":null,"node":"V3","op":"set_highlight",'
+        b'"role":"Expert","seq":3}],"kind":"sync_commit","new_version":1},"room":"r1","sender":"host",'
+        b'"sender_seq":1}',
+    ),
+    "set_indication": (
+        SetIndication("V4", False, Role.OPERATOR, 4),
+        b'\x00\x00\x00\xc5{"host_seq":1,"payload":{"accepted":[{"node":"V4","op":"set_indication",'
+        b'"playing":false,"role":"Operator","seq":4}],"kind":"sync_commit","new_version":1},'
+        b'"room":"r1","sender":"host","sender_seq":1}',
+    ),
+    "add_annotation": (
+        AddAnnotation(Annotation("a1", Role.EXPERT, "V1", "check this", (0.0, 0.1, 0.0)), Role.EXPERT, 5),
+        b'\x00\x00\x01\x10{"host_seq":1,"payload":{"accepted":[{"annotation":{"anchor":"V1",'
+        b'"author_role":"Expert","id":"a1","offset":[0.0,0.1,0.0],"text":"check this"},"op":"add_annotation",'
+        b'"role":"Expert","seq":5}],"kind":"sync_commit","new_version":1},"room":"r1","sender":"host",'
+        b'"sender_seq":1}',
+    ),
+    "remove_annotation": (
+        RemoveAnnotation("a1", Role.EXPERT, 6),
+        b'\x00\x00\x00\xbf{"host_seq":1,"payload":{"accepted":[{"annotation_id":"a1","op":"remove_annotation",'
+        b'"role":"Expert","seq":6}],"kind":"sync_commit","new_version":1},"room":"r1","sender":"host",'
+        b'"sender_seq":1}',
+    ),
+}
+
+
+def _sync_req_frame(edit_doc: str) -> bytes:
+    body = ('{"sender":"ex","sender_seq":1,"room":"r","payload":{"kind":"sync_req","owner":"ex",'
+            '"owner_role":"Expert","base_version":0,"edits":[' + edit_doc + "]}}").encode()
+    return struct.pack(">I", len(body)) + body
+
+
+class TestGoldenFrames:
+    """The wire bytes are pinned: each kind and each op encodes to these frames and decodes back."""
+
+    def test_every_payload_kind_and_edit_op_is_pinned(self):
+        payload_types = set(typing.get_args(Payload))
+        assert {type(env.payload) for env, _ in GOLDEN_PAYLOAD_FRAMES.values()} == payload_types
+        assert {type(edit) for edit, _ in GOLDEN_EDIT_FRAMES.values()} == set(typing.get_args(Edit))
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_PAYLOAD_FRAMES))
+    def test_payload_frame(self, kind):
+        env, frame = GOLDEN_PAYLOAD_FRAMES[kind]
+        assert encode_envelope(env) == frame
+        assert decode_envelope(frame) == (env, b"")
+
+    @pytest.mark.parametrize("op", sorted(GOLDEN_EDIT_FRAMES))
+    def test_edit_frame(self, op):
+        edit, frame = GOLDEN_EDIT_FRAMES[op]
+        env = Envelope("host", 1, "r1", SyncCommit((edit,), 1), 1)
+        assert encode_envelope(env) == frame
+        assert decode_envelope(frame) == (env, b"")
+
+
+class TestEditRefusals:
+    """An edit's fields are refused in one order: shape, role, seq, op, node, value."""
+
+    def test_role_is_refused_before_seq_and_op(self):
+        doc = {"op": "paint", "node": "V1", "role": "Admin", "seq": -1}
+        with pytest.raises(ConfigError, match="^role must be one of 'Expert', 'Operator', got 'Admin'$"):
+            edit_from_dict(doc)
+        frame = _sync_req_frame('{"op":"paint","node":"V1","role":"Admin","seq":-1}')
+        with pytest.raises(RoomError, match="role must be one of"):
+            decode_envelope(frame)
+
+    def test_seq_is_refused_before_op(self):
+        with pytest.raises(ConfigError, match="^seq must be an integer in"):
+            edit_from_dict({"op": "paint", "node": "V1", "role": "Expert", "seq": True})
+
+    def test_op_is_refused_before_node_and_value(self):
+        with pytest.raises(ConfigError, match="^unknown edit op 'paint'$"):
+            edit_from_dict({"op": "paint", "node": [], "role": "Expert", "seq": 1})
+        with pytest.raises(ConfigError, match="^node must be a non-empty string"):
+            edit_from_dict({"op": "set_valve_state", "node": "", "state": "Ajar", "role": "Expert", "seq": 1})
+
+    @pytest.mark.parametrize(
+        "edit_doc",
+        [
+            '{"op":[],"node":"V1","state":"Open","role":"Expert","seq":1}',
+            '{"op":"set_valve_state","node":"V1","state":"Open","role":[],"seq":1}',
+            '{"op":"set_valve_state","node":"V1","state":[],"role":"Expert","seq":1}',
+            '{"op":{},"node":"V1","state":"Open","role":"Expert","seq":1}',
+        ],
+        ids=["list-op", "list-role", "list-state", "object-op"],
+    )
+    def test_unhashable_field_is_room_error(self, edit_doc):
+        with pytest.raises(RoomError, match="malformed frame body"):
+            decode_envelope(_sync_req_frame(edit_doc))
 
 
 class TestGapDetection:
