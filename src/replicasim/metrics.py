@@ -82,26 +82,29 @@ def session_log_from_jsonl(text: str) -> SessionLog:
     if header.get("record") != "session":
         raise ConfigError("first record must be the session header")
     events = []
-    for n, line in lines[1:]:
-        doc = checks.typed(checks.loads(line), "log record", dict)
-        if doc.get("record") != "event":
-            raise ConfigError(f"unexpected record {doc.get('record')!r}")
-        kind = checks.typed(doc.get("kind"), "kind", str)
-        if kind not in EVENT_KINDS:
-            raise ConfigError(f"unknown event kind {kind!r} at line {n}")
-        data = checks.typed(doc.get("data", {}), f"{kind} data", dict)
-        if kind in (IDENTIFY, MANIPULATE, REPEAT_REQUEST):  # the errors that replay counts
-            checks.ident(data.get("valve"), f"{kind} valve")
-        if kind in (IDENTIFY, MANIPULATE):
-            checks.typed(data.get("correct"), f"{kind} correct", bool)
-        block, block_kind = doc.get("block"), doc.get("block_kind")
-        events.append(LogEvent(
-            t_ms=checks.count(doc.get("t_ms"), "t_ms"),
-            kind=kind,
-            data=data,
-            block=None if block is None else checks.ident(block, "block"),
-            block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
-        ))
+    try:
+        for n, line in lines[1:]:
+            doc = checks.typed(checks.loads(line), "log record", dict)
+            if doc.get("record") != "event":
+                raise ConfigError(f"unexpected record {doc.get('record')!r}")
+            kind = checks.typed(doc.get("kind"), "kind", str)
+            if kind not in EVENT_KINDS:
+                raise ConfigError(f"unknown event kind {kind!r}")
+            data = checks.typed(doc.get("data", {}), f"{kind} data", dict)
+            if kind in (IDENTIFY, MANIPULATE, REPEAT_REQUEST):  # the errors that replay counts
+                checks.ident(data.get("valve"), f"{kind} valve")
+            if kind in (IDENTIFY, MANIPULATE):
+                checks.typed(data.get("correct"), f"{kind} correct", bool)
+            block, block_kind = doc.get("block"), doc.get("block_kind")
+            events.append(LogEvent(
+                t_ms=checks.count(doc.get("t_ms"), "t_ms"),
+                kind=kind,
+                data=data,
+                block=None if block is None else checks.ident(block, "block"),
+                block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
+            ))
+    except ConfigError as exc:  # every refusal of a record names its line
+        raise ConfigError(f"{exc} at line {n}") from None
     condition = checks.member(header.get("condition"), "condition", Condition)
     log = SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
     validate_session_log(log)

@@ -22,12 +22,23 @@ import base64
 import binascii
 import math
 import struct
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from replicasim import ConfigError, RoomError, checks
 from replicasim.records import field, record
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
-from replicasim.scene import Edit, Pose, Role, SceneModel, ValveState, edit_from_dict, edit_to_dict
+from replicasim.checks import MAX_COUNT
+from replicasim.scene import (
+    _ROLES,
+    _VALVE_STATES,
+    Edit,
+    Pose,
+    Role,
+    SceneModel,
+    ValveState,
+    edit_from_dict,
+    edit_to_dict,
+)
 
 GAZE_NORM_TOL = 1e-9
 EXPERT_ELEVATION_M = 1.5
@@ -209,99 +220,148 @@ def _look_rotation(direction: tuple[float, ...]) -> tuple[float, float, float, f
 
 
 # --- Wire codec ----------------------------------------------------------------
+# One encoder and one decoder per payload kind: encoders keyed by exact type,
+# decoders by wire name. As in the edit codec of ``replicasim.scene``, whose enum
+# value maps it shares, an enum is written from ``_value_``, and a decoder takes a
+# field's usual value inline and calls its check in ``checks`` only to refuse it.
+
+def _avatar_to_dict(payload: Avatar) -> dict:
+    a = payload.state
+    return {
+        "kind": "avatar",
+        "client": a.client,
+        "role": a.role._value_,
+        "head_pose": a.head_pose.to_dict(),
+        "gaze": list(a.gaze_direction),
+    }
+
+
+def _avatar_from_dict(doc: dict) -> Avatar:
+    role = doc.get("role")
+    return Avatar(
+        AvatarState(
+            doc.get("client"),
+            _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "role", Role),
+            Pose.from_dict(doc.get("head_pose")),
+            doc.get("gaze"),
+        )
+    )
+
+
+def _sync_req_to_dict(payload: SyncReq) -> dict:
+    r = payload.request
+    return {
+        "kind": "sync_req",
+        "owner": r.owner,
+        "owner_role": r.owner_role._value_,
+        "base_version": r.base_version,
+        "edits": list(map(edit_to_dict, r.edits)),
+    }
+
+
+def _sync_req_from_dict(doc: dict) -> SyncReq:
+    owner, role, base, edits = doc.get("owner"), doc.get("owner_role"), doc.get("base_version"), doc.get("edits")
+    owner = owner if type(owner) is str and owner else checks.ident(owner, "owner")
+    role = _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "owner_role", Role)
+    base = base if type(base) is int and 0 <= base <= MAX_COUNT else checks.count(base, "base_version")
+    if type(edits) is not list:
+        edits = checks.typed(edits, "edits", list)
+    return SyncReq(SyncRequest(owner, role, base, tuple(map(edit_from_dict, edits))))
+
+
+def _sync_commit_to_dict(payload: SyncCommit) -> dict:
+    return {
+        "kind": "sync_commit",
+        "accepted": list(map(edit_to_dict, payload.accepted)),
+        "new_version": payload.new_version,
+    }
+
+
+def _sync_commit_from_dict(doc: dict) -> SyncCommit:
+    accepted, version = doc.get("accepted"), doc.get("new_version")
+    if type(accepted) is not list:
+        accepted = checks.typed(accepted, "accepted", list)
+    accepted = tuple(map(edit_from_dict, accepted))
+    version = version if type(version) is int and 0 <= version <= MAX_COUNT else checks.count(version, "new_version")
+    return SyncCommit(accepted, version)
+
+
+def _instruction_to_dict(payload: Instruction) -> dict:
+    doc = {"kind": "instruction", "text": payload.text}
+    if payload.valve is not None:
+        doc["valve"] = payload.valve
+    if payload.target is not None:
+        doc["target"] = payload.target._value_
+    return doc
+
+
+def _instruction_from_dict(doc: dict) -> Instruction:
+    text, valve, target = doc.get("text"), doc.get("valve"), doc.get("target")
+    text = text if type(text) is str else checks.typed(text, "text", str)
+    if valve is not None and not (type(valve) is str and valve):
+        valve = checks.ident(valve, "valve")
+    if target is not None:
+        target = _VALVE_STATES[target] if type(target) is str and target in _VALVE_STATES else checks.member(
+            target, "target", ValveState)
+    return Instruction(text, valve, target)
+
+
+def _step_done_to_dict(payload: StepDone) -> dict:
+    if payload.temperature_c is None:
+        return {"kind": "step_done"}
+    return {"kind": "step_done", "temperature_c": payload.temperature_c}
+
+
+def _media_to_dict(payload: MediaSignal) -> dict:
+    return {"kind": "media", "blob_b64": base64.b64encode(payload.blob).decode("ascii")}
+
+
+def _media_from_dict(doc: dict) -> MediaSignal:
+    blob = doc.get("blob_b64")
+    blob = blob if type(blob) is str else checks.typed(blob, "blob_b64", str)
+    # As bytes, since b64decode refuses a non-ASCII str with a bare ValueError.
+    return MediaSignal(base64.b64decode(blob.encode("ascii")))
+
+
+_PAYLOAD_ENCODERS: dict[type, Callable[[Payload], dict]] = {
+    Avatar: _avatar_to_dict,
+    SyncReq: _sync_req_to_dict,
+    SyncCommit: _sync_commit_to_dict,
+    Instruction: _instruction_to_dict,
+    ReportTemperature: lambda payload: {"kind": "report_temperature"},
+    StepDone: _step_done_to_dict,
+    CallStart: lambda payload: {"kind": "call_start"},
+    CallEnd: lambda payload: {"kind": "call_end"},
+    MediaSignal: _media_to_dict,
+}
+_PAYLOAD_DECODERS: dict[str, Callable[[dict], Payload]] = {
+    "avatar": _avatar_from_dict,
+    "sync_req": _sync_req_from_dict,
+    "sync_commit": _sync_commit_from_dict,
+    "instruction": _instruction_from_dict,
+    "report_temperature": lambda doc: ReportTemperature(),
+    "step_done": lambda doc: StepDone(doc.get("temperature_c")),
+    "call_start": lambda doc: CallStart(),
+    "call_end": lambda doc: CallEnd(),
+    "media": _media_from_dict,
+}
 
 
 def payload_to_dict(payload: Payload) -> dict:
-    if isinstance(payload, Avatar):
-        a = payload.state
-        return {
-            "kind": "avatar",
-            "client": a.client,
-            "role": a.role.value,
-            "head_pose": a.head_pose.to_dict(),
-            "gaze": list(a.gaze_direction),
-        }
-    if isinstance(payload, SyncReq):
-        r = payload.request
-        return {
-            "kind": "sync_req",
-            "owner": r.owner,
-            "owner_role": r.owner_role.value,
-            "base_version": r.base_version,
-            "edits": [edit_to_dict(e) for e in r.edits],
-        }
-    if isinstance(payload, SyncCommit):
-        return {
-            "kind": "sync_commit",
-            "accepted": [edit_to_dict(e) for e in payload.accepted],
-            "new_version": payload.new_version,
-        }
-    if isinstance(payload, Instruction):
-        doc = {"kind": "instruction", "text": payload.text}
-        if payload.valve is not None:
-            doc["valve"] = payload.valve
-        if payload.target is not None:
-            doc["target"] = payload.target.value
-        return doc
-    if isinstance(payload, ReportTemperature):
-        return {"kind": "report_temperature"}
-    if isinstance(payload, StepDone):
-        if payload.temperature_c is None:
-            return {"kind": "step_done"}
-        return {"kind": "step_done", "temperature_c": payload.temperature_c}
-    if isinstance(payload, CallStart):
-        return {"kind": "call_start"}
-    if isinstance(payload, CallEnd):
-        return {"kind": "call_end"}
-    if isinstance(payload, MediaSignal):
-        return {"kind": "media", "blob_b64": base64.b64encode(payload.blob).decode("ascii")}
-    raise TypeError(f"unsupported payload {payload!r}")  # a fault of the sender, not a refusal
+    encode = _PAYLOAD_ENCODERS.get(type(payload))
+    if encode is None:
+        raise TypeError(f"unsupported payload {payload!r}")  # a fault of the sender, not a refusal
+    return encode(payload)
 
 
 def payload_from_dict(doc: dict) -> Payload:
-    kind = checks.typed(doc, "payload", dict).get("kind")
-    if kind == "avatar":
-        return Avatar(
-            AvatarState(
-                client=doc.get("client"),
-                role=checks.member(doc.get("role"), "role", Role),
-                head_pose=Pose.from_dict(doc.get("head_pose")),
-                gaze_direction=doc.get("gaze"),
-            )
-        )
-    if kind == "sync_req":
-        return SyncReq(
-            SyncRequest(
-                owner=checks.ident(doc.get("owner"), "owner"),
-                owner_role=checks.member(doc.get("owner_role"), "owner_role", Role),
-                base_version=checks.count(doc.get("base_version"), "base_version"),
-                edits=tuple(map(edit_from_dict, checks.typed(doc.get("edits"), "edits", list))),
-            )
-        )
-    if kind == "sync_commit":
-        return SyncCommit(
-            accepted=tuple(map(edit_from_dict, checks.typed(doc.get("accepted"), "accepted", list))),
-            new_version=checks.count(doc.get("new_version"), "new_version"),
-        )
-    if kind == "instruction":
-        valve, target = doc.get("valve"), doc.get("target")
-        return Instruction(
-            checks.typed(doc.get("text"), "text", str),
-            None if valve is None else checks.ident(valve, "valve"),
-            None if target is None else checks.member(target, "target", ValveState),
-        )
-    if kind == "report_temperature":
-        return ReportTemperature()
-    if kind == "step_done":
-        return StepDone(doc.get("temperature_c"))
-    if kind == "call_start":
-        return CallStart()
-    if kind == "call_end":
-        return CallEnd()
-    if kind == "media":
-        # As bytes, since b64decode refuses a non-ASCII str with a bare ValueError.
-        return MediaSignal(base64.b64decode(checks.typed(doc.get("blob_b64"), "blob_b64", str).encode("ascii")))
-    raise ConfigError(f"unknown payload kind {kind!r}")
+    if type(doc) is not dict:
+        doc = checks.typed(doc, "payload", dict)
+    kind = doc.get("kind")
+    decode = _PAYLOAD_DECODERS.get(kind) if type(kind) is str else None
+    if decode is None:
+        raise ConfigError(f"unknown payload kind {kind!r}")
+    return decode(doc)
 
 
 def envelope_to_dict(env: Envelope) -> dict:
@@ -315,14 +375,16 @@ def envelope_to_dict(env: Envelope) -> dict:
 
 
 def envelope_from_dict(doc: dict) -> Envelope:
-    host_seq = checks.typed(doc, "envelope", dict).get("host_seq")
-    return Envelope(
-        sender=checks.ident(doc.get("sender"), "sender"),
-        sender_seq=checks.count(doc.get("sender_seq"), "sender_seq"),
-        room=checks.ident(doc.get("room"), "room"),
-        payload=payload_from_dict(doc.get("payload")),
-        host_seq=None if host_seq is None else checks.count(host_seq, "host_seq"),
-    )
+    if type(doc) is not dict:
+        doc = checks.typed(doc, "envelope", dict)
+    sender, seq, room, host_seq = doc.get("sender"), doc.get("sender_seq"), doc.get("room"), doc.get("host_seq")
+    sender = sender if type(sender) is str and sender else checks.ident(sender, "sender")
+    seq = seq if type(seq) is int and 0 <= seq <= MAX_COUNT else checks.count(seq, "sender_seq")
+    room = room if type(room) is str and room else checks.ident(room, "room")
+    payload = payload_from_dict(doc.get("payload"))
+    if host_seq is not None and not (type(host_seq) is int and 0 <= host_seq <= MAX_COUNT):
+        host_seq = checks.count(host_seq, "host_seq")
+    return Envelope(sender, seq, room, payload, host_seq)
 
 
 def encode_envelope(env: Envelope) -> bytes:

@@ -21,13 +21,13 @@ from replicasim.scene import (
     DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
     INVALID_HIGHLIGHT as REJECT_INVALID_HIGHLIGHT,
     UNKNOWN_TARGET as REJECT_UNKNOWN_TARGET,
+    _FIELD_NAME,
     Edit,
     RemoveAnnotation,
     Role,
     SceneModel,
     _apply_batch,
     apply_edit,
-    edit_field_key,
     edit_to_dict,
 )
 
@@ -97,13 +97,19 @@ def _expert_rule(edit: Edit, field_authors: dict) -> str | None:
     return None
 
 
+_EXPERT = Role.EXPERT
+
+
 def _operator_rule(edit: Edit, field_authors: dict) -> str | None:
     """The Operator's rule: no annotation removal, and no write over a field the Expert authored."""
-    if type(edit) is RemoveAnnotation:
+    edit_type = type(edit)
+    if edit_type is RemoveAnnotation:
         return REJECT_ANNOTATION_RETENTION
-    author = field_authors.get(edit_field_key(edit))
-    if author is not None and author[0] is Role.EXPERT:
-        return REJECT_EXPERT_PRECEDENCE
+    name = _FIELD_NAME.get(edit_type)  # the field key of edit_field_key, without the call
+    if name is not None:
+        author = field_authors.get((name, edit.node))
+        if author is not None and author[0] is _EXPERT:
+            return REJECT_EXPERT_PRECEDENCE
     # Same-role conflicts fall to the incoming request, which holds the
     # later host sequence.
     return None

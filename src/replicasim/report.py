@@ -36,16 +36,22 @@ TREATMENT_CONDITION = Condition.HMD.value
 
 
 def read_metrics_csv(path: str) -> list[dict]:
-    """The rows of a metrics CSV; a malformed file raises a ConfigError naming it."""
+    """The rows of a metrics CSV; a malformed file raises a ConfigError naming it,
+    and a malformed row the file line it starts on (a quoted cell may span lines)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells, which no check accepts
+        reader = csv.reader(fh)
+        records = []  # (line the row starts on, cells)
         try:
-            records = list(reader)
+            header = next(reader, [])
+            end = reader.line_num
+            for cells in reader:
+                if cells:  # a blank line is no row
+                    records.append((end + 1, cells))
+                end = reader.line_num
         except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's size limit
             raise ConfigError(f"cannot read {path!r}: {exc}") from None
-    header = reader.fieldnames or []
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:  # csv.DictReader would keep the last copy's cells
+    if repeated:  # a row would keep the last copy's cells
         raise ConfigError(f"{path!r} repeats column {repeated[0]!r}")
     missing = set(CSV_COLUMNS) - set(header)
     if missing:
@@ -54,14 +60,16 @@ def read_metrics_csv(path: str) -> list[dict]:
         raise ConfigError(f"{path!r} contains no data rows")
     rows = []
     first_line = {}  # session_id -> line it first appears on
-    for i, raw in enumerate(records, start=2):
+    for line, cells in records:
         try:
-            if None in raw:  # csv.DictReader files the cells past the header under None
-                raise ConfigError(f"{len(raw[None])} more cells than the header has columns")
+            if len(cells) > len(header):
+                raise ConfigError(f"{len(cells) - len(header)} more cells than the header has columns")
+            raw = dict.fromkeys(header, "")  # a short row reads as empty cells, which no check accepts
+            raw.update(zip(header, cells))
             session_id = checks.ident(raw["session_id"], "session_id")
             if session_id in first_line:
                 raise ConfigError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
-            first_line[session_id] = i
+            first_line[session_id] = line
             condition = checks.member(raw["condition"], "condition", Condition)
             seed = checks.numeral(raw["seed"], "seed", int)
             row = {"session_id": session_id, "condition": condition.value, "seed": seed}
@@ -71,7 +79,7 @@ def read_metrics_csv(path: str) -> list[dict]:
             if row["weighted_total"] != derived:
                 raise ConfigError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
         except ConfigError as exc:
-            raise ConfigError(f"malformed row in {path!r} at line {i}: {exc}") from None
+            raise ConfigError(f"malformed row in {path!r} at line {line}: {exc}") from None
         rows.append(row)
     return rows
 

@@ -12,9 +12,12 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from replicasim import ConfigError, checks
+from replicasim.checks import MAX_COUNT
 from replicasim.records import field, record, replace
 
 QUAT_NORM_TOL = 1e-9
+_ARRAYS = (list, tuple)
+_INF = math.inf
 
 
 # Why an edit does not fit a model; sync rejections report these reasons.
@@ -53,6 +56,10 @@ class Handedness(Enum):
     TWO_HANDED = "TwoHanded"
 
 
+# An enum member read from the class goes through a descriptor in Python; the hot paths read these once.
+_VALVE = NodeKind.VALVE
+
+
 @record(frozen=True)
 class Pose:
     """Rigid transform: position in meters plus a unit quaternion (w, x, y, z)."""
@@ -61,8 +68,22 @@ class Pose:
     orientation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", checks.vector(self.position, "position", 3))
-        object.__setattr__(self, "orientation", checks.unit(self.orientation, "quaternion", 4, QUAT_NORM_TOL))
+        # The usual pose is taken inline: three finite floats, and four floats
+        # of unit norm. The checks refuse anything else, and convert ints.
+        position, orientation = self.position, self.orientation
+        if type(position) in _ARRAYS and type(orientation) in _ARRAYS and len(position) == 3 and len(orientation) == 4:
+            x, y, z = position
+            w, i, j, k = orientation
+            if (type(x) is type(y) is type(z) is type(w) is type(i) is type(j) is type(k) is float
+                    and -_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF
+                    and abs(math.hypot(w, i, j, k) - 1.0) <= QUAT_NORM_TOL):
+                if type(position) is list:
+                    object.__setattr__(self, "position", (x, y, z))
+                if type(orientation) is list:
+                    object.__setattr__(self, "orientation", (w, i, j, k))
+                return
+        object.__setattr__(self, "position", checks.vector(position, "position", 3))
+        object.__setattr__(self, "orientation", checks.unit(orientation, "quaternion", 4, QUAT_NORM_TOL))
 
     def rotate(self, v: tuple[float, float, float]) -> tuple[float, float, float]:
         """Rotate a vector by this pose's orientation."""
@@ -99,7 +120,8 @@ class Pose:
 
     @staticmethod
     def from_dict(doc: dict) -> "Pose":
-        doc = checks.typed(doc, "pose", dict)
+        if type(doc) is not dict:
+            doc = checks.typed(doc, "pose", dict)
         return Pose(doc.get("pos", (0.0, 0.0, 0.0)), doc.get("quat", (1.0, 0.0, 0.0, 0.0)))
 
 
@@ -111,9 +133,15 @@ class VisualState:
     indication_animation: bool = False
 
     def __post_init__(self) -> None:
-        if self.highlight_color is not None:
-            for c in checks.vector(self.highlight_color, "highlight_color", 3):
-                checks.probability(c, "highlight_color component")
+        color = self.highlight_color
+        if color is None:
+            return
+        if type(color) is tuple and len(color) == 3:  # the usual color inline: three floats in [0, 1]
+            r, g, b = color
+            if type(r) is type(g) is type(b) is float and 0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0:
+                return
+        for c in checks.vector(color, "highlight_color", 3):
+            checks.probability(c, "highlight_color component")
 
 
 @record(frozen=True)
@@ -129,7 +157,7 @@ class SceneNode:
     def __post_init__(self) -> None:
         if not self.id:
             raise ConfigError("node id must be non-empty")
-        is_valve = self.kind is NodeKind.VALVE
+        is_valve = self.kind is _VALVE
         if is_valve and (self.valve_state is None or self.handedness is None):
             raise ConfigError(f"valve {self.id!r} requires valve_state and handedness")
         if not is_valve and (self.valve_state is not None or self.handedness is not None):
@@ -145,6 +173,14 @@ class Annotation:
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
+        ann_id, anchor, offset = self.id, self.anchor, self.offset
+        if (type(ann_id) is str and ann_id and type(anchor) is str and anchor and type(self.text) is str
+                and type(offset) in _ARRAYS and len(offset) == 3):  # the usual annotation inline
+            x, y, z = offset
+            if type(x) is type(y) is type(z) is float and -_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF:
+                if type(offset) is list:
+                    object.__setattr__(self, "offset", (x, y, z))
+                return
         checks.ident(self.id, "annotation id")
         checks.ident(self.anchor, "annotation anchor")
         checks.typed(self.text, "annotation text", str)
@@ -214,8 +250,9 @@ OVERLAY_MIN_NODES = 1024
 
 class Overlay(ChainMap):
     """A ``ChainMap(delta, base)`` that reads at dict speed: a key from the
-    delta, then the base; ``==``, ``values()`` and ``items()`` from one flat
-    copy. Only :func:`_apply_batch` writes a delta, one it has just copied."""
+    delta, then the base; ``len`` from the base and the delta keys it lacks;
+    ``==``, ``values()`` and ``items()`` from one flat copy. Only
+    :func:`_apply_batch` writes a delta, one it has just copied."""
 
     def __getitem__(self, key):
         delta, base = self.maps
@@ -224,6 +261,14 @@ class Overlay(ChainMap):
     def get(self, key, default=None):
         delta, base = self.maps
         return delta[key] if key in delta else base.get(key, default)
+
+    def __contains__(self, key):
+        delta, base = self.maps
+        return key in delta or key in base
+
+    def __len__(self):
+        delta, base = self.maps
+        return len(base) + sum(key not in base for key in delta)
 
     def __eq__(self, other):
         return self.flat() == other
@@ -388,11 +433,10 @@ def _apply_batch(
         accepted.append(edit)
         if node is not None:
             if nodes is model.nodes:  # every node edit writes both, so both are copied together
-                nodes = dict(nodes) if type(nodes) is dict and len(nodes) < OVERLAY_MIN_NODES else _overlay(nodes)
-                authors = (dict(authors) if type(authors) is dict and len(authors) < OVERLAY_MIN_NODES
-                           else _overlay(authors))
-            nodes[node.id] = node
-            authors[(_FIELD_NAME[type(edit)], node.id)] = (edit.author_role, version)
+                nodes, node_writes = _writable(nodes)
+                authors, author_writes = _writable(authors)
+            node_writes[node.id] = node
+            author_writes[(_FIELD_NAME[type(edit)], node.id)] = (edit.author_role, version)
             continue
         if annotations is model.annotations:
             annotations = dict(annotations)
@@ -404,9 +448,18 @@ def _apply_batch(
     return committed, tuple(accepted), tuple(rejected)
 
 
-def _overlay(mapping: Mapping) -> Overlay:
-    """A writable overlay on a large mapping: an overlay's delta copied over its base, or an empty delta over a dict."""
-    return mapping.copy() if type(mapping) is Overlay else Overlay({}, mapping)
+def _writable(mapping: Mapping) -> tuple[Mapping, dict]:
+    """A copy of ``mapping`` to commit, and the dict a write to it goes into.
+
+    A dict of fewer than ``OVERLAY_MIN_NODES`` entries is copied whole and
+    written itself. A larger one gets an overlay: an overlay's delta copied over
+    the same base, or an empty delta over a dict; a write goes into the delta.
+    """
+    if type(mapping) is dict and len(mapping) < OVERLAY_MIN_NODES:
+        copy = dict(mapping)
+        return copy, copy
+    overlay = mapping.copy() if type(mapping) is Overlay else Overlay({}, mapping)
+    return overlay, overlay.maps[0]
 
 
 def _edited_node(edit: Edit, nodes: Mapping[str, SceneNode], annotations: dict[str, Annotation]) -> Optional[SceneNode]:
@@ -424,7 +477,7 @@ def _edited_node(edit: Edit, nodes: Mapping[str, SceneNode], annotations: dict[s
         if edit_type is SetPose:
             pose = edit.pose
         elif edit_type is SetValveState:
-            if node.kind is not NodeKind.VALVE:
+            if node.kind is not _VALVE:
                 raise EditError(f"cannot set valve_state on non-valve {edit.node!r}")
             valve_state = edit.state
         elif edit_type is SetHighlight:
@@ -458,13 +511,13 @@ def field_equal(a: SceneModel, b: SceneModel) -> bool:
 
 
 def _node_to_dict(node: SceneNode) -> dict:
-    doc: dict = {"id": node.id, "kind": node.kind.value, "pose": node.local_pose.to_dict()}
+    doc: dict = {"id": node.id, "kind": node.kind._value_, "pose": node.local_pose.to_dict()}
     if node.parent is not None:
         doc["parent"] = node.parent
     if node.valve_state is not None:
-        doc["valve_state"] = node.valve_state.value
+        doc["valve_state"] = node.valve_state._value_
     if node.handedness is not None:
-        doc["handedness"] = node.handedness.value
+        doc["handedness"] = node.handedness._value_
     visual: dict = {}
     if node.visual.highlight_color is not None:
         visual["highlight_color"] = list(node.visual.highlight_color)
@@ -483,7 +536,7 @@ def to_canonical_dict(model: SceneModel) -> dict:
         "nodes": [_node_to_dict(model.nodes[i]) for i in sorted(model.nodes)],
         "annotations": [annotation_to_dict(model.annotations[i]) for i in sorted(model.annotations)],
         "field_authors": {
-            f"{fld}:{node}": [role.value, version]
+            f"{fld}:{node}": [role._value_, version]
             for (fld, node), (role, version) in sorted(model.field_authors.items())
         },
     }
@@ -495,12 +548,22 @@ def canonical_json(model: SceneModel) -> str:
 
 
 # --- Edit wire codec -----------------------------------------------------------
+# One encoder and one decoder per edit op: encoders keyed by exact type, as
+# ``_edited_node`` dispatches, and decoders by wire name. An encoder writes an
+# enum from ``_value_``, a slot read, not the ``value`` property. A decoder
+# takes a field's usual value inline and calls its check in ``checks`` only
+# when that test fails, so a refusal keeps the check's message, and a value
+# that is not a str never reaches a dict lookup. An edit's fields are refused
+# in one order: shape, role, seq, op, node, then the value.
+
+_ROLES = Role._value2member_map_
+_VALVE_STATES = ValveState._value2member_map_
 
 
 def annotation_to_dict(ann: Annotation) -> dict:
     return {
         "id": ann.id,
-        "author_role": ann.author_role.value,
+        "author_role": ann.author_role._value_,
         "anchor": ann.anchor,
         "text": ann.text,
         "offset": list(ann.offset),
@@ -508,52 +571,92 @@ def annotation_to_dict(ann: Annotation) -> dict:
 
 
 def annotation_from_dict(doc: dict) -> Annotation:
-    doc = checks.typed(doc, "annotation", dict)
+    if type(doc) is not dict:
+        doc = checks.typed(doc, "annotation", dict)
+    role = doc.get("author_role")
     return Annotation(
-        id=doc.get("id"),
-        author_role=checks.member(doc.get("author_role"), "author_role", Role),
-        anchor=doc.get("anchor"),
-        text=doc.get("text"),
-        offset=doc.get("offset", (0.0, 0.0, 0.0)),
+        doc.get("id"),
+        _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "author_role", Role),
+        doc.get("anchor"),
+        doc.get("text"),
+        doc.get("offset", (0.0, 0.0, 0.0)),
     )
 
 
+def _set_pose_from_dict(doc: dict, role: Role, seq: int) -> SetPose:
+    node = doc.get("node")
+    node = node if type(node) is str and node else checks.ident(node, "node")
+    return SetPose(node, Pose.from_dict(doc.get("pose")), role, seq)
+
+
+def _set_valve_state_from_dict(doc: dict, role: Role, seq: int) -> SetValveState:
+    node, state = doc.get("node"), doc.get("state")
+    node = node if type(node) is str and node else checks.ident(node, "node")
+    state = _VALVE_STATES[state] if type(state) is str and state in _VALVE_STATES else checks.member(
+        state, "state", ValveState)
+    return SetValveState(node, state, role, seq)
+
+
+def _set_highlight_from_dict(doc: dict, role: Role, seq: int) -> SetHighlight:
+    """A color is only required to be a list here; its range is the model's
+    check, so a bad one is a rejected edit, not a malformed frame."""
+    node, color = doc.get("node"), doc.get("color")
+    node = node if type(node) is str and node else checks.ident(node, "node")
+    if color is not None:
+        color = tuple(color if type(color) is list else checks.typed(color, "color", list))
+    return SetHighlight(node, color, role, seq)
+
+
+def _set_indication_from_dict(doc: dict, role: Role, seq: int) -> SetIndication:
+    node, playing = doc.get("node"), doc.get("playing")
+    node = node if type(node) is str and node else checks.ident(node, "node")
+    return SetIndication(node, playing if type(playing) is bool else checks.typed(playing, "playing", bool), role, seq)
+
+
+def _remove_annotation_from_dict(doc: dict, role: Role, seq: int) -> RemoveAnnotation:
+    ann_id = doc.get("annotation_id")
+    return RemoveAnnotation(ann_id if type(ann_id) is str and ann_id else checks.ident(ann_id, "annotation_id"),
+                            role, seq)
+
+
+# Each encoder writes its op's own fields; ``edit_to_dict`` adds role and seq.
+_EDIT_ENCODERS: dict[type, Callable[[Edit], dict]] = {
+    SetPose: lambda edit: {"op": "set_pose", "node": edit.node, "pose": edit.pose.to_dict()},
+    SetValveState: lambda edit: {"op": "set_valve_state", "node": edit.node, "state": edit.state._value_},
+    SetHighlight: lambda edit: {"op": "set_highlight", "node": edit.node,
+                                "color": None if edit.color is None else list(edit.color)},
+    SetIndication: lambda edit: {"op": "set_indication", "node": edit.node, "playing": edit.playing},
+    AddAnnotation: lambda edit: {"op": "add_annotation", "annotation": annotation_to_dict(edit.annotation)},
+    RemoveAnnotation: lambda edit: {"op": "remove_annotation", "annotation_id": edit.annotation_id},
+}
+# Each decoder reads its op's own fields; ``edit_from_dict`` has read role and seq.
+_EDIT_DECODERS: dict[str, Callable[[dict, Role, int], Edit]] = {
+    "set_pose": _set_pose_from_dict,
+    "set_valve_state": _set_valve_state_from_dict,
+    "set_highlight": _set_highlight_from_dict,
+    "set_indication": _set_indication_from_dict,
+    "add_annotation": lambda doc, role, seq: AddAnnotation(annotation_from_dict(doc.get("annotation")), role, seq),
+    "remove_annotation": _remove_annotation_from_dict,
+}
+
+
 def edit_to_dict(edit: Edit) -> dict:
-    base = {"role": edit.author_role.value, "seq": edit.author_seq}
-    if isinstance(edit, SetPose):
-        return {"op": "set_pose", "node": edit.node, "pose": edit.pose.to_dict(), **base}
-    if isinstance(edit, SetValveState):
-        return {"op": "set_valve_state", "node": edit.node, "state": edit.state.value, **base}
-    if isinstance(edit, SetHighlight):
-        color = list(edit.color) if edit.color is not None else None
-        return {"op": "set_highlight", "node": edit.node, "color": color, **base}
-    if isinstance(edit, SetIndication):
-        return {"op": "set_indication", "node": edit.node, "playing": edit.playing, **base}
-    if isinstance(edit, AddAnnotation):
-        return {"op": "add_annotation", "annotation": annotation_to_dict(edit.annotation), **base}
-    if isinstance(edit, RemoveAnnotation):
-        return {"op": "remove_annotation", "annotation_id": edit.annotation_id, **base}
-    raise EditError(f"unsupported edit {edit!r}")
+    encode = _EDIT_ENCODERS.get(type(edit))
+    if encode is None:
+        raise EditError(f"unsupported edit {edit!r}")
+    doc = encode(edit)
+    doc["role"], doc["seq"] = edit.author_role._value_, edit.author_seq
+    return doc
 
 
 def edit_from_dict(doc: dict) -> Edit:
-    """An edit from its wire form. A highlight color is only required to be a
-    list here; its range is the model's check, so a bad one is a rejected edit."""
-    op = checks.typed(doc, "edit", dict).get("op")
-    role = checks.member(doc.get("role"), "role", Role)
-    seq = checks.count(doc.get("seq"), "seq")
-    if op == "add_annotation":
-        return AddAnnotation(annotation_from_dict(doc.get("annotation")), role, seq)
-    if op == "remove_annotation":
-        return RemoveAnnotation(checks.ident(doc.get("annotation_id"), "annotation_id"), role, seq)
-    if op not in ("set_pose", "set_valve_state", "set_highlight", "set_indication"):
+    """An edit from its wire form, its fields refused in the order above."""
+    if type(doc) is not dict:
+        doc = checks.typed(doc, "edit", dict)
+    role, seq, op = doc.get("role"), doc.get("seq"), doc.get("op")
+    role = _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "role", Role)
+    seq = seq if type(seq) is int and 0 <= seq <= MAX_COUNT else checks.count(seq, "seq")
+    decode = _EDIT_DECODERS.get(op) if type(op) is str else None
+    if decode is None:
         raise ConfigError(f"unknown edit op {op!r}")
-    node = checks.ident(doc.get("node"), "node")
-    if op == "set_pose":
-        return SetPose(node, Pose.from_dict(doc.get("pose")), role, seq)
-    if op == "set_valve_state":
-        return SetValveState(node, checks.member(doc.get("state"), "state", ValveState), role, seq)
-    if op == "set_highlight":
-        color = doc.get("color")
-        return SetHighlight(node, None if color is None else tuple(checks.typed(color, "color", list)), role, seq)
-    return SetIndication(node, checks.typed(doc.get("playing"), "playing", bool), role, seq)
+    return decode(doc, role, seq)

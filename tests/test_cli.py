@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from statistics import NormalDist
 
 import pytest
 
-from replicasim import checks, metrics, plant, scenario, stats
+from replicasim import ConfigError, checks, metrics, plant, scenario, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import (
     ALL_MEASURES,
@@ -468,7 +469,7 @@ class TestAnalyze:
         assert "Tests (" not in report  # no between-group section
 
     def test_row_with_extra_cells_names_line(self, tmp_path, capsys):
-        # csv.DictReader files the cells past the header under the key None, which no check reads.
+        # A cell past the header's columns belongs to no column, so no field check would read it.
         out = tmp_path / "corpus"
         assert run_cli("simulate", "--sessions", "3:3", "--seed", "1", "--out", str(out)) == EXIT_OK
         csv_path = out / "metrics.csv"
@@ -479,6 +480,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "metrics.csv" in err and "line 3" in err and "2 more cells" in err
         assert not (tmp_path / "report").exists()
+
+    def test_malformed_row_names_the_line_it_starts_on(self, tmp_path, capsys):
+        # A quoted cell may hold a newline, so a row is not always one file line.
+        out = tmp_path / "corpus"
+        assert run_cli("simulate", "--sessions", "3:3", "--seed", "1", "--out", str(out)) == EXIT_OK
+        csv_path = out / "metrics.csv"
+        with csv_path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0]["session_id"] = "s\n1"  # file lines 2-3
+        rows[1]["total_s"] = "abc"  # file line 4
+        with csv_path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert csv_path.read_text(encoding="utf-8").splitlines()[3].split(",")[0] == rows[1]["session_id"]
+        assert run_cli("analyze", str(csv_path), "--out", str(tmp_path / "report")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "at line 4: total_s" in err
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
@@ -594,6 +613,19 @@ class TestReplay:
         assert run_cli("replay", str(bad)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bogus.jsonl" in err and "'Bogus'" in err and "line 3" in err
+
+    def test_refused_record_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "t_ms.jsonl"
+        bad.write_text(simulated_log_with(lambda records: records[4].update(t_ms="x")), encoding="utf-8")
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "t_ms.jsonl" in err and "t_ms must be an integer in [0, 9007199254740991], got 'x' at line 5" in err
+
+    def test_unknown_event_kind_names_its_line_once(self):
+        text = simulated_log_with(lambda records: records[2].update(kind="Bogus"))
+        with pytest.raises(ConfigError) as info:
+            metrics.session_log_from_jsonl(text)
+        assert str(info.value) == "unknown event kind 'Bogus' at line 3"
 
     def test_malformed_log_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

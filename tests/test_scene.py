@@ -249,6 +249,26 @@ class TestOverlay:
         assert sorted(overlay.items()) == sorted(flat.items())
         assert sorted(overlay.values()) == sorted(flat.values())
 
+    def test_len_in_and_get_match_the_flat_dict(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            base = {k: rng.random() for k in rng.sample(range(40), rng.randint(0, 30))}
+            delta = {k: rng.random() for k in rng.sample(range(50), rng.randint(0, 20))}
+            overlay = Overlay(delta, base)
+            flat = overlay.flat()
+            assert len(overlay) == len(flat) == len(set(base) | set(delta))
+            for key in range(55):
+                assert (key in overlay) == (key in flat)
+                assert overlay.get(key) == flat.get(key) and overlay.get(key, "missing") == flat.get(key, "missing")
+
+    def test_len_reads_only_the_delta(self):
+        class Unlisted(dict):
+            def __iter__(self):
+                raise AssertionError("the base was iterated")
+
+        overlay = Overlay({"b": 20, "d": 4}, Unlisted(a=1, b=2, c=3))
+        assert len(overlay) == 4 and "c" in overlay and "z" not in overlay
+
     def test_equality_is_the_flat_dicts_in_either_order(self):
         overlay = Overlay({"b": 20}, {"a": 1, "b": 2})
         assert overlay == {"a": 1, "b": 20} and {"a": 1, "b": 20} == overlay
