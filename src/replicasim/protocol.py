@@ -25,20 +25,11 @@ import struct
 from typing import Callable, Optional, Union
 
 from replicasim import ConfigError, RoomError, checks
+from replicasim.checks import MAX_COUNT
 from replicasim.records import field, record
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
-from replicasim.checks import MAX_COUNT
-from replicasim.scene import (
-    _ROLES,
-    _VALVE_STATES,
-    Edit,
-    Pose,
-    Role,
-    SceneModel,
-    ValveState,
-    edit_from_dict,
-    edit_to_dict,
-)
+from replicasim.scene import (_ROLES, _VALVE_STATES, Edit, Pose, Role, SceneModel, ValveState, edit_from_dict,
+                              edit_to_dict)
 
 GAZE_NORM_TOL = 1e-9
 EXPERT_ELEVATION_M = 1.5
