@@ -78,11 +78,14 @@ def session_log_from_jsonl(text: str) -> SessionLog:
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ConfigError("empty session log")
-    header = checks.typed(checks.loads(lines[0][1]), "session header", dict)
-    if header.get("record") != "session":
-        raise ConfigError("first record must be the session header")
     events = []
-    try:
+    n, line = lines[0]
+    try:  # every refusal of the header or of a record names its line
+        header = checks.typed(checks.loads(line), "session header", dict)
+        if header.get("record") != "session":
+            raise ConfigError("first record must be the session header")
+        condition = checks.member(header.get("condition"), "condition", Condition)
+        seed = checks.integer(header.get("seed"), "seed")
         for n, line in lines[1:]:
             doc = checks.typed(checks.loads(line), "log record", dict)
             if doc.get("record") != "event":
@@ -95,6 +98,10 @@ def session_log_from_jsonl(text: str) -> SessionLog:
                 checks.ident(data.get("valve"), f"{kind} valve")
             if kind in (IDENTIFY, MANIPULATE):
                 checks.typed(data.get("correct"), f"{kind} correct", bool)
+            if "text" in data:
+                checks.typed(data["text"], f"{kind} text", str)
+            if "temperature_c" in data:
+                checks.finite(data["temperature_c"], f"{kind} temperature_c")
             block, block_kind = doc.get("block"), doc.get("block_kind")
             events.append(LogEvent(
                 t_ms=checks.count(doc.get("t_ms"), "t_ms"),
@@ -103,10 +110,9 @@ def session_log_from_jsonl(text: str) -> SessionLog:
                 block=None if block is None else checks.ident(block, "block"),
                 block_kind=None if block_kind is None else checks.typed(block_kind, "block_kind", str),
             ))
-    except ConfigError as exc:  # every refusal of a record names its line
+    except ConfigError as exc:
         raise ConfigError(f"{exc} at line {n}") from None
-    condition = checks.member(header.get("condition"), "condition", Condition)
-    log = SessionLog(condition=condition, seed=checks.integer(header.get("seed"), "seed"), events=events)
+    log = SessionLog(condition=condition, seed=seed, events=events)
     validate_session_log(log)
     return log
 

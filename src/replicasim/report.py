@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from replicasim import ConfigError, checks
 # write_metrics_csv lives in metrics, beside CSV_COLUMNS, so that simulate loads no
@@ -105,7 +106,7 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
     # group of at least two sessions, the summary and, when both conditions
     # have one, the comparison.
     samples = {
-        (measure, cond): Sample(tuple(float(r[measure]) for r in cond_rows), label=f"{cond}:{measure}")
+        (measure, cond): Sample(tuple(map(float, map(itemgetter(measure), cond_rows))), label=f"{cond}:{measure}")
         for measure in ALL_MEASURES
         for cond, cond_rows in by_condition.items()
     }

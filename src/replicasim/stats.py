@@ -4,9 +4,16 @@ Shapiro-Wilk follows Royston's AS R94 polynomial approximations (valid for
 3 <= n <= 50); its coefficients depend on n alone and are computed once per n.
 Mann-Whitney uses midranks; for small samples its exact p-value counts all
 labelings by a rank-sum recurrence, otherwise it takes the tie-corrected
-normal approximation. The recurrence packs the counts for each subset size
-into the base-2**b digits of one Python integer, with b wide enough that no
-count spills into the next digit, so every count stays an exact integer.
+normal approximation. One pass over the sorted pooled values gives both the
+midranks and the tie term (Lehmann, *Nonparametrics*, 1975). The recurrence
+packs the counts for each subset size into the base-2**b digits of one Python
+integer, with b wide enough that no count spills into the next digit, so every
+count stays an exact integer. A sample's mean and sum of squared deviations are
+summed once, with ``math.fsum``, and kept on the ``Sample`` for ``mean_sd``,
+``shapiro_wilk`` and ANOVA. Neither moves a bit: rank sums, tie terms and U are
+exact integers or halves, and ``fsum`` is correctly rounded in any term order.
+The deviations stay squared as ``(v - mean) ** 2``, which calls C ``pow``; a
+``d * d`` may round differently in the last bit, which would move sd and W.
 ANOVA computes F from (n, mean, sd) group summaries, which is how published
 results are reconstructed; raw samples go through their summaries. The F
 tail is a regularized incomplete beta function, evaluated by Lentz's
@@ -17,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence
@@ -55,6 +61,13 @@ class Sample:
     def n(self) -> int:
         return len(self.values)
 
+    @functools.cached_property
+    def _moments(self) -> tuple[float, float]:
+        """The mean and the sum of squared deviations from it, each summed once and kept
+        in the instance ``__dict__``; so ``Sample`` has no ``__slots__``."""
+        mean = math.fsum(self.values) / len(self.values)
+        return mean, math.fsum([(v - mean) ** 2 for v in self.values])
+
 
 @dataclass(frozen=True)
 class GroupSummary:
@@ -87,9 +100,8 @@ class TestResult:
 def mean_sd(sample: Sample) -> GroupSummary:
     if sample.n < 2:
         raise StatsError("mean_sd needs at least two values")
-    mean = math.fsum(sample.values) / sample.n
-    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in sample.values) / (sample.n - 1))
-    return GroupSummary(n=sample.n, mean=mean, sd=sd, label=sample.label)
+    mean, ss = sample._moments
+    return GroupSummary(n=sample.n, mean=mean, sd=math.sqrt(ss / (sample.n - 1)), label=sample.label)
 
 
 # --- Shapiro-Wilk ------------------------------------------------------------------
@@ -155,12 +167,10 @@ def shapiro_wilk(sample: Sample) -> TestResult:
     n = sample.n
     if not 3 <= n <= 50:
         raise StatsError(f"shapiro_wilk supports 3 <= n <= 50, got n={n}")
-    x = sorted(sample.values)
-    mean = math.fsum(x) / n
-    ss = math.fsum((v - mean) ** 2 for v in x)
+    ss = sample._moments[1]
     if ss <= 0.0:
         raise DegenerateSampleError("sample has zero variance")
-    w = math.fsum(a * v for a, v in zip(_shapiro_wilk_weights(n), x)) ** 2 / ss
+    w = math.fsum([a * v for a, v in zip(_shapiro_wilk_weights(n), sorted(sample.values))]) ** 2 / ss
     w = min(w, 1.0)
     return TestResult(
         statistic=w,
@@ -173,19 +183,26 @@ def shapiro_wilk(sample: Sample) -> TestResult:
 # --- Mann-Whitney-Wilcoxon ----------------------------------------------------------
 
 
-def _doubled_midranks(values: Sequence[float]) -> list[int]:
-    """Twice each value's midrank; a midrank is a multiple of 1/2, so these are integers."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        for k in order[i : j + 1]:
-            ranks[k] = i + j + 2
-        i = j + 1
-    return ranks
+def _doubled_midranks(values: Sequence[float]) -> tuple[dict[float, int], int]:
+    """Twice each distinct value's midrank, and the tie term: c**3 - c summed over the runs of c tied values.
+
+    Doubled midranks are integers. A dict of the sorted values keeps twice each
+    value's last 1-based position: without ties that is its doubled rank; with
+    them, a run of tied values spans the positions after the run before it up
+    to there, and its doubled midrank is its first position plus its last.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    last = dict(zip(ordered, range(2, 2 * n + 1, 2)))
+    if len(last) == n:
+        return last, 0
+    ranks, tie_term, before = {}, 0, 0
+    for value, end in last.items():
+        ranks[value] = (before + end) // 2 + 1
+        c = (end - before) // 2
+        tie_term += c**3 - c
+        before = end
+    return ranks, tie_term
 
 
 def _exact_two_sided_p(ranks2: list[int], n1: int) -> float:
@@ -251,8 +268,9 @@ def mann_whitney(a: Sample, b: Sample, exact_threshold: int = DEFAULT_EXACT_THRE
     so is the comparison with the observed statistic.
     """
     n1, n2 = a.n, b.n
-    pooled = list(a.values) + list(b.values)
-    ranks2 = _doubled_midranks(pooled)
+    pooled = (*a.values, *b.values)
+    midranks2, tie_term = _doubled_midranks(pooled)
+    ranks2 = list(map(midranks2.__getitem__, pooled))
     rank_sum_a = sum(ranks2[:n1]) / 2.0
     u_a = rank_sum_a - n1 * (n1 + 1) / 2.0
     u_b = n1 * n2 - u_a
@@ -268,7 +286,6 @@ def mann_whitney(a: Sample, b: Sample, exact_threshold: int = DEFAULT_EXACT_THRE
         p = _exact_two_sided_p(ranks2, n1)
         return TestResult(statistic=u_a, statistic_name="U", p_value=p, exact=True, extra=extra)
 
-    tie_term = sum(c**3 - c for c in Counter(pooled).values())
     size = n1 + n2
     var = (n1 * n2 / 12.0) * ((size + 1) - tie_term / (size * (size - 1)))
     if var <= 0.0:

@@ -627,6 +627,31 @@ class TestReplay:
             metrics.session_log_from_jsonl(text)
         assert str(info.value) == "unknown event kind 'Bogus' at line 3"
 
+    @pytest.mark.parametrize("kind, key, value, refusal", [
+        ("TemperatureReport", "temperature_c", "hot", "must be a finite number, got 'hot'"),
+        ("TemperatureReport", "temperature_c", math.nan, "must be a finite number, got nan"),
+        ("Instruction", "text", 5, "must be a string, got 5"),
+    ])
+    def test_data_of_the_wrong_type_is_refused_with_its_line(self, tmp_path, capsys, kind, key, value, refusal):
+        lines = []
+
+        def mutate(records):
+            index = next(i for i, record in enumerate(records) if record.get("kind") == kind)
+            records[index]["data"][key] = value
+            lines.append(index + 1)
+
+        bad = tmp_path / "data.jsonl"
+        bad.write_text(simulated_log_with(mutate), encoding="utf-8")
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        assert f"{kind} {key} {refusal} at line {lines[0]}" in capsys.readouterr().err
+
+    def test_refused_header_names_its_line(self):
+        # Blank lines before the header count.
+        text = "\n \n" + simulated_log_with(lambda records: records[0].update(seed="x"))
+        with pytest.raises(ConfigError) as info:
+            metrics.session_log_from_jsonl(text)
+        assert str(info.value) == "seed must be an integer, got 'x' at line 3"
+
     def test_malformed_log_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"record":"session","condition":"hmd","seed":1}\n'

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
@@ -22,7 +23,10 @@ from replicasim.stats import (
     mean_sd,
     shapiro_wilk,
     _betainc,
+    _doubled_midranks,
+    _exact_two_sided_p,
     _f_sf,
+    _shapiro_wilk_pvalue,
     _shapiro_wilk_weights,
 )
 
@@ -411,3 +415,149 @@ class TestPipelineBranch:
         comparison = compare_groups(a, b)
         assert comparison.chosen == "mww"
         assert comparison.shapiro[0] is None
+
+
+# --- The one-pass ranks and the cached moments, against the formulas they replace ---------
+
+
+def seeded_values(rng, n, shape):
+    """n values: distinct, on 2-5 tie levels, all tied, or -0.0 beside 0.0 among other ties."""
+    if shape == "distinct":
+        return [rng.gauss(0.0, 1.0) for _ in range(n)]
+    if shape == "levels":
+        levels = rng.randrange(2, 6)
+        return [float(rng.randrange(levels)) for _ in range(n)]
+    if shape == "tied":
+        return [3.5] * n
+    return [rng.choice((-0.0, 0.0, 1.0, rng.random())) for _ in range(n)]
+
+
+SHAPES = ("distinct", "levels", "tied", "signed_zero")
+
+
+def argsort_doubled_midranks(values):
+    """Twice each value's midrank, as the argsort and run scan computed them before the one-pass kernel."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in order[i : j + 1]:
+            ranks[k] = i + j + 2
+        i = j + 1
+    return ranks
+
+
+def counter_tie_term(values):
+    return sum(c**3 - c for c in Counter(values).values())
+
+
+def reference_mann_whitney(a, b):
+    n1, n2 = len(a), len(b)
+    pooled = list(a) + list(b)
+    ranks2 = argsort_doubled_midranks(pooled)
+    rank_sum_a = sum(ranks2[:n1]) / 2.0
+    u_a = rank_sum_a - n1 * (n1 + 1) / 2.0
+    extra = {
+        "rank_sum_w": rank_sum_a,
+        "u_a": u_a,
+        "u_b": n1 * n2 - u_a,
+        "convention": "U is U_a for the first sample; W is the first sample's rank sum",
+    }
+    if n1 + n2 <= DEFAULT_EXACT_THRESHOLD:
+        return stats.TestResult(u_a, "U", _exact_two_sided_p(ranks2, n1), exact=True, extra=extra)
+    size = n1 + n2
+    var = (n1 * n2 / 12.0) * ((size + 1) - counter_tie_term(pooled) / (size * (size - 1)))
+    if var <= 0.0:
+        return stats.TestResult(u_a, "U", 1.0, extra=extra)
+    z = (abs(u_a - n1 * n2 / 2.0) - 0.5) / math.sqrt(var)
+    return stats.TestResult(u_a, "U", min(2.0 * (1.0 - NormalDist().cdf(max(z, 0.0))), 1.0), extra=extra)
+
+
+def reference_shapiro_wilk(values):
+    """W and p with the moments summed over the sorted values; None where shapiro_wilk refuses."""
+    n = len(values)
+    if not 3 <= n <= 50:
+        return None
+    x = sorted(values)
+    mean = math.fsum(x) / n
+    ss = math.fsum((v - mean) ** 2 for v in x)
+    if ss <= 0.0:
+        return None
+    w = min(math.fsum(a * v for a, v in zip(_shapiro_wilk_weights(n), x)) ** 2 / ss, 1.0)
+    return stats.TestResult(w, "W_sw", _shapiro_wilk_pvalue(w, n), exact=n == 3)
+
+
+def reference_summary(values):
+    n = len(values)
+    mean = math.fsum(values) / n
+    return GroupSummary(n, mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)))
+
+
+def reference_comparison(a, b):
+    shapiro = (reference_shapiro_wilk(a), reference_shapiro_wilk(b))
+    if all(r is not None and r.p_value > stats.NORMALITY_ALPHA for r in shapiro):
+        return shapiro, "anova", anova_oneway_summary([reference_summary(a), reference_summary(b)])
+    return shapiro, "mww", reference_mann_whitney(a, b)
+
+
+class TestOnePassRanksAndCachedMoments:
+    def test_doubled_midranks_and_tie_term_match_rankdata_and_counter(self):
+        rng = random.Random(2901)
+        for n in range(1, 131):
+            for shape in SHAPES:
+                values = seeded_values(rng, n, shape)
+                ranks2, tie_term = _doubled_midranks(values)
+                assert [ranks2[v] for v in values] == [int(r) for r in 2 * scipy_stats.rankdata(values)], values
+                assert tie_term == counter_tie_term(values), values
+
+    @pytest.mark.parametrize("n1, n2", [(19, 20), (60, 60)])
+    def test_normal_path_with_ties_matches_scipy_asymptotic(self, n1, n2):
+        rng = random.Random(n1 * 1000 + n2)
+        for levels in (2, 3, 5, 12):
+            a = tuple(float(rng.randrange(levels)) for _ in range(n1))
+            b = tuple(float(rng.randrange(levels) + rng.randrange(2)) for _ in range(n2))
+            res = mann_whitney(Sample(a), Sample(b))
+            ref = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", use_continuity=True, method="asymptotic")
+            assert not res.exact
+            assert res.statistic == ref.statistic
+            assert abs(res.p_value - ref.pvalue) < 1e-12
+
+    def test_compare_groups_is_bit_identical_to_the_formulas_it_replaced(self):
+        # Every field is compared by repr, which tells every float and -0.0 from 0.0.
+        rng = random.Random(2902)
+        for _ in range(1200):
+            # Half of the sizes are small, so that pooled n <= 16 takes the exact path often.
+            n1, n2 = (rng.choice((rng.randrange(2, 9), rng.randrange(2, 71))) for _ in range(2))
+            shape = rng.choice(SHAPES + ("times",) * 4)
+            if shape == "times":  # session times as the metrics CSV rounds them
+                a = [round(rng.gauss(600.0, 80.0), 3) for _ in range(n1)]
+                b = [round(rng.gauss(560.0, 60.0) ** 1.1 / 2.0, 3) for _ in range(n2)]
+            else:
+                a, b = seeded_values(rng, n1, shape), seeded_values(rng, n2, rng.choice(SHAPES))
+            comparison = compare_groups(Sample(tuple(a)), Sample(tuple(b)), measure="m")
+            shapiro, chosen, result = reference_comparison(a, b)
+            assert repr((comparison.shapiro, comparison.chosen, comparison.result)) == repr((shapiro, chosen, result))
+            assert [mean_sd(Sample(tuple(v))) for v in (a, b)] == [reference_summary(a), reference_summary(b)]
+
+    def test_moments_read_first_by_either_test_give_the_same_results(self):
+        rng = random.Random(2903)
+        for n in (3, 7, 20, 50):
+            values = tuple(round(rng.gauss(600.0, 80.0), 3) for _ in range(n))
+            summary_first, shapiro_first = Sample(values), Sample(values)
+            by_summary = (mean_sd(summary_first), shapiro_wilk(summary_first))
+            w = shapiro_wilk(shapiro_first)
+            assert repr(by_summary) == repr((mean_sd(shapiro_first), w))
+            assert repr(anova_oneway_raw([summary_first, Sample(values[::-1])])) == repr(
+                anova_oneway_raw([Sample(values), shapiro_first]))
+
+    def test_squared_deviations_round_as_pow_rounds_them(self):
+        # (v - mean) ** 2 calls C pow, which here rounds some squares otherwise
+        # than d * d does. The summaries and W have always squared with pow, so
+        # the moments must too. Where pow rounds as d * d does, the list is empty.
+        rng = random.Random(2904)
+        deviations = [d for d in (rng.uniform(0.0, 100.0) for _ in range(100_000)) if d**2 != d * d]
+        for d in deviations:
+            assert mean_sd(Sample((-d, d))).sd == math.sqrt(2.0 * d**2), d
