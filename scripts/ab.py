@@ -19,7 +19,9 @@ fills the caches. Then each round times, for each tree:
 - ``large``: the same on the 19:20 and 60:60 corpora, which take its normal
   approximation;
 - ``tablet`` and ``hmd``: ``SESSIONS`` (10) sessions of each condition on a link
-  without latency, jitter or loss.
+  without latency, jitter or loss;
+- ``tablet-link`` and ``hmd-link``: as many on ``scenario.DEFAULT_SESSION_LINK``,
+  the 25 ± 10 ms link that ``simulate`` uses, which draws jitter on every send.
 
 For each series it prints both medians (ms per round), the quartiles of the
 per-round change/parent ratio, and in how many rounds the change was faster.
@@ -37,7 +39,7 @@ SIZES = ((4, 4), (6, 6), (8, 8), (5, 11), (19, 20), (60, 60))
 SMALL_POOLED_N = 16
 SESSIONS = 10
 SEED = 1
-SERIES = ("small", "large", "tablet", "hmd")
+SERIES = ("small", "large", "tablet", "hmd", "tablet-link", "hmd-link")
 
 
 def owned(name: str) -> bool:
@@ -70,7 +72,7 @@ class Tree:
         self.routing = scenario.default_routing_table()
         self.plan = scenario.build_default_plan(scenario.valve_registry(self.model))
         self.profiles = scenario.default_profiles()
-        self.still = self.netsim.LinkConfig(0, 0)
+        self.links = {"": self.netsim.LinkConfig(0, 0), "-link": scenario.DEFAULT_SESSION_LINK}
         self.logs = hashlib.sha256()  # every session log this tree wrote, in order
 
     def activate(self) -> None:
@@ -105,12 +107,14 @@ def time_round(tree: Tree, corpora: list, round_index: int) -> dict:
         start = time.perf_counter()
         tree.analyze(rows)
         elapsed["small" if len(rows) <= SMALL_POOLED_N else "large"] += time.perf_counter() - start
-    for condition in ("tablet", "hmd"):
-        seeds = [tree.netsim.derive_seed(SEED, f"ab:{round_index}:{condition}:{i}") for i in range(SESSIONS)]
-        start = time.perf_counter()
-        for seed in seeds:
-            tree.session(condition, seed, tree.still)
-        elapsed[condition] += time.perf_counter() - start
+    for suffix, link in tree.links.items():
+        for condition in ("tablet", "hmd"):
+            series = condition + suffix
+            seeds = [tree.netsim.derive_seed(SEED, f"ab:{round_index}:{series}:{i}") for i in range(SESSIONS)]
+            start = time.perf_counter()
+            for seed in seeds:
+                tree.session(condition, seed, link)
+            elapsed[series] += time.perf_counter() - start
     return {series: seconds * 1e3 for series, seconds in elapsed.items()}
 
 
@@ -148,12 +152,12 @@ def main(argv=None) -> int:
                 times[side][series].append(ms)
 
     parent, change = times
-    print(f"{'series':<8} {'parent ms':>10} {'change ms':>10} {'ratio q1':>9} {'median':>7} {'q3':>7} faster")
+    print(f"{'series':<11} {'parent ms':>10} {'change ms':>10} {'ratio q1':>9} {'median':>7} {'q3':>7} faster")
     for series in SERIES:
         ratios = [c / p for p, c in zip(parent[series], change[series])]
         q1, q2, q3 = quartiles(ratios)
         faster = sum(ratio < 1.0 for ratio in ratios)
-        print(f"{series:<8} {statistics.median(parent[series]):>10.3f} {statistics.median(change[series]):>10.3f} "
+        print(f"{series:<11} {statistics.median(parent[series]):>10.3f} {statistics.median(change[series]):>10.3f} "
               f"{q1:>9.3f} {q2:>7.3f} {q3:>7.3f} {faster}/{args.rounds}")
 
     same_reports = reports[0] == reports[1]

@@ -113,33 +113,47 @@ def session_log_from_jsonl(text: str) -> SessionLog:
     except ConfigError as exc:
         raise ConfigError(f"{exc} at line {n}") from None
     log = SessionLog(condition=condition, seed=seed, events=events)
-    validate_session_log(log)
+    try:
+        validate_session_log(log)
+    except ConfigError as exc:
+        for (n, _), event in zip(lines[1:], events):
+            if event is exc.event:
+                raise ConfigError(f"{exc} at line {n}") from None
+        raise
     return log
 
 
+def _refusal(message: str, event: Optional[LogEvent] = None) -> ConfigError:
+    exc = ConfigError(message)
+    exc.event = event
+    return exc
+
+
 def validate_session_log(log: SessionLog) -> None:
-    """Check every rule of a session log, the rules that the metrics rely on among them."""
+    """Check every rule of a session log, the rules that the metrics rely on among them. A refusal's
+    ``event`` is the event that breaks the rule, or None if no one event does, so a reader can name its line."""
     events = log.events
     if not events or events[0].kind != CALL_START:
-        raise ConfigError("log must start with CallStart")
+        raise _refusal("log must start with CallStart", events[0] if events else None)
     if events[-1].kind != CALL_END:
-        raise ConfigError("log must end with CallEnd")
+        raise _refusal("log must end with CallEnd", events[-1])
     last_t = events[0].t_ms
     for event in events:
         if event.t_ms < last_t:
-            raise ConfigError(f"timestamps decrease at {event.kind} t={event.t_ms}")
+            raise _refusal(f"timestamps decrease at {event.kind} t={event.t_ms}", event)
         last_t = event.t_ms
     # Every manipulation block mentioned in events must be closed by a breakpoint.
     manipulation_blocks = {e.block for e in events if e.block is not None and e.block_kind != NO_MANIPULATION}
     breakpoints = [e for e in events if e.kind == BREAKPOINT]
     unclosed = manipulation_blocks - {e.block for e in breakpoints}
     if unclosed:
-        raise ConfigError(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
-    if any(e.block is None for e in breakpoints):
-        raise ConfigError("breakpoint without block context")
+        raise _refusal(f"manipulation blocks without a closing breakpoint: {sorted(unclosed)}")
+    for e in breakpoints:
+        if e.block is None:
+            raise _refusal("breakpoint without block context", e)
     for e in breakpoints:
         if e.block_kind not in BLOCK_KINDS:
-            raise ConfigError(f"unknown block kind {e.block_kind or ''!r}")
+            raise _refusal(f"unknown block kind {e.block_kind or ''!r}", e)
 
 
 @record(frozen=True)

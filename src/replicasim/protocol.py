@@ -140,11 +140,12 @@ class RoomState:
     ) -> "tuple[RoomState, Envelope]":
         """The state once ``sender`` sends ``payload``, with ``shared`` or ``avatar_map`` in place
         of its own when given, and the stamped envelope. ``self`` is left as it was."""
-        counters = {**self.sender_counters, sender: self.sender_counters.get(sender, 0) + 1}
-        shared = self.shared if shared is None else shared
-        avatar_map = self.avatar_map if avatar_map is None else avatar_map
-        state = RoomState(self.room, shared, self.members, avatar_map, self.next_host_seq + 1, counters)
-        return state, Envelope(sender, counters[sender], self.room, payload, self.next_host_seq)
+        counters = self.sender_counters.copy()
+        seq = counters[sender] = counters.get(sender, 0) + 1
+        room, host_seq = self.room, self.next_host_seq
+        state = RoomState(room, self.shared if shared is None else shared, self.members,
+                          self.avatar_map if avatar_map is None else avatar_map, host_seq + 1, counters)
+        return state, Envelope(sender, seq, room, payload, host_seq)
 
 
 def join_room(state: RoomState, client: str, role: Role) -> RoomState:

@@ -131,11 +131,11 @@ def synchronize(request: SyncRequest, shared: SceneModel) -> MergeOutcome:
     """
     if request.base_version > shared.version:
         raise RoomError(f"base_version {request.base_version} is ahead of shared version {shared.version}")
-    for edit in request.edits:
-        if edit.author_role is not request.owner_role:
-            raise RoomError(f"edit authored as {edit.author_role.value}"
-                            f" in a request from the {request.owner_role.value}")
-    merged, accepted, rejected = _apply_batch(shared, request.edits, shared.version + 1, _RULE[request.owner_role])
+    role, edits = request.owner_role, request.edits
+    for edit in edits:
+        if edit.author_role is not role:
+            raise RoomError(f"edit authored as {edit.author_role.value} in a request from the {role.value}")
+    merged, accepted, rejected = _apply_batch(shared, edits, shared.version + 1, _RULE[role])
     return MergeOutcome(merged=merged if accepted else shared, accepted=accepted, rejected=rejected)
 
 
@@ -167,11 +167,13 @@ def acknowledge_commit(replica: Replica, outcome_accepted: tuple[Edit, ...], sha
     """
     if shared.version < replica.base_version:
         raise RoomError(f"shared version {shared.version} is behind replica base {replica.base_version}")
-    accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted} if replica.pending else ()
-    remaining = tuple(e for e in replica.pending if (e.author_role, e.author_seq) not in accepted_keys)
-    if not remaining:
+    pending = replica.pending
+    if pending:
+        accepted_keys = {(e.author_role, e.author_seq) for e in outcome_accepted}
+        pending = tuple(e for e in pending if (e.author_role, e.author_seq) not in accepted_keys)
+    if not pending:
         return Replica(replica.owner, replica.owner_role, shared.version, shared)
-    working, pending, _ = _apply_batch(shared, remaining, shared.version, _RULE[replica.owner_role])
+    working, pending, _ = _apply_batch(shared, pending, shared.version, _RULE[replica.owner_role])
     return Replica(replica.owner, replica.owner_role, shared.version, working, pending)
 
 

@@ -7,6 +7,9 @@ valve or describe, a ``ReportTemperature``, and ``CallEnd`` to wrap up. The
 maintainer draws identification/manipulation outcomes and latencies from a
 profile, answers each step with a ``StepDone`` and the wrap-up with its own
 ``CallEnd``. Everything is a pure function of the session seed.
+
+Field-less payloads are immutable, so each is built once and every send
+reuses it. Both agents dispatch on a payload's exact type, as the codec does.
 """
 from __future__ import annotations
 
@@ -19,7 +22,9 @@ from typing import Optional, Union
 
 from replicasim import ConfigError, checks, metrics
 from replicasim import plant as plant_mod
-from replicasim.metrics import Condition, session_log_to_jsonl  # bench/ times the writer under this name
+from replicasim.metrics import (BREAKPOINT, CALL_END, CALL_START, IDENTIFY, INSTRUCTION, MANIPULATE, REPEAT_REQUEST,
+                                REPLICA_INDICATION, TEMPERATURE_REPORT, Condition, LogEvent,
+                                session_log_to_jsonl)  # bench/ times the writer under this name
 from replicasim.netsim import LinkConfig, World, derive_seed
 from replicasim.plant import PlantState, RoutingTable, plant_from_model, routing_table_from_dict
 from replicasim.protocol import (
@@ -260,17 +265,18 @@ class _Recorder:
     time, so that events of equal time keep the order they were logged in."""
 
     def __init__(self) -> None:
-        self._events: list[metrics.LogEvent] = []
-        self._block: tuple[Optional[str], Optional[str]] = (None, None)
+        self._events: list[LogEvent] = []
+        self._block: Optional[str] = None
+        self._block_kind: Optional[str] = None
 
     def enter(self, block: Optional[Block]) -> None:
         """Stamp later events with ``block``'s id and kind name, or with none."""
-        self._block = (None, None) if block is None else (block.id, block_kind_name(block))
+        self._block, self._block_kind = (None, None) if block is None else (block.id, block_kind_name(block))
 
     def log(self, t_ms: int, kind: str, data: Optional[dict] = None) -> None:
-        self._events.append(metrics.LogEvent(int(t_ms), kind, data or {}, *self._block))
+        self._events.append(LogEvent(int(t_ms), kind, data or {}, self._block, self._block_kind))
 
-    def events(self) -> list[metrics.LogEvent]:
+    def events(self) -> list[LogEvent]:
         return sorted(self._events, key=attrgetter("t_ms"))
 
 
@@ -281,6 +287,12 @@ EXPERT_ID = "expert"
 # The operator's opening avatar, the same in every session, and the expert's placed above it once.
 OPERATOR_AVATAR = Avatar(AvatarState(client=OPERATOR_ID, role=Role.OPERATOR, head_pose=Pose((0.0, 1.7, 0.0))))
 EXPERT_AVATAR = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=place_expert_avatar(OPERATOR_AVATAR.state))
+# The field-less payloads, shared by every send; and the enum members the agents test, which read
+# faster as module globals than through their class.
+CALL_START_MSG, CALL_END_MSG, STEP_DONE_MSG = CallStart(), CallEnd(), StepDone()
+REPORT_TEMPERATURE_MSG = ReportTemperature()
+_HMD, _TABLET, _EXPERT, _OPERATOR = Condition.HMD, Condition.TABLET, Role.EXPERT, Role.OPERATOR
+_TWO_HANDED = Handedness.TWO_HANDED
 
 
 def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
@@ -301,12 +313,12 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
             for instruction in instructions:
                 now = yield instruction, pause
                 pause = 0
-            recorder.log(now, metrics.BREAKPOINT)
+            recorder.log(now, BREAKPOINT)
             recorder.enter(None)
         if i == 0:
-            yield ReportTemperature(), pause
+            yield REPORT_TEMPERATURE_MSG, pause
             pause = EXPLANATION_PAUSE_MS
-    yield CallEnd(), pause + SUMMARY_PAUSE_MS
+    yield CALL_END_MSG, pause + SUMMARY_PAUSE_MS
 
 
 class _ExpertAgent:
@@ -328,45 +340,45 @@ class _ExpertAgent:
     def _send(self, net: World, payload, extra_delay_ms: int = 0) -> None:
         room, env = self.s.room._stamp(EXPERT_ID, payload)
         self.s.room = room
-        net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms=extra_delay_ms)
+        net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms)
 
     def _sync_indication(self, net: World, valve: str, pause: int) -> None:
         edits = []
         if self.indicated is not None:
-            edits.append(SetIndication(self.indicated, False, Role.EXPERT, self._next_seq()))
-        edits.append(SetIndication(valve, True, Role.EXPERT, self._next_seq()))
+            edits.append(SetIndication(self.indicated, False, _EXPERT, self._next_seq()))
+        edits.append(SetIndication(valve, True, _EXPERT, self._next_seq()))
         self.indicated = valve
-        env, outcome = self._commit(SyncRequest(EXPERT_ID, Role.EXPERT, self.s.room.shared.version, tuple(edits)))
+        env, outcome = self._commit(SyncRequest(EXPERT_ID, _EXPERT, self.s.room.shared.version, tuple(edits)))
         if outcome.rejected:
             edit, reason = outcome.rejected[0]
             raise EditError(f"the host rejected its own edit {edit!r}: {reason}", reason)
-        net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms=pause)
+        net.send(EXPERT_ID, OPERATOR_ID, env, pause)
 
     def _commit(self, request: SyncRequest) -> tuple[Envelope, MergeOutcome]:
         """Merge ``request`` as the host and record the commit for the operator."""
-        before = self.s.room.shared
-        room, env, outcome = submit_sync(self.s.room, request)
-        self.s.room = room
-        self.s.commits[outcome.merged.version] = (before, outcome.accepted, outcome.merged)
+        s = self.s
+        before = s.room.shared
+        s.room, env, outcome = submit_sync(s.room, request)
+        s.commits[outcome.merged.version] = (before, outcome.accepted, outcome.merged)
         return env, outcome
 
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
-        payload = env.payload
-        if isinstance(payload, (CallStart, StepDone)):  # the call starts, or the operator has done a step
+        kind = type(env.payload)
+        if kind is StepDone or kind is CallStart:  # the operator has done a step, or the call starts
             step, pause = self.steps.send(now)
-            if isinstance(step, Instruction) and step.valve is not None and self.s.condition is Condition.HMD:
+            if type(step) is Instruction and step.valve is not None and self.s.condition is _HMD:
                 self._sync_indication(net, step.valve, pause)
             self._send(net, step, pause)
-        elif isinstance(payload, Avatar):
+        elif kind is SyncReq:
+            env_out, _ = self._commit(env.payload.request)
+            net.send(EXPERT_ID, OPERATOR_ID, env_out)
+        elif kind is Avatar:
             # The host is the room's only other member, so the operator's
             # avatar has no one to be relayed to; only the expert's is sent.
-            mine = EXPERT_AVATAR
+            payload, mine = env.payload, EXPERT_AVATAR
             if payload is not OPERATOR_AVATAR:
-                mine = AvatarState(client=EXPERT_ID, role=Role.EXPERT, head_pose=place_expert_avatar(payload.state))
+                mine = AvatarState(client=EXPERT_ID, role=_EXPERT, head_pose=place_expert_avatar(payload.state))
             self.s.room, env_out = update_avatar(self.s.room, mine)
-            net.send(EXPERT_ID, OPERATOR_ID, env_out)
-        elif isinstance(payload, SyncReq):
-            env_out, _ = self._commit(payload.request)
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
 
 
@@ -378,18 +390,14 @@ class _OperatorAgent:
         self.rng = random.Random(derive_seed(session.seed, "operator"))
         self.sender_seq = 0
         self.edit_seq = 0
+        self.room_id = session.room.room
         self.local_shared = session.room.shared
-        self.replica = create_replica(self.local_shared, OPERATOR_ID, Role.OPERATOR)
+        self.replica = create_replica(self.local_shared, OPERATOR_ID, _OPERATOR)
         self.valve_ids = sorted(session.plant.valve_states)
-
-    def _next_seq(self) -> int:
-        self.edit_seq += 1
-        return self.edit_seq
 
     def _send(self, net: World, payload, extra_delay_ms: int = 0) -> None:
         self.sender_seq += 1
-        env = Envelope(sender=OPERATOR_ID, sender_seq=self.sender_seq, room=self.s.room.room, payload=payload)
-        net.send(OPERATOR_ID, EXPERT_ID, env, extra_delay_ms=extra_delay_ms)
+        net.send(OPERATOR_ID, EXPERT_ID, Envelope(OPERATOR_ID, self.sender_seq, self.room_id, payload), extra_delay_ms)
 
     def _draw(self, mean_sd: tuple[float, float]) -> int:
         mean, sd = mean_sd
@@ -400,44 +408,45 @@ class _OperatorAgent:
         return self.rng.choice(candidates)
 
     def _handle_operation(self, net: World, now: int, valve: str, target: ValveState) -> None:
-        profile = self.s.profile
-        handedness = self.local_shared.node(valve).handedness
-        manip = (
-            profile.manipulate_latency_2h_ms
-            if handedness is Handedness.TWO_HANDED
-            else profile.manipulate_latency_1h_ms
-        )
-        putdown = (
-            profile.tablet_putdown_penalty_ms
-            if self.s.condition is Condition.TABLET and handedness is Handedness.TWO_HANDED
-            else 0
-        )
+        s, random_, draw = self.s, self.rng.random, self._draw
+        profile, log, condition = s.profile, s.recorder.log, s.condition
+        identify = profile.identify_latency_ms
+        two_handed = self.local_shared.node(valve).handedness is _TWO_HANDED
+        manip = profile.manipulate_latency_2h_ms if two_handed else profile.manipulate_latency_1h_ms
+        putdown = profile.tablet_putdown_penalty_ms if two_handed and condition is _TABLET else 0
         t = now
-        if self.rng.random() < profile.p_repeat:
-            t += self._draw(profile.identify_latency_ms)
-            self.s.recorder.log(t, metrics.REPEAT_REQUEST, {"valve": valve})
-        if self.rng.random() < profile.p_simple:
-            t += self._draw(profile.identify_latency_ms)
-            self.s.recorder.log(t, metrics.IDENTIFY, {"valve": self._wrong_valve(valve), "correct": False})
-        t += self._draw(profile.identify_latency_ms)
-        self.s.recorder.log(t, metrics.IDENTIFY, {"valve": valve, "correct": True})
-        if self.rng.random() < profile.p_critical:
+        if random_() < profile.p_repeat:
+            t += draw(identify)
+            log(t, REPEAT_REQUEST, {"valve": valve})
+        if random_() < profile.p_simple:
+            t += draw(identify)
+            log(t, IDENTIFY, {"valve": self._wrong_valve(valve), "correct": False})
+        t += draw(identify)
+        log(t, IDENTIFY, {"valve": valve, "correct": True})
+        if random_() < profile.p_critical:
             # The wrong grab is interrupted before the valve state changes.
-            t += self._draw(manip) + putdown
-            self.s.recorder.log(t, metrics.MANIPULATE, {"valve": self._wrong_valve(valve), "correct": False})
-        t += self._draw(manip) + putdown
-        self.s.recorder.log(t, metrics.MANIPULATE, {"valve": valve, "correct": True})
-        self.s.plant.set_valve(valve, target)
+            t += draw(manip) + putdown
+            log(t, MANIPULATE, {"valve": self._wrong_valve(valve), "correct": False})
+        t += draw(manip) + putdown
+        log(t, MANIPULATE, {"valve": valve, "correct": True})
+        s.plant.set_valve(valve, target)
         delay = t - now
-        if self.s.condition is Condition.HMD:
-            edit = SetValveState(valve, target, Role.OPERATOR, self._next_seq())
-            self.replica = edit_replica(self.replica, edit)
-            self._send(net, SyncReq(make_sync_request(self.replica)), extra_delay_ms=delay)
-        self._send(net, StepDone(), extra_delay_ms=delay)
+        if condition is _HMD:
+            self.edit_seq += 1
+            self.replica = edit_replica(self.replica, SetValveState(valve, target, _OPERATOR, self.edit_seq))
+            self._send(net, SyncReq(make_sync_request(self.replica)), delay)
+        self._send(net, STEP_DONE_MSG, delay)
 
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         payload = env.payload
-        if isinstance(payload, SyncCommit):
+        kind = type(payload)
+        if kind is Instruction:
+            self.s.recorder.log(now, INSTRUCTION, {"text": payload.text})
+            if payload.valve is not None:
+                self._handle_operation(net, now, payload.valve, payload.target)
+            else:  # a description prompt
+                self._send(net, STEP_DONE_MSG, self._draw(self.s.profile.describe_latency_ms))
+        elif kind is SyncCommit:
             # Replay is a pure function of (model, accepted edits, version), so
             # when its inputs are the very objects the host merged, the host's
             # merged model is its result and is adopted as is; any other commit
@@ -452,23 +461,17 @@ class _OperatorAgent:
                 self.local_shared = apply_commit(self.local_shared, payload.accepted, payload.new_version)
             self.replica = acknowledge_commit(self.replica, payload.accepted, self.local_shared)
             for edit in payload.accepted:
-                if isinstance(edit, SetIndication) and edit.playing:
-                    self.s.recorder.log(now, metrics.REPLICA_INDICATION, {"valve": edit.node})
-        elif isinstance(payload, Instruction):
-            self.s.recorder.log(now, metrics.INSTRUCTION, {"text": payload.text})
-            if payload.valve is not None:
-                self._handle_operation(net, now, payload.valve, payload.target)
-            else:  # a description prompt
-                self._send(net, StepDone(), extra_delay_ms=self._draw(self.s.profile.describe_latency_ms))
-        elif isinstance(payload, ReportTemperature):
-            self.s.recorder.log(now, metrics.INSTRUCTION, {"text": REPORT_TEMPERATURE})
+                if type(edit) is SetIndication and edit.playing:
+                    self.s.recorder.log(now, REPLICA_INDICATION, {"valve": edit.node})
+        elif kind is ReportTemperature:
+            self.s.recorder.log(now, INSTRUCTION, {"text": REPORT_TEMPERATURE})
             delay = self._draw(self.s.profile.describe_latency_ms)
             reading = round(plant_mod.outlet_temperature(self.s.plant), 2)
-            self.s.recorder.log(now + delay, metrics.TEMPERATURE_REPORT, {"temperature_c": reading})
-            self._send(net, StepDone(reading), extra_delay_ms=delay)
-        elif isinstance(payload, CallEnd):
-            self.s.recorder.log(now, metrics.CALL_END)
-            self._send(net, CallEnd())
+            self.s.recorder.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": reading})
+            self._send(net, StepDone(reading), delay)
+        elif kind is CallEnd:
+            self.s.recorder.log(now, CALL_END)
+            self._send(net, CALL_END_MSG)
 
 
 @record
@@ -527,8 +530,8 @@ def run_session(
     world.add_endpoint(EXPERT_ID, expert)
     world.add_endpoint(OPERATOR_ID, operator)
 
-    recorder.log(0, metrics.CALL_START)
-    operator._send(world, CallStart())
+    recorder.log(0, CALL_START)
+    operator._send(world, CALL_START_MSG)
     operator._send(world, OPERATOR_AVATAR)
     trace = world.run_until_quiescent()
 

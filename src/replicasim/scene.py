@@ -323,7 +323,7 @@ class SceneModel:
             raise EditError(f"unknown node {node_id!r}") from None
 
     def valves(self) -> list[SceneNode]:
-        return [n for n in self.nodes.values() if n.kind is NodeKind.VALVE]
+        return [n for n in self.nodes.values() if n.kind is _VALVE]
 
 
 # --- Operations --------------------------------------------------------------

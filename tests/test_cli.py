@@ -652,6 +652,39 @@ class TestReplay:
             metrics.session_log_from_jsonl(text)
         assert str(info.value) == "seed must be an integer, got 'x' at line 3"
 
+    def test_refused_invariant_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "order.jsonl"
+        bad.write_text(simulated_log_with(lambda records: records[6].update(t_ms=0)), encoding="utf-8")
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        assert "order.jsonl" in (err := capsys.readouterr().err)
+        assert "timestamps decrease at Identify t=0 at line 7" in err
+
+    @pytest.mark.parametrize("mutate, refusal", [
+        (lambda records: records[1].update(kind="Instruction", data={"text": "hi"}),
+         "log must start with CallStart at line 2"),
+        (lambda records: records[-1].update(kind="Instruction", data={"text": "bye"}),
+         "log must end with CallEnd at line 62"),
+        (lambda records: records.insert(-1, {"record": "event", "t_ms": 655053, "kind": "Breakpoint"}),
+         "breakpoint without block context at line 62"),
+        (lambda records: records[-2].update(block_kind="Bogus"), "unknown block kind 'Bogus' at line 61"),
+        (lambda records: records.pop(-2), "manipulation blocks without a closing breakpoint: ['p2-two-handed']"),
+    ], ids=["start", "end", "breakpoint-block", "breakpoint-kind", "unclosed"])
+    def test_each_invariant_refusal_names_the_line_of_its_event(self, mutate, refusal):
+        # An unclosed block is no one event, so its refusal names no line.
+        text = simulated_log_with(mutate)
+        with pytest.raises(ConfigError) as info:
+            metrics.session_log_from_jsonl(text)
+        assert str(info.value) == refusal
+
+    def test_the_simulator_validates_without_lines(self):
+        log = run_session(build_default_plan(valve_registry(default_model())), Condition.HMD,
+                          default_profiles()[Condition.HMD], seed=0)
+        log.events[5] = metrics.LogEvent(0, log.events[5].kind, log.events[5].data)
+        with pytest.raises(ConfigError) as info:
+            metrics.validate_session_log(log)
+        assert str(info.value) == "timestamps decrease at Identify t=0"
+        assert info.value.event is log.events[5]
+
     def test_malformed_log_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"record":"session","condition":"hmd","seed":1}\n'

@@ -1,10 +1,13 @@
 import gc
 import hashlib
+import importlib
+import importlib.util
 from collections import Counter
 import itertools
 import random
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -679,3 +682,74 @@ class TestRunSession:
         registry = {"A1": Handedness.ONE_HANDED}
         with pytest.raises(ConfigError, match="references unknown valve"):
             build_default_plan(registry)
+
+
+class TestTracerReach:
+    """The benchmark's tracer times a function by patching every ``replicasim``
+    module attribute bound to it, and a method on its class. A hot function
+    bound in a closure or a default argument would escape it, and a traced
+    sweep would report it uncalled."""
+
+    # The functions of bench/tracer.py's TIMED that a session runs.
+    SESSION_TIMED = {
+        "scene": ("apply_edit",),
+        "replica": ("create_replica", "edit_replica", "make_sync_request", "synchronize", "apply_commit",
+                    "acknowledge_commit"),
+        "protocol": ("submit_sync", "update_avatar"),
+        "netsim": ("World.send", "World.run_until_quiescent"),
+        "scenario": ("run_session",),
+        "plant": ("outlet_temperature", "PlantState.set_valve"),
+    }
+
+    def test_the_functions_are_timed_by_the_tracer(self):
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, names in self.SESSION_TIMED.items():
+            assert set(names) <= set(tracer.TIMED[module]), module
+
+    def test_an_hmd_session_calls_each_through_its_patched_names(self, monkeypatch):
+        # The first commit is lost, so that the operator replays the 23 after it
+        # through apply_commit, which a lossless session never calls.
+        send = netsim.World.send
+        commits = []
+
+        def drop_first_commit(world, src, dst, envelope, extra_delay_ms=0):
+            if type(envelope.payload) is SyncCommit:
+                commits.append(envelope)
+                if len(commits) == 1:
+                    return None
+            return send(world, src, dst, envelope, extra_delay_ms)
+
+        monkeypatch.setattr(netsim.World, "send", drop_first_commit)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        loaded = [module for name, module in list(sys.modules.items())
+                  if module is not None and (name == "replicasim" or name.startswith("replicasim."))]
+        for module_name, names in self.SESSION_TIMED.items():
+            module = importlib.import_module(f"replicasim.{module_name}")
+            for qualname in names:
+                name = f"{module_name}.{qualname}"
+                if "." in qualname:
+                    cls_name, method = qualname.split(".")
+                    cls = getattr(module, cls_name)
+                    monkeypatch.setattr(cls, method, counted(name, cls.__dict__[method]))
+                    continue
+                original = getattr(module, qualname)
+                wrapper = counted(name, original)
+                for owner in loaded:
+                    for attr, value in list(vars(owner).items()):
+                        if value is original:
+                            monkeypatch.setattr(owner, attr, wrapper)
+        plan = build_default_plan(valve_registry(default_model()))
+        scenario.run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0)
+        assert len(commits) == 24
+        timed = [f"{module}.{name}" for module, names in self.SESSION_TIMED.items() for name in names]
+        assert [name for name in timed if not calls[name]] == []

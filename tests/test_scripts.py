@@ -11,8 +11,8 @@ def test_ab_runs_one_round_with_this_checkout_on_both_sides():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines[1:5]] == ["small", "large", "tablet", "hmd"]
-    assert all(line.split()[-1] in ("0/1", "1/1") for line in lines[1:5])
+    assert [line.split()[0] for line in lines[1:7]] == ["small", "large", "tablet", "hmd", "tablet-link", "hmd-link"]
+    assert all(line.split()[-1] in ("0/1", "1/1") for line in lines[1:7])
     assert lines[-1] == "reports: same; session logs: same"
 
 
