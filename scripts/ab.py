@@ -21,11 +21,15 @@ fills the caches. Then each round times, for each tree:
 - ``tablet`` and ``hmd``: ``SESSIONS`` (10) sessions of each condition on a link
   without latency, jitter or loss;
 - ``tablet-link`` and ``hmd-link``: as many on ``scenario.DEFAULT_SESSION_LINK``,
-  the 25 ± 10 ms link that ``simulate`` uses, which draws jitter on every send.
+  the 25 ± 10 ms link that ``simulate`` uses, which draws jitter on every send;
+- ``codec``: ``encode_envelope`` then ``decode_envelope`` of every envelope in
+  the transcripts of the corpora's hmd sessions, and of one 32-edit sync request
+  on the default model that holds every edit op.
 
 For each series it prints both medians (ms per round), the quartiles of the
 per-round change/parent ratio, and in how many rounds the change was faster.
-The exit code is 0, or 1 when the two trees' reports or session logs differ.
+The exit code is 0, or 1 when the two trees' reports, session logs, encoded
+frames or decoded envelopes differ.
 """
 import argparse
 import hashlib
@@ -39,7 +43,7 @@ SIZES = ((4, 4), (6, 6), (8, 8), (5, 11), (19, 20), (60, 60))
 SMALL_POOLED_N = 16
 SESSIONS = 10
 SEED = 1
-SERIES = ("small", "large", "tablet", "hmd", "tablet-link", "hmd-link")
+SERIES = ("small", "large", "tablet", "hmd", "tablet-link", "hmd-link", "codec")
 
 
 def owned(name: str) -> bool:
@@ -60,7 +64,7 @@ class Tree:
         forget()
         sys.path.insert(0, src)
         try:
-            for name in ("metrics", "netsim", "report", "scenario"):
+            for name in ("metrics", "netsim", "protocol", "replica", "report", "scenario", "scene"):
                 setattr(self, name, importlib.import_module(f"replicasim.{name}"))
         finally:
             sys.path.remove(src)
@@ -74,6 +78,7 @@ class Tree:
         self.profiles = scenario.default_profiles()
         self.links = {"": self.netsim.LinkConfig(0, 0), "-link": scenario.DEFAULT_SESSION_LINK}
         self.logs = hashlib.sha256()  # every session log this tree wrote, in order
+        self.envelopes = []  # every envelope of the corpora's hmd sessions, then the sync request
 
     def activate(self) -> None:
         """Make this tree's modules the ones that ``import replicasim...`` finds."""
@@ -92,8 +97,33 @@ class Tree:
         for condition, count in (("tablet", n_tablet), ("hmd", n_hmd)):
             for i in range(count):
                 seed = self.netsim.derive_seed(SEED, f"ab:{n_tablet}:{n_hmd}:{condition}:{i}")
-                rows.append(self.metrics.session_row(f"{condition}-{i:03d}", self.session(condition, seed)))
+                log = self.session(condition, seed)
+                rows.append(self.metrics.session_row(f"{condition}-{i:03d}", log))
+                if condition == "hmd":
+                    self.envelopes += [entry.envelope for entry in log.transcript]
         return rows
+
+    def sync_request(self):
+        """An envelope of 32 Expert edits on the default model's valves, every edit op among them."""
+        scene, protocol = self.scene, self.protocol
+        valves = sorted(node.id for node in self.model.valves())
+        edits = []
+        for i in range(32):
+            valve, role = valves[i % len(valves)], scene.Role.EXPERT
+            note = scene.Annotation(f"a{i}", role, valve, "check the gland", (0.0, 0.1, 0.0))
+            edits.append((scene.SetPose(valve, scene.Pose((0.25 * i, 0.0, 1.0)), role, i + 1),
+                          scene.SetValveState(valve, scene.ValveState.OPEN, role, i + 1),
+                          scene.SetHighlight(valve, (1.0, 0.5, 0.0), role, i + 1),
+                          scene.SetIndication(valve, True, role, i + 1),
+                          scene.AddAnnotation(note, role, i + 1),
+                          scene.RemoveAnnotation(f"a{i - 1}", role, i + 1))[i % 6])
+        request = self.replica.SyncRequest("expert", scene.Role.EXPERT, 0, tuple(edits))
+        return protocol.Envelope("expert", 1, "r", protocol.SyncReq(request))
+
+    def round_trip(self) -> tuple:
+        """Each envelope encoded and decoded back: the frames and the decoded envelopes."""
+        frames = list(map(self.protocol.encode_envelope, self.envelopes))
+        return frames, [self.protocol.decode_envelope(frame)[0] for frame in frames]
 
     def analyze(self, rows: list) -> str:
         return self.report.render_markdown(self.report.analyze_rows(rows))
@@ -115,6 +145,9 @@ def time_round(tree: Tree, corpora: list, round_index: int) -> dict:
             for seed in seeds:
                 tree.session(condition, seed, link)
             elapsed[series] += time.perf_counter() - start
+    start = time.perf_counter()
+    tree.round_trip()
+    elapsed["codec"] += time.perf_counter() - start
     return {series: seconds * 1e3 for series, seconds in elapsed.items()}
 
 
@@ -136,13 +169,16 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "replicasim" / "__init__.py").is_file():
             parser.error(f"{checkout} holds no src/replicasim")
 
-    trees, corpora, reports = [], [], []
+    trees, corpora, reports, wire = [], [], [], []
     for checkout in (args.parent, args.change):
         tree = Tree(checkout)
         rows = [tree.corpus(t, h) for t, h in SIZES]
+        tree.envelopes.append(tree.sync_request())
+        frames, decoded = tree.round_trip()
         trees.append(tree)
         corpora.append(rows)
         reports.append([tree.analyze(table) for table in rows])
+        wire.append((b"".join(frames), list(map(repr, decoded))))
 
     times = [{series: [] for series in SERIES} for _ in trees]
     for round_index in range(args.rounds):
@@ -160,10 +196,14 @@ def main(argv=None) -> int:
         print(f"{series:<11} {statistics.median(parent[series]):>10.3f} {statistics.median(change[series]):>10.3f} "
               f"{q1:>9.3f} {q2:>7.3f} {q3:>7.3f} {faster}/{args.rounds}")
 
+    (parent_frames, parent_decoded), (change_frames, change_decoded) = wire
+    same_frames, same_decoded = parent_frames == change_frames, parent_decoded == change_decoded
+    print(f"frames ({len(parent_decoded)} envelopes): {'same' if same_frames else 'DIFFER'}; "
+          f"decoded: {'same' if same_decoded else 'DIFFER'}")
     same_reports = reports[0] == reports[1]
     same_logs = trees[0].logs.digest() == trees[1].logs.digest()
     print(f"reports: {'same' if same_reports else 'DIFFER'}; session logs: {'same' if same_logs else 'DIFFER'}")
-    return 0 if same_reports and same_logs else 1
+    return 0 if same_reports and same_logs and same_frames and same_decoded else 1
 
 
 if __name__ == "__main__":

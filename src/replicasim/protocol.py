@@ -22,14 +22,13 @@ import base64
 import binascii
 import math
 import struct
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from replicasim import ConfigError, RoomError, checks
-from replicasim.checks import MAX_COUNT
+from replicasim.checks import OMITTED, REQUIRED
 from replicasim.records import field, record
 from replicasim.replica import MergeOutcome, SyncRequest, synchronize
-from replicasim.scene import (_ROLES, _VALVE_STATES, Edit, Pose, Role, SceneModel, ValveState, edit_from_dict,
-                              edit_to_dict)
+from replicasim.scene import EDIT_CODEC, POSE_CODEC, Edit, Pose, Role, SceneModel, ValveState
 
 GAZE_NORM_TOL = 1e-9
 EXPERT_ELEVATION_M = 1.5
@@ -42,10 +41,12 @@ class AvatarState:
     role: Role
     head_pose: Pose
     gaze_direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        checks.ident(self.client, "client")
-        object.__setattr__(self, "gaze_direction", checks.unit(self.gaze_direction, "gaze_direction", 3, GAZE_NORM_TOL))
+    # The wire fields, in refusal order (see ``replicasim.checks``); ``gaze`` is required on the wire.
+    __post_init__ = checks.post_init((("role", "role", Role, REQUIRED),
+                                      ("head_pose", "head_pose", POSE_CODEC, REQUIRED),
+                                      ("client", "client", checks.ident, REQUIRED),
+                                      ("gaze", "gaze_direction", (checks.unit, 3, GAZE_NORM_TOL), REQUIRED,
+                                       "gaze_direction")))
 
 
 # --- Payload union -------------------------------------------------------------
@@ -91,10 +92,7 @@ class StepDone:
     ``ReportTemperature`` carries the reading in degrees Celsius."""
 
     temperature_c: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.temperature_c is not None:
-            object.__setattr__(self, "temperature_c", checks.finite(self.temperature_c, "temperature_c"))
+    __post_init__ = checks.post_init((("temperature_c", "temperature_c", checks.finite, OMITTED),))
 
 
 @record(frozen=True)
@@ -212,171 +210,36 @@ def _look_rotation(direction: tuple[float, ...]) -> tuple[float, float, float, f
 
 
 # --- Wire codec ----------------------------------------------------------------
-# One encoder and one decoder per payload kind: encoders keyed by exact type,
-# decoders by wire name. As in the edit codec of ``replicasim.scene``, whose enum
-# value maps it shares, an enum is written from ``_value_``, and a decoder takes a
-# field's usual value inline and calls its check in ``checks`` only to refuse it.
+# One encoder per payload type and one decoder per kind, as for edits. A blob is
+# decoded from bytes, since b64decode refuses a non-ASCII str with a bare
+# ValueError, and as strict base64, which refuses a character outside the
+# alphabet instead of dropping it.
+_BLOB = checks.Codec(lambda blob: base64.b64encode(blob).decode("ascii"), lambda text: base64.b64decode(
+    checks.typed(text, "blob_b64", str).encode("ascii"), validate=True))
+PAYLOAD_CODEC = checks.union("payload", "kind", (
+    ("avatar", AvatarState, AvatarState.__post_init__.fields, Avatar),
+    ("sync_req", SyncRequest, (("owner", "owner", checks.ident, REQUIRED),
+                               ("owner_role", "owner_role", Role, REQUIRED),
+                               ("base_version", "base_version", checks.count, REQUIRED),
+                               ("edits", "edits", (list, EDIT_CODEC), REQUIRED)), SyncReq),
+    ("sync_commit", SyncCommit, (("accepted", "accepted", (list, EDIT_CODEC), REQUIRED),
+                                 ("new_version", "new_version", checks.count, REQUIRED))),
+    ("instruction", Instruction, (("text", "text", (checks.typed, str), REQUIRED),
+                                  ("valve", "valve", checks.ident, OMITTED),
+                                  ("target", "target", ValveState, OMITTED))),
+    ("report_temperature", ReportTemperature, ()),
+    ("step_done", StepDone, StepDone.__post_init__.fields),
+    ("call_start", CallStart, ()),
+    ("call_end", CallEnd, ()),
+    ("media", MediaSignal, (("blob_b64", "blob", _BLOB, REQUIRED),)),
+))
+payload_to_dict, payload_from_dict = PAYLOAD_CODEC
 
-def _avatar_to_dict(payload: Avatar) -> dict:
-    a = payload.state
-    return {
-        "kind": "avatar",
-        "client": a.client,
-        "role": a.role._value_,
-        "head_pose": a.head_pose.to_dict(),
-        "gaze": list(a.gaze_direction),
-    }
-
-
-def _avatar_from_dict(doc: dict) -> Avatar:
-    role = doc.get("role")
-    return Avatar(
-        AvatarState(
-            doc.get("client"),
-            _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "role", Role),
-            Pose.from_dict(doc.get("head_pose")),
-            doc.get("gaze"),
-        )
-    )
-
-
-def _sync_req_to_dict(payload: SyncReq) -> dict:
-    r = payload.request
-    return {
-        "kind": "sync_req",
-        "owner": r.owner,
-        "owner_role": r.owner_role._value_,
-        "base_version": r.base_version,
-        "edits": list(map(edit_to_dict, r.edits)),
-    }
-
-
-def _sync_req_from_dict(doc: dict) -> SyncReq:
-    owner, role, base, edits = doc.get("owner"), doc.get("owner_role"), doc.get("base_version"), doc.get("edits")
-    owner = owner if type(owner) is str and owner else checks.ident(owner, "owner")
-    role = _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "owner_role", Role)
-    base = base if type(base) is int and 0 <= base <= MAX_COUNT else checks.count(base, "base_version")
-    if type(edits) is not list:
-        edits = checks.typed(edits, "edits", list)
-    return SyncReq(SyncRequest(owner, role, base, tuple(map(edit_from_dict, edits))))
-
-
-def _sync_commit_to_dict(payload: SyncCommit) -> dict:
-    return {
-        "kind": "sync_commit",
-        "accepted": list(map(edit_to_dict, payload.accepted)),
-        "new_version": payload.new_version,
-    }
-
-
-def _sync_commit_from_dict(doc: dict) -> SyncCommit:
-    accepted, version = doc.get("accepted"), doc.get("new_version")
-    if type(accepted) is not list:
-        accepted = checks.typed(accepted, "accepted", list)
-    accepted = tuple(map(edit_from_dict, accepted))
-    version = version if type(version) is int and 0 <= version <= MAX_COUNT else checks.count(version, "new_version")
-    return SyncCommit(accepted, version)
-
-
-def _instruction_to_dict(payload: Instruction) -> dict:
-    doc = {"kind": "instruction", "text": payload.text}
-    if payload.valve is not None:
-        doc["valve"] = payload.valve
-    if payload.target is not None:
-        doc["target"] = payload.target._value_
-    return doc
-
-
-def _instruction_from_dict(doc: dict) -> Instruction:
-    text, valve, target = doc.get("text"), doc.get("valve"), doc.get("target")
-    text = text if type(text) is str else checks.typed(text, "text", str)
-    if valve is not None and not (type(valve) is str and valve):
-        valve = checks.ident(valve, "valve")
-    if target is not None:
-        target = _VALVE_STATES[target] if type(target) is str and target in _VALVE_STATES else checks.member(
-            target, "target", ValveState)
-    return Instruction(text, valve, target)
-
-
-def _step_done_to_dict(payload: StepDone) -> dict:
-    if payload.temperature_c is None:
-        return {"kind": "step_done"}
-    return {"kind": "step_done", "temperature_c": payload.temperature_c}
-
-
-def _media_to_dict(payload: MediaSignal) -> dict:
-    return {"kind": "media", "blob_b64": base64.b64encode(payload.blob).decode("ascii")}
-
-
-def _media_from_dict(doc: dict) -> MediaSignal:
-    blob = doc.get("blob_b64")
-    blob = blob if type(blob) is str else checks.typed(blob, "blob_b64", str)
-    # As bytes, since b64decode refuses a non-ASCII str with a bare ValueError.
-    return MediaSignal(base64.b64decode(blob.encode("ascii")))
-
-
-_PAYLOAD_ENCODERS: dict[type, Callable[[Payload], dict]] = {
-    Avatar: _avatar_to_dict,
-    SyncReq: _sync_req_to_dict,
-    SyncCommit: _sync_commit_to_dict,
-    Instruction: _instruction_to_dict,
-    ReportTemperature: lambda payload: {"kind": "report_temperature"},
-    StepDone: _step_done_to_dict,
-    CallStart: lambda payload: {"kind": "call_start"},
-    CallEnd: lambda payload: {"kind": "call_end"},
-    MediaSignal: _media_to_dict,
-}
-_PAYLOAD_DECODERS: dict[str, Callable[[dict], Payload]] = {
-    "avatar": _avatar_from_dict,
-    "sync_req": _sync_req_from_dict,
-    "sync_commit": _sync_commit_from_dict,
-    "instruction": _instruction_from_dict,
-    "report_temperature": lambda doc: ReportTemperature(),
-    "step_done": lambda doc: StepDone(doc.get("temperature_c")),
-    "call_start": lambda doc: CallStart(),
-    "call_end": lambda doc: CallEnd(),
-    "media": _media_from_dict,
-}
-
-
-def payload_to_dict(payload: Payload) -> dict:
-    encode = _PAYLOAD_ENCODERS.get(type(payload))
-    if encode is None:
-        raise TypeError(f"unsupported payload {payload!r}")  # a fault of the sender, not a refusal
-    return encode(payload)
-
-
-def payload_from_dict(doc: dict) -> Payload:
-    if type(doc) is not dict:
-        doc = checks.typed(doc, "payload", dict)
-    kind = doc.get("kind")
-    decode = _PAYLOAD_DECODERS.get(kind) if type(kind) is str else None
-    if decode is None:
-        raise ConfigError(f"unknown payload kind {kind!r}")
-    return decode(doc)
-
-
-def envelope_to_dict(env: Envelope) -> dict:
-    return {
-        "host_seq": env.host_seq,
-        "sender": env.sender,
-        "sender_seq": env.sender_seq,
-        "room": env.room,
-        "payload": payload_to_dict(env.payload),
-    }
-
-
-def envelope_from_dict(doc: dict) -> Envelope:
-    if type(doc) is not dict:
-        doc = checks.typed(doc, "envelope", dict)
-    sender, seq, room, host_seq = doc.get("sender"), doc.get("sender_seq"), doc.get("room"), doc.get("host_seq")
-    sender = sender if type(sender) is str and sender else checks.ident(sender, "sender")
-    seq = seq if type(seq) is int and 0 <= seq <= MAX_COUNT else checks.count(seq, "sender_seq")
-    room = room if type(room) is str and room else checks.ident(room, "room")
-    payload = payload_from_dict(doc.get("payload"))
-    if host_seq is not None and not (type(host_seq) is int and 0 <= host_seq <= MAX_COUNT):
-        host_seq = checks.count(host_seq, "host_seq")
-    return Envelope(sender, seq, room, payload, host_seq)
+envelope_to_dict, envelope_from_dict = checks.codec(Envelope, (("sender", "sender", checks.ident, REQUIRED),
+                                                              ("sender_seq", "sender_seq", checks.count, REQUIRED),
+                                                              ("room", "room", checks.ident, REQUIRED),
+                                                              ("payload", "payload", PAYLOAD_CODEC, REQUIRED),
+                                                              ("host_seq", "host_seq", checks.count, None)), "envelope")
 
 
 def encode_envelope(env: Envelope) -> bytes:

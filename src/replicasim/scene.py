@@ -12,12 +12,10 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from replicasim import ConfigError, checks
-from replicasim.checks import MAX_COUNT
+from replicasim.checks import OPTIONAL, REQUIRED
 from replicasim.records import field, record, replace
 
 QUAT_NORM_TOL = 1e-9
-_ARRAYS = (list, tuple)
-_INF = math.inf
 
 
 # Why an edit does not fit a model; sync rejections report these reasons.
@@ -66,24 +64,9 @@ class Pose:
 
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
     orientation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        # The usual pose is taken inline: three finite floats, and four floats
-        # of unit norm. The checks refuse anything else, and convert ints.
-        position, orientation = self.position, self.orientation
-        if type(position) in _ARRAYS and type(orientation) in _ARRAYS and len(position) == 3 and len(orientation) == 4:
-            x, y, z = position
-            w, i, j, k = orientation
-            if (type(x) is type(y) is type(z) is type(w) is type(i) is type(j) is type(k) is float
-                    and -_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF
-                    and abs(math.hypot(w, i, j, k) - 1.0) <= QUAT_NORM_TOL):
-                if type(position) is list:
-                    object.__setattr__(self, "position", (x, y, z))
-                if type(orientation) is list:
-                    object.__setattr__(self, "orientation", (w, i, j, k))
-                return
-        object.__setattr__(self, "position", checks.vector(position, "position", 3))
-        object.__setattr__(self, "orientation", checks.unit(orientation, "quaternion", 4, QUAT_NORM_TOL))
+    # The wire fields, in refusal order (see ``replicasim.checks``); ``to_dict`` and ``from_dict`` are built below.
+    __post_init__ = checks.post_init((("pos", "position", (checks.vector, 3), OPTIONAL, "position"),
+                                      ("quat", "orientation", (checks.unit, 4, QUAT_NORM_TOL), OPTIONAL, "quaternion")))
 
     def rotate(self, v: tuple[float, float, float]) -> tuple[float, float, float]:
         """Rotate a vector by this pose's orientation."""
@@ -115,14 +98,9 @@ class Pose:
         quat = tuple(c / norm for c in quat)
         return Pose((sx + px, sy + py, sz + pz), quat)  # type: ignore[arg-type]
 
-    def to_dict(self) -> dict:
-        return {"pos": list(self.position), "quat": list(self.orientation)}
 
-    @staticmethod
-    def from_dict(doc: dict) -> "Pose":
-        if type(doc) is not dict:
-            doc = checks.typed(doc, "pose", dict)
-        return Pose(doc.get("pos", (0.0, 0.0, 0.0)), doc.get("quat", (1.0, 0.0, 0.0, 0.0)))
+POSE_CODEC = checks.codec(Pose, Pose.__post_init__.fields, "pose")
+Pose.to_dict, Pose.from_dict = POSE_CODEC.encode, staticmethod(POSE_CODEC.decode)
 
 
 @record(frozen=True)
@@ -132,16 +110,7 @@ class VisualState:
     highlight_color: Optional[tuple[float, float, float]] = None
     indication_animation: bool = False
 
-    def __post_init__(self) -> None:
-        color = self.highlight_color
-        if color is None:
-            return
-        if type(color) is tuple and len(color) == 3:  # the usual color inline: three floats in [0, 1]
-            r, g, b = color
-            if type(r) is type(g) is type(b) is float and 0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0:
-                return
-        for c in checks.vector(color, "highlight_color", 3):
-            checks.probability(c, "highlight_color component")
+    __post_init__ = checks.post_init((("highlight_color", "highlight_color", checks.color, None),))
 
 
 @record(frozen=True)
@@ -171,20 +140,16 @@ class Annotation:
     anchor: str
     text: str
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    # ``author_role`` is read from the wire; the record checks the rest when built.
+    __post_init__ = checks.post_init((("author_role", "author_role", Role, REQUIRED),
+                                      ("id", "id", checks.ident, REQUIRED, "annotation id"),
+                                      ("anchor", "anchor", checks.ident, REQUIRED, "annotation anchor"),
+                                      ("text", "text", (checks.typed, str), REQUIRED, "annotation text"),
+                                      ("offset", "offset", (checks.vector, 3), OPTIONAL, "annotation offset")))
 
-    def __post_init__(self) -> None:
-        ann_id, anchor, offset = self.id, self.anchor, self.offset
-        if (type(ann_id) is str and ann_id and type(anchor) is str and anchor and type(self.text) is str
-                and type(offset) in _ARRAYS and len(offset) == 3):  # the usual annotation inline
-            x, y, z = offset
-            if type(x) is type(y) is type(z) is float and -_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF:
-                if type(offset) is list:
-                    object.__setattr__(self, "offset", (x, y, z))
-                return
-        checks.ident(self.id, "annotation id")
-        checks.ident(self.anchor, "annotation anchor")
-        checks.typed(self.text, "annotation text", str)
-        object.__setattr__(self, "offset", checks.vector(self.offset, "annotation offset", 3))
+
+ANNOTATION_CODEC = checks.codec(Annotation, Annotation.__post_init__.fields, "annotation")
+annotation_to_dict, annotation_from_dict = ANNOTATION_CODEC
 
 
 # --- Edit vocabulary ---------------------------------------------------------
@@ -548,115 +513,15 @@ def canonical_json(model: SceneModel) -> str:
 
 
 # --- Edit wire codec -----------------------------------------------------------
-# One encoder and one decoder per edit op: encoders keyed by exact type, as
-# ``_edited_node`` dispatches, and decoders by wire name. An encoder writes an
-# enum from ``_value_``, a slot read, not the ``value`` property. A decoder
-# takes a field's usual value inline and calls its check in ``checks`` only
-# when that test fails, so a refusal keeps the check's message, and a value
-# that is not a str never reaches a dict lookup. An edit's fields are refused
-# in one order: shape, role, seq, op, node, then the value.
-
-_ROLES = Role._value2member_map_
-_VALVE_STATES = ValveState._value2member_map_
-
-
-def annotation_to_dict(ann: Annotation) -> dict:
-    return {
-        "id": ann.id,
-        "author_role": ann.author_role._value_,
-        "anchor": ann.anchor,
-        "text": ann.text,
-        "offset": list(ann.offset),
-    }
-
-
-def annotation_from_dict(doc: dict) -> Annotation:
-    if type(doc) is not dict:
-        doc = checks.typed(doc, "annotation", dict)
-    role = doc.get("author_role")
-    return Annotation(
-        doc.get("id"),
-        _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "author_role", Role),
-        doc.get("anchor"),
-        doc.get("text"),
-        doc.get("offset", (0.0, 0.0, 0.0)),
-    )
-
-
-def _set_pose_from_dict(doc: dict, role: Role, seq: int) -> SetPose:
-    node = doc.get("node")
-    node = node if type(node) is str and node else checks.ident(node, "node")
-    return SetPose(node, Pose.from_dict(doc.get("pose")), role, seq)
-
-
-def _set_valve_state_from_dict(doc: dict, role: Role, seq: int) -> SetValveState:
-    node, state = doc.get("node"), doc.get("state")
-    node = node if type(node) is str and node else checks.ident(node, "node")
-    state = _VALVE_STATES[state] if type(state) is str and state in _VALVE_STATES else checks.member(
-        state, "state", ValveState)
-    return SetValveState(node, state, role, seq)
-
-
-def _set_highlight_from_dict(doc: dict, role: Role, seq: int) -> SetHighlight:
-    """A color is only required to be a list here; its range is the model's
-    check, so a bad one is a rejected edit, not a malformed frame."""
-    node, color = doc.get("node"), doc.get("color")
-    node = node if type(node) is str and node else checks.ident(node, "node")
-    if color is not None:
-        color = tuple(color if type(color) is list else checks.typed(color, "color", list))
-    return SetHighlight(node, color, role, seq)
-
-
-def _set_indication_from_dict(doc: dict, role: Role, seq: int) -> SetIndication:
-    node, playing = doc.get("node"), doc.get("playing")
-    node = node if type(node) is str and node else checks.ident(node, "node")
-    return SetIndication(node, playing if type(playing) is bool else checks.typed(playing, "playing", bool), role, seq)
-
-
-def _remove_annotation_from_dict(doc: dict, role: Role, seq: int) -> RemoveAnnotation:
-    ann_id = doc.get("annotation_id")
-    return RemoveAnnotation(ann_id if type(ann_id) is str and ann_id else checks.ident(ann_id, "annotation_id"),
-                            role, seq)
-
-
-# Each encoder writes its op's own fields; ``edit_to_dict`` adds role and seq.
-_EDIT_ENCODERS: dict[type, Callable[[Edit], dict]] = {
-    SetPose: lambda edit: {"op": "set_pose", "node": edit.node, "pose": edit.pose.to_dict()},
-    SetValveState: lambda edit: {"op": "set_valve_state", "node": edit.node, "state": edit.state._value_},
-    SetHighlight: lambda edit: {"op": "set_highlight", "node": edit.node,
-                                "color": None if edit.color is None else list(edit.color)},
-    SetIndication: lambda edit: {"op": "set_indication", "node": edit.node, "playing": edit.playing},
-    AddAnnotation: lambda edit: {"op": "add_annotation", "annotation": annotation_to_dict(edit.annotation)},
-    RemoveAnnotation: lambda edit: {"op": "remove_annotation", "annotation_id": edit.annotation_id},
-}
-# Each decoder reads its op's own fields; ``edit_from_dict`` has read role and seq.
-_EDIT_DECODERS: dict[str, Callable[[dict, Role, int], Edit]] = {
-    "set_pose": _set_pose_from_dict,
-    "set_valve_state": _set_valve_state_from_dict,
-    "set_highlight": _set_highlight_from_dict,
-    "set_indication": _set_indication_from_dict,
-    "add_annotation": lambda doc, role, seq: AddAnnotation(annotation_from_dict(doc.get("annotation")), role, seq),
-    "remove_annotation": _remove_annotation_from_dict,
-}
-
-
-def edit_to_dict(edit: Edit) -> dict:
-    encode = _EDIT_ENCODERS.get(type(edit))
-    if encode is None:
-        raise EditError(f"unsupported edit {edit!r}")
-    doc = encode(edit)
-    doc["role"], doc["seq"] = edit.author_role._value_, edit.author_seq
-    return doc
-
-
-def edit_from_dict(doc: dict) -> Edit:
-    """An edit from its wire form, its fields refused in the order above."""
-    if type(doc) is not dict:
-        doc = checks.typed(doc, "edit", dict)
-    role, seq, op = doc.get("role"), doc.get("seq"), doc.get("op")
-    role = _ROLES[role] if type(role) is str and role in _ROLES else checks.member(role, "role", Role)
-    seq = seq if type(seq) is int and 0 <= seq <= MAX_COUNT else checks.count(seq, "seq")
-    decode = _EDIT_DECODERS.get(op) if type(op) is str else None
-    if decode is None:
-        raise ConfigError(f"unknown edit op {op!r}")
-    return decode(doc, role, seq)
+# One encoder per edit type, as ``_edited_node`` dispatches, and one decoder per op. A color need only be
+# a list here: its range is the model's check, so a bad one is a rejected edit, not a malformed frame.
+_NODE = ("node", "node", checks.ident, REQUIRED)
+EDIT_CODEC = checks.union("edit", "op", (
+    ("set_pose", SetPose, (_NODE, ("pose", "pose", POSE_CODEC, REQUIRED))),
+    ("set_valve_state", SetValveState, (_NODE, ("state", "state", ValveState, REQUIRED))),
+    ("set_highlight", SetHighlight, (_NODE, ("color", "color", (list,), None))),
+    ("set_indication", SetIndication, (_NODE, ("playing", "playing", (checks.typed, bool), REQUIRED))),
+    ("add_annotation", AddAnnotation, (("annotation", "annotation", ANNOTATION_CODEC, REQUIRED),)),
+    ("remove_annotation", RemoveAnnotation, (("annotation_id", "annotation_id", checks.ident, REQUIRED),)),
+), common=(("role", "author_role", Role, REQUIRED), ("seq", "author_seq", checks.count, REQUIRED)))
+edit_to_dict, edit_from_dict = EDIT_CODEC

@@ -1,13 +1,16 @@
 import hashlib
+import json
 import math
 import random
 import struct
 import typing
+from types import SimpleNamespace
 
 import pytest
 
-from replicasim import ConfigError
+from replicasim import ConfigError, checks
 from replicasim.protocol import (
+    GAZE_NORM_TOL,
     Avatar,
     AvatarState,
     CallEnd,
@@ -36,6 +39,7 @@ from replicasim.protocol import (
 from replicasim.records import replace
 from replicasim.replica import SyncRequest, apply_commit
 from replicasim.scene import (
+    QUAT_NORM_TOL,
     AddAnnotation,
     Annotation,
     Edit,
@@ -53,6 +57,7 @@ from replicasim.scene import (
 )
 from replicasim.scenario import default_model
 
+from test_fuzz import MUTATIONS
 from test_scene import small_descriptor
 
 
@@ -312,6 +317,12 @@ class TestWireCodec:
         with pytest.raises(TypeError, match="unsupported payload"):
             encode_envelope(Envelope(sender="op", sender_seq=1, room="r", payload=object()))
 
+    def test_encoding_a_value_that_is_no_edit_is_a_fault(self):
+        # Likewise for an edit: not an EditError, which says that an edit does not fit a model.
+        lookalike = SimpleNamespace(node="V1", state=ValveState.CLOSED, author_role=Role.EXPERT, author_seq=1)
+        with pytest.raises(TypeError, match="unsupported edit"):
+            encode_envelope(Envelope("host", 1, "r", SyncCommit((lookalike,), 1), 1))
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -338,10 +349,12 @@ class TestWireCodec:
             b'{"sender":5,"sender_seq":1,"room":"r","payload":{"kind":"call_start"}}',
             b'{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"media","blob_b64":"AAH"}}',
             '{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"media","blob_b64":"AAH\u00e9"}}'.encode(),
+            b'{"sender":"op","sender_seq":1,"room":"r","payload":{"kind":"media","blob_b64":"A!A-H+/w=="}}',
         ],
         ids=["missing-sender-seq", "not-json", "not-utf8", "array-body", "nan-pose", "ajar-target",
              "infinite-sender-seq", "unknown-edit-op", "deep-nesting", "string-host-seq", "list-edit-node",
-             "string-playing", "bool-base-version", "numeric-sender", "media-bad-padding", "media-non-ascii"],
+             "string-playing", "bool-base-version", "numeric-sender", "media-bad-padding", "media-non-ascii",
+             "media-non-alphabet"],
     )
     def test_malformed_body_is_room_error(self, body):
         with pytest.raises(RoomError, match="malformed frame body"):
@@ -509,6 +522,74 @@ class TestEditRefusals:
     def test_unhashable_field_is_room_error(self, edit_doc):
         with pytest.raises(RoomError, match="malformed frame body"):
             decode_envelope(_sync_req_frame(edit_doc))
+
+
+class IntSubclass(int):
+    pass
+
+
+class FloatSubclass(float):
+    pass
+
+
+def golden_values() -> list:
+    """Every value in the golden frames' bodies: each object, each list and each leaf."""
+    def walk(value):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value if isinstance(value, list) else ():
+            yield from walk(child)
+
+    frames = [frame for _, frame in (*GOLDEN_PAYLOAD_FRAMES.values(), *GOLDEN_EDIT_FRAMES.values())]
+    return [value for frame in frames for value in walk(json.loads(frame[4:]))]
+
+
+# Each check that the field tables use, with the parameters they give it.
+TABLE_CHECKS = [
+    (checks.count, ()), (checks.ident, ()), (checks.finite, ()), (checks.color, ()),
+    *((checks.typed, (kind,)) for kind in (dict, list, str, bool)),
+    (checks.member, (Role,)), (checks.member, (ValveState,)),
+    (checks.vector, (3,)), (checks.unit, (3, GAZE_NORM_TOL)), (checks.unit, (4, QUAT_NORM_TOL)),
+]
+SUBSET_VALUES = [
+    *MUTATIONS, *golden_values(), IntSubclass(3), FloatSubclass(0.5), True, -0.0, 2**53, [1, 2, 3], [1, 0, 0, 0],
+    (0.5, 1.7, -0.25), (-0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.5, 0.0), [1.0, 0.5, 0.0],
+    [1e308, 1e308, 1e308], [FloatSubclass(1.0), 0.0, 0.0, 0.0], "", "Open", {},
+]
+
+
+class TestAcceptTests:
+    """A check's accept test, which the built codecs and ``__post_init__``s
+    inline, holds only where the check returns the test's result."""
+
+    def test_each_declared_test_is_exercised(self):
+        declared = {value for value in vars(checks).values() if callable(value) and hasattr(value, "accept")}
+        assert declared == {check for check, _ in TABLE_CHECKS}
+
+    @pytest.mark.parametrize("check, params", TABLE_CHECKS, ids=[
+        "-".join([check.__name__, *(getattr(param, "__name__", str(param)) for param in params[:1])])
+        for check, params in TABLE_CHECKS])
+    def test_accept_test_is_a_subset_of_its_check(self, check, params):
+        scope = dict(zip(check.__code__.co_varnames[2:check.__code__.co_argcount], params))
+        scope.update((name, eval(expression, vars(checks), scope)) for name, expression in check.given.items())
+        accepted = []
+        for value in SUBSET_VALUES:
+            scope["v"] = value
+            if eval(check.accept, vars(checks), scope):
+                result, returned = eval(check.result, vars(checks), scope), check(value, "field", *params)
+                assert (type(returned), repr(returned)) == (type(result), repr(result)), value
+                accepted.append(value)
+        assert accepted
+
+    def test_an_int_subclass_and_a_bool_reach_the_check(self, monkeypatch):
+        calls = []
+        count = checks.count
+        monkeypatch.setattr(checks, "count", lambda value, name: calls.append((value, name)) or count(value, name))
+        doc = {"op": "remove_annotation", "annotation_id": "a1", "role": "Expert", "seq": IntSubclass(3)}
+        assert type(edit_from_dict(doc).author_seq) is IntSubclass
+        with pytest.raises(ConfigError, match="^seq must be an integer in"):
+            edit_from_dict({**doc, "seq": True})
+        assert calls == [(3, "seq"), (True, "seq")]
+        assert [type(value) for value, _ in calls] == [IntSubclass, bool]
 
 
 class TestGapDetection:
