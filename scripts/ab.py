@@ -30,6 +30,14 @@ For each series it prints both medians (ms per round), the quartiles of the
 per-round change/parent ratio, and in how many rounds the change was faster.
 The exit code is 0, or 1 when the two trees' reports, session logs, encoded
 frames or decoded envelopes differ.
+
+The ratio is not 1 on identical code, and the order of the two trees can bias it.
+Six rounds on two identical checkouts have read the second tree slower in six of
+the seven series, by 1.3-2.4% in the median (``codec`` flat). Three more such
+runs, on a shared 2-CPU machine, read medians from 0.88 to 1.10, in both
+directions; ``small`` read 1.017, 0.932 and 0.976. So quote a gain from both
+orders, ``ab.py PARENT CHANGE`` and ``ab.py CHANGE PARENT`` (which prints the
+inverse ratio), and claim it only where both orders read it, by more than that.
 """
 import argparse
 import hashlib

@@ -212,11 +212,12 @@ def unit(values: object, name: str, length: int, tol: float) -> tuple[float, ...
 
 @_accepts("type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float "
           "and 0.0 <= v[0] <= 1.0 and 0.0 <= v[1] <= 1.0 and 0.0 <= v[2] <= 1.0")
-def color(values: object, name: str) -> object:
-    """Three numbers in [0, 1], as a highlight color is; ``values`` itself."""
-    for component in vector(values, name, 3):
+def color(values: object, name: str) -> tuple[float, ...]:
+    """Three numbers in [0, 1], as a highlight color is, as a tuple of floats."""
+    components = vector(values, name, 3)
+    for component in components:
         probability(component, f"{name} component")
-    return values
+    return components
 
 
 # --- Field tables ---------------------------------------------------------------

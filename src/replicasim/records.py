@@ -5,8 +5,8 @@ then ``__post_init__``), ``__repr__``, ``__eq__``, ``__match_args__`` and
 ``__hash__ = None`` of ``@dataclass(slots=True)``; ``frozen=True`` hashes the
 fields and refuses assignment and deletion. ``dataclasses`` compiles each method
 on its own and imports ``inspect`` for docstrings, most of ``simulate``'s import
-time. ``stats`` and ``report`` keep ``@dataclass``: ``simulate`` never loads
-them, and ``bench/selftest.py`` calls ``dataclasses.replace`` on their results.
+time. Only ``stats.TestResult`` and ``stats.Comparison`` keep ``@dataclass``:
+``bench/selftest.py`` calls ``dataclasses.replace`` on them.
 
 The decorator returns a new class, rebuilt from the body with ``__slots__`` set
 to the fields: an instance has no ``__dict__``, a field read is a slot load, and

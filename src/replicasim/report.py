@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from replicasim import ConfigError, checks
@@ -24,6 +23,7 @@ from replicasim.metrics import (
     weighted_total,
     write_metrics_csv,
 )
+from replicasim.records import field, record
 from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
 
 TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
@@ -85,7 +85,7 @@ def read_metrics_csv(path: str) -> list[dict]:
     return rows
 
 
-@dataclass
+@record
 class AnalysisReport:
     conditions: tuple[str, ...]
     samples: dict  # (measure, condition) -> Sample
@@ -313,7 +313,7 @@ REFERENCE_CONSTANTS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     name: str
     passed: bool

@@ -9,7 +9,7 @@ midranks and the tie term (Lehmann, *Nonparametrics*, 1975). The recurrence
 packs the counts for each subset size into the base-2**b digits of one Python
 integer, with b wide enough that no count spills into the next digit, so every
 count stays an exact integer. A sample's mean and sum of squared deviations are
-summed once, with ``math.fsum``, and kept on the ``Sample`` for ``mean_sd``,
+summed once, with ``math.fsum``, into slots of the ``Sample``, for ``mean_sd``,
 ``shapiro_wilk`` and ANOVA. Neither moves a bit: rank sums, tie terms and U are
 exact integers or halves, and ``fsum`` is correctly rounded in any term order.
 The deviations stay squared as ``(v - mean) ** 2``, which calls C ``pow``; a
@@ -29,6 +29,7 @@ from statistics import NormalDist
 from typing import Optional, Sequence
 
 from replicasim import ConfigError, checks
+from replicasim.records import record
 
 _NORMAL = NormalDist()
 
@@ -44,32 +45,32 @@ class DegenerateSampleError(StatsError):
     pass
 
 
-@dataclass(frozen=True)
-class Sample:
+class _Moments:
+    __slots__ = ("n", "_mean", "_ss")  # Sample's; a base class, so that its frozen twin has them too
+
+
+@record(frozen=True)
+class Sample(_Moments):
+    """Finite values and a label; ``n`` and the moments are filled once, when it is built."""
+
     values: tuple[float, ...]
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
+        n = len(self.values)
+        if n < 1:
             raise StatsError("sample must contain at least one value")
         try:
-            checks.vector(self.values, "sample values", len(self.values))
+            checks.vector(self.values, "sample values", n)
         except ConfigError as exc:
             raise StatsError(str(exc)) from None
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @functools.cached_property
-    def _moments(self) -> tuple[float, float]:
-        """The mean and the sum of squared deviations from it, each summed once and kept
-        in the instance ``__dict__``; so ``Sample`` has no ``__slots__``."""
-        mean = math.fsum(self.values) / len(self.values)
-        return mean, math.fsum([(v - mean) ** 2 for v in self.values])
+        mean = math.fsum(self.values) / n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_mean", mean)
+        object.__setattr__(self, "_ss", math.fsum([(v - mean) ** 2 for v in self.values]))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupSummary:
     n: int
     mean: float
@@ -100,8 +101,7 @@ class TestResult:
 def mean_sd(sample: Sample) -> GroupSummary:
     if sample.n < 2:
         raise StatsError("mean_sd needs at least two values")
-    mean, ss = sample._moments
-    return GroupSummary(n=sample.n, mean=mean, sd=math.sqrt(ss / (sample.n - 1)), label=sample.label)
+    return GroupSummary(n=sample.n, mean=sample._mean, sd=math.sqrt(sample._ss / (sample.n - 1)), label=sample.label)
 
 
 # --- Shapiro-Wilk ------------------------------------------------------------------
@@ -167,7 +167,7 @@ def shapiro_wilk(sample: Sample) -> TestResult:
     n = sample.n
     if not 3 <= n <= 50:
         raise StatsError(f"shapiro_wilk supports 3 <= n <= 50, got n={n}")
-    ss = sample._moments[1]
+    ss = sample._ss
     if ss <= 0.0:
         raise DegenerateSampleError("sample has zero variance")
     w = math.fsum([a * v for a, v in zip(_shapiro_wilk_weights(n), sorted(sample.values))]) ** 2 / ss

@@ -441,7 +441,7 @@ class TestAnalyze:
         out = tmp_path / "corpus"
         assert run_cli("simulate", "--sessions", "8:8", "--seed", "424242", "--out", str(out)) == EXIT_OK
         watched = {NormalDist.inv_cdf.__code__: "inv_cdf", stats.shapiro_wilk.__code__: "shapiro_wilk",
-                   stats.Sample.__init__.__code__: "Sample", stats.mean_sd.__code__: "mean_sd"}
+                   stats.Sample.__new__.__code__: "Sample", stats.mean_sd.__code__: "mean_sd"}
         calls = {"inv_cdf": 0, "shapiro_wilk": 0, "Sample": 0, "mean_sd": 0}
 
         def count(frame, event, arg):

@@ -344,6 +344,20 @@ class TestEditedNode:
             apply_edit(model, SetHighlight("1V1", color, Role.EXPERT, 1))
         assert info.value.reason == INVALID_HIGHLIGHT
 
+    def test_int_wire_color_commits_the_model_of_its_float_form(self):
+        model = default_model()
+        committed = [apply_edit(model, edit_from_dict({"op": "set_highlight", "role": "Expert", "seq": 1,
+                                                       "node": "1V1", "color": color}))
+                     for color in ([1, 0, 0], [1.0, 0.0, 0.0])]
+        assert canonical_json(committed[0]) == canonical_json(committed[1])
+        assert committed[0].nodes["1V1"].visual.highlight_color == (1.0, 0.0, 0.0)
+
+    def test_highlight_color_is_kept_as_a_tuple_of_floats(self):
+        visual = VisualState([1.0, 0.5, 0.0])
+        assert visual == VisualState((1.0, 0.5, 0.0)) and hash(visual) == hash(VisualState((1.0, 0.5, 0.0)))
+        assert type(visual.highlight_color) is tuple
+        assert list(map(type, VisualState((1, 0, 0)).highlight_color)) == [float] * 3
+
 
 class TestEditCodec:
     def test_round_trip_all_kinds(self):

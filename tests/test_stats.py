@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from statistics import NormalDist
@@ -9,7 +12,7 @@ import pytest
 from scipy import special
 from scipy import stats as scipy_stats
 
-from replicasim import stats
+from replicasim import records, report, stats
 from replicasim.stats import (
     DEFAULT_EXACT_THRESHOLD,
     DegenerateSampleError,
@@ -416,6 +419,14 @@ class TestPipelineBranch:
         assert comparison.chosen == "mww"
         assert comparison.shapiro[0] is None
 
+    def test_comparison_and_its_result_take_dataclasses_replace(self):
+        # bench/selftest.py perturbs them with dataclasses.replace, so they stay dataclasses (ROADMAP items 1, 12).
+        comparison = compare_groups(Sample((1.0, 2.0, 3.5, 4.0)), Sample((2.0, 5.0, 6.0, 9.0)), measure="m")
+        flipped = dataclasses.replace(comparison, chosen="anova",
+                                      result=dataclasses.replace(comparison.result, p_value=0.5))
+        assert (flipped.measure, flipped.chosen, flipped.result.p_value) == ("m", "anova", 0.5)
+        assert flipped.result.statistic_name == comparison.result.statistic_name
+
 
 # --- The one-pass ranks and the cached moments, against the formulas they replace ---------
 
@@ -561,3 +572,70 @@ class TestOnePassRanksAndCachedMoments:
         deviations = [d for d in (rng.uniform(0.0, 100.0) for _ in range(100_000)) if d**2 != d * d]
         for d in deviations:
             assert mean_sd(Sample((-d, d))).sd == math.sqrt(2.0 * d**2), d
+
+
+# --- Statistics values as records, against the dataclasses they were -----------------
+
+
+MOMENT_SAMPLES = {
+    "one-value": (3.25,),
+    "ties": (2.0, 2.0, 5.0, 5.0, 5.0, 7.5),
+    "negatives": (-4.5, -0.1, -1e3, 2.0, -0.0),
+    "sixty": tuple(round(random.Random(3201).gauss(600.0, 80.0), 3) for _ in range(60)),
+}
+
+
+def moment_bits(sample):
+    return sample.n, sample._mean.hex(), sample._ss.hex()
+
+
+def dataclass_twin(cls, frozen):
+    """A dataclass of ``cls``'s name and fields, as the statistics values were built before."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=frozen)
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize("values", MOMENT_SAMPLES.values(), ids=MOMENT_SAMPLES)
+    def test_moments_are_the_fsum_expressions_to_the_bit(self, values):
+        mean = math.fsum(values) / len(values)
+        ss = math.fsum([(v - mean) ** 2 for v in values])
+        assert moment_bits(Sample(values)) == (len(values), mean.hex(), ss.hex())
+
+    def test_sample_is_slotted_and_frozen(self):
+        sample = Sample((1.0, 2.0, 4.0))
+        assert not hasattr(sample, "__dict__")
+        for name in ("n", "_mean", "_ss", "values", "label"):
+            with pytest.raises(AttributeError):
+                setattr(sample, name, 0)
+        assert moment_bits(sample) == moment_bits(Sample((1.0, 2.0, 4.0)))
+
+    @pytest.mark.parametrize("values", MOMENT_SAMPLES.values(), ids=MOMENT_SAMPLES)
+    def test_copies_are_equal_with_the_same_moments(self, values):
+        sample = Sample(values, label="x")
+        for copied in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample)),
+                       records.replace(sample)):
+            assert type(copied) is Sample and copied == sample
+            assert moment_bits(copied) == moment_bits(sample)
+        assert moment_bits(records.replace(sample, values=(1.0, 3.0))) == (2, (2.0).hex(), (2.0).hex())
+
+    def test_eq_hash_and_repr_as_the_dataclasses_gave_them(self):
+        cases = [
+            (Sample, True, [((1.0, 2.0), "t"), ((1.0, 2.0), ""), ((2.0, 1.0), "t"), ((1.0, 2.0), "t")]),
+            (GroupSummary, True, [(5, 1.5, 0.25, "a"), (5, 1.5, 0.25, ""), (6, 1.5, 0.25, "a"), (5, 1.5, 0.25, "a")]),
+            (report.CheckResult, True, [("c", True, "ok"), ("c", False, "ok"), ("c", True, "ok")]),
+            (report.AnalysisReport, False, [(("tablet",), {}, {}, [], {}, {"tablet": 2}, {}),
+                                            (("tablet",), {}, {}, [], {}, {}, {}),
+                                            (("tablet",), {}, {}, [], {}, {"tablet": 2}, {})]),
+        ]
+        for cls, frozen, arguments in cases:
+            twin = dataclass_twin(cls, frozen)
+            ours, theirs = [cls(*args) for args in arguments], [twin(*args) for args in arguments]
+            assert list(map(repr, ours)) == list(map(repr, theirs))
+            assert [[a == b for b in ours] for a in ours] == [[a == b for b in theirs] for a in theirs]
+            if frozen:
+                assert list(map(hash, ours)) == list(map(hash, theirs))
+            else:
+                for value in (ours[0], theirs[0]):
+                    with pytest.raises(TypeError, match="unhashable"):
+                        hash(value)
+        assert repr(Sample((1.0, 2.0), label="t")) == "Sample(values=(1.0, 2.0), label='t')"
