@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 from collections import Counter
 import itertools
+import json
 import random
 import sys
 import weakref
@@ -33,7 +34,7 @@ from replicasim.protocol import (
     detect_gaps,
     payload_to_dict,
 )
-from replicasim import ConfigError, netsim, protocol, records, replica, scenario, scene
+from replicasim import ConfigError, cli, netsim, protocol, records, replica, scenario, scene
 from replicasim.scene import Handedness, Pose, Role, SetIndication, ValveState
 from replicasim.metrics import (
     CALL_END,
@@ -186,6 +187,45 @@ class TestPlan:
         registry["2V4"] = Handedness.ONE_HANDED
         with pytest.raises(ConfigError, match="2V4"):
             build_default_plan(registry)
+
+    # Each refusal of a plan file, made by one edit of the shipped plan: (edit, exact message).
+    REFUSALS = {
+        "one-part": (lambda d: d["parts"].pop(), "plan must have exactly two parts"),
+        "no-brief": (lambda d: d["parts"][0]["blocks"].pop(0),
+                     "part 'inspect_system' must contain 1-handed, 2-handed and no-manipulation blocks"),
+        "duplicate-id": (lambda d: d["parts"][1]["blocks"][0].update(id="p1-brief"), "duplicate block id 'p1-brief'"),
+        "short-block": (lambda d: d["parts"][0]["blocks"][1]["operations"].pop(),
+                        "block 'p1-one-handed': OneHanded blocks take exactly 4 operations, got 3"),
+        "wrong-hand": (lambda d: d["parts"][0]["blocks"][1]["operations"][0].update(valve="2V4"),
+                       "block 'p1-one-handed': valve '2V4' is TwoHanded, not OneHanded"),
+        "unknown-type": (lambda d: d["parts"][1]["blocks"][2].update(type="bogus"), "unknown block type 'bogus'"),
+        "unknown-valve": (lambda d: d["parts"][1]["blocks"][2]["operations"][1].update(valve="ghost"),
+                          "block 'p2-two-handed' references unknown valve 'ghost'"),
+    }
+
+    @staticmethod
+    def shipped_plan_with(mutate) -> dict:
+        doc = scenario._load_data("default_plan.json")
+        mutate(doc)
+        return doc
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_each_plan_refusal_names_its_fault(self, monkeypatch, case):
+        mutate, message = self.REFUSALS[case]
+        doc = self.shipped_plan_with(mutate)
+        load_data = scenario._load_data
+        monkeypatch.setattr(scenario, "_load_data", lambda name: doc if name == "default_plan.json" else load_data(name))
+        with pytest.raises(ConfigError) as info:
+            build_default_plan(valve_registry(default_model()))
+        assert str(info.value) == message
+
+    def test_simulate_refuses_a_plan_file_with_its_fault(self, tmp_path, capsys):
+        mutate, message = self.REFUSALS["wrong-hand"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(self.shipped_plan_with(mutate)), encoding="utf-8")
+        assert cli.main(["simulate", "--plan", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert f"cannot load {str(path)!r}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_stock_plan_contents_pinned(self):
         plan = build_default_plan(valve_registry(default_model()))
