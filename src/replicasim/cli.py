@@ -65,7 +65,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan_from_dict,
         profiles_from_dict,
         run_session,
-        validate_plan,
         valve_registry,
     )
     from replicasim.scene import load_model
@@ -81,7 +80,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     registry = valve_registry(model)
     routing = _load_json(args.routing, routing_table_from_dict) if args.routing else default_routing_table()
     if args.plan:
-        plan = _load_json(args.plan, lambda doc: validate_plan(plan_from_dict(doc), registry))
+        plan = _load_json(args.plan, lambda doc: plan_from_dict(doc, registry))
     else:
         try:
             plan = build_default_plan(registry)

@@ -79,7 +79,6 @@ class World:
         self._heap: list[tuple] = []
         self._counter = 0
         self.trace: list[TraceEntry] = []
-        self.drops: list[TraceEntry] = []
 
     def add_endpoint(self, endpoint_id: str, handler: object) -> None:
         self.endpoints[endpoint_id] = getattr(handler, "handle", handler)
@@ -107,7 +106,6 @@ class World:
         if deliver_at < link.last_delivery_ms:
             deliver_at = link.last_delivery_ms
         if cfg.loss_rate > 0.0 and link.rng.random() < cfg.loss_rate:
-            self.drops.append(TraceEntry(deliver_at, src, dst, envelope))
             return None
         link.last_delivery_ms = deliver_at
         self._counter += 1

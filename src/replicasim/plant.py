@@ -72,10 +72,14 @@ def routing_table_from_dict(doc: dict) -> RoutingTable:
     )
 
 
-def _matching_row(valve_states: dict[str, ValveState], table: RoutingTable) -> RoutingRow | None:
-    missing = table.valves_referenced() - set(valve_states)
+def _check_fits(valve_states: dict[str, ValveState], table: RoutingTable) -> None:
+    missing = table.valves_referenced() - valve_states.keys()
     if missing:
         raise ConfigError(f"routing table references unknown valves {sorted(missing)}")
+
+
+def _matching_row(valve_states: dict[str, ValveState], table: RoutingTable) -> RoutingRow | None:
+    _check_fits(valve_states, table)
     for row in table.rows:
         if all(valve_states[valve] is state for valve, state in row.requires):
             return row
@@ -110,7 +114,9 @@ class PlantState:
 
 
 def plant_from_model(model: SceneModel, table: RoutingTable) -> PlantState:
+    """The plant in ``model``'s valve states; a ``table`` that names a valve the model lacks is refused."""
     states = {n.id: n.valve_state for n in model.valves()}
+    _check_fits(states, table)
     return PlantState(valve_states=states, table=table)
 
 

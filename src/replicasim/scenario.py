@@ -18,7 +18,7 @@ import os
 import random
 from functools import cache
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Optional
 
 from replicasim import ConfigError, checks, metrics
 from replicasim import plant as plant_mod
@@ -44,7 +44,7 @@ from replicasim.protocol import (
     submit_sync,
     update_avatar,
 )
-from replicasim.records import field, record
+from replicasim.records import record
 from replicasim.replica import (
     MergeOutcome,
     SyncRequest,
@@ -83,23 +83,14 @@ REPORT_TEMPERATURE = "report-temperature"
 
 
 @record(frozen=True)
-class ManipulationBlock:
-    """A block of valve operations of one handedness. Each operation is the
-    ``Instruction`` the guide sends for it, with its ``valve`` and ``target``,
-    built once when the plan is read."""
+class Block:
+    """A plan block: ``kind`` is the name the log writes (one of
+    ``metrics.BLOCK_KINDS``); ``steps`` are the ``Instruction``s the guide sends,
+    built once when the plan is read: valve operations, or one ``describe: …``."""
 
     id: str
-    kind: Handedness
-    operations: tuple[Instruction, ...]
-
-
-@record(frozen=True)
-class NoManipulationBlock:
-    id: str
-    instruction: Instruction  # the guide's ``describe: …`` prompt
-
-
-Block = Union[ManipulationBlock, NoManipulationBlock]
+    kind: str
+    steps: tuple[Instruction, ...]
 
 
 @record(frozen=True)
@@ -113,66 +104,52 @@ class InspectionPlan:
     parts: tuple[PlanPart, ...]
 
 
-def block_kind_name(block: Block) -> str:
-    return block.kind.value if isinstance(block, ManipulationBlock) else metrics.NO_MANIPULATION
-
-
 OPS_PER_KIND = {Handedness.ONE_HANDED: 4, Handedness.TWO_HANDED: 2}
 
 
-def validate_plan(plan: InspectionPlan, registry: dict[str, Handedness]) -> InspectionPlan:
-    """Check block sizes, valve existence and handedness consistency; returns ``plan``."""
-    if len(plan.parts) != 2:
+def plan_from_dict(doc: dict, registry: dict[str, Handedness]) -> InspectionPlan:
+    """The plan ``doc`` describes, each block checked as it is read: a unique id,
+    the operation count of its kind, and valves that ``registry`` holds with the
+    block's handedness. A plan has two parts, each with a block of every kind."""
+    parts = checks.typed(checks.typed(doc, "plan", dict).get("parts"), "parts", list)
+    if len(parts) != 2:
         raise ConfigError("plan must have exactly two parts")
     seen_ids: set[str] = set()
-    for part in plan.parts:
-        kinds = {block_kind_name(b) for b in part.blocks}
-        if not kinds.issuperset(metrics.BLOCK_KINDS):
-            raise ConfigError(f"part {part.name!r} must contain 1-handed, 2-handed and no-manipulation blocks")
-        for block in part.blocks:
-            if block.id in seen_ids:
-                raise ConfigError(f"duplicate block id {block.id!r}")
-            seen_ids.add(block.id)
-            if not isinstance(block, ManipulationBlock):
-                continue
-            expected = OPS_PER_KIND[block.kind]
-            if len(block.operations) != expected:
-                raise ConfigError(
-                    f"block {block.id!r}: {block.kind.value} blocks take exactly {expected} operations,"
-                    f" got {len(block.operations)}"
-                )
-            for op in block.operations:
-                if op.valve not in registry:
-                    raise ConfigError(f"block {block.id!r} references unknown valve {op.valve!r}")
-                if registry[op.valve] is not block.kind:
-                    raise ConfigError(
-                        f"block {block.id!r}: valve {op.valve!r} is {registry[op.valve].value},"
-                        f" not {block.kind.value}"
-                    )
-    return plan
-
-
-def plan_from_dict(doc: dict) -> InspectionPlan:
-    parts = []
-    for part in checks.typed(checks.typed(doc, "plan", dict).get("parts"), "parts", list):
-        blocks: list[Block] = []
+    read = []
+    for part in parts:
+        blocks = []
         for b in checks.typed(checks.typed(part, "part", dict).get("blocks"), "blocks", list):
             block_id = checks.ident(checks.typed(b, "block", dict).get("id"), "block id")
-            if b.get("type") == "manipulation":
-                kind = checks.member(b.get("kind"), f"block {block_id!r} kind", Handedness)
-                operations = []
-                for o in checks.typed(b.get("operations"), f"block {block_id!r} operations", list):
-                    valve = checks.ident(checks.typed(o, "operation", dict).get("valve"), f"block {block_id!r} valve")
-                    target = checks.member(o.get("target"), f"block {block_id!r} target", ValveState)
-                    operations.append(Instruction(f"set valve {valve} to {target.value}", valve, target))
-                blocks.append(ManipulationBlock(block_id, kind, tuple(operations)))
-            elif b.get("type") == "no_manipulation":
+            if block_id in seen_ids:
+                raise ConfigError(f"duplicate block id {block_id!r}")
+            seen_ids.add(block_id)
+            if b.get("type") == "no_manipulation":
                 prompt = checks.typed(b.get("prompt"), "prompt", str)
-                blocks.append(NoManipulationBlock(block_id, Instruction(f"describe: {prompt}")))
-            else:
+                blocks.append(Block(block_id, metrics.NO_MANIPULATION, (Instruction(f"describe: {prompt}"),)))
+                continue
+            if b.get("type") != "manipulation":
                 raise ConfigError(f"unknown block type {b.get('type')!r}")
-        parts.append(PlanPart(checks.typed(part.get("name"), "part name", str), tuple(blocks)))
-    return InspectionPlan(parts=tuple(parts))
+            kind = checks.member(b.get("kind"), f"block {block_id!r} kind", Handedness)
+            operations = checks.typed(b.get("operations"), f"block {block_id!r} operations", list)
+            if len(operations) != OPS_PER_KIND[kind]:
+                raise ConfigError(f"block {block_id!r}: {kind.value} blocks take exactly {OPS_PER_KIND[kind]}"
+                                  f" operations, got {len(operations)}")
+            steps = []
+            for o in operations:
+                valve = checks.ident(checks.typed(o, "operation", dict).get("valve"), f"block {block_id!r} valve")
+                target = checks.member(o.get("target"), f"block {block_id!r} target", ValveState)
+                if valve not in registry:
+                    raise ConfigError(f"block {block_id!r} references unknown valve {valve!r}")
+                if registry[valve] is not kind:
+                    raise ConfigError(f"block {block_id!r}: valve {valve!r} is {registry[valve].value},"
+                                      f" not {kind.value}")
+                steps.append(Instruction(f"set valve {valve} to {target.value}", valve, target))
+            blocks.append(Block(block_id, kind.value, tuple(steps)))
+        name = checks.typed(part.get("name"), "part name", str)
+        if not {b.kind for b in blocks}.issuperset(metrics.BLOCK_KINDS):
+            raise ConfigError(f"part {name!r} must contain 1-handed, 2-handed and no-manipulation blocks")
+        read.append(PlanPart(name, tuple(blocks)))
+    return InspectionPlan(parts=tuple(read))
 
 
 # --- Profiles ---------------------------------------------------------------------
@@ -240,9 +217,9 @@ def build_default_plan(registry: dict[str, Handedness]) -> InspectionPlan:
     then restore the initial state.
 
     The shipped ``data/default_plan.json`` is the plan's only source; it is
-    validated against ``registry``.
+    checked against ``registry`` as it is read.
     """
-    return validate_plan(plan_from_dict(_load_data("default_plan.json")), registry)
+    return plan_from_dict(_load_data("default_plan.json"), registry)
 
 
 def profiles_from_dict(doc: dict) -> dict[Condition, OperatorProfile]:
@@ -266,12 +243,11 @@ class _Recorder:
 
     def __init__(self) -> None:
         self._events: list[LogEvent] = []
-        self._block: Optional[str] = None
-        self._block_kind: Optional[str] = None
+        self.enter(None)
 
     def enter(self, block: Optional[Block]) -> None:
         """Stamp later events with ``block``'s id and kind name, or with none."""
-        self._block, self._block_kind = (None, None) if block is None else (block.id, block_kind_name(block))
+        self._block, self._block_kind = (None, None) if block is None else (block.id, block.kind)
 
     def log(self, t_ms: int, kind: str, data: Optional[dict] = None) -> None:
         self._events.append(LogEvent(int(t_ms), kind, data or {}, self._block, self._block_kind))
@@ -309,8 +285,7 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
     for i, part in enumerate(plan.parts):
         for block in part.blocks:
             recorder.enter(block)
-            instructions = block.operations if isinstance(block, ManipulationBlock) else (block.instruction,)
-            for instruction in instructions:
+            for instruction in block.steps:
                 now = yield instruction, pause
                 pause = 0
             recorder.log(now, BREAKPOINT)
@@ -324,12 +299,13 @@ def _guide_steps(plan: InspectionPlan, recorder: _Recorder):
 class _ExpertAgent:
     """The guide and room host. It walks the plan through :func:`_guide_steps`;
     as host it commits its own edits through ``synchronize`` with no private
-    replica; only the operator holds one."""
+    replica; only the operator holds one. It owns the room state, and records
+    each commit in ``commits`` for the operator."""
 
-    def __init__(self, session: "_Session"):
-        self.s = session
-        self.steps = _guide_steps(session.plan, session.recorder)
+    def __init__(self, plan: InspectionPlan, recorder: _Recorder, condition: Condition, room: RoomState, commits):
+        self.steps = _guide_steps(plan, recorder)
         next(self.steps)
+        self.condition, self.room, self.commits = condition, room, commits
         self.edit_seq = 0
         self.indicated: Optional[str] = None
 
@@ -338,8 +314,7 @@ class _ExpertAgent:
         return self.edit_seq
 
     def _send(self, net: World, payload, extra_delay_ms: int = 0) -> None:
-        room, env = self.s.room._stamp(EXPERT_ID, payload)
-        self.s.room = room
+        self.room, env = self.room._stamp(EXPERT_ID, payload)
         net.send(EXPERT_ID, OPERATOR_ID, env, extra_delay_ms)
 
     def _sync_indication(self, net: World, valve: str, pause: int) -> None:
@@ -348,7 +323,7 @@ class _ExpertAgent:
             edits.append(SetIndication(self.indicated, False, _EXPERT, self._next_seq()))
         edits.append(SetIndication(valve, True, _EXPERT, self._next_seq()))
         self.indicated = valve
-        env, outcome = self._commit(SyncRequest(EXPERT_ID, _EXPERT, self.s.room.shared.version, tuple(edits)))
+        env, outcome = self._commit(SyncRequest(EXPERT_ID, _EXPERT, self.room.shared.version, tuple(edits)))
         if outcome.rejected:
             edit, reason = outcome.rejected[0]
             raise EditError(f"the host rejected its own edit {edit!r}: {reason}", reason)
@@ -356,17 +331,16 @@ class _ExpertAgent:
 
     def _commit(self, request: SyncRequest) -> tuple[Envelope, MergeOutcome]:
         """Merge ``request`` as the host and record the commit for the operator."""
-        s = self.s
-        before = s.room.shared
-        s.room, env, outcome = submit_sync(s.room, request)
-        s.commits[outcome.merged.version] = (before, outcome.accepted, outcome.merged)
+        before = self.room.shared
+        self.room, env, outcome = submit_sync(self.room, request)
+        self.commits[outcome.merged.version] = (before, outcome.accepted, outcome.merged)
         return env, outcome
 
     def handle(self, net: World, now: int, src: str, env: Envelope) -> None:
         kind = type(env.payload)
         if kind is StepDone or kind is CallStart:  # the operator has done a step, or the call starts
             step, pause = self.steps.send(now)
-            if type(step) is Instruction and step.valve is not None and self.s.condition is _HMD:
+            if type(step) is Instruction and step.valve is not None and self.condition is _HMD:
                 self._sync_indication(net, step.valve, pause)
             self._send(net, step, pause)
         elif kind is SyncReq:
@@ -378,22 +352,25 @@ class _ExpertAgent:
             payload, mine = env.payload, EXPERT_AVATAR
             if payload is not OPERATOR_AVATAR:
                 mine = AvatarState(client=EXPERT_ID, role=_EXPERT, head_pose=place_expert_avatar(payload.state))
-            self.s.room, env_out = update_avatar(self.s.room, mine)
+            self.room, env_out = update_avatar(self.room, mine)
             net.send(EXPERT_ID, OPERATOR_ID, env_out)
 
 
 class _OperatorAgent:
-    """Maintainer-side state machine: draws outcomes/latencies from the profile."""
+    """Maintainer-side state machine: draws outcomes/latencies from the profile, works
+    the plant, logs through ``log`` and takes the host's merges from ``commits``."""
 
-    def __init__(self, session: "_Session"):
-        self.s = session
-        self.rng = random.Random(derive_seed(session.seed, "operator"))
+    def __init__(self, seed: int, condition: Condition, profile: OperatorProfile, plant: PlantState,
+                 room: RoomState, log, commits):
+        self.rng = random.Random(derive_seed(seed, "operator"))
+        self.condition, self.profile, self.plant = condition, profile, plant
+        self.log, self.commits = log, commits
         self.sender_seq = 0
         self.edit_seq = 0
-        self.room_id = session.room.room
-        self.local_shared = session.room.shared
+        self.room_id = room.room
+        self.local_shared = room.shared
         self.replica = create_replica(self.local_shared, OPERATOR_ID, _OPERATOR)
-        self.valve_ids = sorted(session.plant.valve_states)
+        self.valve_ids = sorted(plant.valve_states)
 
     def _send(self, net: World, payload, extra_delay_ms: int = 0) -> None:
         self.sender_seq += 1
@@ -408,12 +385,11 @@ class _OperatorAgent:
         return self.rng.choice(candidates)
 
     def _handle_operation(self, net: World, now: int, valve: str, target: ValveState) -> None:
-        s, random_, draw = self.s, self.rng.random, self._draw
-        profile, log, condition = s.profile, s.recorder.log, s.condition
+        random_, draw, profile, log = self.rng.random, self._draw, self.profile, self.log
         identify = profile.identify_latency_ms
         two_handed = self.local_shared.node(valve).handedness is _TWO_HANDED
         manip = profile.manipulate_latency_2h_ms if two_handed else profile.manipulate_latency_1h_ms
-        putdown = profile.tablet_putdown_penalty_ms if two_handed and condition is _TABLET else 0
+        putdown = profile.tablet_putdown_penalty_ms if two_handed and self.condition is _TABLET else 0
         t = now
         if random_() < profile.p_repeat:
             t += draw(identify)
@@ -429,9 +405,9 @@ class _OperatorAgent:
             log(t, MANIPULATE, {"valve": self._wrong_valve(valve), "correct": False})
         t += draw(manip) + putdown
         log(t, MANIPULATE, {"valve": valve, "correct": True})
-        s.plant.set_valve(valve, target)
+        self.plant.set_valve(valve, target)
         delay = t - now
-        if condition is _HMD:
+        if self.condition is _HMD:
             self.edit_seq += 1
             self.replica = edit_replica(self.replica, SetValveState(valve, target, _OPERATOR, self.edit_seq))
             self._send(net, SyncReq(make_sync_request(self.replica)), delay)
@@ -441,11 +417,11 @@ class _OperatorAgent:
         payload = env.payload
         kind = type(payload)
         if kind is Instruction:
-            self.s.recorder.log(now, INSTRUCTION, {"text": payload.text})
+            self.log(now, INSTRUCTION, {"text": payload.text})
             if payload.valve is not None:
                 self._handle_operation(net, now, payload.valve, payload.target)
             else:  # a description prompt
-                self._send(net, STEP_DONE_MSG, self._draw(self.s.profile.describe_latency_ms))
+                self._send(net, STEP_DONE_MSG, self._draw(self.profile.describe_latency_ms))
         elif kind is SyncCommit:
             # Replay is a pure function of (model, accepted edits, version), so
             # when its inputs are the very objects the host merged, the host's
@@ -454,7 +430,7 @@ class _OperatorAgent:
             # keeps its version and ``()`` is one object, so it may pop another
             # empty commit's entry; the hit is still exact, because an empty
             # commit's merged model is its pre-commit model.
-            before, accepted, merged = self.s.commits.pop(payload.new_version, (None, None, None))
+            before, accepted, merged = self.commits.pop(payload.new_version, (None, None, None))
             if before is self.local_shared and accepted is payload.accepted:
                 self.local_shared = merged
             else:
@@ -462,30 +438,16 @@ class _OperatorAgent:
             self.replica = acknowledge_commit(self.replica, payload.accepted, self.local_shared)
             for edit in payload.accepted:
                 if type(edit) is SetIndication and edit.playing:
-                    self.s.recorder.log(now, REPLICA_INDICATION, {"valve": edit.node})
+                    self.log(now, REPLICA_INDICATION, {"valve": edit.node})
         elif kind is ReportTemperature:
-            self.s.recorder.log(now, INSTRUCTION, {"text": REPORT_TEMPERATURE})
-            delay = self._draw(self.s.profile.describe_latency_ms)
-            reading = round(plant_mod.outlet_temperature(self.s.plant), 2)
-            self.s.recorder.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": reading})
+            self.log(now, INSTRUCTION, {"text": REPORT_TEMPERATURE})
+            delay = self._draw(self.profile.describe_latency_ms)
+            reading = round(plant_mod.outlet_temperature(self.plant), 2)
+            self.log(now + delay, TEMPERATURE_REPORT, {"temperature_c": reading})
             self._send(net, StepDone(reading), delay)
         elif kind is CallEnd:
-            self.s.recorder.log(now, CALL_END)
+            self.log(now, CALL_END)
             self._send(net, CALL_END_MSG)
-
-
-@record
-class _Session:
-    condition: Condition
-    seed: int
-    plan: InspectionPlan
-    profile: OperatorProfile
-    plant: PlantState
-    room: RoomState
-    recorder: _Recorder
-    # Host commits on their way to the operator, by new version: (pre-commit
-    # model, accepted edits, merged model). The operator pops each on arrival.
-    commits: dict[int, tuple[SceneModel, tuple, SceneModel]] = field(default_factory=dict)
 
 
 def run_session(
@@ -499,8 +461,9 @@ def run_session(
 ) -> metrics.SessionLog:
     """Simulate one full inspection call and return its event log.
 
-    ``plan`` must already have passed :func:`validate_plan` against ``model``
-    (the default model when it is None); the session does not check it again.
+    ``plan`` must have been read by :func:`plan_from_dict` against ``model``'s
+    valves (the default model when it is None); the session does not check it
+    again.
     """
     model = model if model is not None else default_model()
     routing = routing if routing is not None else default_routing_table()
@@ -511,23 +474,16 @@ def run_session(
     room = join_room(room, OPERATOR_ID, Role.OPERATOR)
     room = join_room(room, EXPERT_ID, Role.EXPERT)
     recorder = _Recorder()
-    session = _Session(
-        condition=condition,
-        seed=seed,
-        plan=plan,
-        profile=operator_profile,
-        plant=plant,
-        room=room,
-        recorder=recorder,
-    )
+    # Host commits on their way to the operator, by new version: (pre-commit
+    # model, accepted edits, merged model). The operator pops each on arrival.
+    commits: dict[int, tuple[SceneModel, tuple, SceneModel]] = {}
 
     world = World(master_seed=derive_seed(seed, "net"))
     link = link_config or DEFAULT_SESSION_LINK
     world.add_link(OPERATOR_ID, EXPERT_ID, link)
     world.add_link(EXPERT_ID, OPERATOR_ID, link)
-    expert = _ExpertAgent(session)
-    operator = _OperatorAgent(session)
-    world.add_endpoint(EXPERT_ID, expert)
+    operator = _OperatorAgent(seed, condition, operator_profile, plant, room, recorder.log, commits)
+    world.add_endpoint(EXPERT_ID, _ExpertAgent(plan, recorder, condition, room, commits))
     world.add_endpoint(OPERATOR_ID, operator)
 
     recorder.log(0, CALL_START)

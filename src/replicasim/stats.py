@@ -51,7 +51,7 @@ class _Moments:
 
 @record(frozen=True)
 class Sample(_Moments):
-    """Finite values and a label; ``n`` and the moments are filled once, when it is built."""
+    """Finite values as a tuple of floats, and a label; ``n`` and the moments are filled once, when it is built."""
 
     values: tuple[float, ...]
     label: str = ""
@@ -61,13 +61,14 @@ class Sample(_Moments):
         if n < 1:
             raise StatsError("sample must contain at least one value")
         try:
-            checks.vector(self.values, "sample values", n)
+            values = checks.vector(self.values, "sample values", n)
         except ConfigError as exc:
             raise StatsError(str(exc)) from None
-        mean = math.fsum(self.values) / n
+        mean = math.fsum(values) / n
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_mean", mean)
-        object.__setattr__(self, "_ss", math.fsum([(v - mean) ** 2 for v in self.values]))
+        object.__setattr__(self, "_ss", math.fsum([(v - mean) ** 2 for v in values]))
 
 
 @record(frozen=True)

@@ -44,7 +44,6 @@ from replicasim.scene import (
 from replicasim.records import replace
 from replicasim.scenario import (
     Condition,
-    ManipulationBlock,
     build_default_plan,
     default_model,
     default_profiles,
@@ -56,6 +55,7 @@ from replicasim.metrics import (
     IDENTIFY,
     INSTRUCTION,
     MANIPULATE,
+    NO_MANIPULATION,
     REPLICA_INDICATION,
     ErrorCounts,
     percent_improvement,
@@ -498,7 +498,7 @@ def test_criterion_8_scenario_integrity():
     model = default_model()
     plan = build_default_plan(valve_registry(model))
     for part in plan.parts:
-        sizes = {b.kind.value: len(b.operations) for b in part.blocks if isinstance(b, ManipulationBlock)}
+        sizes = {b.kind: len(b.steps) for b in part.blocks if b.kind != NO_MANIPULATION}
         assert sizes == {"OneHanded": 4, "TwoHanded": 2}
 
     profiles = default_profiles()

@@ -240,9 +240,9 @@ class TestSimulate:
     def test_corpus_validates_its_plan_once_and_each_log_once(self, tmp_path):
         # Call counts, not timings: the plan is validated where it is built,
         # once per corpus, and each session validates the log it makes.
-        watched = {scenario.validate_plan.__code__: "validate_plan",
+        watched = {scenario.plan_from_dict.__code__: "plan_from_dict",
                    metrics.validate_session_log.__code__: "validate_session_log"}
-        calls = {"validate_plan": 0, "validate_session_log": 0}
+        calls = {"plan_from_dict": 0, "validate_session_log": 0}
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code in watched:
@@ -254,7 +254,7 @@ class TestSimulate:
         finally:
             sys.setprofile(None)
         assert code == EXIT_OK
-        assert calls == {"validate_plan": 1, "validate_session_log": 7}  # 8 and 14 when sessions checked again
+        assert calls == {"plan_from_dict": 1, "validate_session_log": 7}  # 8 and 14 when sessions checked again
 
 
 def shipped_with(name: str, mutate) -> str:

@@ -139,7 +139,7 @@ def record_classes():
 
 def test_package_records_are_slotted():
     classes = record_classes()
-    assert len(classes) == 43
+    assert len(classes) == 41
     for cls, node in classes:
         assert cls.__slots__ == cls.__match_args__, cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls
@@ -194,13 +194,12 @@ def record_examples() -> dict[type, object]:
     mine = replica.create_replica(model, "expert", Role.EXPERT)
     highlight = scene.SetHighlight("1V1", (1.0, 0.0, 0.0), Role.EXPERT, 1)
     outcome = replica.synchronize(replica.make_sync_request(replica.edit_replica(mine, highlight)), model)
-    session = scenario._Session(Condition.HMD, 0, plan, profile, plant.plant_from_model(model, table), room,
-                                scenario._Recorder())
+    plant_state = plant.plant_from_model(model, table)
     by_hand = [protocol.MediaSignal(b"\x00"),
                scene.AddAnnotation(scene.Annotation("note-1", Role.EXPERT, "1V1", "check"), Role.EXPERT, 2),
                scene.RemoveAnnotation("note-1", Role.EXPERT, 3),
                scene.SetPose("1V1", scene.Pose((1.0, 0.0, 0.0)), Role.EXPERT, 4)]
-    roots = [log, model, plan, profile, table, world.links, mine, outcome, session,
+    roots = [log, model, plan, profile, table, world.links, mine, outcome, plant_state, room,
              metrics.error_counts(log), metrics.block_times(log), *by_hand]
     found, seen = {}, {}  # seen keeps each value alive, so that no id is reused
     while roots:
@@ -257,5 +256,5 @@ def test_package_record_constructors_compile_under_their_own_names():
     for cls, _ in record_classes():
         constructor = cls.__new__ if cls.__hash__ is not None else cls.__init__
         filenames[cls] = constructor.__code__.co_filename
-    assert len(set(filenames.values())) == len(filenames) == 43
+    assert len(set(filenames.values())) == len(filenames) == 41
     assert filenames[protocol.Envelope] == "<record Envelope>"

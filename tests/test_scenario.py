@@ -52,9 +52,7 @@ from replicasim.metrics import (
 )
 from replicasim.scenario import (
     DEFAULT_SESSION_LINK,
-    ManipulationBlock,
     OperatorProfile,
-    block_kind_name,
     build_default_plan,
     default_model,
     default_profiles,
@@ -168,9 +166,9 @@ class TestPlan:
     def test_default_plan_block_sizes(self):
         plan = build_default_plan(valve_registry(default_model()))
         for part in plan.parts:
-            sizes = {b.kind: len(b.operations) for b in part.blocks if isinstance(b, ManipulationBlock)}
-            assert sizes[Handedness.ONE_HANDED] == 4
-            assert sizes[Handedness.TWO_HANDED] == 2
+            sizes = {b.kind: len(b.steps) for b in part.blocks if b.kind != NO_MANIPULATION}
+            assert sizes[Handedness.ONE_HANDED.value] == 4
+            assert sizes[Handedness.TWO_HANDED.value] == 2
 
     def test_empty_registry_rejected(self):
         with pytest.raises(ConfigError, match="references unknown valve"):
@@ -231,7 +229,7 @@ class TestPlan:
         plan = build_default_plan(valve_registry(default_model()))
         contents = {
             part.name: [
-                (b.id, block_kind_name(b), [(op.valve, op.target.value) for op in getattr(b, "operations", ())])
+                (b.id, b.kind, [(op.valve, op.target.value) for op in b.steps if op.valve is not None])
                 for b in part.blocks
             ]
             for part in plan.parts
@@ -331,32 +329,12 @@ class TestRunSession:
             sys.setprofile(None)
         assert calls == {"batch": batches, "replay": replays, "edit": edits, "ack": acks}
 
-    def test_session_names_each_block_kind_once(self):
-        # A call count, not a timing: the recorder names a block's kind when
-        # the guide enters it, not once per logged event (62 calls before).
-        # validate_plan, which names each block again, runs once per corpus.
-        calls = {"all": 0, "recorder": 0}
-
-        def count(frame, event, arg):
-            if event == "call" and frame.f_code is scenario.block_kind_name.__code__:
-                calls["all"] += 1
-                calls["recorder"] += frame.f_back.f_code is scenario._Recorder.enter.__code__
-
-        plan = build_default_plan(valve_registry(default_model()))
-        blocks = sum(len(part.blocks) for part in plan.parts)
-        sys.setprofile(count)
-        try:
-            run_session(plan, Condition.HMD, default_profiles()[Condition.HMD], seed=0)
-        finally:
-            sys.setprofile(None)
-        assert calls == {"all": blocks, "recorder": blocks}
-
     @pytest.mark.parametrize("condition", [Condition.HMD, Condition.TABLET])
     def test_session_builds_no_instruction_and_checks_no_plan(self, condition):
         # Call counts, not timings: the plan holds the guide's 14 instructions,
         # built once when it is read, and it was validated before the session.
-        watched = {Instruction.__new__.__code__: "instruction", scenario.validate_plan.__code__: "validate_plan"}
-        calls = {"instruction": 0, "validate_plan": 0}
+        watched = {Instruction.__new__.__code__: "instruction", scenario.plan_from_dict.__code__: "plan_from_dict"}
+        calls = {"instruction": 0, "plan_from_dict": 0}
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code in watched:
@@ -368,7 +346,7 @@ class TestRunSession:
             run_session(plan, condition, default_profiles()[condition], seed=0)
         finally:
             sys.setprofile(None)
-        assert calls == {"instruction": 0, "validate_plan": 0}
+        assert calls == {"instruction": 0, "plan_from_dict": 0}
 
     @pytest.mark.parametrize("condition, room_states, stamps", [(Condition.HMD, 44, 41), (Condition.TABLET, 20, 17)])
     def test_session_builds_one_room_state_per_stamp_and_places_no_avatar(self, condition, room_states, stamps):
@@ -402,14 +380,14 @@ class TestRunSession:
         model = default_model()
         room = protocol.join_room(protocol.join_room(protocol.RoomState("r", model), "operator", Role.OPERATOR),
                                   "expert", Role.EXPERT)
-        session = scenario._Session(Condition.TABLET, 0, build_default_plan(valve_registry(model)), QUIET_PROFILE,
-                                    plant_from_model(model, default_routing_table()), room, scenario._Recorder())
+        expert = scenario._ExpertAgent(build_default_plan(valve_registry(model)), scenario._Recorder(), Condition.TABLET,
+                                       room, {})
         world = netsim.World()
         received = []
         world.add_endpoint(scenario.OPERATOR_ID, lambda net, now, src, env: received.append(env.payload))
         moved = AvatarState(scenario.OPERATOR_ID, Role.OPERATOR, Pose((1.0, 1.6, -2.0)))
         envelope = Envelope(scenario.OPERATOR_ID, 1, "r", Avatar(moved))
-        scenario._ExpertAgent(session).handle(world, 0, scenario.OPERATOR_ID, envelope)
+        expert.handle(world, 0, scenario.OPERATOR_ID, envelope)
         world.run_until_quiescent()
         placed = protocol.place_expert_avatar(moved)
         assert placed != scenario.EXPERT_AVATAR.head_pose
@@ -591,9 +569,9 @@ class TestRunSession:
         # rejects stops the session with the edit and the reason named.
         plan = build_default_plan(valve_registry(default_model()))
         blocks = list(plan.parts[0].blocks)
-        i = next(i for i, b in enumerate(blocks) if isinstance(b, ManipulationBlock))
-        ghost = records.replace(blocks[i].operations[0], valve="ghost-valve")
-        blocks[i] = records.replace(blocks[i], operations=(ghost,) + blocks[i].operations[1:])
+        i = next(i for i, b in enumerate(blocks) if b.kind != NO_MANIPULATION)
+        ghost = records.replace(blocks[i].steps[0], valve="ghost-valve")
+        blocks[i] = records.replace(blocks[i], steps=(ghost,) + blocks[i].steps[1:])
         parts = (records.replace(plan.parts[0], blocks=tuple(blocks)),) + plan.parts[1:]
         with pytest.raises(scene.EditError, match=r"SetIndication\(node='ghost-valve'.*unknown-target") as info:
             run_session(records.replace(plan, parts=parts), Condition.HMD, QUIET_PROFILE, seed=0)
@@ -722,6 +700,25 @@ class TestRunSession:
         registry = {"A1": Handedness.ONE_HANDED}
         with pytest.raises(ConfigError, match="references unknown valve"):
             build_default_plan(registry)
+
+    def test_routing_that_names_a_valve_the_model_lacks_is_refused_before_the_first_send(self, monkeypatch):
+        table = default_routing_table()
+        ghost = RoutingRow(Exchanger.PLATE, FlowMode.PARALLEL, (("ghost", ValveState.OPEN),), 0.5)
+        unfitting = records.replace(table, rows=table.rows + (ghost,))
+        message = "routing table references unknown valves ['ghost']"
+        with pytest.raises(ConfigError) as info:
+            plant_from_model(default_model(), unfitting)
+        assert str(info.value) == message
+        send, sends = netsim.World.send, []
+
+        def counted_send(world, *args, **kwargs):
+            sends.append(args)
+            return send(world, *args, **kwargs)
+
+        monkeypatch.setattr(netsim.World, "send", counted_send)
+        with pytest.raises(ConfigError) as info:
+            run_quiet(Condition.HMD, routing=unfitting)
+        assert str(info.value) == message and sends == []
 
 
 class TestTracerReach:

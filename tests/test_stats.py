@@ -639,3 +639,12 @@ class TestValueRecords:
                     with pytest.raises(TypeError, match="unhashable"):
                         hash(value)
         assert repr(Sample((1.0, 2.0), label="t")) == "Sample(values=(1.0, 2.0), label='t')"
+
+
+class TestSampleValues:
+    @pytest.mark.parametrize("given", [[1.0, 2.0, 3.0], (1, 2, 3), [1, 2.5, 3]], ids=["list", "ints", "mixed-list"])
+    def test_values_are_kept_as_a_tuple_of_floats(self, given):
+        sample = Sample(given)
+        assert type(sample.values) is tuple and all(type(v) is float for v in sample.values)
+        assert sample.values == tuple(map(float, given))
+        assert sample == Sample(tuple(map(float, given))) and hash(sample) == hash(Sample(tuple(map(float, given))))
