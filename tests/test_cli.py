@@ -327,6 +327,37 @@ def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     assert bad.name in err
 
 
+METRICS_HEADER = b"session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, refusal",
+    [
+        ("analyze", METRICS_HEADER, "{path} contains no data rows"),
+        ("analyze", b"session_id,condition,seed,total_s\ns1,tablet,1,700\n",
+         "{path} is missing columns: ['critical', 'one_handed_s', 'repetition', 'simple', 'two_handed_s',"
+         " 'weighted_total']"),
+        ("analyze", METRICS_HEADER + b"s1,tablet,1,700,150,120,0,0,0,0\ns\xff,tablet,1,700,150,120,0,0,0,0\n",
+         "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("analyze", METRICS_HEADER + b"s" * 200_000 + b",tablet,1,700,150,120,0,0,0,0\n",
+         "cannot read {path}: field larger than field limit (131072)"),
+        ("replay", b"", "cannot load {path}: empty session log"),
+    ],
+    ids=["no-data-rows", "missing-columns", "undecodable-byte", "cell-past-field-limit", "empty-log"],
+)
+def test_file_level_refusal_exits_2_with_its_message(tmp_path, capsys, command, content, refusal):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [command, str(bad), "--out", str(out)] if command == "analyze" else [command, str(bad)]
+    assert run_cli(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + refusal.format(path=repr(str(bad))))
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_fault_in_a_reader_is_not_bad_input(tmp_path, monkeypatch):
     # A ValueError raised after the file was read and parsed is a program fault:
     # it leaves main with its traceback instead of exiting 2 as "cannot load".
