@@ -113,14 +113,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from replicasim.report import (
-        ALL_MEASURES,
-        analyze_rows,
-        read_metrics_csv,
-        render_markdown,
-        render_results_csv,
-        render_svg_histogram,
-    )
+    from replicasim.metrics import ALL_MEASURES, read_metrics_csv
+    from replicasim.report import analyze_rows, render_markdown, render_results_csv, render_svg_histogram
 
     rows = read_metrics_csv(args.csv)
     report = analyze_rows(rows)

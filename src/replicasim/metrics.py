@@ -1,7 +1,9 @@
-"""The session-log format, and the error taxonomy, ponderation and per-block timings read from it.
+"""The session-log format, the error taxonomy, ponderation and per-block timings read from it,
+and the metrics CSV that holds one row of them per session.
 
-It loads no simulator layer: ``scenario`` writes logs in this format, and
-``replay`` and ``analyze`` read them without loading the simulator.
+It loads no simulator layer: ``scenario`` writes logs in this format and
+``replay`` reads them; ``simulate`` writes the metrics CSV with this module,
+and ``analyze`` reads it with this module, without loading the simulator.
 """
 from __future__ import annotations
 
@@ -75,7 +77,8 @@ def session_log_to_jsonl(log: SessionLog) -> str:
 
 
 def session_log_from_jsonl(text: str) -> SessionLog:
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    # A record ends at "\n" only; splitlines also breaks at U+2028, U+2029 and U+0085, which JSON takes raw.
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines:
         raise ConfigError("empty session log")
     events = []
@@ -230,23 +233,16 @@ def percent_improvement(baseline: float, treatment: float) -> float:
     return (baseline - treatment) / baseline
 
 
-# --- Per-session report row -------------------------------------------------------
+# --- Metrics CSV: one row per session ---------------------------------------------
 
-CSV_COLUMNS = (
-    "session_id",
-    "condition",
-    "seed",
-    "total_s",
-    "one_handed_s",
-    "two_handed_s",
-    "simple",
-    "critical",
-    "repetition",
-    "weighted_total",
-)
+TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
+ERROR_MEASURES = ("simple", "critical", "repetition", "weighted_total")
+ALL_MEASURES = TIME_MEASURES + ERROR_MEASURES
+CSV_COLUMNS = ("session_id", "condition", "seed", *ALL_MEASURES)
 
 
 def session_row(session_id: str, log: SessionLog) -> dict:
+    """The log's row of the metrics CSV: the keys of CSV_COLUMNS, in that order."""
     timing = block_times(log)
     counts = error_counts(log)
     one_handed, two_handed, _ = (timing.totals_by_kind[kind] for kind in BLOCK_KINDS)
@@ -265,8 +261,57 @@ def session_row(session_id: str, log: SessionLog) -> dict:
 
 
 def write_metrics_csv(path: str, rows: list[dict]) -> None:
+    """Write rows that ``session_row`` built."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in CSV_COLUMNS})
+        writer.writerows(rows)
+
+
+def read_metrics_csv(path: str) -> list[dict]:
+    """The rows of a metrics CSV; a malformed file raises a ConfigError naming it,
+    and a malformed row the file line it starts on (a quoted cell may span lines)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        records = []  # (line the row starts on, cells)
+        try:
+            header = next(reader, [])
+            end = reader.line_num
+            for cells in reader:
+                if cells:  # a blank line is no row
+                    records.append((end + 1, cells))
+                end = reader.line_num
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's size limit
+            raise ConfigError(f"cannot read {path!r}: {exc}") from None
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:  # a row would keep the last copy's cells
+        raise ConfigError(f"{path!r} repeats column {repeated[0]!r}")
+    missing = set(CSV_COLUMNS) - set(header)
+    if missing:
+        raise ConfigError(f"{path!r} is missing columns: {sorted(missing)}")
+    if not records:
+        raise ConfigError(f"{path!r} contains no data rows")
+    rows = []
+    first_line = {}  # session_id -> line it first appears on
+    for line, cells in records:
+        try:
+            if len(cells) > len(header):
+                raise ConfigError(f"{len(cells) - len(header)} more cells than the header has columns")
+            raw = dict.fromkeys(header, "")  # a short row reads as empty cells, which no check accepts
+            raw.update(zip(header, cells))
+            session_id = checks.ident(raw["session_id"], "session_id")
+            if session_id in first_line:
+                raise ConfigError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
+            first_line[session_id] = line
+            condition = checks.member(raw["condition"], "condition", Condition)
+            seed = checks.numeral(raw["seed"], "seed", int)
+            row = {"session_id": session_id, "condition": condition.value, "seed": seed}
+            row.update((key, checks.seconds(checks.numeral(raw[key], key, float), key)) for key in TIME_MEASURES)
+            row.update((key, checks.count(checks.numeral(raw[key], key, int), key)) for key in ERROR_MEASURES)
+            derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
+            if row["weighted_total"] != derived:
+                raise ConfigError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
+        except ConfigError as exc:
+            raise ConfigError(f"malformed row in {path!r} at line {line}: {exc}") from None
+        rows.append(row)
+    return rows

@@ -1,4 +1,4 @@
-"""Analysis reports over the per-session metrics CSV, plus reference self-checks.
+"""Analysis reports over the rows that ``metrics.read_metrics_csv`` reads, plus reference self-checks.
 
 The analysis mirrors the evaluation pipeline: Shapiro-Wilk per group and
 measurement, then one-way ANOVA where both groups look normal and the
@@ -12,77 +12,25 @@ import io
 import math
 from operator import itemgetter
 
-from replicasim import ConfigError, checks
-# write_metrics_csv lives in metrics, beside CSV_COLUMNS, so that simulate loads no
-# analysis code; report keeps the name, under which bench/tracer.py times it.
+# read_metrics_csv and write_metrics_csv live in metrics, beside the CSV's columns;
+# report binds them too, under the names that bench/tracer.py times.
 from replicasim.metrics import (
-    CSV_COLUMNS,
+    ALL_MEASURES,
+    TIME_MEASURES,
     Condition,
     ErrorCounts,
     percent_improvement,
+    read_metrics_csv,
     weighted_total,
     write_metrics_csv,
 )
 from replicasim.records import field, record
 from replicasim.stats import Comparison, GroupSummary, Sample, anova_oneway_summary, compare_groups, mean_sd
 
-TIME_MEASURES = ("total_s", "one_handed_s", "two_handed_s")
-ERROR_MEASURES = ("simple", "critical", "repetition", "weighted_total")
-ALL_MEASURES = TIME_MEASURES + ERROR_MEASURES
-
 HISTOGRAM_BINS = 8
 
 BASELINE_CONDITION = Condition.TABLET.value
 TREATMENT_CONDITION = Condition.HMD.value
-
-
-def read_metrics_csv(path: str) -> list[dict]:
-    """The rows of a metrics CSV; a malformed file raises a ConfigError naming it,
-    and a malformed row the file line it starts on (a quoted cell may span lines)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        records = []  # (line the row starts on, cells)
-        try:
-            header = next(reader, [])
-            end = reader.line_num
-            for cells in reader:
-                if cells:  # a blank line is no row
-                    records.append((end + 1, cells))
-                end = reader.line_num
-        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's size limit
-            raise ConfigError(f"cannot read {path!r}: {exc}") from None
-    repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:  # a row would keep the last copy's cells
-        raise ConfigError(f"{path!r} repeats column {repeated[0]!r}")
-    missing = set(CSV_COLUMNS) - set(header)
-    if missing:
-        raise ConfigError(f"{path!r} is missing columns: {sorted(missing)}")
-    if not records:
-        raise ConfigError(f"{path!r} contains no data rows")
-    rows = []
-    first_line = {}  # session_id -> line it first appears on
-    for line, cells in records:
-        try:
-            if len(cells) > len(header):
-                raise ConfigError(f"{len(cells) - len(header)} more cells than the header has columns")
-            raw = dict.fromkeys(header, "")  # a short row reads as empty cells, which no check accepts
-            raw.update(zip(header, cells))
-            session_id = checks.ident(raw["session_id"], "session_id")
-            if session_id in first_line:
-                raise ConfigError(f"session_id {session_id!r} repeats line {first_line[session_id]}")
-            first_line[session_id] = line
-            condition = checks.member(raw["condition"], "condition", Condition)
-            seed = checks.numeral(raw["seed"], "seed", int)
-            row = {"session_id": session_id, "condition": condition.value, "seed": seed}
-            row.update((key, checks.seconds(checks.numeral(raw[key], key, float), key)) for key in TIME_MEASURES)
-            row.update((key, checks.count(checks.numeral(raw[key], key, int), key)) for key in ERROR_MEASURES)
-            derived = weighted_total(ErrorCounts(row["simple"], row["critical"], row["repetition"]))
-            if row["weighted_total"] != derived:
-                raise ConfigError(f"weighted_total {row['weighted_total']} disagrees with the counts ({derived})")
-        except ConfigError as exc:
-            raise ConfigError(f"malformed row in {path!r} at line {line}: {exc}") from None
-        rows.append(row)
-    return rows
 
 
 @record

@@ -307,12 +307,14 @@ def simulated_log_with(mutate) -> str:
         ("--profile", shipped_with("default_profiles.json",
                                    lambda d: d["tablet"].update(tablet_putdown_penalty_ms=10**400))),
         ("replay", simulated_log_with(lambda records: records[-1].update(t_ms=10**400))),
+        ("--profile", shipped_with("default_profiles.json",
+                                   lambda d: d["tablet"].update(tablet_putdown_penalty_ms=86_400_001))),
     ],
     ids=["plan-json", "plan-missing-key", "plan-not-object", "model-json", "model-unknown-kind", "routing-json",
          "routing-enum", "routing-effectiveness", "routing-nan-inlet", "profile-json", "model-numeric-valve-id",
          "plan-dict-block-id", "profile-infinite-putdown", "replay-json", "replay-missing-key",
          "replay-header-only", "replay-error-without-valve", "plan-list-valve", "model-renamed-valve",
-         "profile-huge-latency", "profile-huge-putdown", "replay-huge-t-ms"],
+         "profile-huge-latency", "profile-huge-putdown", "replay-huge-t-ms", "profile-putdown-past-a-day"],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     bad = tmp_path / "malformed_input.json"

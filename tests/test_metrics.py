@@ -7,6 +7,7 @@ import pytest
 from replicasim import ConfigError
 from replicasim.metrics import (
     BLOCK_KINDS,
+    CSV_COLUMNS,
     EVENT_KINDS,
     NO_MANIPULATION,
     BlockTiming,
@@ -17,9 +18,11 @@ from replicasim.metrics import (
     block_times,
     error_counts,
     percent_improvement,
+    read_metrics_csv,
     session_row,
     validate_session_log,
     weighted_total,
+    write_metrics_csv,
 )
 from replicasim.netsim import derive_seed
 from replicasim.scene import Handedness
@@ -215,3 +218,11 @@ class TestSessionRow:
         assert row["condition"] == "tablet"
         assert row["weighted_total"] == row["simple"] + 2 * row["critical"] + row["repetition"]
         assert row["total_s"] >= row["one_handed_s"] + row["two_handed_s"]
+
+    def test_row_keys_are_the_csv_columns_and_read_back_unchanged(self, tmp_path):
+        # write_metrics_csv writes each row as session_row built it, so the keys must be the columns.
+        plan = build_default_plan(valve_registry(default_model()))
+        rows = [session_row(f"{c.value}-000", run_session(plan, c, default_profiles()[c], seed=5)) for c in Condition]
+        assert [tuple(row) for row in rows] == [CSV_COLUMNS] * 2
+        write_metrics_csv(str(tmp_path / "metrics.csv"), rows)
+        assert read_metrics_csv(str(tmp_path / "metrics.csv")) == rows

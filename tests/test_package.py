@@ -92,6 +92,29 @@ def test_field_checks_live_in_one_module():
     assert found == []
 
 
+def test_the_metrics_csv_format_lives_in_metrics():
+    """``metrics`` alone defines the metrics CSV's measures and reader, and
+    ``report`` reads no file: it neither opens one nor imports the field checks."""
+    owned = {"read_metrics_csv", "TIME_MEASURES", "ERROR_MEASURES", "ALL_MEASURES", "CSV_COLUMNS"}
+    defined = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(module.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node]
+            names = {getattr(target, "id", getattr(target, "name", None)) for target in targets}
+            defined += [f"{module.name} {name}" for name in sorted(names & owned)]
+    assert sorted(defined) == [f"metrics.py {name}" for name in sorted(owned)]
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name for alias in node.names if alias.name.split(".")[-1] in ("checks", "ConfigError")]
+            found += ["checks"] if getattr(node, "module", None) == "replicasim.checks" else []
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open":
+            found.append(f"open at line {node.lineno}")
+    assert found == []
+    from replicasim.metrics import ALL_MEASURES, CSV_COLUMNS
+    assert CSV_COLUMNS == ("session_id", "condition", "seed", *ALL_MEASURES)
+
+
 def test_only_the_json_parse_catches_any_value_error():
     """Outside ``checks.loads`` no ``except`` clause names ``ValueError``,
     ``RecursionError``, ``Exception`` or ``BaseException``, and none is bare:

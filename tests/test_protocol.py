@@ -82,6 +82,13 @@ class TestRooms:
         with pytest.raises(RoomError, match="already has an"):
             join_room(state, "ex2", Role.EXPERT)
 
+    @pytest.mark.parametrize("client, refusal", [("", "client id must be non-empty"),
+                                                 ("op", "client 'op' already joined")], ids=["empty-id", "rejoin"])
+    def test_refused_join_is_room_error(self, client, refusal):
+        state = join_room(fresh_room(), "op", Role.OPERATOR)
+        with pytest.raises(RoomError, match=f"^{refusal}$"):
+            join_room(state, client, Role.EXPERT)
+
     def test_host_seq_strictly_increasing(self):
         state = fresh_room()
         for client, role in [("op", Role.OPERATOR), ("ex", Role.EXPERT)]:
@@ -359,6 +366,14 @@ class TestWireCodec:
     def test_malformed_body_is_room_error(self, body):
         with pytest.raises(RoomError, match="malformed frame body"):
             decode_envelope(struct.pack(">I", len(body)) + body)
+
+    @pytest.mark.parametrize("frame, refusal", [
+        (b"\x00\x00", "truncated frame: missing length prefix"),
+        (encode_envelope(Envelope("op", 1, "r", CallEnd()))[:-1], "truncated frame: expected 87 payload bytes"),
+    ], ids=["no-length-prefix", "short-body"])
+    def test_truncated_frame_is_room_error(self, frame, refusal):
+        with pytest.raises(RoomError, match=f"^{refusal}$"):
+            decode_envelope(frame)
 
     def test_avatar_payload_round_trip(self):
         avatar = AvatarState("op", Role.OPERATOR, Pose((0.0, 1.7, 0.0)), (0.0, 0.0, 1.0))

@@ -157,6 +157,11 @@ class TestOutletTemperature:
             plant = PlantState(states, table)
             assert table.cold_inlet_c <= outlet_temperature(plant) <= table.hot_inlet_c
 
+    def test_setting_an_unknown_valve_is_config_error(self):
+        plant = PlantState({v: ValveState.CLOSED for v in valve_registry(default_model())}, default_routing_table())
+        with pytest.raises(ConfigError, match="^unknown valve 'ghost'$"):
+            plant.set_valve("ghost", ValveState.OPEN)
+
     def test_bad_effectiveness_rejected(self):
         with pytest.raises(ValueError, match="effectiveness"):
             RoutingRow(Exchanger.PLATE, FlowMode.COUNTER, (("V", ValveState.OPEN),), 1.2)
@@ -658,6 +663,21 @@ class TestRunSession:
         assert parsed.condition == log.condition and parsed.seed == log.seed
         assert [e.kind for e in parsed.events] == [e.kind for e in log.events]
         assert session_log_to_jsonl(parsed) == text
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_a_line_break_inside_a_json_string_ends_no_record(self, separator):
+        # JSON takes these raw inside a string, and str.splitlines breaks at each: only "\n" ends a record.
+        records = [json.loads(line) for line in session_log_to_jsonl(run_quiet(Condition.TABLET)).split("\n") if line]
+        first = next(i for i, r in enumerate(records) if r.get("kind") == INSTRUCTION)
+        records[first]["data"]["text"] = f"open{separator}the valve"
+
+        def jsonl():
+            return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+        assert session_log_from_jsonl(jsonl()).events[first - 1].data["text"] == f"open{separator}the valve"
+        records[first + 1]["kind"] = "Bogus"
+        with pytest.raises(ConfigError, match=rf"^unknown event kind 'Bogus' at line {first + 2}$"):
+            session_log_from_jsonl(jsonl())
 
     def test_malformed_log_rejected(self):
         log = run_quiet(Condition.HMD, seed=3)

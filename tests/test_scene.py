@@ -18,6 +18,7 @@ from replicasim.scene import (
     Pose,
     RemoveAnnotation,
     Role,
+    SceneNode,
     SetHighlight,
     SetIndication,
     SetPose,
@@ -109,6 +110,15 @@ class TestLoadModel:
         with pytest.raises(ConfigError, match="cycle"):
             load_model(doc)
 
+    @pytest.mark.parametrize("build, refusal", [
+        (lambda: SceneNode("", NodeKind.PIPE), "node id must be non-empty"),
+        (lambda: SceneNode("P1", NodeKind.PIPE, valve_state=ValveState.OPEN),
+         "non-valve 'P1' must not carry valve_state/handedness"),
+    ], ids=["empty-id", "pipe-with-valve-state"])
+    def test_refused_node_is_config_error(self, build, refusal):
+        with pytest.raises(ConfigError, match=f"^{refusal}$"):
+            build()
+
     def test_non_finite_pose_component(self):
         node = {"id": "V1", "kind": "Valve", "valve_state": "Open", "handedness": "OneHanded",
                 "pose": {"quat": ["NaN", 0, 0, 0]}}
@@ -127,6 +137,7 @@ class TestPose:
             ((0.0, 0.0, 0.0), (inf, 0.0, 0.0, 0.0)),
             ((inf, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
             ((0.0, nan, 0.0), (1.0, 0.0, 0.0, 0.0)),
+            ((10**400, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),  # an int past float range
         ]:
             with pytest.raises(ValueError):
                 Pose(position, orientation)
@@ -204,6 +215,16 @@ class TestApplyEdit:
         model = load_model(small_descriptor())
         with pytest.raises(EditError, match="XX"):
             apply_edit(model, SetValveState("XX", ValveState.OPEN, Role.OPERATOR, 1))
+
+    @pytest.mark.parametrize("act, refusal", [
+        (lambda model: model.node("ghost"), "unknown node 'ghost'"),
+        (lambda model: apply_edit(model, AddAnnotation(Annotation("a1", Role.OPERATOR, "ghost", "x"), Role.OPERATOR)),
+         "annotation 'a1' anchors unknown node 'ghost'"),
+    ], ids=["node-lookup", "annotation-anchor"])
+    def test_unknown_node_is_edit_error_with_its_reason(self, act, refusal):
+        with pytest.raises(EditError, match=f"^{refusal}$") as info:
+            act(load_model(small_descriptor()))
+        assert info.value.reason == UNKNOWN_TARGET
 
     def test_random_sequence_is_fold(self):
         rng = random.Random(11)

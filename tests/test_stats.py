@@ -332,6 +332,10 @@ class TestAnova:
         with pytest.raises(DegenerateSampleError):
             anova_oneway_raw([Sample((2.0, 2.0)), Sample((2.0, 2.0))])
 
+    def test_zero_within_group_variance_gives_infinite_f(self):
+        res = anova_oneway_raw([Sample((1, 1)), Sample((2, 2))])
+        assert (res.statistic, res.p_value, res.df) == (math.inf, 0.0, (1, 2))
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(9)
         a = rng.normal(0, 1, 15)
@@ -340,6 +344,21 @@ class TestAnova:
         ref = scipy_stats.f_oneway(a, b)
         assert abs(mine.statistic - ref.statistic) < 1e-9
         assert abs(mine.p_value - ref.pvalue) < 1e-9
+
+
+class TestValueRefusals:
+    @pytest.mark.parametrize("build, refusal", [
+        (lambda: Sample(()), "sample must contain at least one value"),
+        (lambda: Sample((1.0, math.nan)), "sample values (1.0, nan) has a non-finite component"),
+        (lambda: GroupSummary(1, 5.0, 1.0), "group '' needs n >= 2, got 1"),
+        (lambda: GroupSummary(3, 5.0, -1.0), "standard deviation must be non-negative"),
+        (lambda: stats.TestResult(1.0, "F", 1.5), "p-value 1.5 outside [0, 1]"),
+        (lambda: anova_oneway_summary([GroupSummary(3, 1.0, 1.0)]), "ANOVA needs at least two groups"),
+    ], ids=["empty-sample", "nan-sample", "summary-of-one", "negative-sd", "p-past-one", "anova-of-one-group"])
+    def test_each_refusal_is_stats_error_with_its_message(self, build, refusal):
+        with pytest.raises(StatsError) as info:
+            build()
+        assert str(info.value) == refusal
 
 
 class TestIncompleteBeta:
