@@ -95,8 +95,8 @@ def _improvements(report: AnalysisReport) -> dict:
             out[measure] = percent_improvement(base.mean, treat.mean)
     tablet, hmd = report.error_totals[BASELINE_CONDITION], report.error_totals[TREATMENT_CONDITION]
     n_tab, n_hmd = report.participants[BASELINE_CONDITION], report.participants[TREATMENT_CONDITION]
-    avg_tab = (tablet.simple + tablet.critical + tablet.repetition) / n_tab
-    avg_hmd = (hmd.simple + hmd.critical + hmd.repetition) / n_hmd
+    avg_tab = weighted_total(tablet) / n_tab
+    avg_hmd = weighted_total(hmd) / n_hmd
     if avg_tab > 0:
         out["errors_overall"] = percent_improvement(avg_tab, avg_hmd)
     if tablet.simple > 0:
@@ -163,7 +163,7 @@ def render_markdown(report: AnalysisReport) -> str:
             "errors_critical": "Critical errors",
         }
         for key, frac in report.improvements.items():
-            out.write(f"- {labels.get(key, key)}: {frac * 100.0:.2f}% lower\n")
+            out.write(f"- {labels.get(key, key)}: {abs(frac) * 100.0:.2f}% {'lower' if frac >= 0 else 'higher'}\n")
     return out.getvalue()
 
 

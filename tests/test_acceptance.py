@@ -558,11 +558,11 @@ def test_criterion_9_simulate_determinism(tmp_path):
 # every Mann-Whitney comparison in them takes the exact p-value.
 ANALYZE_424242_DIGESTS = {
     "8:8": {
-        "report.md": "1d018fa1334a631379b62894a961c407c9dd06f1e2f093af561b26587ae0fea4",
+        "report.md": "92bebbe80b460f89443095ca7382d644445bd52028f085d6cbd853f67edfd162",
         "report.csv": "37ed410af2ea2649aa9de9f56d8fccd397445f0e9553aaea67de26d6a5c7a0cc",
     },
     "5:11": {
-        "report.md": "c73c48707243fd5b17d3c9cc419f2695ee8b4102aaabdae33da8097096fc83fc",
+        "report.md": "1ce6cad18f272b7e07b7775bf3a50766e2f00d642af17e48081caafaea23261f",
         "report.csv": "0d243143fb5b168dcb1b566a8c6c5cefd4d50f4e39a0258535973ae2aa6a2608",
     },
 }

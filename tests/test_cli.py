@@ -16,7 +16,9 @@ from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import (
     ALL_MEASURES,
     REFERENCE_CONSTANTS,
+    analyze_rows,
     read_metrics_csv,
+    render_markdown,
     render_svg_histogram,
     run_reference_checks,
 )
@@ -616,6 +618,46 @@ class TestAnalyze:
         out = self.make_corpus(tmp_path, quick_profiles)
         assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out), "--histograms") == EXIT_OK
         assert_histograms_of_every_group(out)
+
+
+def spread(n, simple, critical, repetition):
+    """The error counts of n sessions whose totals are the given ones, spread as evenly as they go."""
+    return [tuple(total // n + (i < total % n) for total in (simple, critical, repetition)) for i in range(n)]
+
+
+def metrics_rows(tablet, hmd):
+    """Rows as ``read_metrics_csv`` returns them: one per (simple, critical, repetition) of each group,
+    with times that differ from session to session."""
+    rows = []
+    for cond, counts, base in (("tablet", tablet, 760.0), ("hmd", hmd, 620.0)):
+        for i, (simple, critical, repetition) in enumerate(counts):
+            rows.append({"session_id": f"{cond}-{i:03d}", "condition": cond, "seed": i, "total_s": base + 3 * i,
+                         "one_handed_s": base / 4 + i, "two_handed_s": base / 5 + 2 * i, "simple": simple,
+                         "critical": critical, "repetition": repetition,
+                         "weighted_total": simple + 2 * critical + repetition})
+    return rows
+
+
+@pytest.mark.parametrize(
+    "tablet, hmd, present, absent",
+    [
+        # The paper's counts: 49, 6 and 3 errors over 19 tablet sessions, 3, 1 and 0 over 20 hmd
+        # sessions. Per participant it compares the ponderated totals, 64/19 and 5/20.
+        (spread(19, 49, 6, 3), spread(20, 3, 1, 0),
+         ["- errors per participant: 92.58% lower", "- Simple errors: 93.88% lower", "- Critical errors: 83.33% lower"],
+         ["higher"]),
+        (spread(4, 4, 1, 0), spread(4, 2, 3, 0),
+         ["- errors per participant: 33.33% higher", "- Simple errors: 50.00% lower",
+          "- Critical errors: 200.00% higher"],
+         ["-200"]),
+    ],
+    ids=["paper-counts", "more-critical-errors-with-hmd"],
+)
+def test_report_lines_of_each_shape(tablet, hmd, present, absent):
+    markdown = render_markdown(analyze_rows(metrics_rows(tablet, hmd)))
+    lines = markdown.splitlines()
+    assert [line for line in present if line not in lines] == []
+    assert [text for text in absent if text in markdown] == []
 
 
 def assert_histograms_of_every_group(out):
