@@ -650,8 +650,19 @@ def metrics_rows(tablet, hmd):
          ["- errors per participant: 33.33% higher", "- Simple errors: 50.00% lower",
           "- Critical errors: 200.00% higher"],
          ["-200"]),
+        # Each total past 2**53 is exact, as a sum of floats would not be (...972).
+        ([(checks.MAX_COUNT, 0, 0)] * 3, [(checks.MAX_COUNT, 0, 0)] * 2,
+         ["| Simple (x1) | 27021597764222973 | 9007199254740991.00 | 18014398509481982 | 9007199254740991.00 |"],
+         ["27021597764222972"]),
+        (spread(3, 2, 0, 1), spread(3, 1, 1, 0), ["- Simple errors: 50.00% lower"], ["Critical errors"]),
+        (spread(3, 0, 0, 0), spread(3, 0, 0, 0), ["- total completion time: 18.35% lower"],
+         ["errors per participant", "Simple errors", "Critical errors"]),
+        ([(1, 0, 0)], spread(3, 0, 0, 0),
+         ["| type | total tablet | average tablet | total hmd | average hmd |", "| Simple (x1) | 1 | 1.00 | 0 | 0.00 |"],
+         ["## Improvements"]),
     ],
-    ids=["paper-counts", "more-critical-errors-with-hmd"],
+    ids=["paper-counts", "more-critical-errors-with-hmd", "totals-past-2**53", "no-critical-errors-with-tablet",
+         "no-errors", "one-tablet-session"],
 )
 def test_report_lines_of_each_shape(tablet, hmd, present, absent):
     markdown = render_markdown(analyze_rows(metrics_rows(tablet, hmd)))
