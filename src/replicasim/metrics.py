@@ -166,10 +166,8 @@ class ErrorCounts:
     repetition: int = 0
 
     def __post_init__(self) -> None:
-        # Not checks.count: a total over the rows of a file may pass its bound.
         for name in ("simple", "critical", "repetition"):
-            if checks.integer(getattr(self, name), name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+            checks.count(getattr(self, name), name)
 
 
 @record(frozen=True)

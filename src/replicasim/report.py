@@ -2,8 +2,11 @@
 
 The analysis mirrors the evaluation pipeline: Shapiro-Wilk per group and
 measurement, then one-way ANOVA where both groups look normal and the
-Mann-Whitney-Wilcoxon rank test otherwise. Reports render as markdown + CSV,
-with optional SVG histograms.
+Mann-Whitney-Wilcoxon rank test otherwise. Every figure a report prints is
+read from one ``Sample`` per (measure, condition) or from its summary: the
+errors table gives each count column's exact total and its average per
+session, and ``IMPROVEMENTS`` declares the paper's six headline reductions.
+Reports render as markdown + CSV, with optional SVG histograms.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from operator import itemgetter
 # report binds them too, under the names that bench/tracer.py times.
 from replicasim.metrics import (
     ALL_MEASURES,
-    TIME_MEASURES,
+    ERROR_MEASURES,
     Condition,
     ErrorCounts,
     percent_improvement,
@@ -33,15 +36,37 @@ BASELINE_CONDITION = Condition.TABLET.value
 TREATMENT_CONDITION = Condition.HMD.value
 
 
+def _mean(sample: Sample, summary: GroupSummary) -> float:
+    return summary.mean
+
+
+def _total(sample: Sample, summary: GroupSummary | None = None) -> int:
+    # Exact: each count is an integer that a float holds, but a float sum past 2**53 rounds.
+    return sum(map(int, sample.values))
+
+
+def _average(sample: Sample, summary: GroupSummary) -> float:
+    return _total(sample) / sample.n
+
+
+# The paper's headline reductions, tablet baseline to hmd: (label, measure, value of a group).
+IMPROVEMENTS = (
+    ("total completion time", "total_s", _mean),
+    ("1-handed manipulation time", "one_handed_s", _mean),
+    ("2-handed manipulation time", "two_handed_s", _mean),
+    ("errors per participant", "weighted_total", _average),
+    ("Simple errors", "simple", _total),
+    ("Critical errors", "critical", _total),
+)
+
+
 @record
 class AnalysisReport:
     conditions: tuple[str, ...]
     samples: dict  # (measure, condition) -> Sample
     summaries: dict  # (measure, condition) -> GroupSummary, for groups of n >= 2
     comparisons: list[Comparison] = field(default_factory=list)
-    error_totals: dict = field(default_factory=dict)  # condition -> ErrorCounts
-    participants: dict = field(default_factory=dict)  # condition -> n
-    improvements: dict = field(default_factory=dict)  # name -> fraction
+    improvements: dict = field(default_factory=dict)  # label of IMPROVEMENTS -> fraction
 
 
 def analyze_rows(rows: list[dict]) -> AnalysisReport:
@@ -50,60 +75,25 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
         by_condition.setdefault(row["condition"], []).append(row)
     conditions = tuple(c.value for c in Condition if c.value in by_condition)  # in declaration order: tablet first
 
-    # One sample per (measure, condition): it gives the histograms and, for a
-    # group of at least two sessions, the summary and, when both conditions
-    # have one, the comparison.
+    # One sample per (measure, condition): it gives the histograms and the errors
+    # table and, for a group of at least two sessions, the summary and, when both
+    # conditions have one, the comparison and the reductions.
     samples = {
         (measure, cond): Sample(tuple(map(float, map(itemgetter(measure), cond_rows))), label=f"{cond}:{measure}")
         for measure in ALL_MEASURES
         for cond, cond_rows in by_condition.items()
     }
     summaries = {key: mean_sd(sample) for key, sample in samples.items() if sample.n >= 2}
-
-    error_totals = {
-        cond: ErrorCounts(
-            simple=sum(r["simple"] for r in cond_rows),
-            critical=sum(r["critical"] for r in cond_rows),
-            repetition=sum(r["repetition"] for r in cond_rows),
-        )
-        for cond, cond_rows in by_condition.items()
-    }
-    participants = {cond: len(cond_rows) for cond, cond_rows in by_condition.items()}
-
-    report = AnalysisReport(
-        conditions=conditions,
-        samples=samples,
-        summaries=summaries,
-        error_totals=error_totals,
-        participants=participants,
-    )
-    # Comparing needs a mean and SD per group, so at least two sessions in each.
-    if participants.get(BASELINE_CONDITION, 0) >= 2 and participants.get(TREATMENT_CONDITION, 0) >= 2:
-        for measure in ALL_MEASURES:
-            a, b = samples[(measure, BASELINE_CONDITION)], samples[(measure, TREATMENT_CONDITION)]
-            report.comparisons.append(compare_groups(a, b, measure=measure))
-        report.improvements = _improvements(report)
+    report = AnalysisReport(conditions=conditions, samples=samples, summaries=summaries)
+    pairs = {measure: ((measure, BASELINE_CONDITION), (measure, TREATMENT_CONDITION)) for measure in ALL_MEASURES}
+    if all(key in summaries for pair in pairs.values() for key in pair):  # comparing needs each group's mean and SD
+        for measure, (a, b) in pairs.items():
+            report.comparisons.append(compare_groups(samples[a], samples[b], measure=measure))
+        for label, measure, value in IMPROVEMENTS:
+            base, treat = (value(samples[key], summaries[key]) for key in pairs[measure])
+            if base > 0:
+                report.improvements[label] = percent_improvement(base, treat)
     return report
-
-
-def _improvements(report: AnalysisReport) -> dict:
-    out = {}
-    for measure in TIME_MEASURES:
-        base = report.summaries.get((measure, BASELINE_CONDITION))
-        treat = report.summaries.get((measure, TREATMENT_CONDITION))
-        if base and treat and base.mean > 0:
-            out[measure] = percent_improvement(base.mean, treat.mean)
-    tablet, hmd = report.error_totals[BASELINE_CONDITION], report.error_totals[TREATMENT_CONDITION]
-    n_tab, n_hmd = report.participants[BASELINE_CONDITION], report.participants[TREATMENT_CONDITION]
-    avg_tab = weighted_total(tablet) / n_tab
-    avg_hmd = weighted_total(hmd) / n_hmd
-    if avg_tab > 0:
-        out["errors_overall"] = percent_improvement(avg_tab, avg_hmd)
-    if tablet.simple > 0:
-        out["errors_simple"] = percent_improvement(tablet.simple, hmd.simple)
-    if tablet.critical > 0:
-        out["errors_critical"] = percent_improvement(tablet.critical, hmd.critical)
-    return out
 
 
 # --- Rendering -----------------------------------------------------------------------
@@ -140,30 +130,18 @@ def render_markdown(report: AnalysisReport) -> str:
     out.write("\n## Errors by type\n\n")
     out.write("| type | " + " | ".join(f"total {c} | average {c}" for c in report.conditions) + " |\n")
     out.write("|---|" + "---|" * (2 * len(report.conditions)) + "\n")
-    rows = [
-        ("Simple (x1)", lambda e: e.simple),
-        ("Critical (x2)", lambda e: e.critical),
-        ("Repetition (x1)", lambda e: e.repetition),
-        ("Total with ponderation", weighted_total),
-    ]
-    for label, get in rows:
+    type_labels = ("Simple (x1)", "Critical (x2)", "Repetition (x1)", "Total with ponderation")
+    for measure, label in zip(ERROR_MEASURES, type_labels, strict=True):
         cells = []
         for cond in report.conditions:
-            total = get(report.error_totals[cond])
-            cells.append(f"{total} | {total / report.participants[cond]:.2f}")
+            sample = report.samples[(measure, cond)]
+            total = _total(sample)
+            cells.append(f"{total} | {total / sample.n:.2f}")
         out.write(f"| {label} | " + " | ".join(cells) + " |\n")
     if report.improvements:
         out.write("\n## Improvements (tablet baseline vs hmd)\n\n")
-        labels = {
-            "total_s": "total completion time",
-            "one_handed_s": "1-handed manipulation time",
-            "two_handed_s": "2-handed manipulation time",
-            "errors_overall": "errors per participant",
-            "errors_simple": "Simple errors",
-            "errors_critical": "Critical errors",
-        }
-        for key, frac in report.improvements.items():
-            out.write(f"- {labels.get(key, key)}: {abs(frac) * 100.0:.2f}% {'lower' if frac >= 0 else 'higher'}\n")
+        for label, frac in report.improvements.items():
+            out.write(f"- {label}: {abs(frac) * 100.0:.2f}% {'lower' if frac >= 0 else 'higher'}\n")
     return out.getvalue()
 
 
