@@ -120,13 +120,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_rows(rows)
     outdir = Path(args.out) if args.out else Path(args.csv).parent
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.md").write_text(render_markdown(report), encoding="utf-8")
+    markdown = render_markdown(report)
+    (outdir / "report.md").write_text(markdown, encoding="utf-8")
     (outdir / "report.csv").write_text(render_results_csv(report), encoding="utf-8")
     if args.histograms:
         for measure in ALL_MEASURES:
             values = {cond: report.samples[(measure, cond)].values for cond in report.conditions}
             (outdir / f"hist_{measure}.svg").write_text(render_svg_histogram(values, measure), encoding="utf-8")
-    print(render_markdown(report))
+    print(markdown)
     print(f"report written to {outdir}")
     return EXIT_OK
 
