@@ -282,9 +282,19 @@ def _reads(env: dict, cls, entries, label) -> list:
     return lines
 
 
-def _compile(env: dict, name: str, signature: str, lines: list):
+def _compile(env: dict, name: str, signature: str, lines: list, eager: bool = False):
+    """The function ``signature`` with body ``lines``, in ``env``: compiled now if ``eager``, else on its first call."""
+    if not eager:
+        stub = type(_first_call)(_first_call.__code__, env, signature[:signature.index("(")])
+        stub.__kwdefaults__ = {"stub": stub, "source": (env, name, signature, lines, True)}
+        return stub
     exec(compile(f"def {signature}:\n    " + "\n    ".join(lines), f"<{name}>", "exec"), env)
     return env[signature[:signature.index("(")]]
+
+
+def _first_call(v, *, stub, source):  # the stub takes the body's code, so that each holder of it then runs the body
+    stub.__code__, stub.__kwdefaults__ = _compile(*source).__code__, None
+    return stub(v)
 
 
 def post_init(fields):
@@ -295,7 +305,7 @@ def post_init(fields):
     for wire, attr, check, params, default, label in entries:
         setup, read = _read(env, check, params, default, label)
         lines += [f"v = self.{attr}", *setup, f"r = {read}", f"if r is not v: _set(self, {attr!r}, r)"]
-    built = _compile(env, "post_init", "__post_init__(self)", lines)
+    built = _compile(env, "post_init", "__post_init__(self)", lines, eager=True)
     built.fields, built.checked = fields, frozenset(attr for _, attr, *_ in entries)
     return built
 

@@ -6,7 +6,7 @@ any other exception is a program fault and ends in a traceback (exit 1).
 
 Each command imports the layers it runs when it runs, so ``analyze``,
 ``replay`` and ``paper-check`` never load the simulator, and ``simulate`` never
-loads the statistics.
+loads the statistics or OpenSSL, and compiles no wire codec it does not run.
 """
 from __future__ import annotations
 

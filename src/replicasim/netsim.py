@@ -10,10 +10,17 @@ via sender sequence numbers.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from heapq import heappop, heappush
 from typing import Callable, Optional
+
+try:  # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before), as random.py does: hashlib loads OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from replicasim import ConfigError, checks
 from replicasim.protocol import Envelope, envelope_to_dict
@@ -24,7 +31,7 @@ EVENT_CAP = 500_000
 
 def derive_seed(master: int, label: str) -> int:
     """Stable 64-bit stream split: sha256 over ``master:label``."""
-    digest = hashlib.sha256(f"{master}:{label}".encode("utf-8")).digest()
+    digest = sha256(f"{master}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

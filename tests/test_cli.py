@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -15,6 +17,7 @@ from replicasim import ConfigError, checks, metrics, plant, scenario, stats
 from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import (
     ALL_MEASURES,
+    HISTOGRAM_BINS,
     REFERENCE_CONSTANTS,
     analyze_rows,
     read_metrics_csv,
@@ -161,6 +164,39 @@ class TestCommandImports:
         loaded = modules_after(f"from replicasim.cli import main\nassert main({argv!r}) == 0", "-S")
         assert "replicasim.scenario" in loaded
         assert "importlib.resources" not in loaded
+
+    @pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+                        reason="no built-in SHA-256 module: netsim falls back to hashlib")
+    def test_simulate_loads_no_openssl(self, tmp_path):
+        # hashlib loads OpenSSL's _hashlib, about 2.5 MB of peak memory in a fresh process.
+        argv = ["simulate", "--sessions", "1", "--out", str(tmp_path)]
+        loaded = modules_after(f"from replicasim.cli import main\nassert main({argv!r}) == 0")
+        assert "replicasim.netsim" in loaded
+        assert not loaded & {"hashlib", "_hashlib"}
+
+    def test_wire_codecs_compile_on_first_use(self):
+        probe = (
+            "import builtins\n"
+            "names, _compile = [], builtins.compile\n"
+            "def spy(source, filename, *args, **kwargs):\n"
+            "    names.append(filename)\n"
+            "    return _compile(source, filename, *args, **kwargs)\n"
+            "builtins.compile = spy\n"
+            "import replicasim.scenario\n"
+            "from replicasim import protocol\n"
+            "at_import = sum(name.startswith('<codec ') for name in names)\n"
+            "protocol.encode_envelope(protocol.Envelope('a', 1, 'r', protocol.CallStart()))\n"
+            "print(at_import, sum(name.startswith('<codec ') for name in names),\n"
+            "      protocol.envelope_to_dict.__code__.co_filename)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_encode, encoder_code = proc.stdout.strip().split(maxsplit=2)
+        assert int(at_import) == 0
+        assert int(after_encode) > 0
+        # The encoder that protocol holds now runs the compiled body as its own code.
+        assert encoder_code == "<codec Envelope>"
 
     @pytest.mark.parametrize(
         "option, text",
@@ -513,7 +549,8 @@ class TestAnalyze:
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_cli("analyze", str(csv_path), "--out", str(tmp_path / "report")) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "metrics.csv" in err and "line 3" in err and "2 more cells" in err
+        assert "metrics.csv" in err and "line 3" in err
+        assert re.search(r"\b2 more cells than the header has columns\b", err)
         assert not (tmp_path / "report").exists()
 
     def test_malformed_row_names_the_line_it_starts_on(self, tmp_path, capsys):
@@ -680,6 +717,32 @@ def assert_histograms_of_every_group(out):
         svg = (out / f"hist_{measure}.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and svg == render_svg_histogram(values, measure)
     assert len(list(out.glob("hist_*.svg"))) == len(ALL_MEASURES)
+
+
+BAR_COLORS = {"#c0504d": "tablet", "#4f81bd": "hmd"}
+
+
+def histogram_bar_heights(svg: str) -> dict:
+    """Each condition's bar heights, in bin order, as the SVG writes them (legend swatches have no opacity)."""
+    bars = {}
+    for height, fill in re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="([^"]*)" fill="([^"]*)" opacity',
+                                   svg):
+        bars.setdefault(BAR_COLORS[fill], []).append(height)
+    return bars
+
+
+# Eight bins; on [0, 8] every edge is an integer. A bin holds its left edge, and the last one also the maximum.
+@pytest.mark.parametrize("values, counts", [
+    ({"tablet": (0.0, 4.0, 8.0)}, {"tablet": [1, 0, 0, 0, 1, 0, 0, 1]}),
+    ({"tablet": (3.0, 3.0, 3.0)}, {"tablet": [3, 0, 0, 0, 0, 0, 0, 0]}),
+    ({"tablet": (8.0, 0.0, 2.0, 8.0, 8.0), "hmd": (7.99, 1.5, 6.0, 8.0)},
+     {"tablet": [1, 0, 1, 0, 0, 0, 0, 3], "hmd": [0, 1, 0, 0, 0, 0, 1, 2]}),
+], ids=["maximum-and-inner-edge", "all-equal", "two-groups"])
+def test_histogram_bins_hold_hand_counted_values(values, counts):
+    assert HISTOGRAM_BINS == 8
+    peak = max(max(c) for c in counts.values())
+    expected = {cond: [f"{240 * c / peak:.1f}" for c in bins] for cond, bins in counts.items()}
+    assert histogram_bar_heights(render_svg_histogram(values, "m")) == expected
 
 
 class TestReplay:

@@ -1,4 +1,9 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +217,28 @@ def test_derive_seed_is_stable():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert derive_seed(1, "x") != derive_seed(1, "y")
     assert derive_seed(1, "x") != derive_seed(2, "x")
+
+
+@pytest.mark.parametrize("master, label", [(0, "operator"), (1, "link:a->b"), (-7, "net"), (2**64 + 3, "net"),
+                                           (5, "session:hmd:0"), (42, "Ventil → Kühler 🔧")],
+                         ids=["zero", "link", "negative", "past-2**64", "session", "non-ascii"])
+def test_derive_seed_is_the_first_8_bytes_of_standard_sha256(master, label):
+    # netsim hashes with the interpreter's own SHA-256 module; any SHA-256 must give the same seeds.
+    expected = int.from_bytes(hashlib.sha256(f"{master}:{label}".encode()).digest()[:8], "big")
+    assert derive_seed(master, label) == expected
+
+
+def test_derive_seed_pinned_value():
+    assert derive_seed(1, "link:a->b") == 10854792952887764452
+
+
+@pytest.mark.parametrize("blocked", [("_sha2",), ("_sha2", "_sha256")], ids=["without-_sha2", "hashlib-only"])
+def test_derive_seed_is_the_same_through_each_sha256_module(blocked):
+    # A None entry in sys.modules makes its import fail, as on a build without that module.
+    probe = (f"import sys\nsys.modules.update(dict.fromkeys({blocked!r}))\n"
+             "from replicasim.netsim import derive_seed\nprint(derive_seed(1, 'link:a->b'))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 10854792952887764452
