@@ -66,7 +66,7 @@ def same_files(a: Path, b: Path) -> bool:
     return all(filecmp.cmp(a / name, b / name, shallow=False) for name in names)
 
 
-def spread(values: list) -> str:
+def spread(values: tuple) -> str:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return f"{median:.1f} [{q1:.1f}, {q3:.1f}]"
 
@@ -77,6 +77,8 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=5)
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent, "change": args.change}
     for name, tree in trees.items():
         if not (tree / "src" / "replicasim").is_dir():
@@ -108,7 +110,7 @@ def main() -> int:
             if name == "change":
                 pairs = list(zip(readings[command, "parent"], readings[command, "change"]))
                 lower = "  ".join(f"{sum(c[i] < p[i] for p, c in pairs)}/{len(pairs)}" for i in (0, 1))
-            print(f"{command:9} {name:7} {spread(list(walls)):>22} {spread(list(peaks)):>20}  {lower}")
+            print(f"{command:9} {name:7} {spread(walls):>22} {spread(peaks):>20}  {lower}")
     print("outputs: " + (f"DIFFER in pairs {differ}" if differ else "same"))
     return 1 if differ else 0
 
