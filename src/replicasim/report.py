@@ -3,10 +3,12 @@
 The analysis mirrors the evaluation pipeline: Shapiro-Wilk per group and
 measurement, then one-way ANOVA where both groups look normal and the
 Mann-Whitney-Wilcoxon rank test otherwise. Every figure a report prints is
-read from one ``Sample`` per (measure, condition) or from its summary: the
-errors table gives each count column's exact total and its average per
-session, and ``IMPROVEMENTS`` declares the paper's six headline reductions.
-Reports render as markdown + CSV, with optional SVG histograms.
+read from one ``Sample`` per (measure, condition), from its summary, or from
+its exact total, which the errors table and the reductions share.
+``IMPROVEMENTS`` declares the paper's six headline reductions and
+``reductions`` computes them; ``run_reference_checks`` feeds the same function
+the paper's own figures, ``PAPER_GROUPS``. Reports render as markdown + CSV,
+with optional SVG histograms.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from operator import itemgetter
 from replicasim.metrics import (
     ALL_MEASURES,
     ERROR_MEASURES,
+    TIME_MEASURES,
     Condition,
     ErrorCounts,
     percent_improvement,
@@ -36,28 +39,37 @@ BASELINE_CONDITION = Condition.TABLET.value
 TREATMENT_CONDITION = Condition.HMD.value
 
 
-def _mean(sample: Sample, summary: GroupSummary) -> float:
-    return summary.mean
+# Which figure of a group a headline compares: its mean, its exact total, or that total per session.
+MEAN, TOTAL, PER_SESSION = "mean", "total", "total per session"
 
-
-def _total(sample: Sample, summary: GroupSummary | None = None) -> int:
-    # Exact: each count is an integer that a float holds, but a float sum past 2**53 rounds.
-    return sum(map(int, sample.values))
-
-
-def _average(sample: Sample, summary: GroupSummary) -> float:
-    return _total(sample) / sample.n
-
-
-# The paper's headline reductions, tablet baseline to hmd: (label, measure, value of a group).
+# The paper's six headline reductions, tablet baseline to hmd: (label, measure, figure, the paper's %).
 IMPROVEMENTS = (
-    ("total completion time", "total_s", _mean),
-    ("1-handed manipulation time", "one_handed_s", _mean),
-    ("2-handed manipulation time", "two_handed_s", _mean),
-    ("errors per participant", "weighted_total", _average),
-    ("Simple errors", "simple", _total),
-    ("Critical errors", "critical", _total),
+    ("total completion time", "total_s", MEAN, 18.35),
+    ("1-handed manipulation time", "one_handed_s", MEAN, 24.24),
+    ("2-handed manipulation time", "two_handed_s", MEAN, 27.84),
+    ("errors per participant", "weighted_total", PER_SESSION, 92.58),
+    ("Simple errors", "simple", TOTAL, 93.88),
+    ("Critical errors", "critical", TOTAL, 83.33),
 )
+
+
+def reductions(means: dict, totals: dict, sizes: dict) -> dict[str, float]:
+    """Each IMPROVEMENTS label -> (baseline - treatment) / baseline of the figure its row reads.
+
+    ``means`` and ``totals`` are keyed by (measure, condition), ``sizes`` by condition.
+    A row whose baseline figure is not positive is left out.
+    """
+    fractions = {}
+    for label, measure, figure, _ in IMPROVEMENTS:
+        base, treat = (
+            means[measure, cond] if figure == MEAN
+            else totals[measure, cond] if figure == TOTAL
+            else totals[measure, cond] / sizes[cond]
+            for cond in (BASELINE_CONDITION, TREATMENT_CONDITION)
+        )
+        if base > 0:
+            fractions[label] = percent_improvement(base, treat)
+    return fractions
 
 
 @record
@@ -65,6 +77,7 @@ class AnalysisReport:
     conditions: tuple[str, ...]
     samples: dict  # (measure, condition) -> Sample
     summaries: dict  # (measure, condition) -> GroupSummary, for groups of n >= 2
+    totals: dict  # (error measure, condition) -> exact total
     comparisons: list[Comparison] = field(default_factory=list)
     improvements: dict = field(default_factory=dict)  # label of IMPROVEMENTS -> fraction
 
@@ -84,15 +97,16 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
         for cond, cond_rows in by_condition.items()
     }
     summaries = {key: mean_sd(sample) for key, sample in samples.items() if sample.n >= 2}
-    report = AnalysisReport(conditions=conditions, samples=samples, summaries=summaries)
+    # Exact: each count is an integer that a float holds, but a float sum past 2**53 rounds.
+    totals = {(measure, cond): sum(map(int, samples[measure, cond].values))
+              for measure in ERROR_MEASURES for cond in conditions}
+    report = AnalysisReport(conditions=conditions, samples=samples, summaries=summaries, totals=totals)
     pairs = {measure: ((measure, BASELINE_CONDITION), (measure, TREATMENT_CONDITION)) for measure in ALL_MEASURES}
     if all(key in summaries for pair in pairs.values() for key in pair):  # comparing needs each group's mean and SD
         for measure, (a, b) in pairs.items():
             report.comparisons.append(compare_groups(samples[a], samples[b], measure=measure))
-        for label, measure, value in IMPROVEMENTS:
-            base, treat = (value(samples[key], summaries[key]) for key in pairs[measure])
-            if base > 0:
-                report.improvements[label] = percent_improvement(base, treat)
+        means = {key: summary.mean for key, summary in summaries.items()}
+        report.improvements = reductions(means, totals, {cond: len(group) for cond, group in by_condition.items()})
     return report
 
 
@@ -134,9 +148,8 @@ def render_markdown(report: AnalysisReport) -> str:
     for measure, label in zip(ERROR_MEASURES, type_labels, strict=True):
         cells = []
         for cond in report.conditions:
-            sample = report.samples[(measure, cond)]
-            total = _total(sample)
-            cells.append(f"{total} | {total / sample.n:.2f}")
+            total = report.totals[measure, cond]
+            cells.append(f"{total} | {total / report.samples[measure, cond].n:.2f}")
         out.write(f"| {label} | " + " | ".join(cells) + " |\n")
     if report.improvements:
         out.write("\n## Improvements (tablet baseline vs hmd)\n\n")
@@ -216,26 +229,17 @@ def render_svg_histogram(values_by_condition: dict[str, tuple[float, ...]], meas
 
 # --- Reference self-checks -------------------------------------------------------------
 
-REFERENCE_CONSTANTS = {
-    "anova_total_time": {
-        "groups": [[19, 763.65, 76.80], [20, 623.55, 67.70]],
-        "f_range": [36.3, 36.9],
-        "df": [1, 37],
-        "p_max": 1e-6,
+# The paper's figures per group: n, the mean of each time measure (total_s also with its sd),
+# and the total of each error measure, weighted_total being the ponderated total of the other three.
+PAPER_GROUPS = {
+    BASELINE_CONDITION: {
+        "n": 19, "total_s": 763.65, "total_s sd": 76.80, "one_handed_s": 193.26, "two_handed_s": 146.7,
+        "simple": 49, "critical": 6, "repetition": 3, "weighted_total": 64,
     },
-    "weighted_totals": [
-        {"counts": [49, 6, 3], "expected": 64},
-        {"counts": [3, 1, 0], "expected": 5},
-    ],
-    "improvements": [
-        {"name": "total time", "baseline": 763.65, "treatment": 623.55, "expected_pct": 18.35},
-        {"name": "1-handed time", "baseline": 193.26, "treatment": 146.43, "expected_pct": 24.24},
-        {"name": "2-handed time", "baseline": 146.7, "treatment": 105.86, "expected_pct": 27.84},
-        {"name": "errors per participant", "baseline": 3.37, "treatment": 0.25, "expected_pct": 92.58},
-        {"name": "Simple errors", "baseline": 49, "treatment": 3, "expected_pct": 93.88},
-        {"name": "Critical errors", "baseline": 6, "treatment": 1, "expected_pct": 83.33},
-    ],
-    "improvement_tolerance_pct": 0.01,
+    TREATMENT_CONDITION: {
+        "n": 20, "total_s": 623.55, "total_s sd": 67.70, "one_handed_s": 146.43, "two_handed_s": 105.86,
+        "simple": 3, "critical": 1, "repetition": 0, "weighted_total": 5,
+    },
 }
 
 
@@ -247,46 +251,29 @@ class CheckResult:
 
 
 def run_reference_checks() -> list[CheckResult]:
-    """Recompute every published reference value from embedded inputs."""
-    results = []
+    """Recompute the paper's published values from its figures in PAPER_GROUPS."""
+    groups = PAPER_GROUPS.values()
+    res = anova_oneway_summary([GroupSummary(n=g["n"], mean=g["total_s"], sd=g["total_s sd"]) for g in groups])
+    lo, hi = 36.3, 36.9
+    ok = lo <= res.statistic <= hi and res.df == (1, 37) and res.p_value < 1e-6
+    detail = f"F={res.statistic:.2f} (expect [{lo}, {hi}]), df={res.df}, p={res.p_value:.2e}"
+    results = [CheckResult("anova_total_time", ok, detail)]
 
-    cfg = REFERENCE_CONSTANTS["anova_total_time"]
-    groups = [GroupSummary(n=g[0], mean=g[1], sd=g[2]) for g in cfg["groups"]]
-    res = anova_oneway_summary(groups)
-    lo, hi = cfg["f_range"]
-    ok = (
-        lo <= res.statistic <= hi
-        and res.df == tuple(cfg["df"])
-        and res.p_value < cfg["p_max"]
-    )
-    results.append(
-        CheckResult(
-            "anova_total_time",
-            ok,
-            f"F={res.statistic:.2f} (expect [{lo}, {hi}]), df={res.df}, p={res.p_value:.2e}",
-        )
-    )
-
-    for item in REFERENCE_CONSTANTS["weighted_totals"]:
-        s, c, r = item["counts"]
+    for g in groups:
+        s, c, r = g["simple"], g["critical"], g["repetition"]
         got = weighted_total(ErrorCounts(s, c, r))
-        results.append(
-            CheckResult(
-                f"weighted_total({s},{c},{r})",
-                got == item["expected"],
-                f"got {got}, expect {item['expected']}",
-            )
-        )
+        results.append(CheckResult(f"weighted_total({s},{c},{r})", got == g["weighted_total"],
+                                   f"got {got}, expect {g['weighted_total']}"))
 
-    tol = REFERENCE_CONSTANTS["improvement_tolerance_pct"]
-    for item in REFERENCE_CONSTANTS["improvements"]:
-        got_pct = percent_improvement(item["baseline"], item["treatment"]) * 100.0
-        ok = math.isclose(got_pct, item["expected_pct"], abs_tol=tol)
-        results.append(
-            CheckResult(
-                f"improvement {item['name']}",
-                ok,
-                f"got {got_pct:.4f}%, expect {item['expected_pct']}% (+/-{tol} pp)",
-            )
-        )
+    # The same rows and reduction as analyze, fed the paper's figures in place of a corpus's.
+    fractions = reductions(
+        {(m, cond): g[m] for cond, g in PAPER_GROUPS.items() for m in TIME_MEASURES},
+        {(m, cond): g[m] for cond, g in PAPER_GROUPS.items() for m in ERROR_MEASURES},
+        {cond: g["n"] for cond, g in PAPER_GROUPS.items()},
+    )
+    tol = 0.01  # percentage points
+    for label, _, _, paper_pct in IMPROVEMENTS:
+        got_pct = fractions[label] * 100.0
+        results.append(CheckResult(f"improvement {label}", math.isclose(got_pct, paper_pct, abs_tol=tol),
+                                   f"got {got_pct:.4f}%, expect {paper_pct}% (+/-{tol} pp)"))
     return results

@@ -18,7 +18,9 @@ from replicasim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from replicasim.report import (
     ALL_MEASURES,
     HISTOGRAM_BINS,
-    REFERENCE_CONSTANTS,
+    IMPROVEMENTS,
+    PAPER_GROUPS,
+    PER_SESSION,
     analyze_rows,
     read_metrics_csv,
     render_markdown,
@@ -849,12 +851,29 @@ class TestPaperCheck:
         for token in ("36.6", "64", "18.35", "24.24", "27.84", "92.58", "93.88", "83.33"):
             assert token in out
 
-    def test_tampered_constant_fails(self, monkeypatch, capsys):
-        tampered = json.loads(json.dumps(REFERENCE_CONSTANTS))
-        tampered["weighted_totals"][0]["expected"] = 63
-        monkeypatch.setattr("replicasim.report.REFERENCE_CONSTANTS", tampered)
+    # One paper figure feeds each check that reads it: the ponderation check and the reductions alike.
+    @pytest.mark.parametrize(("figure", "value", "failing"), [
+        ("weighted_total", 63, ["weighted_total(49,6,3)", "improvement errors per participant"]),
+        ("simple", 48, ["weighted_total(48,6,3)", "improvement Simple errors"]),
+    ], ids=["tablet-ponderated-total", "tablet-simple-count"])
+    def test_tampered_constant_fails(self, figure, value, failing, monkeypatch, capsys):
+        monkeypatch.setitem(PAPER_GROUPS["tablet"], figure, value)
         assert run_cli("paper-check") == EXIT_CHECK_FAILED
-        assert "FAIL" in capsys.readouterr().out
+        assert re.findall(r"^FAIL  (.+?):", capsys.readouterr().out, re.MULTILINE) == failing
+
+    def test_unponderated_errors_per_participant_fails(self, monkeypatch, capsys):
+        rows = [row if row[0] != "errors per participant" else (row[0], "simple", PER_SESSION, row[3])
+                for row in IMPROVEMENTS]
+        monkeypatch.setattr("replicasim.report.IMPROVEMENTS", tuple(rows))
+        assert run_cli("paper-check") == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert re.findall(r"^FAIL  .+$", out, re.MULTILINE) == [
+            "FAIL  improvement errors per participant: got 94.1837%, expect 92.58% (+/-0.01 pp)"]
+        assert out.splitlines()[-1] == "8/9 reference checks passed"
+
+    def test_reductions_print_the_report_labels(self):
+        names = [r.name for r in run_reference_checks()]
+        assert names[-len(IMPROVEMENTS):] == [f"improvement {label}" for label, *_ in IMPROVEMENTS]
 
     def test_reference_checks_cover_all_items(self):
         results = run_reference_checks()

@@ -1,3 +1,5 @@
+import ast
+import re
 import shutil
 import subprocess
 import sys
@@ -58,3 +60,17 @@ def test_startup_exits_1_when_the_outputs_differ(tmp_path):
                            "--pairs", "1"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines()[-1] == "outputs: DIFFER in pairs [0]"
+
+
+def test_linetrace_lists_the_lines_no_test_reached():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "linetrace.py"), "tests/test_cli.py::TestPaperCheck",
+                           "-q", "-p", "no:cacheprovider"], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"[1-9][0-9]* executable lines of src/replicasim unreached", lines[-1])
+    unreached = {int(line.rpartition(":")[2]) for line in lines if line.startswith("src/replicasim/report.py:")}
+    source = (ROOT / "src" / "replicasim" / "report.py").read_text(encoding="utf-8")
+    spans = {node.name: set(range(node.lineno, node.end_lineno + 1))
+             for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert not unreached & (spans["run_reference_checks"] | spans["reductions"])
+    assert unreached & spans["render_svg_histogram"]

@@ -642,9 +642,9 @@ class TestValueRecords:
             (Sample, True, [((1.0, 2.0), "t"), ((1.0, 2.0), ""), ((2.0, 1.0), "t"), ((1.0, 2.0), "t")]),
             (GroupSummary, True, [(5, 1.5, 0.25, "a"), (5, 1.5, 0.25, ""), (6, 1.5, 0.25, "a"), (5, 1.5, 0.25, "a")]),
             (report.CheckResult, True, [("c", True, "ok"), ("c", False, "ok"), ("c", True, "ok")]),
-            (report.AnalysisReport, False, [(("tablet",), {}, {}, [], {"Simple errors": 0.5}),
-                                            (("tablet",), {}, {}, [], {}),
-                                            (("tablet",), {}, {}, [], {"Simple errors": 0.5})]),
+            (report.AnalysisReport, False, [(("tablet",), {}, {}, {}, [], {"Simple errors": 0.5}),
+                                            (("tablet",), {}, {}, {}, [], {}),
+                                            (("tablet",), {}, {}, {}, [], {"Simple errors": 0.5})]),
         ]
         for cls, frozen, arguments in cases:
             twin = dataclass_twin(cls, frozen)
