@@ -7,18 +7,15 @@ visible to the other side until a replica is synchronized, and the merge obeys
 expert precedence and annotation retention. A refused edit is final: the
 operator's replica drops it on the next commit instead of resending it.
 """
-from replicasim import (
-    Annotation,
-    Role,
-    ValveState,
+from replicasim.replica import (
+    SyncRequest,
     acknowledge_commit,
-    canonical_json,
     create_replica,
     edit_replica,
     make_sync_request,
     synchronize,
 )
-from replicasim.scene import AddAnnotation, SetHighlight, SetValveState
+from replicasim.scene import AddAnnotation, Annotation, Role, SetHighlight, SetValveState, ValveState, canonical_json
 from replicasim.scenario import default_model
 
 shared = default_model()
@@ -52,8 +49,6 @@ print("annotation retained:", "a1" in shared.annotations)
 # value wins no matter which request the host commits first.
 ex_edit = SetValveState("2V4", ValveState.OPEN, Role.EXPERT, 2)
 op_edit = SetValveState("2V4", ValveState.CLOSED, Role.OPERATOR, 2)
-from replicasim import SyncRequest
-
 base = shared.version
 m = synchronize(SyncRequest("operator", Role.OPERATOR, base, (op_edit,)), shared).merged
 m = synchronize(SyncRequest("expert", Role.EXPERT, base, (ex_edit,)), m).merged

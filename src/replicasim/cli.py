@@ -22,7 +22,8 @@ EXIT_CONFIG = 2
 
 
 def _parse_sessions(value: str) -> dict:
-    """``N`` applies to both conditions; ``T:H`` sets tablet and hmd counts."""
+    """``N`` applies to both conditions; ``T:H`` sets tablet and hmd counts, one
+    of which may be 0. Only the conditions with sessions are kept."""
     from replicasim.metrics import Condition
 
     try:
@@ -31,10 +32,9 @@ def _parse_sessions(value: str) -> dict:
         numbers = []
     if len(numbers) not in (1, 2):
         raise ConfigError(f"--sessions expects N or TABLET:HMD, got {value!r}")
-    counts = {Condition.TABLET: numbers[0], Condition.HMD: numbers[-1]}
-    if any(n < 1 for n in counts.values()):
-        raise ConfigError("sessions per condition must be at least 1")
-    return counts
+    if min(numbers) < 0 or sum(numbers) < 1:
+        raise ConfigError(f"--sessions needs N >= 1, or TABLET:HMD counts >= 0 not both 0, got {value!r}")
+    return {c: n for c, n in ((Condition.TABLET, numbers[0]), (Condition.HMD, numbers[-1])) if n}
 
 
 def integer(text: str) -> int:
@@ -73,9 +73,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from replicasim.metrics import Condition, session_log_to_jsonl, session_row, write_metrics_csv
 
     counts = _parse_sessions(args.sessions)
-    if args.condition != "both":
-        only = Condition(args.condition)
-        counts = {only: counts[only]}
     model = _load_json(args.model, load_model) if args.model else default_model()
     registry = valve_registry(model)
     routing = _load_json(args.routing, routing_table_from_dict) if args.routing else default_routing_table()
@@ -174,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run seeded sessions and write logs + metrics CSV")
-    sim.add_argument("--condition", choices=["tablet", "hmd", "both"], default="both")
-    sim.add_argument("--sessions", default="19:20", help="N per condition, or TABLET:HMD (default 19:20)")
+    sim.add_argument("--sessions", default="19:20",
+                     help="N per condition, or TABLET:HMD, where one count may be 0 (default 19:20)")
     sim.add_argument("--seed", type=integer, default=0, help="master seed (default 0)")
     sim.add_argument("--plan", help="inspection plan JSON (default: built-in two-part plan)")
     sim.add_argument("--profile", help="operator profiles JSON (default: calibrated profiles)")

@@ -233,7 +233,6 @@ PAYLOAD_CODEC = checks.union("payload", "kind", (
     ("call_end", CallEnd, ()),
     ("media", MediaSignal, (("blob_b64", "blob", _BLOB, REQUIRED),)),
 ))
-payload_to_dict, payload_from_dict = PAYLOAD_CODEC
 
 envelope_to_dict, envelope_from_dict = checks.codec(Envelope, (("sender", "sender", checks.ident, REQUIRED),
                                                               ("sender_seq", "sender_seq", checks.count, REQUIRED),

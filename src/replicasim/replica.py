@@ -18,9 +18,6 @@ from __future__ import annotations
 from replicasim import RoomError
 from replicasim.records import record
 from replicasim.scene import (
-    DUPLICATE_ANNOTATION as REJECT_DUPLICATE_ANNOTATION,
-    INVALID_HIGHLIGHT as REJECT_INVALID_HIGHLIGHT,
-    UNKNOWN_TARGET as REJECT_UNKNOWN_TARGET,
     _FIELD_NAME,
     Edit,
     RemoveAnnotation,

@@ -97,8 +97,8 @@ def analyze_rows(rows: list[dict]) -> AnalysisReport:
         for cond, cond_rows in by_condition.items()
     }
     summaries = {key: mean_sd(sample) for key, sample in samples.items() if sample.n >= 2}
-    # Exact: each count is an integer that a float holds, but a float sum past 2**53 rounds.
-    totals = {(measure, cond): sum(map(int, samples[measure, cond].values))
+    # Exact: summed from the rows' ints, not the samples' floats, whose sum past 2**53 rounds.
+    totals = {(measure, cond): sum(map(itemgetter(measure), by_condition[cond]))
               for measure in ERROR_MEASURES for cond in conditions}
     report = AnalysisReport(conditions=conditions, samples=samples, summaries=summaries, totals=totals)
     pairs = {measure: ((measure, BASELINE_CONDITION), (measure, TREATMENT_CONDITION)) for measure in ALL_MEASURES}

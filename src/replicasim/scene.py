@@ -149,7 +149,6 @@ class Annotation:
 
 
 ANNOTATION_CODEC = checks.codec(Annotation, Annotation.__post_init__.fields, "annotation")
-annotation_to_dict, annotation_from_dict = ANNOTATION_CODEC
 
 
 # --- Edit vocabulary ---------------------------------------------------------
@@ -310,14 +309,15 @@ def load_model(descriptor: dict) -> SceneModel:
         try:
             kind = checks.member(doc.get("kind"), "kind", NodeKind)
             valve = kind is NodeKind.VALVE
-            parent = doc.get("parent")
+            parent, state, hand = doc.get("parent"), doc.get("valve_state"), doc.get("handedness")
+            # A valve field given on another kind is read too, so that SceneNode refuses it.
             nodes[node_id] = SceneNode(
                 node_id,
                 kind,
                 None if parent is None else checks.ident(parent, "parent"),
                 Pose.from_dict(doc.get("pose", {})),
-                checks.member(doc.get("valve_state"), "valve_state", ValveState) if valve else None,
-                checks.member(doc.get("handedness"), "handedness", Handedness) if valve else None,
+                checks.member(state, "valve_state", ValveState) if valve or state is not None else None,
+                checks.member(hand, "handedness", Handedness) if valve or hand is not None else None,
             )
         except ConfigError as exc:
             raise ConfigError(f"node {node_id!r}: {exc}") from None
@@ -499,7 +499,7 @@ def to_canonical_dict(model: SceneModel) -> dict:
         "world_anchor": model.world_anchor.to_dict(),
         "marker_offset": model.marker_offset.to_dict(),
         "nodes": [_node_to_dict(model.nodes[i]) for i in sorted(model.nodes)],
-        "annotations": [annotation_to_dict(model.annotations[i]) for i in sorted(model.annotations)],
+        "annotations": [ANNOTATION_CODEC.encode(model.annotations[i]) for i in sorted(model.annotations)],
         "field_authors": {
             f"{fld}:{node}": [role._value_, version]
             for (fld, node), (role, version) in sorted(model.field_authors.items())
@@ -524,4 +524,4 @@ EDIT_CODEC = checks.union("edit", "op", (
     ("add_annotation", AddAnnotation, (("annotation", "annotation", ANNOTATION_CODEC, REQUIRED),)),
     ("remove_annotation", RemoveAnnotation, (("annotation_id", "annotation_id", checks.ident, REQUIRED),)),
 ), common=(("role", "author_role", Role, REQUIRED), ("seq", "author_seq", checks.count, REQUIRED)))
-edit_to_dict, edit_from_dict = EDIT_CODEC
+edit_to_dict = EDIT_CODEC.encode

@@ -149,8 +149,8 @@ def _shapiro_wilk_pvalue(w: float, n: int) -> float:
     w1 = 1.0 - w
     if n <= 11:
         gamma = -2.273 + 0.459 * n
-        if gamma - math.log(w1) <= 0.0:
-            return 1e-19
+        # The log's argument is positive for every sample: gamma > 0 for n >= 5, and at n = 4 it needs
+        # W > 0.354, where no 4 values have W below 0.6298, that of three equal values and one outlier.
         y = -math.log(gamma - math.log(w1))
         mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
         sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)

@@ -129,7 +129,9 @@ class TestCommandImports:
         return out
 
     def test_import_package_loads_no_submodule(self):
-        assert not {m for m in modules_after("import replicasim") if m.startswith("replicasim.")}
+        # The package binds its two error classes and no layer's names: each name has one home.
+        probe = "import replicasim\nassert [n for n in dir(replicasim) if n[0] != '_'] == ['ConfigError', 'RoomError']"
+        assert not {m for m in modules_after(probe) if m.startswith("replicasim.")}
 
     def test_analyze_loads_no_simulator(self, corpus, tmp_path):
         argv = ["analyze", "--histograms", str(corpus / "metrics.csv"), "--out", str(tmp_path)]
@@ -223,14 +225,37 @@ class TestSimulate:
     def test_run_twice_byte_identical(self, tmp_path, quick_profiles):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            code = run_cli("simulate", "--sessions", "1", "--condition", "hmd", "--seed", "1",
+            code = run_cli("simulate", "--sessions", "0:1", "--seed", "1",
                            "--profile", quick_profiles, "--out", str(out))
             assert code == EXIT_OK
         assert dir_digest(out1) == dir_digest(out2)
 
-    def test_zero_sessions_is_config_error(self, tmp_path):
-        code = run_cli("simulate", "--sessions", "0", "--out", str(tmp_path / "x"))
-        assert code == EXIT_CONFIG
+    def test_zero_sessions_is_config_error(self, tmp_path, capsys):
+        for sessions in ("0", "0:0", "2:-1"):
+            code = run_cli("simulate", "--sessions", sessions, "--out", str(tmp_path / "x"))
+            assert code == EXIT_CONFIG, sessions
+            assert f"--sessions needs N >= 1, or TABLET:HMD counts >= 0 not both 0, got '{sessions}'" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_condition_option_is_gone(self, tmp_path, capsys):
+        # One condition is a TABLET:HMD count with a 0 on the other side.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--sessions", "0:1", "--condition", "hmd", "--out", str(tmp_path / "x"))
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --condition hmd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sessions, kept", [("0:2", "hmd"), ("2:0", "tablet")])
+    def test_one_condition_writes_its_part_of_both(self, tmp_path, quick_profiles, sessions, kept):
+        both, one = tmp_path / "both", tmp_path / "one"
+        for out, counts in ((both, "2:2"), (one, sessions)):
+            assert run_cli("simulate", "--sessions", counts, "--seed", "4", "--profile", quick_profiles,
+                           "--out", str(out)) == EXIT_OK
+        expected = {name: digest for name, digest in dir_digest(both).items() if name.startswith(f"session_{kept}-")}
+        assert {name: digest for name, digest in dir_digest(one).items() if name != "metrics.csv"} == expected
+        lines = (both / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        assert (one / "metrics.csv").read_text(encoding="utf-8").splitlines() == \
+            [lines[0], *(line for line in lines[1:] if line.startswith(f"{kept}-"))]
 
     def test_default_corpus_has_39_rows(self, tmp_path):
         out = tmp_path / "corpus"
@@ -274,8 +299,7 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     def test_negative_seed_simulates(self, tmp_path):
-        assert run_cli("simulate", "--sessions", "1", "--condition", "tablet", "--seed", "-3",
-                       "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("simulate", "--sessions", "1:0", "--seed", "-3", "--out", str(tmp_path)) == EXIT_OK
 
     def test_corpus_validates_its_plan_once_and_each_log_once(self, tmp_path):
         # Call counts, not timings: the plan is validated where it is built,
@@ -369,6 +393,17 @@ def test_malformed_input_is_config_error(tmp_path, capsys, option, text):
     assert bad.name in err
 
 
+def test_model_with_a_valve_field_on_a_pipe_exits_2(tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text(shipped_with("default_model.json", lambda d: d["nodes"].append(
+        {"id": "P9", "kind": "Pipe", "valve_state": "Open"})), encoding="utf-8")
+    code = run_cli("simulate", "--sessions", "1", "--model", str(bad), "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"error: cannot load {str(bad)!r}: node 'P9': non-valve 'P9' must not carry valve_state/handedness\n"
+    assert not (tmp_path / "out").exists()
+
+
 METRICS_HEADER = b"session_id,condition,seed,total_s,one_handed_s,two_handed_s,simple,critical,repetition,weighted_total\n"
 
 
@@ -454,8 +489,7 @@ class TestProfileMissingCondition:
 
     def test_only_profiled_condition_simulates(self, tmp_path, tablet_only):
         out = tmp_path / "out"
-        assert run_cli("simulate", "--sessions", "1", "--condition", "tablet", "--profile", str(tablet_only),
-                       "--out", str(out)) == EXIT_OK
+        assert run_cli("simulate", "--sessions", "1:0", "--profile", str(tablet_only), "--out", str(out)) == EXIT_OK
         assert [r["condition"] for r in read_metrics_csv(str(out / "metrics.csv"))] == ["tablet"]
 
 
@@ -534,7 +568,7 @@ class TestAnalyze:
 
     def test_single_condition_summary_only(self, tmp_path, quick_profiles):
         out = tmp_path / "single"
-        assert run_cli("simulate", "--sessions", "3", "--condition", "hmd", "--seed", "5",
+        assert run_cli("simulate", "--sessions", "0:3", "--seed", "5",
                        "--profile", quick_profiles, "--out", str(out)) == EXIT_OK
         assert run_cli("analyze", str(out / "metrics.csv"), "--out", str(out)) == EXIT_OK
         report = (out / "report.md").read_text(encoding="utf-8")
@@ -750,7 +784,7 @@ def test_histogram_bins_hold_hand_counted_values(values, counts):
 class TestReplay:
     def test_replay_round_trip(self, tmp_path, quick_profiles, capsys):
         out = tmp_path / "corpus"
-        assert run_cli("simulate", "--sessions", "1", "--condition", "hmd", "--seed", "2",
+        assert run_cli("simulate", "--sessions", "0:1", "--seed", "2",
                        "--profile", quick_profiles, "--out", str(out)) == EXIT_OK
         log = next(out.glob("session_*.jsonl"))
         assert run_cli("replay", str(log)) == EXIT_OK

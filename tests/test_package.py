@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import replicasim
 from replicasim import checks, protocol, scenario
 from replicasim.netsim import derive_seed
 from replicasim.protocol import Envelope, envelope_to_dict
@@ -22,41 +21,46 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "replicasim"
 
 
-def test_every_exported_name_resolves():
-    assert [name for name in replicasim.__all__ if not hasattr(replicasim, name)] == []
-
-
-def referenced_names(path: Path) -> set[str]:
-    """Names a module uses: bare names, attribute names and imported names."""
+def read_names(path: Path) -> set[str]:
+    """Names a module reads: bare names and attribute names that it loads, and
+    imported names. A name it only binds, as an assignment target, is not read."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
     return names
 
 
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+
+
 def test_every_public_definition_has_a_caller_or_documentation():
-    """No library function or class exists only for its own test: each public
-    module-level definition is used by the package itself, the benchmark, a
-    demo or a script, or README.md or docs/ name it as public API."""
-    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    """No library name exists only for its own test: each public module-level
+    function, class or assigned name is read by the package itself, the
+    benchmark, a demo or a script, or README.md or docs/ name it as public API."""
+    callers = [*PACKAGE.glob("*.py")]
     for folder in ("bench", "demos", "scripts"):
         callers += (ROOT / folder).rglob("*.py")
-    used = set().union(*(referenced_names(p) for p in callers))
+    used = set().union(*(read_names(p) for p in callers))
     for doc in [ROOT / "README.md", *(ROOT / "docs").glob("*.md")]:
         for span in re.findall(r"`([^`\n]+)`", doc.read_text(encoding="utf-8")):
             used.update(re.findall(r"[A-Za-z_]\w*", span))
     orphans = [
-        f"{module.stem}.{node.name}"
+        f"{module.stem}.{name}"
         for module in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(module.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for statement in ast.parse(module.read_text(encoding="utf-8")).body
+        for name in defined_names(statement)
+        if not name.startswith("_") and name not in used
     ]
     assert orphans == []
 

@@ -10,7 +10,9 @@ import pytest
 
 from replicasim import ConfigError, checks
 from replicasim.protocol import (
+    EXPERT_ELEVATION_M,
     GAZE_NORM_TOL,
+    PAYLOAD_CODEC,
     Avatar,
     AvatarState,
     CallEnd,
@@ -28,7 +30,6 @@ from replicasim.protocol import (
     decode_envelope,
     detect_gaps,
     encode_envelope,
-    payload_to_dict,
     envelope_from_dict,
     envelope_to_dict,
     join_room,
@@ -39,6 +40,7 @@ from replicasim.protocol import (
 from replicasim.records import replace
 from replicasim.replica import SyncRequest, apply_commit
 from replicasim.scene import (
+    EDIT_CODEC,
     QUAT_NORM_TOL,
     AddAnnotation,
     Annotation,
@@ -52,7 +54,6 @@ from replicasim.scene import (
     SetValveState,
     ValveState,
     canonical_json,
-    edit_from_dict,
     load_model,
 )
 from replicasim.scenario import default_model
@@ -193,6 +194,20 @@ class TestAvatar:
         direction = tuple(c / norm for c in direction)
         assert all(abs(f - d) < 1e-9 for f, d in zip(forward, direction))
 
+    def test_expert_at_the_anchor_keeps_the_identity_orientation(self):
+        # An operator head EXPERT_ELEVATION_M below the anchor puts the expert on it: no direction to look.
+        pose = place_expert_avatar(self.operator_avatar(y=-EXPERT_ELEVATION_M))
+        assert pose.position == (0.0, 0.0, 0.0)
+        assert pose.orientation == (1.0, 0.0, 0.0, 0.0)
+
+    def test_anchor_straight_behind_turns_half_a_turn_about_y(self):
+        # Looking along -Z, the shortest arc from +Z is not unique; the placement turns about +Y.
+        pose = place_expert_avatar(self.operator_avatar(y=-EXPERT_ELEVATION_M, z=2.0))
+        assert pose.position == (0.0, 0.0, 2.0)
+        assert pose.orientation == (0.0, 0.0, 1.0, 0.0)
+        assert pose.rotate((0.0, 0.0, 1.0)) == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
+        assert pose.rotate((1.0, 0.0, 0.0)) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-12)
+
     def test_gaze_must_be_normalized(self):
         for gaze in [(0.0, 0.0, 2.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0)]:
             with pytest.raises(ValueError):
@@ -310,14 +325,14 @@ class TestWireCodec:
     def test_valve_instruction_round_trip(self):
         instruction = Instruction("set valve 2V4 to Closed", "2V4", ValveState.CLOSED)
         env = Envelope(sender="expert", sender_seq=3, room="r1", payload=instruction, host_seq=5)
-        assert payload_to_dict(instruction) == {
+        assert PAYLOAD_CODEC.encode(instruction) == {
             "kind": "instruction", "text": "set valve 2V4 to Closed", "valve": "2V4", "target": "Closed"
         }
         decoded, rest = decode_envelope(encode_envelope(env))
         assert decoded == env and rest == b""
 
     def test_text_instruction_keeps_its_wire_dict(self):
-        assert payload_to_dict(Instruction("tick")) == {"kind": "instruction", "text": "tick"}
+        assert PAYLOAD_CODEC.encode(Instruction("tick")) == {"kind": "instruction", "text": "tick"}
 
     def test_encoding_a_value_that_is_no_payload_is_a_fault(self):
         # The sender's own bug, not a message a peer refuses: not a RoomError.
@@ -509,20 +524,20 @@ class TestEditRefusals:
     def test_role_is_refused_before_seq_and_op(self):
         doc = {"op": "paint", "node": "V1", "role": "Admin", "seq": -1}
         with pytest.raises(ConfigError, match="^role must be one of 'Expert', 'Operator', got 'Admin'$"):
-            edit_from_dict(doc)
+            EDIT_CODEC.decode(doc)
         frame = _sync_req_frame('{"op":"paint","node":"V1","role":"Admin","seq":-1}')
         with pytest.raises(RoomError, match="role must be one of"):
             decode_envelope(frame)
 
     def test_seq_is_refused_before_op(self):
         with pytest.raises(ConfigError, match="^seq must be an integer in"):
-            edit_from_dict({"op": "paint", "node": "V1", "role": "Expert", "seq": True})
+            EDIT_CODEC.decode({"op": "paint", "node": "V1", "role": "Expert", "seq": True})
 
     def test_op_is_refused_before_node_and_value(self):
         with pytest.raises(ConfigError, match="^unknown edit op 'paint'$"):
-            edit_from_dict({"op": "paint", "node": [], "role": "Expert", "seq": 1})
+            EDIT_CODEC.decode({"op": "paint", "node": [], "role": "Expert", "seq": 1})
         with pytest.raises(ConfigError, match="^node must be a non-empty string"):
-            edit_from_dict({"op": "set_valve_state", "node": "", "state": "Ajar", "role": "Expert", "seq": 1})
+            EDIT_CODEC.decode({"op": "set_valve_state", "node": "", "state": "Ajar", "role": "Expert", "seq": 1})
 
     @pytest.mark.parametrize(
         "edit_doc",
@@ -600,9 +615,9 @@ class TestAcceptTests:
         count = checks.count
         monkeypatch.setattr(checks, "count", lambda value, name: calls.append((value, name)) or count(value, name))
         doc = {"op": "remove_annotation", "annotation_id": "a1", "role": "Expert", "seq": IntSubclass(3)}
-        assert type(edit_from_dict(doc).author_seq) is IntSubclass
+        assert type(EDIT_CODEC.decode(doc).author_seq) is IntSubclass
         with pytest.raises(ConfigError, match="^seq must be an integer in"):
-            edit_from_dict({**doc, "seq": True})
+            EDIT_CODEC.decode({**doc, "seq": True})
         assert calls == [(3, "seq"), (True, "seq")]
         assert [type(value) for value, _ in calls] == [IntSubclass, bool]
 

@@ -7,10 +7,7 @@ from replicasim import RoomError
 from replicasim import scene as scene_module
 from replicasim.replica import (
     REJECT_ANNOTATION_RETENTION,
-    REJECT_DUPLICATE_ANNOTATION,
     REJECT_EXPERT_PRECEDENCE,
-    REJECT_INVALID_HIGHLIGHT,
-    REJECT_UNKNOWN_TARGET,
     Replica,
     SyncRequest,
     _operator_rule,
@@ -22,6 +19,10 @@ from replicasim.replica import (
     synchronize,
 )
 from replicasim.scene import (
+    DUPLICATE_ANNOTATION,
+    EDIT_CODEC,
+    INVALID_HIGHLIGHT,
+    UNKNOWN_TARGET,
     AddAnnotation,
     Annotation,
     EditError,
@@ -36,7 +37,6 @@ from replicasim.scene import (
     apply_edit,
     canonical_json,
     edit_field_key,
-    edit_from_dict,
     edit_to_dict,
     field_equal,
     load_model,
@@ -175,7 +175,7 @@ class TestSynchronize:
         outcome = synchronize(
             SyncRequest("ex", Role.EXPERT, 0, (AddAnnotation(second, Role.EXPERT, 1),)), shared
         )
-        assert outcome.rejected[0][1] == REJECT_DUPLICATE_ANNOTATION
+        assert outcome.rejected[0][1] == DUPLICATE_ANNOTATION
         assert outcome.merged.annotations["note"].text == "first"
 
     def test_operator_removal_rejected_expert_removal_applies(self, shared):
@@ -236,7 +236,7 @@ class TestSynchronize:
         )
         outcome = synchronize(req, model)
         assert outcome.accepted == req.edits[:1]
-        assert outcome.rejected == ((req.edits[1], REJECT_UNKNOWN_TARGET),)
+        assert outcome.rejected == ((req.edits[1], UNKNOWN_TARGET),)
         assert outcome.merged.nodes["1V1"].visual.highlight_color == (1.0, 0.0, 0.0)
 
     def test_out_of_range_highlight_rejected_without_aborting_batch(self, shared):
@@ -247,11 +247,11 @@ class TestSynchronize:
                 "ex",
                 Role.EXPERT,
                 0,
-                (edit_from_dict(wire), SetValveState("V2", ValveState.OPEN, Role.EXPERT, 2)),
+                (EDIT_CODEC.decode(wire), SetValveState("V2", ValveState.OPEN, Role.EXPERT, 2)),
             )
             outcome = synchronize(req, shared)
             assert outcome.accepted == req.edits[1:], wire
-            assert outcome.rejected == ((req.edits[0], REJECT_INVALID_HIGHLIGHT),)
+            assert outcome.rejected == ((req.edits[0], INVALID_HIGHLIGHT),)
             assert outcome.merged.nodes["V1"].visual.highlight_color is None
             assert outcome.merged.nodes["V2"].valve_state is ValveState.OPEN
 
@@ -261,10 +261,10 @@ class TestSynchronize:
             lookalike = SimpleNamespace(node="V1", state=ValveState.CLOSED, author_role=role, author_seq=1)
             with pytest.raises(EditError, match="unsupported edit") as info:
                 apply_commit(shared, (lookalike,), shared.version + 1)
-            assert info.value.reason == REJECT_UNKNOWN_TARGET
+            assert info.value.reason == UNKNOWN_TARGET
             valid = SetValveState("V2", ValveState.OPEN, role, 2)
             outcome = synchronize(SyncRequest("c", role, 0, (lookalike, valid)), shared)
-            assert outcome.rejected == ((lookalike, REJECT_UNKNOWN_TARGET),)
+            assert outcome.rejected == ((lookalike, UNKNOWN_TARGET),)
             assert outcome.accepted == (valid,)
             assert outcome.merged.nodes["V1"] == shared.nodes["V1"]
 
@@ -529,15 +529,15 @@ class TestCanonicalJson:
     def test_sync_request_round_trip(self, shared):
         import json
 
-        from replicasim.protocol import SyncReq, payload_from_dict, payload_to_dict
+        from replicasim.protocol import PAYLOAD_CODEC, SyncReq
 
         req = SyncRequest(
             "op", Role.OPERATOR, 3,
             (SetValveState("V1", ValveState.OPEN, Role.OPERATOR, 1),
              AddAnnotation(Annotation("a1", Role.OPERATOR, "V2", "hi"), Role.OPERATOR, 2)),
         )
-        doc = json.loads(json.dumps(payload_to_dict(SyncReq(req)), sort_keys=True))
-        assert payload_from_dict(doc) == SyncReq(req)
+        doc = json.loads(json.dumps(PAYLOAD_CODEC.encode(SyncReq(req)), sort_keys=True))
+        assert PAYLOAD_CODEC.decode(doc) == SyncReq(req)
 
     def test_merge_outcome_serialization(self, shared):
         from replicasim.replica import merge_outcome_to_dict
@@ -577,7 +577,7 @@ class TestCommitReplay:
             outcome = synchronize(SyncRequest("x", role, host.version, tuple(edits)), host)
             if len(edits) >= len(SPECIALS):
                 non_valve = next(e for e in edits if isinstance(e, SetValveState) and e.node == "EX1")
-                assert (non_valve, REJECT_UNKNOWN_TARGET) in outcome.rejected
+                assert (non_valve, UNKNOWN_TARGET) in outcome.rejected
             client = apply_commit(client, outcome.accepted, outcome.merged.version)
             assert canonical_json(client) == canonical_json(outcome.merged)
             host = outcome.merged

@@ -25,6 +25,7 @@ from replicasim.plant import (
     routing_table_from_dict,
 )
 from replicasim.protocol import (
+    PAYLOAD_CODEC,
     Avatar,
     AvatarState,
     Envelope,
@@ -32,7 +33,6 @@ from replicasim.protocol import (
     SyncCommit,
     SyncReq,
     detect_gaps,
-    payload_to_dict,
 )
 from replicasim import ConfigError, cli, netsim, protocol, records, replica, scenario, scene
 from replicasim.scene import Handedness, Pose, Role, SetIndication, ValveState
@@ -540,7 +540,7 @@ class TestRunSession:
         log = run_session(plan, condition, default_profiles()[condition], seed=0)
         sent = {}
         for t in log.transcript:
-            sent.setdefault((t.src, t.dst), Counter())[payload_to_dict(t.envelope.payload)["kind"]] += 1
+            sent.setdefault((t.src, t.dst), Counter())[PAYLOAD_CODEC.encode(t.envelope.payload)["kind"]] += 1
         expected = {
             direction: {kind: n for kind, n in kinds.items()
                         if condition is Condition.HMD or kind not in ("sync_req", "sync_commit")}

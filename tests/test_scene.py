@@ -8,6 +8,7 @@ import pytest
 
 from replicasim import ConfigError
 from replicasim.scene import (
+    EDIT_CODEC,
     INVALID_HIGHLIGHT,
     UNKNOWN_TARGET,
     AddAnnotation,
@@ -29,7 +30,6 @@ from replicasim.scene import (
     anchor_model,
     apply_edit,
     canonical_json,
-    edit_from_dict,
     edit_to_dict,
     load_model,
 )
@@ -102,6 +102,10 @@ class TestLoadModel:
         with pytest.raises(ConfigError, match="handedness"):
             load_model(doc)
 
+    def test_null_valve_fields_on_a_non_valve_read_as_absent(self):
+        model = load_model({"nodes": [{"id": "P1", "kind": "Pipe", "valve_state": None, "handedness": None}]})
+        assert model.nodes["P1"].valve_state is None and model.nodes["P1"].handedness is None
+
     def test_parent_cycle(self):
         doc = {"nodes": [
             {"id": "A", "kind": "Pipe", "parent": "B"},
@@ -114,7 +118,15 @@ class TestLoadModel:
         (lambda: SceneNode("", NodeKind.PIPE), "node id must be non-empty"),
         (lambda: SceneNode("P1", NodeKind.PIPE, valve_state=ValveState.OPEN),
          "non-valve 'P1' must not carry valve_state/handedness"),
-    ], ids=["empty-id", "pipe-with-valve-state"])
+        # load_model reads a valve field on any kind, so that the node refuses it.
+        (lambda: load_model({"nodes": [{"id": "P1", "kind": "Pipe", "valve_state": "Open"}]}),
+         "node 'P1': non-valve 'P1' must not carry valve_state/handedness"),
+        (lambda: load_model({"nodes": [{"id": "L1", "kind": "Label", "handedness": "OneHanded"}]}),
+         "node 'L1': non-valve 'L1' must not carry valve_state/handedness"),
+        (lambda: load_model({"nodes": [{"id": "P1", "kind": "Pipe", "valve_state": "Open", "handedness": "bogus"}]}),
+         "node 'P1': handedness must be one of 'OneHanded', 'TwoHanded', got 'bogus'"),
+    ], ids=["empty-id", "pipe-with-valve-state", "load-pipe-valve-state", "load-label-handedness",
+            "load-pipe-bogus-handedness"])
     def test_refused_node_is_config_error(self, build, refusal):
         with pytest.raises(ConfigError, match=f"^{refusal}$"):
             build()
@@ -367,8 +379,8 @@ class TestEditedNode:
 
     def test_int_wire_color_commits_the_model_of_its_float_form(self):
         model = default_model()
-        committed = [apply_edit(model, edit_from_dict({"op": "set_highlight", "role": "Expert", "seq": 1,
-                                                       "node": "1V1", "color": color}))
+        committed = [apply_edit(model, EDIT_CODEC.decode({"op": "set_highlight", "role": "Expert", "seq": 1,
+                                                          "node": "1V1", "color": color}))
                      for color in ([1, 0, 0], [1.0, 0.0, 0.0])]
         assert canonical_json(committed[0]) == canonical_json(committed[1])
         assert committed[0].nodes["1V1"].visual.highlight_color == (1.0, 0.0, 0.0)
@@ -388,4 +400,4 @@ class TestEditCodec:
         for i in range(60):
             edit = random_edit(rng, model, seq=i)
             doc = edit_to_dict(edit)
-            assert edit_from_dict(json.loads(json.dumps(doc))) == edit
+            assert EDIT_CODEC.decode(json.loads(json.dumps(doc))) == edit

@@ -133,6 +133,20 @@ class TestShapiroWilk:
             assert abs(mine.statistic - ref.statistic) < 1e-6
             assert abs(mine.p_value - ref.pvalue) < 1e-6
 
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_one_outlier_sample_matches_scipy(self, n):
+        # The lowest W for n values: n - 1 equal values and one outlier. At n = 4 its
+        # W = 4 * a_4**2 / 3 ~ 0.6298 is well above 0.354, where the n <= 11 p
+        # approximation would take the log of a number <= 0.
+        x = (0.0,) * (n - 1) + (1.0,)
+        mine = shapiro_wilk(Sample(x))
+        ref = scipy_stats.shapiro(np.asarray(x))
+        assert mine.statistic == pytest.approx(ref.statistic, rel=1e-8)
+        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-7)
+        if n == 4:
+            assert mine.statistic == pytest.approx(4 * _shapiro_wilk_weights(4)[-1] ** 2 / 3, rel=1e-12)
+            assert mine.statistic > 1 - math.exp(-2.273 + 0.459 * 4)
+
 
 def pairwise_u(a, b):
     """Independent U definition: pairwise wins plus half-ties."""
